@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .arrays import SteeringSet, WeightVector, beampattern, project_unit_sphere
+from .arrays import SteeringSet, WeightVector, _is_integer, beampattern, project_unit_sphere
 from .entropy import MajorizerDiag, entropy, majorizer_diag, majorizer_value
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import matching_error_db
@@ -49,8 +49,8 @@ class SolverParams:
 
     lam weighs the matching term against the entropy term; rho is the
     consensus penalty and must exceed 2 so the w-block system stays positive
-    definite; eta is the stop tolerance on the weight change; seed drives
-    the random initialization.
+    definite; eta is the stop tolerance on the weight change (the only value
+    that may be infinite); seed drives the random initialization.
     """
 
     lam: float = 0.1
@@ -60,14 +60,16 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ContractError(f"lam must be nonnegative, got {self.lam}")
-        if not self.rho > 2.0:
-            raise ContractError(f"rho must exceed 2, got {self.rho}")
+        if not 0 <= self.lam < np.inf:
+            raise ContractError(f"lam (lambda) must be finite and >= 0, got {self.lam}")
+        if not 2.0 < self.rho < np.inf:
+            raise ContractError(f"rho must exceed 2 and be finite, got {self.rho}")
         if not self.eta > 0:
             raise ContractError(f"eta must be positive, got {self.eta}")
-        if self.max_iters < 0:
-            raise ContractError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not _is_integer(self.max_iters) or self.max_iters < 0:
+            raise ContractError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

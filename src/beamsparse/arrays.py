@@ -23,6 +23,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array of isotropic elements.
@@ -40,12 +44,12 @@ class ArrayGeometry:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.n_elements, (int, np.integer)) or isinstance(self.n_elements, bool):
+        if not _is_integer(self.n_elements):
             raise ContractError("n_elements must be an integer")
         if self.n_elements < 2:
             raise ContractError(f"n_elements must be >= 2, got {self.n_elements}")
-        if not self.spacing_ratio > 0:
-            raise ContractError(f"spacing_ratio must be positive, got {self.spacing_ratio}")
+        if not 0 < self.spacing_ratio < np.inf:
+            raise ContractError(f"spacing_ratio must be finite and > 0, got {self.spacing_ratio}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +62,9 @@ class AngleGrid:
         angles = np.asarray(self.angles_deg, dtype=float)
         if angles.ndim != 1 or angles.size == 0:
             raise ContractError("angle grid must be a non-empty 1-D sequence")
-        if np.any(angles < -90.0) or np.any(angles > 90.0):
-            raise ContractError("grid angles must lie within [-90, 90] degrees")
-        if np.any(np.diff(angles) <= 0):
+        if not np.all(np.diff(angles) > 0):
             raise ContractError("grid angles must be strictly increasing")
+        _require_visible(angles[0], angles[-1])
         object.__setattr__(self, "angles_deg", _readonly(angles))
 
     @property
@@ -71,12 +74,21 @@ class AngleGrid:
     @classmethod
     def uniform(cls, start_deg: float, stop_deg: float, step_deg: float) -> "AngleGrid":
         """Regular grid from start to stop inclusive (when step divides the span)."""
-        if not step_deg > 0:
-            raise ContractError(f"grid step must be positive, got {step_deg}")
+        if not 0 < step_deg < np.inf:
+            raise ContractError(f"grid_step_deg must be finite and > 0, got {step_deg}")
         if not start_deg < stop_deg:
-            raise ContractError("grid start must be below grid stop")
-        count = int(np.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1
-        return cls(start_deg + step_deg * np.arange(count))
+            raise ContractError("grid_start_deg must be below grid_stop_deg")
+        steps = float(np.floor((stop_deg - start_deg) / step_deg + 1e-9))
+        # check the last angle before allocating them all: a far-off stop would ask for
+        # an unbounded number of angles only to reject them
+        _require_visible(start_deg, start_deg + step_deg * steps)
+        return cls(start_deg + step_deg * np.arange(int(steps) + 1))
+
+
+def _require_visible(first_deg: float, last_deg: float):
+    """Every angle of an increasing grid lies in [-90, 90] (NaN fails)."""
+    if not (-90.0 <= first_deg and last_deg <= 90.0):
+        raise ContractError("grid angles must lie within [-90, 90] degrees")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +109,9 @@ class SteeringSet:
         expected = (self.grid.count, self.geometry.n_elements)
         if vectors.shape != expected:
             raise ContractError(f"steering matrix must have shape {expected}, got {vectors.shape}")
-        if np.max(np.abs(np.abs(vectors) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.abs(vectors) - 1.0)) <= 1e-12:
             raise ContractError("steering vector entries must have unit modulus")
-        if np.max(np.abs(vectors[:, 0] - 1.0)) > 1e-12:
+        if not np.max(np.abs(vectors[:, 0] - 1.0)) <= 1e-12:
             raise ContractError("steering vectors must be referenced to the first element")
         object.__setattr__(self, "vectors", _readonly(vectors))
 
@@ -124,11 +136,7 @@ class WeightVector:
         if values.ndim != 1 or values.size == 0:
             raise ContractError("weight vector must be a non-empty 1-D sequence")
         if self.normalized:
-            power = float(np.real(np.vdot(values, values)))
-            if abs(power - 1.0) > UNIT_NORM_TOL:
-                raise ContractError(
-                    f"weights flagged normalized but total power is {power!r}"
-                )
+            _require_unit_power(float(np.real(np.vdot(values, values))))
         object.__setattr__(self, "values", _readonly(values))
 
     @property
@@ -145,11 +153,16 @@ class WeightVector:
         return cls(project_unit_sphere(np.asarray(values, dtype=complex)), normalized=True)
 
 
+def _require_unit_power(power: float):
+    """Reject a total power |w|^2 farther than ``UNIT_NORM_TOL`` from 1 (NaN fails)."""
+    if not abs(power - 1.0) <= UNIT_NORM_TOL:
+        raise ContractError(f"weights must have unit total power, got {power!r}")
+
+
 def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     """Steering vector of the array toward a single direction.
 
-    Element n carries phase 2*pi*spacing_ratio*n*sin(theta), with the first
-    element as phase reference.
+    The one-angle row of ``build_steering_set``.
 
     Parameters
     ----------
@@ -162,20 +175,15 @@ def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     ndarray
         Complex vector of length ``geometry.n_elements``.
     """
-    if not -90.0 <= theta_deg <= 90.0:
-        raise ContractError(f"theta must lie within [-90, 90] degrees, got {theta_deg}")
-    phase = (
-        2.0
-        * np.pi
-        * geometry.spacing_ratio
-        * np.sin(np.radians(theta_deg))
-        * np.arange(geometry.n_elements)
-    )
-    return np.exp(1j * phase)
+    return build_steering_set(geometry, AngleGrid([theta_deg])).vectors[0]
 
 
 def build_steering_set(geometry: ArrayGeometry, grid: AngleGrid) -> SteeringSet:
-    """Precompute steering vectors for all grid angles."""
+    """Precompute steering vectors for all grid angles.
+
+    Element n of the vector for angle theta carries phase
+    2*pi*spacing_ratio*n*sin(theta), with the first element as phase reference.
+    """
     sin_theta = np.sin(np.radians(grid.angles_deg))
     phases = 2.0 * np.pi * geometry.spacing_ratio * np.outer(sin_theta, np.arange(geometry.n_elements))
     return SteeringSet(np.exp(1j * phases), geometry, grid)

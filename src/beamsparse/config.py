@@ -5,16 +5,23 @@ defaults below (30 half-wavelength elements, 1-degree grid over the visible
 region, lam 0.1, rho 30, eta 1e-8). The JSON key for the trade-off weight is
 "lambda"; it maps to the ``lam`` attribute because ``lambda`` is reserved in
 Python.
+
+A config checks its values by building, and keeping, the objects that use
+them, so each rule is written once, by the type that owns it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigurationError
-from .templates import MainlobeSpec
+import numpy as np
+
+from .admm import SolverParams
+from .arrays import AngleGrid, ArrayGeometry
+from .errors import ConfigurationError, ContractError
+from .templates import DesiredPattern, MainlobeSpec, build_template
 
 _LOBE_KEYS = {"start_deg", "end_deg", "level"}
 
@@ -40,43 +47,34 @@ class ExperimentConfig:
     cardinality_threshold: float = 1e-3
     output_dir: str = "."
 
+    # Built from the fields above by __post_init__; not part of the document.
+    geometry: ArrayGeometry = field(init=False, repr=False, compare=False)
+    grid: AngleGrid = field(init=False, repr=False, compare=False)
+    template: DesiredPattern = field(init=False, repr=False, compare=False)
+    params: SolverParams = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        _validate(self)
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigurationError("output_dir must be a non-empty string")
+        if not all(isinstance(lobe, MainlobeSpec) for lobe in self.mainlobes):
+            raise ConfigurationError("mainlobes must be MainlobeSpec entries")
+        # only the metrics use it, after the solve; a bad value must fail before
+        if not 0 < self.cardinality_threshold < 1:
+            raise ConfigurationError("cardinality_threshold must lie in (0, 1)")
+        keep = object.__setattr__
+        try:
+            keep(self, "geometry", ArrayGeometry(self.n_elements, self.spacing_ratio))
+            keep(self, "grid", AngleGrid.uniform(
+                self.grid_start_deg, self.grid_stop_deg, self.grid_step_deg))
+            keep(self, "template", build_template(self.grid, self.mainlobes, self.sidelobe_level))
+            keep(self, "params", SolverParams(
+                lam=self.lam, rho=self.rho, eta=self.eta, max_iters=self.max_iters, seed=self.seed))
+        except ContractError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Copy with selected fields replaced (revalidates)."""
         return replace(self, **kwargs)
-
-
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ConfigurationError(message)
-
-
-def _validate(cfg: ExperimentConfig):
-    _require(isinstance(cfg.n_elements, int) and not isinstance(cfg.n_elements, bool)
-             and cfg.n_elements >= 2, "n_elements must be an integer >= 2")
-    _require(cfg.spacing_ratio > 0, "spacing_ratio must be positive")
-    _require(cfg.grid_step_deg > 0, "grid_step_deg must be positive")
-    _require(cfg.grid_start_deg < cfg.grid_stop_deg,
-             "grid_start_deg must be below grid_stop_deg")
-    _require(cfg.grid_start_deg >= -90.0 and cfg.grid_stop_deg <= 90.0,
-             "grid must lie within [-90, 90] degrees")
-    _require(len(cfg.mainlobes) > 0, "mainlobes must contain at least one lobe")
-    _require(all(isinstance(lobe, MainlobeSpec) for lobe in cfg.mainlobes),
-             "mainlobes must be MainlobeSpec entries")
-    _require(cfg.sidelobe_level >= 0, "sidelobe_level must be >= 0")
-    _require(cfg.lam > 0, "lambda must be positive")
-    _require(cfg.rho > 2, "rho must exceed 2")
-    _require(cfg.eta > 0, "eta must be positive")
-    _require(isinstance(cfg.max_iters, int) and not isinstance(cfg.max_iters, bool)
-             and cfg.max_iters >= 0, "max_iters must be an integer >= 0")
-    _require(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool),
-             "seed must be an integer")
-    _require(0 < cfg.cardinality_threshold < 1,
-             "cardinality_threshold must lie in (0, 1)")
-    _require(isinstance(cfg.output_dir, str) and cfg.output_dir != "",
-             "output_dir must be a non-empty string")
 
 
 def _as_number(key: str, value) -> float:
@@ -115,7 +113,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
 
-    known = {_ATTR_TO_KEY.get(f.name, f.name) for f in fields(ExperimentConfig)}
+    known = {_ATTR_TO_KEY.get(f.name, f.name) for f in fields(ExperimentConfig) if f.init}
     unknown = set(doc) - known
     if unknown:
         raise ConfigurationError(f"unknown config field '{sorted(unknown)[0]}'")
@@ -142,6 +140,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Resolved config as a JSON-ready dict (uses the \"lambda\" key)."""
     out = {}
     for f in fields(ExperimentConfig):
+        if not f.init:
+            continue
         key = _ATTR_TO_KEY.get(f.name, f.name)
         value = getattr(cfg, f.name)
         if f.name == "mainlobes":
@@ -149,6 +149,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
                 {"start_deg": lobe.start_deg, "end_deg": lobe.end_deg, "level": lobe.level}
                 for lobe in value
             ]
+        elif isinstance(value, np.generic):  # the owners accept numpy scalars; JSON does not
+            value = value.item()
         out[key] = value
     return out
 

@@ -25,19 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import WeightVector, _readonly
+from .arrays import WeightVector, _readonly, _require_unit_power
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
 POWER_FLOOR = 1e-12
 
-_UNIT_POWER_TOL = 1e-9
-
 
 def _unit_powers(w: WeightVector) -> np.ndarray:
     p = w.powers()
-    if abs(float(p.sum()) - 1.0) > _UNIT_POWER_TOL:
-        raise ContractError(f"weights must have unit total power, got {float(p.sum())!r}")
+    _require_unit_power(float(p.sum()))
     return p
 
 

@@ -23,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .admm import IterationRecord, SolverParams, solve
-from .arrays import AngleGrid, ArrayGeometry, WeightVector, beampattern, build_steering_set
+from .admm import IterationRecord, solve
+from .arrays import WeightVector, beampattern, build_steering_set
 from .config import ExperimentConfig, config_to_dict
 from .errors import DivergenceError
 from .metrics import DB_FLOOR, RunReport, cardinality, matching_error_db, peak_sidelobe_db
-from .templates import build_template
 
 SCHEMA_VERSION = "1"
 
@@ -46,27 +45,16 @@ def _power_db(power: np.ndarray) -> np.ndarray:
     return np.maximum(10.0 * np.log10(np.maximum(power, 1e-30)), DB_FLOOR)
 
 
-def _build_problem(cfg: ExperimentConfig):
-    geometry = ArrayGeometry(cfg.n_elements, cfg.spacing_ratio)
-    grid = AngleGrid.uniform(cfg.grid_start_deg, cfg.grid_stop_deg, cfg.grid_step_deg)
-    steering = build_steering_set(geometry, grid)
-    template = build_template(grid, cfg.mainlobes, cfg.sidelobe_level)
-    return steering, template
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Build the problem, run the solver, compute metrics, write artifacts.
+    """Build the steering set, run the solver, compute metrics, write artifacts.
 
     On solver divergence the partial trace is still written to
     ``trace.csv`` before the error propagates.
     """
-    steering, template = _build_problem(cfg)
-    params = SolverParams(
-        lam=cfg.lam, rho=cfg.rho, eta=cfg.eta, max_iters=cfg.max_iters, seed=cfg.seed
-    )
+    steering = build_steering_set(cfg.geometry, cfg.grid)
     started = time.perf_counter()
     try:
-        w, alpha, trace = solve(steering, template, params)
+        w, alpha, trace = solve(steering, cfg.template, cfg.params)
     except DivergenceError as exc:
         out_dir = _ensure_dir(cfg.output_dir)
         _write_trace(out_dir / TRACE_FILE, exc.trace)
@@ -76,8 +64,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     pattern = beampattern(steering, w)
     report = RunReport(
         cardinality=cardinality(w, cfg.cardinality_threshold),
-        matching_error_db=matching_error_db(pattern, alpha, template),
-        peak_sidelobe_db=peak_sidelobe_db(pattern, template.mainlobe_mask),
+        matching_error_db=matching_error_db(pattern, alpha, cfg.template),
+        peak_sidelobe_db=peak_sidelobe_db(pattern, cfg.template.mainlobe_mask),
         runtime_seconds=runtime,
         iterations=len(trace) - 1,
         final_alpha=alpha,
@@ -113,8 +101,7 @@ def write_outputs(
 ) -> dict[str, Path]:
     """Write the four run artifacts; returns the paths keyed by file name."""
     out = _ensure_dir(output_dir if output_dir is not None else cfg.output_dir)
-    steering, template = _build_problem(cfg)
-    grid = steering.grid
+    grid = cfg.grid
 
     values = w.values
     powers = w.powers()
@@ -128,7 +115,7 @@ def write_outputs(
 
     pattern = np.asarray(pattern, dtype=float)
     pattern_db = _power_db(pattern / max(float(pattern.max()), 1e-30))
-    scaled = report.final_alpha * template.values
+    scaled = report.final_alpha * cfg.template.values
     rows = ["theta_deg,power,power_db,desired_scaled"]
     for k in range(grid.count):
         rows.append(

@@ -25,8 +25,8 @@ class MainlobeSpec:
                 f"mainlobe interval [{self.start_deg}, {self.end_deg}] must satisfy "
                 "-90 <= start < end <= 90"
             )
-        if not self.level > 0:
-            raise ConfigurationError(f"mainlobe level must be positive, got {self.level}")
+        if not 0 < self.level < np.inf:
+            raise ConfigurationError(f"mainlobe level must be finite and > 0, got {self.level}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +64,9 @@ def build_template(
     ambiguous and rejected.
     """
     if len(lobes) == 0:
-        raise ConfigurationError("at least one mainlobe is required")
-    if sidelobe_level < 0:
-        raise ConfigurationError(f"sidelobe level must be >= 0, got {sidelobe_level}")
+        raise ConfigurationError("mainlobes must contain at least one lobe")
+    if not 0 <= sidelobe_level < np.inf:
+        raise ConfigurationError(f"sidelobe_level must be finite and >= 0, got {sidelobe_level}")
 
     angles = grid.angles_deg
     values = np.full(grid.count, float(sidelobe_level))

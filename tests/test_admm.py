@@ -486,3 +486,21 @@ class TestSolve:
             solve(steering, d, params)
         # rows: initial state plus the two clean iterations
         assert len(excinfo.value.trace) == 3
+
+
+class TestSolverParamsOwnsItsRules:
+    @pytest.mark.parametrize("field", ["max_iters", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, -1])
+    def test_integer_fields(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            SolverParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lam", "rho"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            SolverParams(**{field: value})
+
+    def test_nan_eta_rejected(self):
+        with pytest.raises(ContractError, match="eta"):
+            SolverParams(eta=np.nan)

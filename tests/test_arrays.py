@@ -192,3 +192,20 @@ class TestWeightVector:
         w = WeightVector(np.ones(3, complex))
         with pytest.raises(ValueError):
             w.values[0] = 0.0
+
+
+def test_rejects_nan_steering_matrix():
+    geo, grid = ArrayGeometry(3), AngleGrid(np.array([0.0, 10.0]))
+    with pytest.raises(ContractError):
+        SteeringSet(np.full((2, 3), np.nan, complex), geo, grid)
+
+
+@pytest.mark.parametrize("angles", [[np.nan], [0.0, np.nan, 10.0], [-np.inf, 0.0]])
+def test_rejects_non_finite_grid(angles):
+    with pytest.raises(ContractError):
+        AngleGrid(np.array(angles))
+
+
+def test_rejects_non_finite_spacing():
+    with pytest.raises(ContractError):
+        ArrayGeometry(4, spacing_ratio=np.inf)

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from beamsparse import (
     ConfigurationError,
     ExperimentConfig,
     MainlobeSpec,
+    SolverParams,
     config_to_dict,
     parse_config,
     serialize_config,
@@ -149,3 +151,57 @@ def test_with_overrides_revalidates():
 def test_direct_construction_validates():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(mainlobes=())
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("field", ["spacing_ratio", "lambda", "rho", "sidelobe_level", "level"])
+def test_non_finite_values_rejected(field, value):
+    doc = json.loads(MINIMAL)
+    target = doc["mainlobes"][0] if field == "level" else doc
+    target[field] = float(value)
+    with pytest.raises(ConfigurationError):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("grid_start_deg", "-Infinity"), ("grid_stop_deg", "Infinity"), ("grid_step_deg", "Infinity"),
+     ("grid_stop_deg", "NaN")],
+)
+def test_non_finite_grid_rejected(field, value):
+    doc = json.loads(MINIMAL)
+    doc[field] = float(value)
+    with pytest.raises(ConfigurationError):
+        parse_config(json.dumps(doc))
+
+
+def test_grid_rule_is_on_generated_angles():
+    cfg = parse_config(MINIMAL[:-1] + ', "grid_stop_deg": 90.5}')
+    assert cfg.grid.angles_deg[-1] == 90.0
+    with pytest.raises(ConfigurationError, match=r"\[-90, 90\]"):
+        parse_config(MINIMAL[:-1] + ', "grid_stop_deg": 1e6}')
+
+
+def test_zero_lambda_accepted_as_by_solver_params():
+    assert parse_config(MINIMAL[:-1] + ', "lambda": 0}').lam == 0.0
+    assert SolverParams(lam=0.0).lam == 0.0
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigurationError, match="seed"):
+        parse_config(MINIMAL[:-1] + ', "seed": -1}')
+
+
+def test_config_keeps_the_objects_it_checked():
+    cfg = parse_config(MINIMAL[:-1] + ', "lambda": 0.25, "seed": 4}')
+    assert (cfg.geometry.n_elements, cfg.grid.count, cfg.template.count) == (30, 181, 181)
+    assert cfg.params == SolverParams(lam=0.25, rho=30.0, eta=1e-8, max_iters=1000, seed=4)
+    assert "geometry" not in config_to_dict(cfg)
+    with pytest.raises(ConfigurationError, match="unknown config field 'params'"):
+        parse_config(MINIMAL[:-1] + ', "params": 1}')
+
+
+def test_numpy_integers_serialize():
+    cfg = parse_config(MINIMAL).with_overrides(n_elements=np.int64(8), seed=np.int64(3))
+    assert json.loads(serialize_config(cfg))["seed"] == 3
+    assert parse_config(serialize_config(cfg)) == cfg

@@ -125,3 +125,13 @@ class TestMajorizer:
     def test_requires_unit_power(self):
         with pytest.raises(ContractError):
             majorizer_diag(WeightVector(2.0 * np.ones(2, complex)))
+
+
+def test_unit_power_rule_matches_weight_vector():
+    values = np.array([np.sqrt(0.5 + 5e-10), np.sqrt(0.5)], dtype=complex)
+    with pytest.raises(ContractError):
+        WeightVector(values, normalized=True)
+    with pytest.raises(ContractError):
+        entropy(WeightVector(values))
+    with pytest.raises(ContractError):
+        majorizer_diag(WeightVector(values))

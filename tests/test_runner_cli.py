@@ -170,3 +170,16 @@ def test_converged_helper_reflects_budget(fast_config_path):
     cfg = load_config(fast_config_path)
     report = run_experiment(cfg)
     assert converged(report.trace, cfg.eta)
+
+
+def test_run_builds_steering_set_once(fast_config_path, monkeypatch):
+    calls = []
+    real = runner_mod.build_steering_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "build_steering_set", counting)
+    run_experiment(load_config(fast_config_path))
+    assert len(calls) == 1

@@ -90,3 +90,11 @@ def test_bad_lobe_interval_rejected():
         MainlobeSpec(-100, 0, 1.0)
     with pytest.raises(ConfigurationError):
         MainlobeSpec(0, 5, 0.0)
+
+
+@pytest.mark.parametrize("level", [np.inf, np.nan])
+def test_non_finite_levels_rejected(full_grid, level):
+    with pytest.raises(ConfigurationError):
+        MainlobeSpec(0, 5, level)
+    with pytest.raises(ConfigurationError, match="sidelobe_level"):
+        build_template(full_grid, [MainlobeSpec(0, 5, 1.0)], sidelobe_level=level)
