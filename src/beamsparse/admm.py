@@ -21,8 +21,11 @@ The sweep repeats until the weight change drops below ``eta`` or the
 iteration budget runs out. Both block systems are Hermitian positive
 definite (the w system needs rho > 2 because the majorizer diagonal is
 bounded below by -1 on the sphere) and are solved by dense Cholesky
-factorizations; the N x N matrices are accumulated from rank-1 steering
-products without ever materializing per-angle outer-product matrices.
+factorizations. Their data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H is
+Hermitian Toeplitz on a uniform linear array, so each block builds it, and
+its right-hand side, from one K x N steering product c = A^H x. Each trace
+row likewise computes A^H w and A^H v once, and hands its bilinear samples
+to the next sweep's alpha refresh.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -36,7 +39,14 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .arrays import SteeringSet, WeightVector, _is_integer, beampattern, project_unit_sphere
+from .arrays import (
+    SteeringSet,
+    WeightVector,
+    _is_integer,
+    _steer_products,
+    beampattern,
+    project_unit_sphere,
+)
 from .entropy import MajorizerDiag, entropy, majorizer_diag, majorizer_value
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import matching_error_db
@@ -103,11 +113,6 @@ def _as_vector(x, n: int, name: str) -> np.ndarray:
     return x
 
 
-def _steer_products(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
-    """a_k^H x for every grid angle."""
-    return steering.vectors.conj() @ x
-
-
 def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
     """Bilinear pattern samples r_k = w^H a_k a_k^H v for every grid angle."""
     n = steering.n_elements
@@ -127,19 +132,31 @@ def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     return float(d.values @ np.real(r)) / denom
 
 
+def _toeplitz_gram(steering: SteeringSet, c: np.ndarray, lam: float) -> np.ndarray:
+    """lam * sum_k |c_k|^2 a_k a_k^H from the steering products c = A^H x.
+
+    Every steering vector is a phase ramp a_k[n] = z_k^n, so entry (m, n) is
+    lam * sum_k |c_k|^2 z_k^(m - n): a Hermitian Toeplitz matrix whose first
+    column is lam * A^T |c|^2 (Golub & Van Loan, Matrix Computations, 4.7).
+    """
+    return scipy.linalg.toeplitz(lam * (steering.vectors.T @ np.abs(c) ** 2))
+
+
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
     """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks."""
-    weights = np.abs(_steer_products(steering, x)) ** 2
-    a = steering.vectors
-    return lam * ((a.T * weights) @ a.conj())
+    return _toeplitz_gram(steering, _steer_products(steering, x), lam)
 
 
-def template_match_rhs(
+def _data_fit_system(
     steering: SteeringSet, x: np.ndarray, alpha: float, d: DesiredPattern, lam: float
-) -> np.ndarray:
-    """lam * alpha * sum_k d_k (a_k^H x) a_k, the data-fit right-hand side."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Data-fit Hessian and right-hand side lam * alpha * sum_k d_k (a_k^H x) a_k of a block.
+
+    Both come from one steering product c = A^H x.
+    """
     c = _steer_products(steering, x)
-    return lam * alpha * (steering.vectors.T @ (d.values * c))
+    rhs = lam * alpha * (steering.vectors.T @ (d.values * c))
+    return _toeplitz_gram(steering, c, lam), rhs
 
 
 def _solve_hpd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -166,10 +183,9 @@ def update_v(
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
-    matrix = data_fit_gram(steering, w, params.lam)
+    matrix, rhs = _data_fit_system(steering, w, alpha, d, params.lam)
     matrix[np.diag_indices(n)] += params.rho / 2.0
-    rhs = template_match_rhs(steering, w, alpha, d, params.lam) + (params.rho / 2.0) * (w + u)
-    return _solve_hpd(matrix, rhs)
+    return _solve_hpd(matrix, rhs + (params.rho / 2.0) * (w + u))
 
 
 def solve_weight_system(
@@ -185,10 +201,9 @@ def solve_weight_system(
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
-    matrix = data_fit_gram(steering, v, params.lam)
+    matrix, rhs = _data_fit_system(steering, v, alpha, d, params.lam)
     matrix[np.diag_indices(n)] += m.diag + params.rho / 2.0
-    rhs = template_match_rhs(steering, v, alpha, d, params.lam) + (params.rho / 2.0) * (v - u)
-    return _solve_hpd(matrix, rhs)
+    return _solve_hpd(matrix, rhs + (params.rho / 2.0) * (v - u))
 
 
 def update_w(
@@ -223,8 +238,14 @@ def objective_value(
     params: SolverParams,
 ) -> float:
     """Value of the joint objective at (w, alpha)."""
-    residual = beampattern(steering, w) - alpha * d.values
-    return params.lam * float(residual @ residual) + entropy(w)
+    return _objective(beampattern(steering, w), alpha, d, params, entropy(w))
+
+
+def _objective(
+    pattern: np.ndarray, alpha: float, d: DesiredPattern, params: SolverParams, sparsity: float
+) -> float:
+    residual = pattern - alpha * d.values
+    return params.lam * float(residual @ residual) + sparsity
 
 
 def augmented_lagrangian(
@@ -241,9 +262,15 @@ def augmented_lagrangian(
     dominates the exact one).
     """
     r = inner_products(steering, state.w.values, state.v)
+    sparsity = entropy(state.w) if majorizer is None else majorizer_value(state.w, majorizer)
+    return _lagrangian(state, r, d, params, sparsity)
+
+
+def _lagrangian(
+    state: AdmmState, r: np.ndarray, d: DesiredPattern, params: SolverParams, sparsity: float
+) -> float:
     residual = r - state.alpha * d.values
     phi = float(np.real(np.vdot(residual, residual)))
-    sparsity = entropy(state.w) if majorizer is None else majorizer_value(state.w, majorizer)
     gap = state.w.values - state.v + state.u
     penalty = (params.rho / 2.0) * float(np.real(np.vdot(gap, gap)))
     return params.lam * phi + sparsity + penalty
@@ -269,17 +296,26 @@ def _record(
     params: SolverParams,
     state: AdmmState,
     w_change: float,
-) -> IterationRecord:
-    pattern = beampattern(steering, state.w)
-    return IterationRecord(
+) -> tuple[IterationRecord, np.ndarray]:
+    """Trace row of a state, and the state's bilinear samples r_k = w^H a_k a_k^H v.
+
+    The row agrees with ``objective_value``, ``augmented_lagrangian`` and
+    ``matching_error_db`` at the state, from one product each of A^H w and A^H v.
+    """
+    c_w = _steer_products(steering, state.w.values)
+    r = np.conj(c_w) * _steer_products(steering, state.v)
+    pattern = np.abs(c_w) ** 2
+    sparsity = entropy(state.w)
+    row = IterationRecord(
         iter=state.iter,
-        objective=objective_value(steering, state.w, state.alpha, d, params),
-        lagrangian=augmented_lagrangian(state, steering, d, params),
+        objective=_objective(pattern, state.alpha, d, params, sparsity),
+        lagrangian=_lagrangian(state, r, d, params, sparsity),
         primal_residual=float(np.linalg.norm(state.w.values - state.v)),
         alpha=float(state.alpha),
         matching_error_db=matching_error_db(pattern, state.alpha, d),
         w_change=float(w_change),
     )
+    return row, r
 
 
 def _state_is_finite(state: AdmmState) -> bool:
@@ -316,15 +352,16 @@ def solve(
         raise DegenerateInputError("template is all zero")
 
     state = init if init is not None else initial_state(steering, params)
-    if state.w.n_elements != steering.n_elements:
+    n = steering.n_elements
+    if state.w.n_elements != n or np.shape(state.v) != (n,) or np.shape(state.u) != (n,):
         raise ContractError("initial state does not match the array size")
     if not _state_is_finite(state):
         raise ContractError("initial state contains non-finite values")
 
-    trace = [_record(steering, d, params, state, w_change=0.0)]
+    row, r = _record(steering, d, params, state, w_change=0.0)
+    trace = [row]
     for _ in range(params.max_iters):
         try:
-            r = inner_products(steering, state.w.values, state.v)
             alpha = update_alpha(r, d)
             v = update_v(steering, state.w.values, state.u, alpha, d, params)
             m = majorizer_diag(state.w)
@@ -340,7 +377,8 @@ def solve(
             raise DivergenceError(
                 f"solver produced non-finite iterates at iteration {state.iter}", trace=trace
             )
-        trace.append(_record(steering, d, params, state, w_change))
+        row, r = _record(steering, d, params, state, w_change)
+        trace.append(row)
         if observer is not None:
             observer(state)
         if w_change <= params.eta:

@@ -17,6 +17,12 @@ from .errors import ContractError, DegenerateInputError
 #: Bound on | ||w||^2 - 1 | for vectors flagged as normalized.
 UNIT_NORM_TOL = 1e-12
 
+#: Bound on |a_k[n+1] conj(a_k[n]) - a_k[1]|: every steering vector is a geometric phase ramp.
+PHASE_RAMP_TOL = 1e-9
+
+#: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
+MAX_GRID_ANGLES = 1_000_000
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -82,6 +88,10 @@ class AngleGrid:
         # check the last angle before allocating them all: a far-off stop would ask for
         # an unbounded number of angles only to reject them
         _require_visible(start_deg, start_deg + step_deg * steps)
+        if not steps < MAX_GRID_ANGLES:
+            raise ContractError(
+                f"grid_step_deg {step_deg} gives more than {MAX_GRID_ANGLES} grid angles"
+            )
         return cls(start_deg + step_deg * np.arange(int(steps) + 1))
 
 
@@ -96,8 +106,10 @@ class SteeringSet:
     """Precomputed steering vectors for every grid angle.
 
     ``vectors`` has shape (K, N); row k is the steering vector of the k-th
-    grid angle. Entries have unit modulus and the first element is the phase
-    reference (always 1 + 0j).
+    grid angle. Entries have unit modulus, the first element is the phase
+    reference (always 1 + 0j), and each row is a geometric phase ramp
+    a_k[n] = a_k[1]^n, as on a uniform linear array; the solver's Toeplitz
+    Gram build relies on the last two rules.
     """
 
     vectors: np.ndarray
@@ -113,6 +125,9 @@ class SteeringSet:
             raise ContractError("steering vector entries must have unit modulus")
         if not np.max(np.abs(vectors[:, 0] - 1.0)) <= 1e-12:
             raise ContractError("steering vectors must be referenced to the first element")
+        ramp = vectors[:, 1:] * np.conj(vectors[:, :-1])
+        if not np.max(np.abs(ramp - vectors[:, 1:2])) <= PHASE_RAMP_TOL:
+            raise ContractError("steering vectors must be geometric phase ramps (uniform array)")
         object.__setattr__(self, "vectors", _readonly(vectors))
 
     @property
@@ -189,6 +204,11 @@ def build_steering_set(geometry: ArrayGeometry, grid: AngleGrid) -> SteeringSet:
     return SteeringSet(np.exp(1j * phases), geometry, grid)
 
 
+def _steer_products(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
+    """a_k^H x for every grid angle, without forming the conjugate steering matrix."""
+    return np.conj(steering.vectors @ np.conj(x))
+
+
 def beampattern(steering: SteeringSet, w: WeightVector) -> np.ndarray:
     """Radiated power versus angle, |a(theta_k)^H w|^2 for every grid angle.
 
@@ -199,7 +219,7 @@ def beampattern(steering: SteeringSet, w: WeightVector) -> np.ndarray:
         raise ContractError(
             f"weight length {w.n_elements} does not match array size {steering.n_elements}"
         )
-    return np.abs(steering.vectors.conj() @ w.values) ** 2
+    return np.abs(_steer_products(steering, w.values)) ** 2
 
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:

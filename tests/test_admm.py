@@ -20,6 +20,7 @@ from beamsparse import (
     entropy,
     inner_products,
     majorizer_diag,
+    matching_error_db,
     objective_value,
     solve,
     solve_weight_system,
@@ -504,3 +505,61 @@ class TestSolverParamsOwnsItsRules:
     def test_nan_eta_rejected(self):
         with pytest.raises(ContractError, match="eta"):
             SolverParams(eta=np.nan)
+
+
+def dense_data_fit_gram(steering, x, lam):
+    """lam * sum_k |a_k^H x|^2 a_k a_k^H, accumulated one explicit outer product at a time."""
+    total = np.zeros((steering.n_elements,) * 2, complex)
+    for a in steering.vectors:
+        total += abs(np.vdot(a, x)) ** 2 * np.outer(a, a.conj())
+    return lam * total
+
+
+class TestToeplitzGram:
+    def assert_matches_dense(self, steering, x, lam):
+        gram = data_fit_gram(steering, x, lam)
+        dense = dense_data_fit_gram(steering, x, lam)
+        assert np.linalg.norm(gram - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_uniform_grid(self):
+        rng = np.random.default_rng(40)
+        steering = build_steering_set(ArrayGeometry(64), AngleGrid.uniform(-90, 90, 0.5))
+        assert steering.n_angles == 361
+        self.assert_matches_dense(steering, random_complex(rng, 64), 0.1)
+
+    def test_non_uniform_grid_and_spacing(self):
+        rng = np.random.default_rng(41)
+        angles = np.sort(rng.uniform(-90, 90, 50))
+        steering = build_steering_set(ArrayGeometry(12, spacing_ratio=0.83), AngleGrid(angles))
+        self.assert_matches_dense(steering, random_complex(rng, 12), 0.7)
+
+
+def test_trace_rows_match_the_public_evaluators():
+    rng = np.random.default_rng(42)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=25, seed=3)
+    init = admm_mod.initial_state(steering, params)
+    states = [init]
+    _, _, trace = solve(steering, d, params, init=init, observer=states.append)
+    assert len(states) == len(trace)
+    for state, row in zip(states, trace):
+        pattern = beampattern(steering, state.w)
+        assert row.objective == pytest.approx(
+            objective_value(steering, state.w, state.alpha, d, params), rel=1e-12
+        )
+        assert row.lagrangian == pytest.approx(
+            augmented_lagrangian(state, steering, d, params), rel=1e-12
+        )
+        assert row.matching_error_db == pytest.approx(
+            matching_error_db(pattern, state.alpha, d), rel=1e-12, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("field", ["v", "u"])
+def test_initial_state_of_wrong_size_rejected(field):
+    rng = np.random.default_rng(43)
+    steering, d = random_instance(rng)
+    init = admm_mod.initial_state(steering, SolverParams(rho=5.0))
+    parts = {"alpha": 1.0, "v": init.v, "w": init.w, "u": init.u, field: np.zeros(4, complex)}
+    with pytest.raises(ContractError, match="array size"):
+        solve(steering, d, SolverParams(rho=5.0), init=AdmmState(**parts))

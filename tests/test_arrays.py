@@ -13,6 +13,7 @@ from beamsparse import (
     project_unit_sphere,
     steering_vector,
 )
+from beamsparse.arrays import MAX_GRID_ANGLES
 
 
 def dense_pattern_oracle(a: np.ndarray, w: np.ndarray) -> float:
@@ -209,3 +210,27 @@ def test_rejects_non_finite_grid(angles):
 def test_rejects_non_finite_spacing():
     with pytest.raises(ContractError):
         ArrayGeometry(4, spacing_ratio=np.inf)
+
+
+def test_rejects_steering_rows_that_are_not_phase_ramps():
+    # unit modulus and referenced to the first element, but with arbitrary phases
+    rng = np.random.default_rng(5)
+    phases = rng.uniform(0, 2 * np.pi, (4, 6))
+    phases[:, 0] = 0.0
+    geo, grid = ArrayGeometry(6), AngleGrid(np.array([-40.0, 0.0, 15.0, 70.0]))
+    with pytest.raises(ContractError, match="phase ramp"):
+        SteeringSet(np.exp(1j * phases), geo, grid)
+
+
+def test_long_wide_array_is_a_phase_ramp():
+    geo = ArrayGeometry(1024, spacing_ratio=4.0)
+    steering = build_steering_set(geo, AngleGrid.uniform(-90, 90, 1.0))
+    assert steering.n_angles == 181
+
+
+def test_grid_angle_count_is_bounded():
+    assert AngleGrid.uniform(-90, 90, 180 / (MAX_GRID_ANGLES - 1)).count == MAX_GRID_ANGLES
+    with pytest.raises(ContractError, match="grid_step_deg"):
+        AngleGrid.uniform(-90, 90, 180 / MAX_GRID_ANGLES)
+    with pytest.raises(ContractError, match="grid_step_deg"):
+        AngleGrid.uniform(-90, 90, 1e-12)

@@ -205,3 +205,9 @@ def test_numpy_integers_serialize():
     cfg = parse_config(MINIMAL).with_overrides(n_elements=np.int64(8), seed=np.int64(3))
     assert json.loads(serialize_config(cfg))["seed"] == 3
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_tiny_grid_step_is_a_configuration_error():
+    # asks for 1.8e14 angles; rejected before anything is allocated
+    with pytest.raises(ConfigurationError, match="grid_step_deg"):
+        parse_config(MINIMAL[:-1] + ', "grid_step_deg": 1e-12}')
