@@ -23,9 +23,11 @@ definite (the w system needs rho > 2 because the majorizer diagonal is
 bounded below by -1 on the sphere) and are solved by dense Cholesky
 factorizations. Their data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H is
 Hermitian Toeplitz on a uniform linear array, so each block builds it, and
-its right-hand side, from one K x N steering product c = A^H x. Each trace
-row likewise computes A^H w and A^H v once, and hands its bilinear samples
-to the next sweep's alpha refresh.
+its right-hand side, from one K x N steering product c = A^H x: the matrix is
+gathered from its first column, in Fortran order, and factored in place by
+LAPACK potrf/potrs called directly. Each trace row likewise computes A^H w
+and A^H v once, and hands its bilinear samples to the next sweep's alpha
+refresh.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -33,7 +35,9 @@ mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +47,7 @@ from .arrays import (
     SteeringSet,
     WeightVector,
     _is_integer,
+    _readonly,
     _steer_products,
     beampattern,
     project_unit_sphere,
@@ -51,6 +56,10 @@ from .entropy import MajorizerDiag, entropy, majorizer_diag, majorizer_value
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import matching_error_db
 from .templates import DesiredPattern
+
+# Cholesky factorization and solve of a complex Hermitian system: the LAPACK
+# routines behind scipy.linalg.cho_factor/cho_solve, without their wrapper layers.
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -132,14 +141,30 @@ def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     return float(d.values @ np.real(r)) / denom
 
 
+@lru_cache(maxsize=8)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """Read-only gather index: entry (j, i) is n - 1 + i - j.
+
+    Entry (i, j) of the Hermitian Toeplitz matrix with first column col is
+    entry n - 1 + i - j of [conj(col[n-1:0:-1]), col], so gathering with this
+    index yields the matrix's transpose in C order, which is the matrix itself
+    in Fortran order.
+    """
+    k = np.arange(n)
+    return _readonly((n - 1) + k[None, :] - k[:, None])
+
+
 def _toeplitz_gram(steering: SteeringSet, c: np.ndarray, lam: float) -> np.ndarray:
     """lam * sum_k |c_k|^2 a_k a_k^H from the steering products c = A^H x.
 
     Every steering vector is a phase ramp a_k[n] = z_k^n, so entry (m, n) is
     lam * sum_k |c_k|^2 z_k^(m - n): a Hermitian Toeplitz matrix whose first
     column is lam * A^T |c|^2 (Golub & Van Loan, Matrix Computations, 4.7).
+    The matrix is returned in Fortran order, which LAPACK factors in place.
     """
-    return scipy.linalg.toeplitz(lam * (steering.vectors.T @ np.abs(c) ** 2))
+    col = lam * (steering.vectors.T @ np.abs(c) ** 2)
+    n = col.shape[0]
+    return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))[_toeplitz_index(n)].T
 
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
@@ -160,13 +185,20 @@ def _data_fit_system(
 
 
 def _solve_hpd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a Hermitian positive definite system by Cholesky factorization."""
-    try:
-        factor = scipy.linalg.cho_factor(matrix, lower=False, check_finite=False)
-        solution = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"positive definite factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
+    """Solve a Hermitian positive definite system by Cholesky factorization.
+
+    Reads the upper triangle of ``matrix`` and overwrites it with the factor
+    when ``matrix`` is a complex Fortran-ordered array.
+    """
+    factor, info = _potrf(matrix, overwrite_a=True, clean=False)
+    if info > 0:
+        raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
+    if info < 0:
+        raise NumericalError(f"Cholesky factorization rejected argument {-info} (potrf)")
+    solution, info = _potrs(factor, rhs)
+    if info != 0:
+        raise NumericalError(f"Cholesky solve rejected argument {-info} (potrs)")
+    if not np.isfinite(solution).all():
         raise NumericalError("linear solve produced non-finite entries")
     return solution
 
@@ -184,7 +216,7 @@ def update_v(
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
     matrix, rhs = _data_fit_system(steering, w, alpha, d, params.lam)
-    matrix[np.diag_indices(n)] += params.rho / 2.0
+    matrix.flat[:: n + 1] += params.rho / 2.0
     return _solve_hpd(matrix, rhs + (params.rho / 2.0) * (w + u))
 
 
@@ -202,7 +234,7 @@ def solve_weight_system(
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
     matrix, rhs = _data_fit_system(steering, v, alpha, d, params.lam)
-    matrix[np.diag_indices(n)] += m.diag + params.rho / 2.0
+    matrix.flat[:: n + 1] += m.diag + params.rho / 2.0
     return _solve_hpd(matrix, rhs + (params.rho / 2.0) * (v - u))
 
 
@@ -319,11 +351,8 @@ def _record(
 
 
 def _state_is_finite(state: AdmmState) -> bool:
-    return (
-        np.isfinite(state.alpha)
-        and bool(np.all(np.isfinite(state.v)))
-        and bool(np.all(np.isfinite(state.w.values)))
-        and bool(np.all(np.isfinite(state.u)))
+    return math.isfinite(state.alpha) and bool(
+        np.isfinite(np.concatenate((state.v, state.w.values, state.u))).all()
     )
 
 
@@ -343,8 +372,9 @@ def solve(
     Raises
     ------
     DivergenceError
-        If any iterate turns non-finite; the exception carries the trace
-        collected so far.
+        If a sweep fails: a block solve fails, an iterate turns non-finite,
+        or the template scale drops to zero so the trace row is undefined.
+        The exception carries the trace collected so far.
     """
     if d.count != steering.n_angles:
         raise ContractError("template length does not match the angle grid")
@@ -367,17 +397,17 @@ def solve(
             m = majorizer_diag(state.w)
             w = update_w(steering, v, state.u, alpha, d, m, params)
             u = update_dual(state.u, w.values, v)
+            swept = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
+            if not _state_is_finite(swept):
+                raise NumericalError("iterates turned non-finite")
+            w_change = float(np.linalg.norm(w.values - state.w.values))
+            # a zero template scale fails here, in matching_error_db
+            row, r = _record(steering, d, params, swept, w_change)
         except (NumericalError, DegenerateInputError) as exc:
             raise DivergenceError(
                 f"solver diverged at iteration {state.iter + 1}: {exc}", trace=trace
             ) from exc
-        w_change = float(np.linalg.norm(w.values - state.w.values))
-        state = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
-        if not _state_is_finite(state):
-            raise DivergenceError(
-                f"solver produced non-finite iterates at iteration {state.iter}", trace=trace
-            )
-        row, r = _record(steering, d, params, state, w_change)
+        state = swept
         trace.append(row)
         if observer is not None:
             observer(state)

@@ -71,6 +71,13 @@ class ExperimentConfig:
                 lam=self.lam, rho=self.rho, eta=self.eta, max_iters=self.max_iters, seed=self.seed))
         except ContractError as exc:
             raise ConfigurationError(str(exc)) from exc
+        # only the peak-sidelobe metric needs both regions, after the solve; a
+        # grid with one of them missing must fail before
+        mask = self.template.mainlobe_mask
+        if mask.all() or not mask.any():
+            raise ConfigurationError(
+                "mainlobes must cover at least one grid angle and leave at least one uncovered"
+            )
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Copy with selected fields replaced (revalidates)."""

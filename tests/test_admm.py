@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from beamsparse import (
     DesiredPattern,
     DivergenceError,
     MajorizerDiag,
+    NumericalError,
     SolverParams,
     WeightVector,
     augmented_lagrangian,
@@ -19,6 +22,7 @@ from beamsparse import (
     converged,
     entropy,
     inner_products,
+    load_config,
     majorizer_diag,
     matching_error_db,
     objective_value,
@@ -563,3 +567,89 @@ def test_initial_state_of_wrong_size_rejected(field):
     parts = {"alpha": 1.0, "v": init.v, "w": init.w, "u": init.u, field: np.zeros(4, complex)}
     with pytest.raises(ContractError, match="array size"):
         solve(steering, d, SolverParams(rho=5.0), init=AdmmState(**parts))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_zero_template_scale_carries_partial_trace():
+    # with v = 0 every bilinear sample is zero, so the first sweep sets alpha = 0
+    # and its trace row (the matching error) is undefined
+    cfg = load_config(CONFIGS / "single_mainlobe.json")
+    steering = build_steering_set(cfg.geometry, cfg.grid)
+    start = admm_mod.initial_state(steering, cfg.params)
+    init = AdmmState(alpha=1.0, v=np.zeros_like(start.v), w=start.w, u=start.u)
+    with pytest.raises(DivergenceError, match="iteration 1: scaled template has no energy") as exc:
+        solve(steering, cfg.template, cfg.params, init=init)
+    assert [row.iter for row in exc.value.trace] == [0]
+
+
+class TestFactorizationFailure:
+    def system(self):
+        rng = np.random.default_rng(50)
+        steering, d = random_instance(rng)
+        params = SolverParams(lam=0.2, rho=5.0)
+        return steering, d, params, unit(rng, 5), 0.1 * random_complex(rng, 5)
+
+    def test_indefinite_system(self):
+        steering, d, params, v, u = self.system()
+        m = MajorizerDiag(np.full(5, -1e6), 0.0)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            solve_weight_system(steering, v, u, 1.0, d, m, params)
+
+    def test_nan_entry(self):
+        steering, d, params, v, u = self.system()
+        diag = np.zeros(5)
+        diag[2] = np.nan
+        with pytest.raises(NumericalError):
+            solve_weight_system(steering, v, u, 1.0, d, MajorizerDiag(diag, 0.0), params)
+
+    def test_solve_reports_divergence_with_partial_trace(self, monkeypatch):
+        steering, d, _, _, _ = self.system()
+        calls = {"count": 0}
+        real_majorizer_diag = admm_mod.majorizer_diag
+
+        def indefinite(w):
+            calls["count"] += 1
+            m = real_majorizer_diag(w)
+            return m if calls["count"] < 3 else MajorizerDiag(np.full(5, -1e6), m.constant)
+
+        monkeypatch.setattr(admm_mod, "majorizer_diag", indefinite)
+        with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
+            solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
+        assert isinstance(excinfo.value.__cause__, NumericalError)
+        assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
+
+
+def test_solve_is_the_public_blocks_in_order():
+    rng = np.random.default_rng(51)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=30, seed=2)
+    w_solve, alpha_solve, trace = solve(steering, d, params)
+    assert len(trace) == 31
+
+    state = admm_mod.initial_state(steering, params)
+    rows = []
+    for _ in range(len(trace) - 1):
+        alpha = update_alpha(inner_products(steering, state.w.values, state.v), d)
+        v = update_v(steering, state.w.values, state.u, alpha, d, params)
+        m = majorizer_diag(state.w)
+        w = update_w(steering, v, state.u, alpha, d, m, params)
+        u = update_dual(state.u, w.values, v)
+        w_change = float(np.linalg.norm(w.values - state.w.values))
+        state = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
+        rows.append((
+            objective_value(steering, w, alpha, d, params),
+            augmented_lagrangian(state, steering, d, params),
+            float(np.linalg.norm(w.values - v)),
+            alpha,
+            matching_error_db(beampattern(steering, w), alpha, d),
+            w_change,
+        ))
+
+    assert np.array_equal(state.w.values, w_solve.values)
+    assert state.alpha == alpha_solve
+    assert rows == [
+        (r.objective, r.lagrangian, r.primal_residual, r.alpha, r.matching_error_db, r.w_change)
+        for r in trace[1:]
+    ]

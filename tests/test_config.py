@@ -211,3 +211,17 @@ def test_tiny_grid_step_is_a_configuration_error():
     # asks for 1.8e14 angles; rejected before anything is allocated
     with pytest.raises(ConfigurationError, match="grid_step_deg"):
         parse_config(MINIMAL[:-1] + ', "grid_step_deg": 1e-12}')
+
+
+@pytest.mark.parametrize(
+    "lobe",
+    [
+        {"start_deg": -90.0, "end_deg": 90.0},  # every grid angle is mainlobe
+        {"start_deg": 22.2, "end_deg": 22.8},  # no grid angle is mainlobe
+    ],
+)
+@pytest.mark.parametrize("sidelobe_level", [0.0, 1.0])
+def test_grid_needs_mainlobe_and_sidelobe_angles(lobe, sidelobe_level):
+    doc = {"mainlobes": [lobe], "sidelobe_level": sidelobe_level}
+    with pytest.raises(ConfigurationError, match="mainlobes"):
+        parse_config(json.dumps(doc))
