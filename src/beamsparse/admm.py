@@ -18,16 +18,16 @@ w = v, scaled dual u), and each sweep performs, in order:
 5. dual ascent on u.
 
 The sweep repeats until the weight change drops below ``eta`` or the
-iteration budget runs out. Both block systems are Hermitian positive
-definite (the w system needs rho > 2 because the majorizer diagonal is
-bounded below by -1 on the sphere) and are solved by dense Cholesky
-factorizations. Their data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H is
-Hermitian Toeplitz on a uniform linear array, so each block builds it, and
-its right-hand side, from one K x N steering product c = A^H x: the matrix is
-gathered from its first column, in Fortran order, and factored in place by
-LAPACK potrf/potrs called directly. Each trace row likewise computes A^H w
-and A^H v once, and hands its bilinear samples to the next sweep's alpha
-refresh.
+iteration budget runs out. The v and w blocks solve one Hermitian positive
+definite system with their own diagonal and right-hand side (the w system
+needs rho > 2 because the majorizer diagonal is bounded below by -1 on the
+sphere), in one kernel. Its data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H
+is Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector
+from a uniform linear array as a phase ramp: the kernel builds the matrix,
+and the right-hand side, from one K x N steering product c = A^H x, gathers
+it in Fortran order and factors it in place with LAPACK potrf/potrs. Each
+trace row likewise computes A^H w and A^H v once, and hands its bilinear
+samples to the next sweep's alpha refresh.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -172,24 +172,26 @@ def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarra
     return _toeplitz_gram(steering, _steer_products(steering, x), lam)
 
 
-def _data_fit_system(
-    steering: SteeringSet, x: np.ndarray, alpha: float, d: DesiredPattern, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Data-fit Hessian and right-hand side lam * alpha * sum_k d_k (a_k^H x) a_k of a block.
+def _solve_block(
+    steering: SteeringSet,
+    x: np.ndarray,
+    alpha: float,
+    d: DesiredPattern,
+    lam: float,
+    diag: float | np.ndarray,
+    target: np.ndarray,
+) -> np.ndarray:
+    """Solve one block: (G + diag(diag)) y = lam * alpha * sum_k d_k (a_k^H x) a_k + target.
 
-    Both come from one steering product c = A^H x.
+    G = lam * sum_k |a_k^H x|^2 a_k a_k^H is the data-fit Hessian at x; both
+    G and the data-fit right-hand side come from one steering product
+    c = A^H x. The Hermitian positive definite system is factored in place by
+    Cholesky (LAPACK potrf/potrs).
     """
     c = _steer_products(steering, x)
-    rhs = lam * alpha * (steering.vectors.T @ (d.values * c))
-    return _toeplitz_gram(steering, c, lam), rhs
-
-
-def _solve_hpd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a Hermitian positive definite system by Cholesky factorization.
-
-    Reads the upper triangle of ``matrix`` and overwrites it with the factor
-    when ``matrix`` is a complex Fortran-ordered array.
-    """
+    matrix = _toeplitz_gram(steering, c, lam)
+    matrix.flat[:: x.size + 1] += diag
+    rhs = lam * alpha * (steering.vectors.T @ (d.values * c)) + target
     factor, info = _potrf(matrix, overwrite_a=True, clean=False)
     if info > 0:
         raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
@@ -215,9 +217,8 @@ def update_v(
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
-    matrix, rhs = _data_fit_system(steering, w, alpha, d, params.lam)
-    matrix.flat[:: n + 1] += params.rho / 2.0
-    return _solve_hpd(matrix, rhs + (params.rho / 2.0) * (w + u))
+    half_rho = params.rho / 2.0
+    return _solve_block(steering, w, alpha, d, params.lam, half_rho, half_rho * (w + u))
 
 
 def solve_weight_system(
@@ -233,9 +234,8 @@ def solve_weight_system(
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
-    matrix, rhs = _data_fit_system(steering, v, alpha, d, params.lam)
-    matrix.flat[:: n + 1] += m.diag + params.rho / 2.0
-    return _solve_hpd(matrix, rhs + (params.rho / 2.0) * (v - u))
+    half_rho = params.rho / 2.0
+    return _solve_block(steering, v, alpha, d, params.lam, m.diag + half_rho, half_rho * (v - u))
 
 
 def update_w(

@@ -25,6 +25,10 @@ from .templates import DesiredPattern, MainlobeSpec, build_template
 
 _LOBE_KEYS = {"start_deg", "end_deg", "level"}
 
+# Passed through as given: ArrayGeometry, SolverParams and ExperimentConfig
+# check their types.
+_CHECKED_BY_OWNER = {"n_elements", "max_iters", "seed", "output_dir"}
+
 # JSON key -> attribute name (identity except for the reserved word).
 _KEY_TO_ATTR = {"lambda": "lam"}
 _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
@@ -90,12 +94,6 @@ def _as_number(key: str, value) -> float:
     return float(value)
 
 
-def _as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key} must be an integer")
-    return value
-
-
 def _parse_lobe(index: int, raw) -> MainlobeSpec:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"mainlobes[{index}] must be an object")
@@ -132,11 +130,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if not isinstance(value, list):
                 raise ConfigurationError("mainlobes must be a list")
             kwargs[attr] = tuple(_parse_lobe(i, lobe) for i, lobe in enumerate(value))
-        elif key in ("n_elements", "max_iters", "seed"):
-            kwargs[attr] = _as_int(key, value)
-        elif key == "output_dir":
-            if not isinstance(value, str):
-                raise ConfigurationError("output_dir must be a string")
+        elif key in _CHECKED_BY_OWNER:
             kwargs[attr] = value
         else:
             kwargs[attr] = _as_number(key, value)

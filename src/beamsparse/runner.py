@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -97,10 +96,9 @@ def write_outputs(
     cfg: ExperimentConfig,
     w: WeightVector,
     pattern: np.ndarray,
-    output_dir: Optional[str | Path] = None,
 ) -> dict[str, Path]:
-    """Write the four run artifacts; returns the paths keyed by file name."""
-    out = _ensure_dir(output_dir if output_dir is not None else cfg.output_dir)
+    """Write the four run artifacts into ``cfg.output_dir``; returns the paths keyed by file name."""
+    out = _ensure_dir(cfg.output_dir)
     grid = cfg.grid
 
     values = w.values
