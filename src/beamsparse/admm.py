@@ -25,9 +25,19 @@ sphere), in one kernel. Its data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H
 is Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector
 from a uniform linear array as a phase ramp: the kernel builds the matrix,
 and the right-hand side, from one K x N steering product c = A^H x, gathers
-it in Fortran order and factors it in place with LAPACK potrf/potrs. Each
-trace row likewise computes A^H w and A^H v once, and hands its bilinear
-samples to the next sweep's alpha refresh.
+it in Fortran order and factors it in place with LAPACK potrf/potrs.
+
+``solve`` checks its inputs once, on entry, and then computes each
+intermediate once per iterate, on private kernels that take it as an
+argument. A sweep takes two K x N steering products: c_w = A^H w_k feeds
+the alpha refresh (through r = conj(c_w) * c_v), the v block and row k of
+the trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w has one
+power vector and one entropy, shared by the majorizer and its trace row;
+each row forms one pattern residual for the objective and the matching
+error, and one w - v serves the dual step, the primal residual and the
+Lagrangian. The public blocks (``update_alpha``, ``update_v``,
+``update_w`` and the rest) check their inputs and call the same kernels, so
+composing them reproduces ``solve`` bit for bit.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -52,9 +62,15 @@ from .arrays import (
     beampattern,
     project_unit_sphere,
 )
-from .entropy import MajorizerDiag, entropy, majorizer_diag, majorizer_value
+from .entropy import (
+    MajorizerDiag,
+    _majorizer_diag,
+    _powers_and_entropy,
+    entropy,
+    majorizer_value,
+)
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .metrics import matching_error_db
+from .metrics import _matching_db, _scaled_fit
 from .templates import DesiredPattern
 
 # Cholesky factorization and solve of a complex Hermitian system: the LAPACK
@@ -138,6 +154,11 @@ def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     denom = float(d.values @ d.values)
     if not denom > 0.0:
         raise DegenerateInputError("template is all zero; alpha is undefined")
+    return _alpha(r, d, denom)
+
+
+def _alpha(r: np.ndarray, d: DesiredPattern, denom: float) -> float:
+    """update_alpha without its checks; denom is d^T d > 0."""
     return float(d.values @ np.real(r)) / denom
 
 
@@ -154,27 +175,28 @@ def _toeplitz_index(n: int) -> np.ndarray:
     return _readonly((n - 1) + k[None, :] - k[:, None])
 
 
-def _toeplitz_gram(steering: SteeringSet, c: np.ndarray, lam: float) -> np.ndarray:
-    """lam * sum_k |c_k|^2 a_k a_k^H from the steering products c = A^H x.
+def _toeplitz_gram(steering: SteeringSet, power: np.ndarray, lam: float) -> np.ndarray:
+    """lam * sum_k power_k a_k a_k^H, for the pattern power = |A^H x|^2.
 
     Every steering vector is a phase ramp a_k[n] = z_k^n, so entry (m, n) is
-    lam * sum_k |c_k|^2 z_k^(m - n): a Hermitian Toeplitz matrix whose first
-    column is lam * A^T |c|^2 (Golub & Van Loan, Matrix Computations, 4.7).
+    lam * sum_k power_k z_k^(m - n): a Hermitian Toeplitz matrix whose first
+    column is lam * A^T power (Golub & Van Loan, Matrix Computations, 4.7).
     The matrix is returned in Fortran order, which LAPACK factors in place.
     """
-    col = lam * (steering.vectors.T @ np.abs(c) ** 2)
+    col = lam * (steering.vectors.T @ power)
     n = col.shape[0]
     return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))[_toeplitz_index(n)].T
 
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
     """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks."""
-    return _toeplitz_gram(steering, _steer_products(steering, x), lam)
+    return _toeplitz_gram(steering, np.abs(_steer_products(steering, x)) ** 2, lam)
 
 
 def _solve_block(
     steering: SteeringSet,
-    x: np.ndarray,
+    c: np.ndarray,
+    power: np.ndarray,
     alpha: float,
     d: DesiredPattern,
     lam: float,
@@ -184,13 +206,12 @@ def _solve_block(
     """Solve one block: (G + diag(diag)) y = lam * alpha * sum_k d_k (a_k^H x) a_k + target.
 
     G = lam * sum_k |a_k^H x|^2 a_k a_k^H is the data-fit Hessian at x; both
-    G and the data-fit right-hand side come from one steering product
-    c = A^H x. The Hermitian positive definite system is factored in place by
-    Cholesky (LAPACK potrf/potrs).
+    G and the data-fit right-hand side come from the steering products
+    c = A^H x and their powers |c|^2. The Hermitian positive definite system
+    is factored in place by Cholesky (LAPACK potrf/potrs).
     """
-    c = _steer_products(steering, x)
-    matrix = _toeplitz_gram(steering, c, lam)
-    matrix.flat[:: x.size + 1] += diag
+    matrix = _toeplitz_gram(steering, power, lam)
+    matrix.flat[:: target.size + 1] += diag
     rhs = lam * alpha * (steering.vectors.T @ (d.values * c)) + target
     factor, info = _potrf(matrix, overwrite_a=True, clean=False)
     if info > 0:
@@ -205,6 +226,39 @@ def _solve_block(
     return solution
 
 
+def _v_block(
+    steering: SteeringSet,
+    c: np.ndarray,
+    power: np.ndarray,
+    w: np.ndarray,
+    u: np.ndarray,
+    alpha: float,
+    d: DesiredPattern,
+    params: SolverParams,
+) -> np.ndarray:
+    """update_v without its checks, from c = A^H w and power = |c|^2."""
+    half_rho = params.rho / 2.0
+    return _solve_block(steering, c, power, alpha, d, params.lam, half_rho, half_rho * (w + u))
+
+
+def _w_system(
+    steering: SteeringSet,
+    c: np.ndarray,
+    power: np.ndarray,
+    v: np.ndarray,
+    u: np.ndarray,
+    alpha: float,
+    d: DesiredPattern,
+    diag: np.ndarray,
+    params: SolverParams,
+) -> np.ndarray:
+    """solve_weight_system without its checks, from c = A^H v, power = |c|^2 and m.diag."""
+    half_rho = params.rho / 2.0
+    return _solve_block(
+        steering, c, power, alpha, d, params.lam, diag + half_rho, half_rho * (v - u)
+    )
+
+
 def update_v(
     steering: SteeringSet,
     w,
@@ -217,8 +271,8 @@ def update_v(
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
-    half_rho = params.rho / 2.0
-    return _solve_block(steering, w, alpha, d, params.lam, half_rho, half_rho * (w + u))
+    c = _steer_products(steering, w)
+    return _v_block(steering, c, np.abs(c) ** 2, w, u, alpha, d, params)
 
 
 def solve_weight_system(
@@ -234,8 +288,8 @@ def solve_weight_system(
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
-    half_rho = params.rho / 2.0
-    return _solve_block(steering, v, alpha, d, params.lam, m.diag + half_rho, half_rho * (v - u))
+    c = _steer_products(steering, v)
+    return _w_system(steering, c, np.abs(c) ** 2, v, u, alpha, d, m.diag, params)
 
 
 def update_w(
@@ -248,8 +302,7 @@ def update_w(
     params: SolverParams,
 ) -> WeightVector:
     """Majorized w block: exact unconstrained solve, then sphere projection."""
-    w_hat = solve_weight_system(steering, v, u, alpha, d, m, params)
-    return WeightVector(project_unit_sphere(w_hat), normalized=True)
+    return WeightVector.unit(solve_weight_system(steering, v, u, alpha, d, m, params))
 
 
 def update_dual(u, w, v) -> np.ndarray:
@@ -270,14 +323,8 @@ def objective_value(
     params: SolverParams,
 ) -> float:
     """Value of the joint objective at (w, alpha)."""
-    return _objective(beampattern(steering, w), alpha, d, params, entropy(w))
-
-
-def _objective(
-    pattern: np.ndarray, alpha: float, d: DesiredPattern, params: SolverParams, sparsity: float
-) -> float:
-    residual = pattern - alpha * d.values
-    return params.lam * float(residual @ residual) + sparsity
+    _, fit = _scaled_fit(beampattern(steering, w), alpha, d)
+    return params.lam * fit + entropy(w)
 
 
 def augmented_lagrangian(
@@ -295,15 +342,15 @@ def augmented_lagrangian(
     """
     r = inner_products(steering, state.w.values, state.v)
     sparsity = entropy(state.w) if majorizer is None else majorizer_value(state.w, majorizer)
-    return _lagrangian(state, r, d, params, sparsity)
+    gap = state.w.values - state.v + state.u
+    return _lagrangian(r - state.alpha * d.values, gap, sparsity, params)
 
 
 def _lagrangian(
-    state: AdmmState, r: np.ndarray, d: DesiredPattern, params: SolverParams, sparsity: float
+    residual: np.ndarray, gap: np.ndarray, sparsity: float, params: SolverParams
 ) -> float:
-    residual = r - state.alpha * d.values
+    """Lagrangian from the residual r - alpha * d and the gap w - v + u."""
     phi = float(np.real(np.vdot(residual, residual)))
-    gap = state.w.values - state.v + state.u
     penalty = (params.rho / 2.0) * float(np.real(np.vdot(gap, gap)))
     return params.lam * phi + sparsity + penalty
 
@@ -322,32 +369,32 @@ def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
     return AdmmState(alpha=1.0, v=v0, w=WeightVector(w0, normalized=True), u=np.zeros(n, complex))
 
 
-def _record(
-    steering: SteeringSet,
+def _trace_row(
+    state: AdmmState,
+    pattern: np.ndarray,
+    r: np.ndarray,
+    wv: np.ndarray,
+    sparsity: float,
     d: DesiredPattern,
     params: SolverParams,
-    state: AdmmState,
     w_change: float,
-) -> tuple[IterationRecord, np.ndarray]:
-    """Trace row of a state, and the state's bilinear samples r_k = w^H a_k a_k^H v.
+) -> IterationRecord:
+    """Trace row of a state from what its sweep already computed.
 
-    The row agrees with ``objective_value``, ``augmented_lagrangian`` and
-    ``matching_error_db`` at the state, from one product each of A^H w and A^H v.
+    pattern = |A^H w|^2, r = conj(A^H w) * (A^H v), wv = w - v and the
+    entropy of w. The row agrees with ``objective_value``,
+    ``augmented_lagrangian`` and ``matching_error_db`` at the state.
     """
-    c_w = _steer_products(steering, state.w.values)
-    r = np.conj(c_w) * _steer_products(steering, state.v)
-    pattern = np.abs(c_w) ** 2
-    sparsity = entropy(state.w)
-    row = IterationRecord(
+    scaled, fit = _scaled_fit(pattern, state.alpha, d)
+    return IterationRecord(
         iter=state.iter,
-        objective=_objective(pattern, state.alpha, d, params, sparsity),
-        lagrangian=_lagrangian(state, r, d, params, sparsity),
-        primal_residual=float(np.linalg.norm(state.w.values - state.v)),
+        objective=params.lam * fit + sparsity,
+        lagrangian=_lagrangian(r - scaled, wv + state.u, sparsity, params),
+        primal_residual=float(np.linalg.norm(wv)),
         alpha=float(state.alpha),
-        matching_error_db=matching_error_db(pattern, state.alpha, d),
+        matching_error_db=_matching_db(scaled, fit),
         w_change=float(w_change),
     )
-    return row, r
 
 
 def _state_is_finite(state: AdmmState) -> bool:
@@ -378,7 +425,8 @@ def solve(
     """
     if d.count != steering.n_angles:
         raise ContractError("template length does not match the angle grid")
-    if not float(d.values @ d.values) > 0.0:
+    dd = float(d.values @ d.values)
+    if not dd > 0.0:
         raise DegenerateInputError("template is all zero")
 
     state = init if init is not None else initial_state(steering, params)
@@ -388,21 +436,34 @@ def solve(
     if not _state_is_finite(state):
         raise ContractError("initial state contains non-finite values")
 
-    row, r = _record(steering, d, params, state, w_change=0.0)
-    trace = [row]
+    # One pass per iterate: c_w = A^H w and the powers of w serve its trace row
+    # and the next sweep's alpha, v block and majorizer; c_v = A^H v, taken for
+    # the w block, serves the trace row of the state that block produces.
+    c_w = _steer_products(steering, state.w.values)
+    c_v = _steer_products(steering, state.v)
+    pattern = np.abs(c_w) ** 2
+    powers, sparsity = _powers_and_entropy(state.w)
+    r = np.conj(c_w) * c_v
+    trace = [_trace_row(state, pattern, r, state.w.values - state.v, sparsity, d, params, 0.0)]
     for _ in range(params.max_iters):
         try:
-            alpha = update_alpha(r, d)
-            v = update_v(steering, state.w.values, state.u, alpha, d, params)
-            m = majorizer_diag(state.w)
-            w = update_w(steering, v, state.u, alpha, d, m, params)
-            u = update_dual(state.u, w.values, v)
-            swept = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
+            alpha = _alpha(r, d, dd)
+            v = _v_block(steering, c_w, pattern, state.w.values, state.u, alpha, d, params)
+            c_v = _steer_products(steering, v)
+            diag = _majorizer_diag(powers)
+            w_hat = _w_system(steering, c_v, np.abs(c_v) ** 2, v, state.u, alpha, d, diag, params)
+            w = WeightVector.unit(w_hat)
+            wv = w.values - v
+            swept = AdmmState(alpha=alpha, v=v, w=w, u=state.u + wv, iter=state.iter + 1)
             if not _state_is_finite(swept):
                 raise NumericalError("iterates turned non-finite")
             w_change = float(np.linalg.norm(w.values - state.w.values))
-            # a zero template scale fails here, in matching_error_db
-            row, r = _record(steering, d, params, swept, w_change)
+            c_w = _steer_products(steering, w.values)
+            pattern = np.abs(c_w) ** 2
+            powers, sparsity = _powers_and_entropy(w)
+            r = np.conj(c_w) * c_v
+            # a zero template scale fails here, in the matching error
+            row = _trace_row(swept, pattern, r, wv, sparsity, d, params, w_change)
         except (NumericalError, DegenerateInputError) as exc:
             raise DivergenceError(
                 f"solver diverged at iteration {state.iter + 1}: {exc}", trace=trace

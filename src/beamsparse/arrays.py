@@ -20,6 +20,10 @@ UNIT_NORM_TOL = 1e-12
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
 
+#: Most entries of the largest matrix a solve allocates, max(K*N, N^2): the K x N
+#: steering vectors or an N x N block system, 480 MB of complex values.
+MAX_MATRIX_ENTRIES = 30_000_000
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -92,6 +96,20 @@ class AngleGrid:
         return cls(start_deg + step_deg * np.arange(int(steps) + 1))
 
 
+def _require_solve_size(geometry: ArrayGeometry, grid: AngleGrid):
+    """Reject an array and grid whose largest solve matrix exceeds ``MAX_MATRIX_ENTRIES``.
+
+    Checked before anything of that size is allocated.
+    """
+    n, k = int(geometry.n_elements), grid.count
+    entries = max(k * n, n * n)
+    if entries > MAX_MATRIX_ENTRIES:
+        raise ContractError(
+            f"n_elements {n} with {k} grid angles needs a matrix of {entries} entries, "
+            f"more than the {MAX_MATRIX_ENTRIES} a solve may allocate"
+        )
+
+
 def _require_visible(first_deg: float, last_deg: float):
     """Every angle of an increasing grid lies in [-90, 90] (NaN fails)."""
     if not (-90.0 <= first_deg and last_deg <= 90.0):
@@ -114,6 +132,7 @@ class SteeringSet:
     vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _require_solve_size(self.geometry, self.grid)
         sin_theta = np.sin(np.radians(self.grid.angles_deg))
         n = np.arange(self.geometry.n_elements)
         phases = 2.0 * np.pi * self.geometry.spacing_ratio * np.outer(sin_theta, n)

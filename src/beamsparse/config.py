@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm import SolverParams
-from .arrays import AngleGrid, ArrayGeometry
+from .arrays import AngleGrid, ArrayGeometry, _require_solve_size
 from .errors import ConfigurationError, ContractError
 from .templates import DesiredPattern, MainlobeSpec, build_template
 
@@ -70,6 +70,7 @@ class ExperimentConfig:
             keep(self, "geometry", ArrayGeometry(self.n_elements, self.spacing_ratio))
             keep(self, "grid", AngleGrid.uniform(
                 self.grid_start_deg, self.grid_stop_deg, self.grid_step_deg))
+            _require_solve_size(self.geometry, self.grid)
             keep(self, "template", build_template(self.grid, self.mainlobes, self.sidelobe_level))
             keep(self, "params", SolverParams(
                 lam=self.lam, rho=self.rho, eta=self.eta, max_iters=self.max_iters, seed=self.seed))

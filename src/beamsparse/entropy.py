@@ -44,9 +44,20 @@ def _plogp_sum(p: np.ndarray) -> float:
     return float((safe * np.log(safe)).sum())
 
 
+def _powers_and_entropy(w: WeightVector) -> tuple[np.ndarray, float]:
+    """Powers of unit-power weights and their entropy, from one power vector."""
+    p = _unit_powers(w)
+    return p, -_plogp_sum(p)
+
+
+def _majorizer_diag(p: np.ndarray) -> np.ndarray:
+    """Diagonal of the tangent bound at anchor powers p: the entropy gradient."""
+    return -np.log(np.maximum(p, POWER_FLOOR)) - 1.0
+
+
 def entropy(w: WeightVector) -> float:
     """Shannon entropy of the element-power distribution, in [0, log N]."""
-    return -_plogp_sum(_unit_powers(w))
+    return _powers_and_entropy(w)[1]
 
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
@@ -54,7 +65,7 @@ def entropy_gradient(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if np.any(p < 0):
         raise ContractError("powers must be nonnegative")
-    return -np.log(np.maximum(p, POWER_FLOOR)) - 1.0
+    return _majorizer_diag(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +85,8 @@ class MajorizerDiag:
 
 def majorizer_diag(w_anchor: WeightVector) -> MajorizerDiag:
     """Build the tangent bound of the entropy at the anchor weights."""
-    p = _unit_powers(w_anchor)
-    grad = entropy_gradient(p)
-    value = -_plogp_sum(p)
+    p, value = _powers_and_entropy(w_anchor)
+    grad = _majorizer_diag(p)
     return MajorizerDiag(grad, value - float(grad @ p))
 
 

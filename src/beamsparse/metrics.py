@@ -50,12 +50,22 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     pattern = np.asarray(pattern, dtype=float)
     if pattern.shape != d.values.shape:
         raise ContractError("pattern and template sizes differ")
+    return _matching_db(*_scaled_fit(pattern, alpha, d))
+
+
+def _scaled_fit(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> tuple[np.ndarray, float]:
+    """The scaled template alpha * d and the squared residual sum (P_k - alpha * d_k)^2."""
     scaled = alpha * d.values
+    residual = pattern - scaled
+    return scaled, float(residual @ residual)
+
+
+def _matching_db(scaled: np.ndarray, fit: float) -> float:
+    """Matching error in dB from the scaled template and the squared residual sum."""
     denom = float(scaled @ scaled)
     if not denom > 0.0:
         raise DegenerateInputError("scaled template has no energy")
-    residual = pattern - scaled
-    return _ratio_db(float(residual @ residual) / denom)
+    return _ratio_db(fit / denom)
 
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from beamsparse import (
     DivergenceError,
     MajorizerDiag,
     NumericalError,
+    POWER_FLOOR,
     SolverParams,
     WeightVector,
     augmented_lagrangian,
@@ -476,21 +477,21 @@ class TestSolve:
         params = SolverParams(lam=0.2, rho=5.0, max_iters=10)
 
         calls = {"count": 0}
-        real_update_v = admm_mod.update_v
+        real_v_block = admm_mod._v_block
 
         def poisoned(*args, **kwargs):
             calls["count"] += 1
-            out = real_update_v(*args, **kwargs)
+            out = real_v_block(*args, **kwargs)
             if calls["count"] == 3:
                 out = out.copy()
                 out[0] = np.nan
             return out
 
-        monkeypatch.setattr(admm_mod, "update_v", poisoned)
-        with pytest.raises(DivergenceError) as excinfo:
+        monkeypatch.setattr(admm_mod, "_v_block", poisoned)
+        with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, params)
         # rows: initial state plus the two clean iterations
-        assert len(excinfo.value.trace) == 3
+        assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
 
 
 class TestSolverParamsOwnsItsRules:
@@ -607,28 +608,26 @@ class TestFactorizationFailure:
     def test_solve_reports_divergence_with_partial_trace(self, monkeypatch):
         steering, d, _, _, _ = self.system()
         calls = {"count": 0}
-        real_majorizer_diag = admm_mod.majorizer_diag
+        real_majorizer_diag = admm_mod._majorizer_diag
 
-        def indefinite(w):
+        def indefinite(p):
             calls["count"] += 1
-            m = real_majorizer_diag(w)
-            return m if calls["count"] < 3 else MajorizerDiag(np.full(5, -1e6), m.constant)
+            diag = real_majorizer_diag(p)
+            return diag if calls["count"] < 3 else np.full(5, -1e6)
 
-        monkeypatch.setattr(admm_mod, "majorizer_diag", indefinite)
+        monkeypatch.setattr(admm_mod, "_majorizer_diag", indefinite)
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert isinstance(excinfo.value.__cause__, NumericalError)
         assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
 
 
-def test_solve_is_the_public_blocks_in_order():
-    rng = np.random.default_rng(51)
-    steering, d = random_instance(rng, n=6, k=9)
-    params = SolverParams(lam=0.2, rho=5.0, max_iters=30, seed=2)
-    w_solve, alpha_solve, trace = solve(steering, d, params)
-    assert len(trace) == 31
+def assert_solve_is_the_public_blocks(steering, d, params, init=None):
+    """solve equals a loop written from the public blocks, exactly, in w, alpha and every row."""
+    w_solve, alpha_solve, trace = solve(steering, d, params, init=init)
+    assert len(trace) == params.max_iters + 1
 
-    state = admm_mod.initial_state(steering, params)
+    state = init if init is not None else admm_mod.initial_state(steering, params)
     rows = []
     for _ in range(len(trace) - 1):
         alpha = update_alpha(inner_products(steering, state.w.values, state.v), d)
@@ -653,3 +652,50 @@ def test_solve_is_the_public_blocks_in_order():
         (r.objective, r.lagrangian, r.primal_residual, r.alpha, r.matching_error_db, r.w_change)
         for r in trace[1:]
     ]
+    return trace
+
+
+def test_solve_is_the_public_blocks_in_order():
+    rng = np.random.default_rng(51)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=30, seed=2)
+    assert_solve_is_the_public_blocks(steering, d, params)
+
+
+def test_solve_is_the_public_blocks_on_the_negative_alpha_branch():
+    cfg = load_config(CONFIGS / "two_mainlobes.json").with_overrides(seed=9, max_iters=200)
+    steering = build_steering_set(cfg.geometry, cfg.grid)
+    trace = assert_solve_is_the_public_blocks(steering, cfg.template, cfg.params)
+    assert any(row.alpha < 0 for row in trace)
+
+
+def test_solve_is_the_public_blocks_from_exact_zero_weights():
+    # the first sweep's entropy and majorizer diagonal clamp at POWER_FLOOR
+    rng = np.random.default_rng(52)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=30, seed=4)
+    start = admm_mod.initial_state(steering, params)
+    w = start.w.values.copy()
+    w[[0, 3]] = 0.0
+    init = AdmmState(alpha=1.0, v=start.v, w=WeightVector.unit(w), u=start.u)
+    assert np.count_nonzero(init.w.powers() < POWER_FLOOR) == 2
+    assert_solve_is_the_public_blocks(steering, d, params, init)
+
+
+def test_each_sweep_takes_two_steering_products(monkeypatch):
+    # row 0 takes A^H w_0 and A^H v_0; each sweep then takes A^H v_{k+1} for
+    # the w block and A^H w_{k+1} for its row, and shares both with the next sweep
+    rng = np.random.default_rng(53)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
+    calls = {"count": 0}
+    real_steer_products = admm_mod._steer_products
+
+    def counted(steering, x):
+        calls["count"] += 1
+        return real_steer_products(steering, x)
+
+    monkeypatch.setattr(admm_mod, "_steer_products", counted)
+    _, _, trace = solve(steering, d, params)
+    assert len(trace) == 13
+    assert calls["count"] == 2 + 2 * 12

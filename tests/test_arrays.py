@@ -230,3 +230,10 @@ def test_grid_angle_count_is_bounded():
         AngleGrid.uniform(-90, 90, 180 / MAX_GRID_ANGLES)
     with pytest.raises(ContractError, match="grid_step_deg"):
         AngleGrid.uniform(-90, 90, 1e-12)
+
+
+@pytest.mark.parametrize("n_elements", [10**12, np.int64(10**12)])
+def test_oversize_steering_set_is_rejected_before_allocation(n_elements):
+    grid = AngleGrid.uniform(-90, 90, 1.0)
+    with pytest.raises(ContractError, match="n_elements 1000000000000 with 181 grid angles"):
+        SteeringSet(ArrayGeometry(n_elements), grid)

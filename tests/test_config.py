@@ -12,6 +12,7 @@ from beamsparse import (
     parse_config,
     serialize_config,
 )
+from beamsparse.arrays import MAX_MATRIX_ENTRIES
 
 MINIMAL = '{"mainlobes": [{"start_deg": 22.0, "end_deg": 28.0, "level": 1000.0}]}'
 
@@ -225,3 +226,29 @@ def test_grid_needs_mainlobe_and_sidelobe_angles(lobe, sidelobe_level):
     doc = {"mainlobes": [lobe], "sidelobe_level": sidelobe_level}
     with pytest.raises(ConfigurationError, match="mainlobes"):
         parse_config(json.dumps(doc))
+
+
+def test_oversize_array_is_a_configuration_error():
+    # 10^12 elements would need a 10^24-entry block matrix; rejected before allocation
+    with pytest.raises(ConfigurationError, match="n_elements 1000000000000"):
+        parse_config(MINIMAL[:-1] + ', "n_elements": 1000000000000}')
+
+
+@pytest.mark.parametrize(
+    "n_elements, grid, accepted",
+    [
+        (5477, {}, True),  # N^2 = 29,997,529 on the 181-angle grid
+        (5478, {}, False),  # N^2 = 30,008,484
+        (250, {"grid_start_deg": -60.0, "grid_stop_deg": 59.999, "grid_step_deg": 0.001}, True),
+        (251, {"grid_start_deg": -60.0, "grid_stop_deg": 59.999, "grid_step_deg": 0.001}, False),
+    ],
+)
+def test_solve_size_budget_boundary(n_elements, grid, accepted):
+    # the K x N side uses 120,000 angles, so 250 elements meet the budget exactly
+    doc = json.loads(MINIMAL) | grid | {"n_elements": n_elements}
+    if accepted:
+        cfg = parse_config(json.dumps(doc))
+        assert max(cfg.grid.count * n_elements, n_elements**2) <= MAX_MATRIX_ENTRIES
+    else:
+        with pytest.raises(ConfigurationError, match=f"n_elements {n_elements} "):
+            parse_config(json.dumps(doc))
