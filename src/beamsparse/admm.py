@@ -25,7 +25,7 @@ sphere), in one kernel. Its data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H
 is Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector
 from a uniform linear array as a phase ramp: the kernel builds the matrix,
 and the right-hand side, from one K x N steering product c = A^H x, gathers
-it in Fortran order and factors it in place with LAPACK potrf/potrs.
+it in Fortran order and solves it in place with one LAPACK posv call.
 
 ``solve`` checks its inputs once, on entry, and then computes each
 intermediate once per iterate, on private kernels that take it as an
@@ -56,6 +56,7 @@ import scipy.linalg
 from .arrays import (
     SteeringSet,
     WeightVector,
+    _as_vector,
     _is_integer,
     _readonly,
     _steer_products,
@@ -73,9 +74,8 @@ from .errors import ContractError, DegenerateInputError, DivergenceError, Numeri
 from .metrics import _matching_db, _scaled_fit
 from .templates import DesiredPattern
 
-# Cholesky factorization and solve of a complex Hermitian system: the LAPACK
-# routines behind scipy.linalg.cho_factor/cho_solve, without their wrapper layers.
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
+# Cholesky factorization and solve of a Hermitian system, without scipy.linalg's wrappers.
+_posv = scipy.linalg.get_lapack_funcs("posv", dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,17 @@ class IterationRecord:
     w_change: float
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n,):
-        raise ContractError(f"{name} must be a complex vector of length {n}, got shape {x.shape}")
-    return x
+def _require_template(steering: SteeringSet, d: DesiredPattern):
+    if d.count != steering.n_angles:
+        raise ContractError("template length does not match the angle grid")
+
+
+def _template_energy(d: DesiredPattern) -> float:
+    """d^T d, the denominator of the alpha refresh; an all-zero template has none."""
+    dd = float(d.values @ d.values)
+    if not dd > 0.0:
+        raise DegenerateInputError("template is all zero; alpha is undefined")
+    return dd
 
 
 def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
@@ -151,10 +157,7 @@ def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     r = np.asarray(r)
     if r.shape != d.values.shape:
         raise ContractError("inner products and template sizes differ")
-    denom = float(d.values @ d.values)
-    if not denom > 0.0:
-        raise DegenerateInputError("template is all zero; alpha is undefined")
-    return _alpha(r, d, denom)
+    return _alpha(r, d, _template_energy(d))
 
 
 def _alpha(r: np.ndarray, d: DesiredPattern, denom: float) -> float:
@@ -190,6 +193,7 @@ def _toeplitz_gram(steering: SteeringSet, power: np.ndarray, lam: float) -> np.n
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
     """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks."""
+    x = _as_vector(x, steering.n_elements, "x")
     return _toeplitz_gram(steering, np.abs(_steer_products(steering, x)) ** 2, lam)
 
 
@@ -208,19 +212,17 @@ def _solve_block(
     G = lam * sum_k |a_k^H x|^2 a_k a_k^H is the data-fit Hessian at x; both
     G and the data-fit right-hand side come from the steering products
     c = A^H x and their powers |c|^2. The Hermitian positive definite system
-    is factored in place by Cholesky (LAPACK potrf/potrs).
+    is solved in place by Cholesky, in one LAPACK posv call.
     """
     matrix = _toeplitz_gram(steering, power, lam)
     matrix.flat[:: target.size + 1] += diag
     rhs = lam * alpha * (steering.vectors.T @ (d.values * c)) + target
-    factor, info = _potrf(matrix, overwrite_a=True, clean=False)
-    if info > 0:
-        raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
-    if info < 0:
-        raise NumericalError(f"Cholesky factorization rejected argument {-info} (potrf)")
-    solution, info = _potrs(factor, rhs)
+    _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
     if info != 0:
-        raise NumericalError(f"Cholesky solve rejected argument {-info} (potrs)")
+        raise NumericalError(
+            f"matrix is not positive definite: leading minor {info} fails" if info > 0
+            else f"Cholesky solve rejected argument {-info} (posv)"
+        )
     if not np.isfinite(solution).all():
         raise NumericalError("linear solve produced non-finite entries")
     return solution
@@ -268,6 +270,7 @@ def update_v(
     params: SolverParams,
 ) -> np.ndarray:
     """Exact minimizer of the v block (matching term plus consensus penalty)."""
+    _require_template(steering, d)
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
@@ -285,9 +288,11 @@ def solve_weight_system(
     params: SolverParams,
 ) -> np.ndarray:
     """Pre-projection solution of the majorized w block."""
+    _require_template(steering, d)
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
+    _as_vector(m.diag, n, "majorizer diagonal")
     c = _steer_products(steering, v)
     return _w_system(steering, c, np.abs(c) ** 2, v, u, alpha, d, m.diag, params)
 
@@ -307,12 +312,8 @@ def update_w(
 
 def update_dual(u, w, v) -> np.ndarray:
     """Dual ascent on the consensus constraint: u + (w - v)."""
-    u = np.asarray(u, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if not u.shape == w.shape == v.shape:
-        raise ContractError("u, w, v must share one shape")
-    return u + (w - v)
+    n = np.size(u)
+    return _as_vector(u, n, "u") + (_as_vector(w, n, "w") - _as_vector(v, n, "v"))
 
 
 def objective_value(
@@ -323,6 +324,7 @@ def objective_value(
     params: SolverParams,
 ) -> float:
     """Value of the joint objective at (w, alpha)."""
+    _require_template(steering, d)
     _, fit = _scaled_fit(beampattern(steering, w), alpha, d)
     return params.lam * fit + entropy(w)
 
@@ -340,9 +342,11 @@ def augmented_lagrangian(
     bound instead (useful for checking that the majorized sweep objective
     dominates the exact one).
     """
+    _require_template(steering, d)
+    u = _as_vector(state.u, steering.n_elements, "u")
     r = inner_products(steering, state.w.values, state.v)
     sparsity = entropy(state.w) if majorizer is None else majorizer_value(state.w, majorizer)
-    gap = state.w.values - state.v + state.u
+    gap = state.w.values - state.v + u
     return _lagrangian(r - state.alpha * d.values, gap, sparsity, params)
 
 
@@ -423,11 +427,8 @@ def solve(
         or the template scale drops to zero so the trace row is undefined.
         The exception carries the trace collected so far.
     """
-    if d.count != steering.n_angles:
-        raise ContractError("template length does not match the angle grid")
-    dd = float(d.values @ d.values)
-    if not dd > 0.0:
-        raise DegenerateInputError("template is all zero")
+    _require_template(steering, d)
+    dd = _template_energy(d)
 
     state = init if init is not None else initial_state(steering, params)
     n = steering.n_elements

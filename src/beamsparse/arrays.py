@@ -34,6 +34,13 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _as_vector(x, n: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (n,):
+        raise ContractError(f"{name} must be a complex vector of length {n}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array of isotropic elements.
@@ -217,11 +224,8 @@ def beampattern(steering: SteeringSet, w: WeightVector) -> np.ndarray:
     Uses the rank-1 structure of the angle quadratic form, so the cost is
     O(N) per angle and the result is exactly real and nonnegative.
     """
-    if w.n_elements != steering.n_elements:
-        raise ContractError(
-            f"weight length {w.n_elements} does not match array size {steering.n_elements}"
-        )
-    return np.abs(_steer_products(steering, w.values)) ** 2
+    values = _as_vector(w.values, steering.n_elements, "w")
+    return np.abs(_steer_products(steering, values)) ** 2
 
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:

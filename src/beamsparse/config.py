@@ -1,10 +1,10 @@
 """Experiment configuration: JSON schema, validation, defaults.
 
 One JSON document describes one experiment. Unset fields fall back to the
-defaults below (30 half-wavelength elements, 1-degree grid over the visible
-region, lam 0.1, rho 30, eta 1e-8). The JSON key for the trade-off weight is
-"lambda"; it maps to the ``lam`` attribute because ``lambda`` is reserved in
-Python.
+defaults below, most taken from the types that check them (30 elements at
+half a wavelength, 1-degree grid, lam 0.1, rho 30, eta 1e-8). The JSON key
+for the trade-off weight is "lambda"; it maps to the ``lam`` attribute
+because ``lambda`` is reserved in Python.
 
 A config checks its values by building, and keeping, the objects that use
 them, so each rule is written once, by the type that owns it.
@@ -13,7 +13,7 @@ them, so each rule is written once, by the type that owns it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,10 @@ import numpy as np
 from .admm import SolverParams
 from .arrays import AngleGrid, ArrayGeometry, _require_solve_size
 from .errors import ConfigurationError, ContractError
+from .metrics import _SELECTION_THRESHOLD, _require_both_regions, _require_threshold
 from .templates import DesiredPattern, MainlobeSpec, build_template
 
-_LOBE_KEYS = {"start_deg", "end_deg", "level"}
+_LOBE_KEYS = {f.name for f in fields(MainlobeSpec)}
 
 # Passed through as given: ArrayGeometry, SolverParams and ExperimentConfig
 # check their types.
@@ -37,18 +38,18 @@ _ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_elements: int = 30
-    spacing_ratio: float = 0.5
+    spacing_ratio: float = ArrayGeometry.spacing_ratio
     grid_start_deg: float = -90.0
     grid_stop_deg: float = 90.0
     grid_step_deg: float = 1.0
     mainlobes: tuple[MainlobeSpec, ...] = ()
     sidelobe_level: float = 0.0
-    lam: float = 0.1
-    rho: float = 30.0
-    eta: float = 1e-8
-    max_iters: int = 1000
-    seed: int = 0
-    cardinality_threshold: float = 1e-3
+    lam: float = SolverParams.lam
+    rho: float = SolverParams.rho
+    eta: float = SolverParams.eta
+    max_iters: int = SolverParams.max_iters
+    seed: int = SolverParams.seed
+    cardinality_threshold: float = _SELECTION_THRESHOLD
     output_dir: str = "."
 
     # Built from the fields above by __post_init__; not part of the document.
@@ -62,9 +63,6 @@ class ExperimentConfig:
             raise ConfigurationError("output_dir must be a non-empty string")
         if not all(isinstance(lobe, MainlobeSpec) for lobe in self.mainlobes):
             raise ConfigurationError("mainlobes must be MainlobeSpec entries")
-        # only the metrics use it, after the solve; a bad value must fail before
-        if not 0 < self.cardinality_threshold < 1:
-            raise ConfigurationError("cardinality_threshold must lie in (0, 1)")
         keep = object.__setattr__
         try:
             keep(self, "geometry", ArrayGeometry(self.n_elements, self.spacing_ratio))
@@ -72,17 +70,13 @@ class ExperimentConfig:
                 self.grid_start_deg, self.grid_stop_deg, self.grid_step_deg))
             _require_solve_size(self.geometry, self.grid)
             keep(self, "template", build_template(self.grid, self.mainlobes, self.sidelobe_level))
+            # the metrics check these only after the solve; a bad value must fail before
+            _require_threshold(self.cardinality_threshold)
+            _require_both_regions(self.template.mainlobe_mask)
             keep(self, "params", SolverParams(
                 lam=self.lam, rho=self.rho, eta=self.eta, max_iters=self.max_iters, seed=self.seed))
         except ContractError as exc:
             raise ConfigurationError(str(exc)) from exc
-        # only the peak-sidelobe metric needs both regions, after the solve; a
-        # grid with one of them missing must fail before
-        mask = self.template.mainlobe_mask
-        if mask.all() or not mask.any():
-            raise ConfigurationError(
-                "mainlobes must cover at least one grid angle and leave at least one uncovered"
-            )
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         """Copy with selected fields replaced (revalidates)."""
@@ -147,10 +141,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         key = _ATTR_TO_KEY.get(f.name, f.name)
         value = getattr(cfg, f.name)
         if f.name == "mainlobes":
-            value = [
-                {"start_deg": lobe.start_deg, "end_deg": lobe.end_deg, "level": lobe.level}
-                for lobe in value
-            ]
+            value = [asdict(lobe) for lobe in value]
         elif isinstance(value, np.generic):  # the owners accept numpy scalars; JSON does not
             value = value.item()
         out[key] = value

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import WeightVector, _readonly, _require_unit_power
+from .arrays import WeightVector, _as_vector, _readonly, _require_unit_power
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
@@ -38,16 +38,12 @@ def _unit_powers(w: WeightVector) -> np.ndarray:
     return p
 
 
-def _plogp_sum(p: np.ndarray) -> float:
-    # entries below the floor contribute zero (the 0*log 0 convention)
-    safe = np.where(p >= POWER_FLOOR, p, 1.0)
-    return float((safe * np.log(safe)).sum())
-
-
 def _powers_and_entropy(w: WeightVector) -> tuple[np.ndarray, float]:
     """Powers of unit-power weights and their entropy, from one power vector."""
     p = _unit_powers(w)
-    return p, -_plogp_sum(p)
+    # entries below the floor contribute zero (the 0*log 0 convention)
+    safe = np.where(p >= POWER_FLOOR, p, 1.0)
+    return p, -float((safe * np.log(safe)).sum())
 
 
 def _majorizer_diag(p: np.ndarray) -> np.ndarray:
@@ -92,4 +88,5 @@ def majorizer_diag(w_anchor: WeightVector) -> MajorizerDiag:
 
 def majorizer_value(w: WeightVector, m: MajorizerDiag) -> float:
     """Evaluate the tangent bound at unit-power weights w."""
+    _as_vector(m.diag, w.n_elements, "majorizer diagonal")
     return float(m.diag @ _unit_powers(w)) + m.constant

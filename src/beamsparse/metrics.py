@@ -27,16 +27,33 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Serialized stand-in for -inf dB (exact ratios of zero).
 DB_FLOOR = -300.0
+# DB_FLOOR as a power ratio: _db raises smaller ratios to it, runner smaller pattern peaks.
+_RATIO_FLOOR = 1e-30
+# Default selection threshold of ``cardinality`` and of the experiment config.
+_SELECTION_THRESHOLD = 1e-3
 
 
-def _ratio_db(ratio: float) -> float:
-    return max(10.0 * np.log10(max(ratio, 1e-30)), DB_FLOOR)
+def _db(ratio):
+    """10 log10 of power ratios, floored at ``DB_FLOOR``; a float for scalar input."""
+    db = np.maximum(10.0 * np.log10(np.maximum(ratio, _RATIO_FLOOR)), DB_FLOOR)
+    return float(db) if np.ndim(db) == 0 else db
 
 
-def cardinality(w: WeightVector, rel_threshold: float = 1e-3) -> int:
-    """Number of selected elements: powers above rel_threshold * max power."""
+def _require_threshold(rel_threshold: float):
+    """The selection threshold is a fraction of the strongest power, inside (0, 1)."""
     if not 0.0 < rel_threshold < 1.0:
-        raise ContractError(f"rel_threshold must lie in (0, 1), got {rel_threshold}")
+        raise ContractError(f"cardinality_threshold must lie in (0, 1), got {rel_threshold}")
+
+
+def _require_both_regions(mask: np.ndarray):
+    """The peak-sidelobe ratio needs mainlobe and sidelobe angles on the grid."""
+    if not mask.any() or mask.all():
+        raise ContractError("mainlobes must cover some grid angles but not all of them")
+
+
+def cardinality(w: WeightVector, rel_threshold: float = _SELECTION_THRESHOLD) -> int:
+    """Number of selected elements: powers above rel_threshold * max power."""
+    _require_threshold(rel_threshold)
     p = w.powers()
     return int(np.count_nonzero(p > rel_threshold * p.max()))
 
@@ -65,7 +82,7 @@ def _matching_db(scaled: np.ndarray, fit: float) -> float:
     denom = float(scaled @ scaled)
     if not denom > 0.0:
         raise DegenerateInputError("scaled template has no energy")
-    return _ratio_db(fit / denom)
+    return _db(fit / denom)
 
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
@@ -74,13 +91,12 @@ def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
     mask = np.asarray(mask, dtype=bool)
     if pattern.shape != mask.shape:
         raise ContractError("pattern and mask sizes differ")
-    if not mask.any() or mask.all():
-        raise ContractError("mask must contain both mainlobe and sidelobe angles")
+    _require_both_regions(mask)
     main_peak = float(pattern[mask].max())
     side_peak = float(pattern[~mask].max())
     if not main_peak > 0.0:
         raise DegenerateInputError("mainlobe region carries no power")
-    return _ratio_db(side_peak / main_peak)
+    return _db(side_peak / main_peak)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from .admm import IterationRecord, solve
 from .arrays import WeightVector, beampattern, build_steering_set
 from .config import ExperimentConfig, config_to_dict
 from .errors import DivergenceError
-from .metrics import DB_FLOOR, RunReport, cardinality, matching_error_db, peak_sidelobe_db
+from .metrics import _RATIO_FLOOR, RunReport, _db, cardinality, matching_error_db, peak_sidelobe_db
 
 SCHEMA_VERSION = "1"
 
@@ -38,10 +38,6 @@ SUMMARY_FILE = "summary.json"
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _power_db(power: np.ndarray) -> np.ndarray:
-    return np.maximum(10.0 * np.log10(np.maximum(power, 1e-30)), DB_FLOOR)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -96,23 +92,23 @@ def write_outputs(
     cfg: ExperimentConfig,
     w: WeightVector,
     pattern: np.ndarray,
-) -> dict[str, Path]:
-    """Write the four run artifacts into ``cfg.output_dir``; returns the paths keyed by file name."""
+) -> None:
+    """Write the four run artifacts into ``cfg.output_dir``."""
     out = _ensure_dir(cfg.output_dir)
     grid = cfg.grid
 
     values = w.values
-    powers = w.powers()
+    powers_db = _db(w.powers())
     rows = ["n,re,im,mag,power_db"]
     for n in range(values.size):
         rows.append(
             f"{n},{_fmt(values[n].real)},{_fmt(values[n].imag)},"
-            f"{_fmt(np.abs(values[n]))},{_fmt(_power_db(powers[n : n + 1])[0])}"
+            f"{_fmt(np.abs(values[n]))},{_fmt(powers_db[n])}"
         )
     (out / WEIGHTS_FILE).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     pattern = np.asarray(pattern, dtype=float)
-    pattern_db = _power_db(pattern / max(float(pattern.max()), 1e-30))
+    pattern_db = _db(pattern / max(float(pattern.max()), _RATIO_FLOOR))
     scaled = report.final_alpha * cfg.template.values
     rows = ["theta_deg,power,power_db,desired_scaled"]
     for k in range(grid.count):
@@ -137,10 +133,3 @@ def write_outputs(
     (out / SUMMARY_FILE).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-    return {
-        WEIGHTS_FILE: out / WEIGHTS_FILE,
-        BEAMPATTERN_FILE: out / BEAMPATTERN_FILE,
-        TRACE_FILE: out / TRACE_FILE,
-        SUMMARY_FILE: out / SUMMARY_FILE,
-    }

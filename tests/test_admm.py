@@ -25,6 +25,7 @@ from beamsparse import (
     inner_products,
     load_config,
     majorizer_diag,
+    majorizer_value,
     matching_error_db,
     objective_value,
     solve,
@@ -699,3 +700,52 @@ def test_each_sweep_takes_two_steering_products(monkeypatch):
     _, _, trace = solve(steering, d, params)
     assert len(trace) == 13
     assert calls["count"] == 2 + 2 * 12
+
+
+MISSIZED_CALLS = [
+    "solve_weight_system-template",
+    "solve_weight_system-majorizer",
+    "update_w-template",
+    "update_w-majorizer",
+    "majorizer_value-short_diag",
+    "majorizer_value-short_w",
+    "update_v-template",
+    "objective_value-template",
+    "augmented_lagrangian-template",
+    "augmented_lagrangian-u",
+    "data_fit_gram-x",
+]
+
+
+@pytest.mark.parametrize("call", MISSIZED_CALLS)
+def test_missized_input_raises_contract_error(call):
+    # N = 5 elements on a 7-angle grid; each call gets one input sized for
+    # another array (length 4) or another grid (6 angles)
+    rng = np.random.default_rng(70)
+    steering, d = random_instance(rng)
+    _, other_d = random_instance(rng, k=6)
+    params = SolverParams(lam=0.2, rho=5.0)
+    v, u = unit(rng, 5), 0.1 * random_complex(rng, 5)
+    w = WeightVector(unit(rng, 5), normalized=True)
+    m = majorizer_diag(w)
+    short_m = MajorizerDiag(np.zeros(4), 0.0)
+    calls = {
+        "solve_weight_system-template":
+            lambda: solve_weight_system(steering, v, u, 1.0, other_d, m, params),
+        "solve_weight_system-majorizer":
+            lambda: solve_weight_system(steering, v, u, 1.0, d, short_m, params),
+        "update_w-template": lambda: update_w(steering, v, u, 1.0, other_d, m, params),
+        "update_w-majorizer": lambda: update_w(steering, v, u, 1.0, d, short_m, params),
+        "majorizer_value-short_diag": lambda: majorizer_value(w, short_m),
+        "majorizer_value-short_w":
+            lambda: majorizer_value(WeightVector(unit(rng, 4), normalized=True), m),
+        "update_v-template": lambda: update_v(steering, w.values, u, 1.0, other_d, params),
+        "objective_value-template": lambda: objective_value(steering, w, 1.0, other_d, params),
+        "augmented_lagrangian-template":
+            lambda: augmented_lagrangian(AdmmState(1.0, v, w, u), steering, other_d, params),
+        "augmented_lagrangian-u":
+            lambda: augmented_lagrangian(AdmmState(1.0, v, w, u[:4]), steering, d, params),
+        "data_fit_gram-x": lambda: data_fit_gram(steering, v[:4], 0.2),
+    }
+    with pytest.raises(ContractError):
+        calls[call]()

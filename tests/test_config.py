@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from beamsparse import (
+    AngleGrid,
     ConfigurationError,
+    ContractError,
     ExperimentConfig,
     MainlobeSpec,
     SolverParams,
+    WeightVector,
+    build_template,
+    cardinality,
     config_to_dict,
     parse_config,
+    peak_sidelobe_db,
     serialize_config,
 )
 from beamsparse.arrays import MAX_MATRIX_ENTRIES
@@ -252,3 +258,28 @@ def test_solve_size_budget_boundary(n_elements, grid, accepted):
     else:
         with pytest.raises(ConfigurationError, match=f"n_elements {n_elements} "):
             parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e-300, 0.5, 1 - 1e-16, 1.0, np.nan, -1.0, np.inf])
+def test_config_and_cardinality_share_the_threshold_rule(threshold):
+    lobes = (MainlobeSpec(22.0, 28.0, 1000.0),)
+    w = WeightVector(np.array([1.0, 0.0], complex))
+    if 0 < threshold < 1:
+        assert ExperimentConfig(mainlobes=lobes, cardinality_threshold=threshold)
+        assert cardinality(w, threshold) == 1
+        return
+    with pytest.raises(ConfigurationError, match="cardinality_threshold"):
+        ExperimentConfig(mainlobes=lobes, cardinality_threshold=threshold)
+    with pytest.raises(ContractError, match="cardinality_threshold"):
+        cardinality(w, threshold)
+
+
+@pytest.mark.parametrize(
+    "lobe", [MainlobeSpec(-90.0, 90.0), MainlobeSpec(0.2, 0.8)], ids=["all_mainlobe", "no_mainlobe"]
+)
+def test_config_and_peak_sidelobe_share_the_region_rule(lobe):
+    with pytest.raises(ConfigurationError, match="mainlobes"):
+        ExperimentConfig(mainlobes=(lobe,))
+    mask = build_template(AngleGrid.uniform(-90.0, 90.0, 1.0), [lobe]).mainlobe_mask
+    with pytest.raises(ContractError, match="mainlobes"):
+        peak_sidelobe_db(np.ones(mask.size), mask)
