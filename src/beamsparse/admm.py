@@ -120,7 +120,7 @@ class AdmmState:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration trace row."""
+    """Per-iteration trace row; ``trace.csv`` has one column per field, in this order."""
 
     iter: int
     objective: float
@@ -132,8 +132,7 @@ class IterationRecord:
 
 
 def _require_template(steering: SteeringSet, d: DesiredPattern):
-    if d.count != steering.n_angles:
-        raise ContractError("template length does not match the angle grid")
+    _as_vector(d.values, steering.n_angles, "template", float)
 
 
 def _template_energy(d: DesiredPattern) -> float:
@@ -154,9 +153,7 @@ def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
 
 def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     """Least-squares template scale: argmin over real alpha of sum |r_k - alpha d_k|^2."""
-    r = np.asarray(r)
-    if r.shape != d.values.shape:
-        raise ContractError("inner products and template sizes differ")
+    r = _as_vector(r, d.count, "inner products")
     return _alpha(r, d, _template_energy(d))
 
 
@@ -292,7 +289,8 @@ def solve_weight_system(
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
-    _as_vector(m.diag, n, "majorizer diagonal")
+    # a non-finite diagonal is left to the block solve, which reports it as a NumericalError
+    _as_vector(m.diag, n, "majorizer diagonal", float, finite=False)
     c = _steer_products(steering, v)
     return _w_system(steering, c, np.abs(c) ** 2, v, u, alpha, d, m.diag, params)
 
@@ -431,11 +429,10 @@ def solve(
     dd = _template_energy(d)
 
     state = init if init is not None else initial_state(steering, params)
-    n = steering.n_elements
-    if state.w.n_elements != n or np.shape(state.v) != (n,) or np.shape(state.u) != (n,):
-        raise ContractError("initial state does not match the array size")
-    if not _state_is_finite(state):
-        raise ContractError("initial state contains non-finite values")
+    for name, x in (("initial v", state.v), ("initial w", state.w.values), ("initial u", state.u)):
+        _as_vector(x, steering.n_elements, name)
+    if not math.isfinite(state.alpha):
+        raise ContractError("initial alpha is non-finite")
 
     # One pass per iterate: c_w = A^H w and the powers of w serve its trace row
     # and the next sweep's alpha, v block and majorizer; c_v = A^H v, taken for

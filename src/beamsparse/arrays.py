@@ -34,10 +34,13 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
+def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
+    """The vector rule of every public argument: length n and, unless told not to, finite."""
+    x = np.asarray(x, dtype=dtype)
     if x.shape != (n,):
-        raise ContractError(f"{name} must be a complex vector of length {n}, got shape {x.shape}")
+        raise ContractError(f"{name} must be a vector of length {n}, got array size {x.shape}")
+    if finite and not np.isfinite(x).all():
+        raise ContractError(f"{name} holds non-finite values")
     return x
 
 

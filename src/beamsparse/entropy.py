@@ -59,8 +59,8 @@ def entropy(w: WeightVector) -> float:
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
     """Gradient of -sum p log p, elementwise -log(max(p, floor)) - 1."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise ContractError("powers must be nonnegative")
+    if not np.all((p >= 0) & (p < np.inf)):
+        raise ContractError("powers must be finite and nonnegative")
     return _majorizer_diag(p)
 
 
@@ -88,5 +88,5 @@ def majorizer_diag(w_anchor: WeightVector) -> MajorizerDiag:
 
 def majorizer_value(w: WeightVector, m: MajorizerDiag) -> float:
     """Evaluate the tangent bound at unit-power weights w."""
-    _as_vector(m.diag, w.n_elements, "majorizer diagonal")
+    _as_vector(m.diag, w.n_elements, "majorizer diagonal", float)
     return float(m.diag @ _unit_powers(w)) + m.constant

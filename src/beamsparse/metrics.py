@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import WeightVector
+from .arrays import WeightVector, _as_vector
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -54,6 +54,7 @@ def _require_both_regions(mask: np.ndarray):
 def cardinality(w: WeightVector, rel_threshold: float = _SELECTION_THRESHOLD) -> int:
     """Number of selected elements: powers above rel_threshold * max power."""
     _require_threshold(rel_threshold)
+    _as_vector(w.values, w.n_elements, "w")  # a NaN weight would select nothing
     p = w.powers()
     return int(np.count_nonzero(p > rel_threshold * p.max()))
 
@@ -64,9 +65,7 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     10*log10( sum (P_k - alpha*d_k)^2 / sum (alpha*d_k)^2 ), floored at
     ``DB_FLOOR`` for an exact match.
     """
-    pattern = np.asarray(pattern, dtype=float)
-    if pattern.shape != d.values.shape:
-        raise ContractError("pattern and template sizes differ")
+    pattern = _as_vector(pattern, d.count, "pattern", float)
     return _matching_db(*_scaled_fit(pattern, alpha, d))
 
 
@@ -87,10 +86,8 @@ def _matching_db(scaled: np.ndarray, fit: float) -> float:
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
     """Highest sidelobe power relative to the mainlobe peak, in dB."""
-    pattern = np.asarray(pattern, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if pattern.shape != mask.shape:
-        raise ContractError("pattern and mask sizes differ")
+    mask = _as_vector(mask, np.size(pattern), "mask", bool)
+    pattern = _as_vector(pattern, mask.size, "pattern", float)
     _require_both_regions(mask)
     main_peak = float(pattern[mask].max())
     side_peak = float(pattern[~mask].max())
@@ -101,7 +98,10 @@ def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Final metrics of a solver run plus the full per-iteration trace."""
+    """Final metrics of a solver run plus the full per-iteration trace.
+
+    ``summary.json`` has one key per field except ``trace``.
+    """
 
     cardinality: int
     matching_error_db: float

@@ -5,9 +5,9 @@ Each run writes four artifacts into the configured output directory:
 * ``weights.csv``      n,re,im,mag,power_db                 (N rows)
 * ``beampattern.csv``  theta_deg,power,power_db,desired_scaled  (K rows,
   power_db normalized so the pattern peak is 0 dB)
-* ``trace.csv``        iter,objective,lagrangian,primal_residual,alpha,
-  matching_error_db,w_change                                (iterations+1 rows)
-* ``summary.json``     final metrics plus the resolved config
+* ``trace.csv``        one column per ``IterationRecord`` field  (iterations+1 rows)
+* ``summary.json``     ``schema_version``, one key per ``RunReport`` field
+  except the trace, and the resolved ``config``
 
 Numbers are rendered with ``repr`` so identical runs produce byte-identical
 CSV files on the same platform. The reported runtime covers the solver loop
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +36,6 @@ WEIGHTS_FILE = "weights.csv"
 BEAMPATTERN_FILE = "beampattern.csv"
 TRACE_FILE = "trace.csv"
 SUMMARY_FILE = "summary.json"
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -76,15 +74,23 @@ def _ensure_dir(path: str | Path) -> Path:
     return out
 
 
-def _write_trace(path: Path, trace: list[IterationRecord]):
-    rows = ["iter,objective,lagrangian,primal_residual,alpha,matching_error_db,w_change"]
-    for rec in trace:
-        rows.append(
-            f"{rec.iter},{_fmt(rec.objective)},{_fmt(rec.lagrangian)},"
-            f"{_fmt(rec.primal_residual)},{_fmt(rec.alpha)},"
-            f"{_fmt(rec.matching_error_db)},{_fmt(rec.w_change)}"
-        )
+def _write_csv(path: Path, columns: dict[str, list | np.ndarray]):
+    """A header of column names, then one row per entry.
+
+    A column is a list of Python numbers or an array, which ``tolist`` turns
+    into one; ``repr`` then writes ints as is and floats exactly.
+    """
+    cells = [
+        map(repr, col.tolist() if isinstance(col, np.ndarray) else col)
+        for col in columns.values()
+    ]
+    rows = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _write_trace(path: Path, trace: list[IterationRecord]):
+    names = [f.name for f in fields(IterationRecord)]
+    _write_csv(path, {name: list(map(attrgetter(name), trace)) for name in names})
 
 
 def write_outputs(
@@ -95,41 +101,25 @@ def write_outputs(
 ) -> None:
     """Write the four run artifacts into ``cfg.output_dir``."""
     out = _ensure_dir(cfg.output_dir)
-    grid = cfg.grid
-
     values = w.values
-    powers_db = _db(w.powers())
-    rows = ["n,re,im,mag,power_db"]
-    for n in range(values.size):
-        rows.append(
-            f"{n},{_fmt(values[n].real)},{_fmt(values[n].imag)},"
-            f"{_fmt(np.abs(values[n]))},{_fmt(powers_db[n])}"
-        )
-    (out / WEIGHTS_FILE).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
+    _write_csv(out / WEIGHTS_FILE, {
+        "n": np.arange(values.size),
+        "re": values.real,
+        "im": values.imag,
+        "mag": np.abs(values),
+        "power_db": _db(w.powers()),
+    })
     pattern = np.asarray(pattern, dtype=float)
-    pattern_db = _db(pattern / max(float(pattern.max()), _RATIO_FLOOR))
-    scaled = report.final_alpha * cfg.template.values
-    rows = ["theta_deg,power,power_db,desired_scaled"]
-    for k in range(grid.count):
-        rows.append(
-            f"{_fmt(grid.angles_deg[k])},{_fmt(pattern[k])},"
-            f"{_fmt(pattern_db[k])},{_fmt(scaled[k])}"
-        )
-    (out / BEAMPATTERN_FILE).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
+    _write_csv(out / BEAMPATTERN_FILE, {
+        "theta_deg": cfg.grid.angles_deg,
+        "power": pattern,
+        "power_db": _db(pattern / max(float(pattern.max()), _RATIO_FLOOR)),
+        "desired_scaled": report.final_alpha * cfg.template.values,
+    })
     _write_trace(out / TRACE_FILE, report.trace)
 
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "cardinality": report.cardinality,
-        "matching_error_db": report.matching_error_db,
-        "peak_sidelobe_db": report.peak_sidelobe_db,
-        "runtime_seconds": report.runtime_seconds,
-        "iterations": report.iterations,
-        "final_alpha": report.final_alpha,
-        "config": config_to_dict(cfg),
-    }
+    metrics = {f.name: getattr(report, f.name) for f in fields(RunReport) if f.name != "trace"}
+    summary = {"schema_version": SCHEMA_VERSION, **metrics, "config": config_to_dict(cfg)}
     (out / SUMMARY_FILE).write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

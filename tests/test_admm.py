@@ -20,14 +20,17 @@ from beamsparse import (
     augmented_lagrangian,
     beampattern,
     build_steering_set,
+    cardinality,
     converged,
     entropy,
+    entropy_gradient,
     inner_products,
     load_config,
     majorizer_diag,
     majorizer_value,
     matching_error_db,
     objective_value,
+    peak_sidelobe_db,
     solve,
     solve_weight_system,
     update_alpha,
@@ -746,6 +749,53 @@ def test_missized_input_raises_contract_error(call):
         "augmented_lagrangian-u":
             lambda: augmented_lagrangian(AdmmState(1.0, v, w, u[:4]), steering, d, params),
         "data_fit_gram-x": lambda: data_fit_gram(steering, v[:4], 0.2),
+    }
+    with pytest.raises(ContractError):
+        calls[call]()
+
+
+NON_FINITE_CALLS = [
+    "inner_products-w",
+    "update_alpha-r",
+    "update_dual-u",
+    "data_fit_gram-x",
+    "beampattern-w",
+    "matching_error_db-pattern",
+    "peak_sidelobe_db-pattern",
+    "entropy_gradient-nan",
+    "entropy_gradient-inf",
+    "cardinality-w",
+]
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_input_raises_contract_error(call):
+    # N = 5 elements on a 7-angle grid; each call gets one input with a NaN
+    # (or inf) entry, which would otherwise come back as a NaN result
+    rng = np.random.default_rng(71)
+    steering, d = random_instance(rng)
+    v = unit(rng, 5)
+    w = WeightVector(unit(rng, 5), normalized=True)
+    pattern = beampattern(steering, w)
+    r = inner_products(steering, w.values, v)
+
+    def poisoned(x, value=np.nan):
+        x = np.array(x)
+        x[2] = value
+        return x
+
+    calls = {
+        "inner_products-w": lambda: inner_products(steering, poisoned(w.values), v),
+        "update_alpha-r": lambda: update_alpha(poisoned(r), d),
+        "update_dual-u": lambda: update_dual(poisoned(v), w.values, v),
+        "data_fit_gram-x": lambda: data_fit_gram(steering, poisoned(v), 0.2),
+        "beampattern-w": lambda: beampattern(steering, WeightVector(poisoned(w.values))),
+        "matching_error_db-pattern": lambda: matching_error_db(poisoned(pattern), 1.0, d),
+        "peak_sidelobe_db-pattern":
+            lambda: peak_sidelobe_db(poisoned(pattern), d.mainlobe_mask),
+        "entropy_gradient-nan": lambda: entropy_gradient(poisoned(w.powers())),
+        "entropy_gradient-inf": lambda: entropy_gradient(poisoned(w.powers(), np.inf)),
+        "cardinality-w": lambda: cardinality(WeightVector(poisoned(w.values))),
     }
     with pytest.raises(ContractError):
         calls[call]()

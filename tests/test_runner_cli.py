@@ -1,11 +1,20 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import beamsparse.runner as runner_mod
-from beamsparse import DivergenceError, IterationRecord, converged, load_config, run_experiment
+from beamsparse import (
+    DivergenceError,
+    IterationRecord,
+    RunReport,
+    converged,
+    load_config,
+    run_experiment,
+)
 from beamsparse.cli import main as cli_main
+from beamsparse.metrics import _db
 
 FAST_DOC = {
     "n_elements": 8,
@@ -183,3 +192,55 @@ def test_run_builds_steering_set_once(fast_config_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "build_steering_set", counting)
     run_experiment(load_config(fast_config_path))
     assert len(calls) == 1
+
+
+def test_artifacts_render_their_record_types(fast_config_path, tmp_path, monkeypatch):
+    # each CSV cell parses back to exactly the value it was written from, the
+    # trace columns are the IterationRecord fields and the summary's metric
+    # keys are the RunReport fields
+    written = {}
+    real = runner_mod.write_outputs
+
+    def capturing(report, cfg, w, pattern):
+        written.update(cfg=cfg, w=w, pattern=pattern)
+        real(report, cfg, w, pattern)
+
+    monkeypatch.setattr(runner_mod, "write_outputs", capturing)
+    report = run_experiment(load_config(fast_config_path))
+    cfg, values, pattern = written["cfg"], written["w"].values, written["pattern"]
+    out = tmp_path / "out"
+
+    def assert_exact(rows, columns):
+        assert len(rows) == len(columns[0])
+        for row in rows:
+            assert len(row) == len(columns)
+        for j, column in enumerate(columns):
+            assert [float(row[j]) for row in rows] == list(column)
+
+    def assert_integers(rows, expected):
+        assert [row[0] for row in rows] == [str(int(x)) for x in expected]
+
+    header, rows = read_csv(out / "trace.csv")
+    names = [f.name for f in fields(IterationRecord)]
+    assert header == names
+    assert_integers(rows, [rec.iter for rec in report.trace])
+    assert_exact(rows, [[getattr(rec, name) for rec in report.trace] for name in names])
+
+    _, rows = read_csv(out / "weights.csv")
+    assert_integers(rows, range(cfg.n_elements))
+    assert_exact(rows, [
+        range(cfg.n_elements), values.real, values.imag, np.abs(values),
+        _db(np.abs(values) ** 2),
+    ])
+
+    _, rows = read_csv(out / "beampattern.csv")
+    assert_exact(rows, [
+        cfg.grid.angles_deg, pattern, _db(pattern / pattern.max()),
+        report.final_alpha * cfg.template.values,
+    ])
+
+    summary = json.loads((out / "summary.json").read_text())
+    metrics = {f.name for f in fields(RunReport)} - {"trace"}
+    assert set(summary) == metrics | {"schema_version", "config"}
+    for name in metrics:
+        assert summary[name] == getattr(report, name)
