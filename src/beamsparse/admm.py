@@ -18,14 +18,18 @@ w = v, scaled dual u), and each sweep performs, in order:
 5. dual ascent on u.
 
 The sweep repeats until the weight change drops below ``eta`` or the
-iteration budget runs out. The v and w blocks solve one Hermitian positive
-definite system with their own diagonal and right-hand side (the w system
-needs rho > 2 because the majorizer diagonal is bounded below by -1 on the
-sphere), in one kernel. Its data-fit matrix lam * sum_k |a_k^H x|^2 a_k a_k^H
-is Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector
-from a uniform linear array as a phase ramp: the kernel builds the matrix,
-and the right-hand side, from one K x N steering product c = A^H x, gathers
-it in Fortran order and solves it in place with one LAPACK posv call.
+iteration budget runs out. Both blocks solve a Hermitian positive definite
+system whose data-fit matrix G = lam * sum_k |a_k^H x|^2 a_k a_k^H is
+Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector from
+a uniform linear array as a phase ramp; its first column, and the
+right-hand side, come from one K x N steering product c = A^H x. The v
+block adds rho/2 to G's diagonal, which keeps it Toeplitz, and solves it by
+one Levinson recursion on the column in O(N^2) without forming the matrix.
+The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
+along the diagonal, so its matrix is not Toeplitz: it is gathered in
+Fortran order and solved in place by Cholesky, in one LAPACK posv call (it
+is positive definite only for rho > 2, because the majorizer diagonal is
+bounded below by -1 on the sphere).
 
 ``solve`` checks its inputs once, on entry, and then computes each
 intermediate once per iterate, on private kernels that take it as an
@@ -53,12 +57,17 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+# Levinson solve of a Toeplitz system: the kernel of scipy.linalg.solve_toeplitz, without
+# its argument checks and batching. It is private to scipy, so a test pins it to that function.
+from scipy.linalg._solve_toeplitz import levinson as _levinson
+
 from .arrays import (
     SteeringSet,
     WeightVector,
     _as_vector,
     _is_integer,
     _readonly,
+    _require_finite,
     _steer_products,
     beampattern,
     project_unit_sphere,
@@ -132,7 +141,8 @@ class IterationRecord:
 
 
 def _require_template(steering: SteeringSet, d: DesiredPattern):
-    _as_vector(d.values, steering.n_angles, "template", float)
+    # the length only: DesiredPattern itself rejects non-finite values
+    _as_vector(d.values, steering.n_angles, "template", float, finite=False)
 
 
 def _template_energy(d: DesiredPattern) -> float:
@@ -175,17 +185,23 @@ def _toeplitz_index(n: int) -> np.ndarray:
     return _readonly((n - 1) + k[None, :] - k[:, None])
 
 
-def _toeplitz_gram(steering: SteeringSet, power: np.ndarray, lam: float) -> np.ndarray:
-    """lam * sum_k power_k a_k a_k^H, for the pattern power = |A^H x|^2.
+def _toeplitz_diagonals(steering: SteeringSet, power: np.ndarray, lam: float) -> np.ndarray:
+    """[conj(col[n-1:0:-1]), col] for G = lam * sum_k power_k a_k a_k^H, power = |A^H x|^2.
 
-    Every steering vector is a phase ramp a_k[n] = z_k^n, so entry (m, n) is
-    lam * sum_k power_k z_k^(m - n): a Hermitian Toeplitz matrix whose first
-    column is lam * A^T power (Golub & Van Loan, Matrix Computations, 4.7).
-    The matrix is returned in Fortran order, which LAPACK factors in place.
+    Every steering vector is a phase ramp a_k[n] = z_k^n, so entry (m, n) of G
+    is lam * sum_k power_k z_k^(m - n): a Hermitian Toeplitz matrix whose first
+    column is col = lam * A^T power (Golub & Van Loan, Matrix Computations,
+    4.7). Entry n - 1 + i - j of the result is entry (i, j) of G, and entry
+    n - 1 is its diagonal.
     """
     col = lam * (steering.vectors.T @ power)
     n = col.shape[0]
-    return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))[_toeplitz_index(n)].T
+    return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))
+
+
+def _toeplitz_gram(steering: SteeringSet, power: np.ndarray, lam: float) -> np.ndarray:
+    """G = lam * sum_k power_k a_k a_k^H in Fortran order, which LAPACK factors in place."""
+    return _toeplitz_diagonals(steering, power, lam)[_toeplitz_index(steering.n_elements)].T
 
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
@@ -194,32 +210,15 @@ def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarra
     return _toeplitz_gram(steering, np.abs(_steer_products(steering, x)) ** 2, lam)
 
 
-def _solve_block(
-    steering: SteeringSet,
-    c: np.ndarray,
-    power: np.ndarray,
-    alpha: float,
-    d: DesiredPattern,
-    lam: float,
-    diag: float | np.ndarray,
+def _block_rhs(
+    steering: SteeringSet, c: np.ndarray, alpha: float, d: DesiredPattern, lam: float,
     target: np.ndarray,
 ) -> np.ndarray:
-    """Solve one block: (G + diag(diag)) y = lam * alpha * sum_k d_k (a_k^H x) a_k + target.
+    """lam * alpha * sum_k d_k (a_k^H x) a_k + target, from c = A^H x."""
+    return lam * alpha * (steering.vectors.T @ (d.values * c)) + target
 
-    G = lam * sum_k |a_k^H x|^2 a_k a_k^H is the data-fit Hessian at x; both
-    G and the data-fit right-hand side come from the steering products
-    c = A^H x and their powers |c|^2. The Hermitian positive definite system
-    is solved in place by Cholesky, in one LAPACK posv call.
-    """
-    matrix = _toeplitz_gram(steering, power, lam)
-    matrix.flat[:: target.size + 1] += diag
-    rhs = lam * alpha * (steering.vectors.T @ (d.values * c)) + target
-    _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise NumericalError(
-            f"matrix is not positive definite: leading minor {info} fails" if info > 0
-            else f"Cholesky solve rejected argument {-info} (posv)"
-        )
+
+def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
     if not np.isfinite(solution).all():
         raise NumericalError("linear solve produced non-finite entries")
     return solution
@@ -235,9 +234,54 @@ def _v_block(
     d: DesiredPattern,
     params: SolverParams,
 ) -> np.ndarray:
-    """update_v without its checks, from c = A^H w and power = |c|^2."""
+    """update_v without its checks, from c = A^H w and power = |c|^2.
+
+    Solves (G + (rho/2) I) v = lam * alpha * sum_k d_k (a_k^H w) a_k + (rho/2)(w + u)
+    by one Levinson recursion on the Toeplitz diagonals of the matrix.
+    """
     half_rho = params.rho / 2.0
-    return _solve_block(steering, c, power, alpha, d, params.lam, half_rho, half_rho * (w + u))
+    diagonals = _toeplitz_diagonals(steering, power, params.lam)
+    diagonals[steering.n_elements - 1] += half_rho
+    rhs = _block_rhs(steering, c, alpha, d, params.lam, half_rho * (w + u))
+    # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
+    # and the inputs are checked finite where they enter, so the system is Hermitian
+    # positive definite by construction. Levinson's reflection coefficients could not
+    # serve as the check, since an indefinite system can keep them all within the unit disk.
+    try:
+        solution, _ = _levinson(diagonals, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Levinson solve failed: {exc}") from exc
+    return _require_finite_solution(solution)
+
+
+def _solve_block(
+    steering: SteeringSet,
+    c: np.ndarray,
+    power: np.ndarray,
+    alpha: float,
+    d: DesiredPattern,
+    lam: float,
+    diag: np.ndarray,
+    target: np.ndarray,
+) -> np.ndarray:
+    """Solve (G + diag(diag)) y = lam * alpha * sum_k d_k (a_k^H x) a_k + target.
+
+    G = lam * sum_k |a_k^H x|^2 a_k a_k^H is the data-fit Hessian at x; both
+    G and the data-fit right-hand side come from the steering products
+    c = A^H x and their powers |c|^2. The shifted matrix is not Toeplitz, so
+    the Hermitian positive definite system is solved in place by Cholesky, in
+    one LAPACK posv call.
+    """
+    matrix = _toeplitz_gram(steering, power, lam)
+    matrix.flat[:: target.size + 1] += diag
+    rhs = _block_rhs(steering, c, alpha, d, lam, target)
+    _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise NumericalError(
+            f"matrix is not positive definite: leading minor {info} fails" if info > 0
+            else f"Cholesky solve rejected argument {-info} (posv)"
+        )
+    return _require_finite_solution(solution)
 
 
 def _w_system(
@@ -323,6 +367,7 @@ def objective_value(
 ) -> float:
     """Value of the joint objective at (w, alpha)."""
     _require_template(steering, d)
+    _require_finite(alpha, "alpha")
     _, fit = _scaled_fit(beampattern(steering, w), alpha, d)
     return params.lam * fit + entropy(w)
 
@@ -342,6 +387,7 @@ def augmented_lagrangian(
     """
     _require_template(steering, d)
     u = _as_vector(state.u, steering.n_elements, "u")
+    _require_finite(state.alpha, "alpha")
     r = inner_products(steering, state.w.values, state.v)
     sparsity = entropy(state.w) if majorizer is None else majorizer_value(state.w, majorizer)
     gap = state.w.values - state.v + u
@@ -431,8 +477,7 @@ def solve(
     state = init if init is not None else initial_state(steering, params)
     for name, x in (("initial v", state.v), ("initial w", state.w.values), ("initial u", state.u)):
         _as_vector(x, steering.n_elements, name)
-    if not math.isfinite(state.alpha):
-        raise ContractError("initial alpha is non-finite")
+    _require_finite(state.alpha, "initial alpha")
 
     # One pass per iterate: c_w = A^H w and the powers of w serve its trace row
     # and the next sweep's alpha, v block and majorizer; c_v = A^H v, taken for

@@ -8,6 +8,7 @@ per-angle map with no cross-angle reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,12 @@ def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.n
     if finite and not np.isfinite(x).all():
         raise ContractError(f"{name} holds non-finite values")
     return x
+
+
+def _require_finite(x: float, name: str):
+    """The scalar rule of every public argument that the vector rule does not cover."""
+    if not math.isfinite(x):
+        raise ContractError(f"{name} is non-finite, got {x}")
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,10 @@ class ExperimentConfig:
 def _as_number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{key} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # JSON integers are unbounded
+        raise ConfigurationError(f"{key} is an integer too large for a float") from None
 
 
 def _parse_lobe(index: int, raw) -> MainlobeSpec:
@@ -110,6 +113,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigurationError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
 

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import WeightVector, _as_vector, _readonly, _require_unit_power
+from .arrays import (
+    WeightVector,
+    _as_vector,
+    _readonly,
+    _require_finite,
+    _require_unit_power,
+)
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
@@ -89,4 +95,5 @@ def majorizer_diag(w_anchor: WeightVector) -> MajorizerDiag:
 def majorizer_value(w: WeightVector, m: MajorizerDiag) -> float:
     """Evaluate the tangent bound at unit-power weights w."""
     _as_vector(m.diag, w.n_elements, "majorizer diagonal", float)
+    _require_finite(m.constant, "majorizer constant")
     return float(m.diag @ _unit_powers(w)) + m.constant

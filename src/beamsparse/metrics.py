@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import WeightVector, _as_vector
+from .arrays import WeightVector, _as_vector, _require_finite
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -66,6 +66,7 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     ``DB_FLOOR`` for an exact match.
     """
     pattern = _as_vector(pattern, d.count, "pattern", float)
+    _require_finite(alpha, "alpha")
     return _matching_db(*_scaled_fit(pattern, alpha, d))
 
 

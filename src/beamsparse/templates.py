@@ -41,6 +41,8 @@ class DesiredPattern:
         mask = np.asarray(self.mainlobe_mask, dtype=bool)
         if values.ndim != 1 or values.shape != mask.shape:
             raise ContractError("template values and mask must be 1-D and equally sized")
+        if not np.isfinite(values).all():
+            raise ContractError("template holds non-finite values")
         if np.any(values[mask] <= 0):
             raise ContractError("template values must be positive on the mainlobe mask")
         object.__setattr__(self, "values", _readonly(values))

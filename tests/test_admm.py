@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import beamsparse.admm as admm_mod
 from beamsparse import (
@@ -12,6 +13,7 @@ from beamsparse import (
     DegenerateInputError,
     DesiredPattern,
     DivergenceError,
+    MainlobeSpec,
     MajorizerDiag,
     NumericalError,
     POWER_FLOOR,
@@ -20,6 +22,7 @@ from beamsparse import (
     augmented_lagrangian,
     beampattern,
     build_steering_set,
+    build_template,
     cardinality,
     converged,
     entropy,
@@ -626,6 +629,57 @@ class TestFactorizationFailure:
         assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
 
 
+class TestLevinsonVBlock:
+    """The v block solves its Toeplitz system by Levinson recursion, not by a dense factorization."""
+
+    @pytest.mark.parametrize("n,step", [(30, 1.0), (256, 0.25)])
+    def test_matches_a_dense_solve(self, n, step):
+        # K = 181 and K = 721 angles
+        rng = np.random.default_rng(54)
+        grid = AngleGrid.uniform(-90, 90, step)
+        steering = build_steering_set(ArrayGeometry(n), grid)
+        d = build_template(grid, [MainlobeSpec(22, 28)])
+        params = SolverParams(lam=0.1, rho=30.0)
+        w, u, alpha = unit(rng, n), 0.1 * random_complex(rng, n), 0.8
+        v = update_v(steering, w, u, alpha, d, params)
+        matrix = data_fit_gram(steering, w, params.lam) + (params.rho / 2) * np.eye(n)
+        c = steering.vectors.conj() @ w
+        rhs = params.lam * alpha * ((d.values * c) @ steering.vectors) + (params.rho / 2) * (w + u)
+        dense = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(v - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_kernel_is_the_public_toeplitz_solve_bit_for_bit(self):
+        # the kernel is private to scipy; a change to it must fail here, not in a solve
+        rng = np.random.default_rng(55)
+        steering, _ = random_instance(rng, n=9, k=40)
+        power = np.abs(steering.vectors.conj() @ unit(rng, 9)) ** 2
+        diagonals = admm_mod._toeplitz_diagonals(steering, power, 0.3)
+        diagonals[8] += 2.5
+        col = diagonals[8:]
+        assert np.linalg.eigvalsh(scipy.linalg.toeplitz(col)).min() > 0
+        b = random_complex(rng, 9)
+        solution, _ = admm_mod._levinson(diagonals, b)
+        assert np.array_equal(solution, scipy.linalg.solve_toeplitz(col, b))
+
+    def test_solve_failure_ends_in_divergence_with_partial_trace(self, monkeypatch):
+        rng = np.random.default_rng(56)
+        steering, d = random_instance(rng)
+        calls = {"count": 0}
+        real_levinson = admm_mod._levinson
+
+        def singular(*args):
+            calls["count"] += 1
+            if calls["count"] == 3:
+                raise np.linalg.LinAlgError("Singular principal minor")
+            return real_levinson(*args)
+
+        monkeypatch.setattr(admm_mod, "_levinson", singular)
+        with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
+            solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
+        assert isinstance(excinfo.value.__cause__, NumericalError)
+        assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
+
+
 def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     """solve equals a loop written from the public blocks, exactly, in w, alpha and every row."""
     w_solve, alpha_solve, trace = solve(steering, d, params, init=init)
@@ -705,6 +759,24 @@ def test_each_sweep_takes_two_steering_products(monkeypatch):
     assert calls["count"] == 2 + 2 * 12
 
 
+def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
+    # the w block gathers and factors its matrix; the v block solves from the diagonals
+    rng = np.random.default_rng(53)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
+    calls = {"count": 0}
+    real_toeplitz_gram = admm_mod._toeplitz_gram
+
+    def counted(*args):
+        calls["count"] += 1
+        return real_toeplitz_gram(*args)
+
+    monkeypatch.setattr(admm_mod, "_toeplitz_gram", counted)
+    _, _, trace = solve(steering, d, params)
+    assert len(trace) == 13
+    assert calls["count"] == 12
+
+
 MISSIZED_CALLS = [
     "solve_weight_system-template",
     "solve_weight_system-majorizer",
@@ -765,17 +837,24 @@ NON_FINITE_CALLS = [
     "entropy_gradient-nan",
     "entropy_gradient-inf",
     "cardinality-w",
+    "matching_error_db-alpha",
+    "objective_value-alpha",
+    "augmented_lagrangian-alpha",
+    "majorizer_value-constant",
 ]
 
 
 @pytest.mark.parametrize("call", NON_FINITE_CALLS)
 def test_non_finite_input_raises_contract_error(call):
     # N = 5 elements on a 7-angle grid; each call gets one input with a NaN
-    # (or inf) entry, which would otherwise come back as a NaN result
+    # (or inf) entry, or one NaN (or inf) scalar, which would otherwise come
+    # back as a NaN result
     rng = np.random.default_rng(71)
     steering, d = random_instance(rng)
+    params = SolverParams(lam=0.2, rho=5.0)
     v = unit(rng, 5)
     w = WeightVector(unit(rng, 5), normalized=True)
+    u = np.zeros(5, complex)
     pattern = beampattern(steering, w)
     r = inner_products(steering, w.values, v)
 
@@ -796,6 +875,12 @@ def test_non_finite_input_raises_contract_error(call):
         "entropy_gradient-nan": lambda: entropy_gradient(poisoned(w.powers())),
         "entropy_gradient-inf": lambda: entropy_gradient(poisoned(w.powers(), np.inf)),
         "cardinality-w": lambda: cardinality(WeightVector(poisoned(w.values))),
+        "matching_error_db-alpha": lambda: matching_error_db(pattern, np.inf, d),
+        "objective_value-alpha": lambda: objective_value(steering, w, np.nan, d, params),
+        "augmented_lagrangian-alpha":
+            lambda: augmented_lagrangian(AdmmState(np.nan, v, w, u), steering, d, params),
+        "majorizer_value-constant":
+            lambda: majorizer_value(w, MajorizerDiag(majorizer_diag(w).diag, np.nan)),
     }
     with pytest.raises(ContractError):
         calls[call]()

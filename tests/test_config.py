@@ -182,6 +182,22 @@ def test_non_finite_grid_rejected(field, value):
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["rho", "start_deg"])
+def test_huge_integer_is_a_configuration_error(field):
+    # float() of a 401-digit integer overflows
+    doc = json.loads(MINIMAL)
+    target = doc["mainlobes"][0] if field == "start_deg" else doc
+    target[field] = 10**400
+    with pytest.raises(ConfigurationError, match=f"{field} is an integer too large"):
+        parse_config(json.dumps(doc))
+
+
+def test_integer_past_the_digit_limit_is_a_configuration_error():
+    # json.loads refuses integer literals longer than the interpreter's 4300-digit limit
+    with pytest.raises(ConfigurationError, match="invalid JSON"):
+        parse_config(MINIMAL[:-1] + ', "rho": 1' + "0" * 5000 + "}")
+
+
 def test_grid_rule_is_on_generated_angles():
     cfg = parse_config(MINIMAL[:-1] + ', "grid_stop_deg": 90.5}')
     assert cfg.grid.angles_deg[-1] == 90.0

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from beamsparse import AngleGrid, ConfigurationError, MainlobeSpec, build_template
+from beamsparse import (
+    AngleGrid,
+    ConfigurationError,
+    ContractError,
+    DesiredPattern,
+    MainlobeSpec,
+    build_template,
+)
 
 
 @pytest.fixture
@@ -98,3 +105,13 @@ def test_non_finite_levels_rejected(full_grid, level):
         MainlobeSpec(0, 5, level)
     with pytest.raises(ConfigurationError, match="sidelobe_level"):
         build_template(full_grid, [MainlobeSpec(0, 5, 1.0)], sidelobe_level=level)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_pattern_with_non_finite_values_rejected(value, where):
+    # index 0 is a sidelobe angle, index 1 a mainlobe angle
+    values = [0.0, 1.0]
+    values[where] = value
+    with pytest.raises(ContractError, match="template holds non-finite values"):
+        DesiredPattern(values, [False, True])
