@@ -33,7 +33,9 @@ bounded below by -1 on the sphere).
 
 ``solve`` checks its inputs once, on entry, and then computes each
 intermediate once per iterate, on private kernels that take it as an
-argument. A sweep takes two K x N steering products: c_w = A^H w_k feeds
+argument. Unit power of w is the entropy's rule, so ``solve`` rejects a
+non-unit initial w at entry, where it takes that w's entropy, and checks
+each projected w once, where it takes its entropy. A sweep takes two K x N steering products: c_w = A^H w_k feeds
 the alpha refresh (through r = conj(c_w) * c_v), the v block and row k of
 the trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w has one
 power vector and one entropy, shared by the majorizer and its trace row;
@@ -77,7 +79,6 @@ from .entropy import (
     _majorizer_diag,
     _powers_and_entropy,
     entropy,
-    majorizer_value,
 )
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import _matching_db, _scaled_fit
@@ -254,36 +255,6 @@ def _v_block(
     return _require_finite_solution(solution)
 
 
-def _solve_block(
-    steering: SteeringSet,
-    c: np.ndarray,
-    power: np.ndarray,
-    alpha: float,
-    d: DesiredPattern,
-    lam: float,
-    diag: np.ndarray,
-    target: np.ndarray,
-) -> np.ndarray:
-    """Solve (G + diag(diag)) y = lam * alpha * sum_k d_k (a_k^H x) a_k + target.
-
-    G = lam * sum_k |a_k^H x|^2 a_k a_k^H is the data-fit Hessian at x; both
-    G and the data-fit right-hand side come from the steering products
-    c = A^H x and their powers |c|^2. The shifted matrix is not Toeplitz, so
-    the Hermitian positive definite system is solved in place by Cholesky, in
-    one LAPACK posv call.
-    """
-    matrix = _toeplitz_gram(steering, power, lam)
-    matrix.flat[:: target.size + 1] += diag
-    rhs = _block_rhs(steering, c, alpha, d, lam, target)
-    _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
-    if info != 0:
-        raise NumericalError(
-            f"matrix is not positive definite: leading minor {info} fails" if info > 0
-            else f"Cholesky solve rejected argument {-info} (posv)"
-        )
-    return _require_finite_solution(solution)
-
-
 def _w_system(
     steering: SteeringSet,
     c: np.ndarray,
@@ -295,11 +266,24 @@ def _w_system(
     diag: np.ndarray,
     params: SolverParams,
 ) -> np.ndarray:
-    """solve_weight_system without its checks, from c = A^H v, power = |c|^2 and m.diag."""
+    """solve_weight_system without its checks, from c = A^H v, power = |c|^2 and m.diag.
+
+    Solves (G + diag(diag) + (rho/2) I) w = lam * alpha * sum_k d_k (a_k^H v) a_k
+    + (rho/2)(v - u). The majorizer diagonal makes the matrix non-Toeplitz, so
+    the Hermitian positive definite system is gathered and solved in place by
+    Cholesky, in one LAPACK posv call.
+    """
     half_rho = params.rho / 2.0
-    return _solve_block(
-        steering, c, power, alpha, d, params.lam, diag + half_rho, half_rho * (v - u)
-    )
+    matrix = _toeplitz_gram(steering, power, params.lam)
+    matrix.flat[:: steering.n_elements + 1] += diag + half_rho
+    rhs = _block_rhs(steering, c, alpha, d, params.lam, half_rho * (v - u))
+    _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
+    if info != 0:
+        raise NumericalError(
+            f"matrix is not positive definite: leading minor {info} fails" if info > 0
+            else f"Cholesky solve rejected argument {-info} (posv)"
+        )
+    return _require_finite_solution(solution)
 
 
 def update_v(
@@ -377,21 +361,14 @@ def augmented_lagrangian(
     steering: SteeringSet,
     d: DesiredPattern,
     params: SolverParams,
-    majorizer: Optional[MajorizerDiag] = None,
 ) -> float:
-    """Scaled-dual augmented Lagrangian at the given state.
-
-    Uses the true entropy term; pass ``majorizer`` to evaluate the surrogate
-    bound instead (useful for checking that the majorized sweep objective
-    dominates the exact one).
-    """
+    """Scaled-dual augmented Lagrangian at the given state, with the exact entropy term."""
     _require_template(steering, d)
     u = _as_vector(state.u, steering.n_elements, "u")
     _require_finite(state.alpha, "alpha")
     r = inner_products(steering, state.w.values, state.v)
-    sparsity = entropy(state.w) if majorizer is None else majorizer_value(state.w, majorizer)
     gap = state.w.values - state.v + u
-    return _lagrangian(r - state.alpha * d.values, gap, sparsity, params)
+    return _lagrangian(r - state.alpha * d.values, gap, entropy(state.w), params)
 
 
 def _lagrangian(
@@ -414,7 +391,7 @@ def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
 
     v0 = draw()
     w0 = draw()
-    return AdmmState(alpha=1.0, v=v0, w=WeightVector(w0, normalized=True), u=np.zeros(n, complex))
+    return AdmmState(alpha=1.0, v=v0, w=WeightVector(w0), u=np.zeros(n, complex))
 
 
 def _trace_row(

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError
 
-#: Bound on | ||w||^2 - 1 | for vectors flagged as normalized.
-UNIT_NORM_TOL = 1e-12
-
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
 
@@ -72,8 +69,13 @@ class ArrayGeometry:
             raise ContractError("n_elements must be an integer")
         if self.n_elements < 2:
             raise ContractError(f"n_elements must be >= 2, got {self.n_elements}")
-        if not 0 < self.spacing_ratio < np.inf:
-            raise ContractError(f"spacing_ratio must be finite and > 0, got {self.spacing_ratio}")
+        # plain floats: an overflowing phase is inf, with no numpy warning
+        phase = 2.0 * math.pi * float(self.spacing_ratio) * (int(self.n_elements) - 1)
+        if not (self.spacing_ratio > 0 and math.isfinite(phase)):
+            raise ContractError(
+                "spacing_ratio must be > 0 with a finite steering phase "
+                f"2*pi*spacing_ratio*(n_elements - 1), got {self.spacing_ratio}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,17 +168,17 @@ class SteeringSet:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Complex element weights, optionally flagged as unit-power."""
+    """Complex element weights of any scale.
+
+    The entropy functions require unit total power; ``unit`` projects onto it.
+    """
 
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         if values.ndim != 1 or values.size == 0:
             raise ContractError("weight vector must be a non-empty 1-D sequence")
-        if self.normalized:
-            _require_unit_power(float(np.real(np.vdot(values, values))))
         object.__setattr__(self, "values", _readonly(values))
 
     @property
@@ -189,14 +191,8 @@ class WeightVector:
 
     @classmethod
     def unit(cls, values: np.ndarray) -> "WeightVector":
-        """Project onto the unit sphere and flag the result as normalized."""
-        return cls(project_unit_sphere(np.asarray(values, dtype=complex)), normalized=True)
-
-
-def _require_unit_power(power: float):
-    """Reject a total power |w|^2 farther than ``UNIT_NORM_TOL`` from 1 (NaN fails)."""
-    if not abs(power - 1.0) <= UNIT_NORM_TOL:
-        raise ContractError(f"weights must have unit total power, got {power!r}")
+        """Weights projected onto the unit sphere."""
+        return cls(project_unit_sphere(np.asarray(values, dtype=complex)))
 
 
 def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:

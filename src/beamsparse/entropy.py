@@ -17,6 +17,10 @@ refreshes this bound once per iteration and minimizes it in place of f.
 Powers below ``POWER_FLOOR`` are clamped inside the log so the bound stays
 finite when elements are driven to exact zero; such entries contribute
 nothing to the entropy value itself.
+
+This module owns the unit-power rule: every function here that takes weights
+rejects a total power farther than ``UNIT_NORM_TOL`` from 1 with
+``ContractError``, in the one place that forms the powers.
 """
 
 from __future__ import annotations
@@ -25,22 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (
-    WeightVector,
-    _as_vector,
-    _readonly,
-    _require_finite,
-    _require_unit_power,
-)
+from .arrays import WeightVector, _as_vector, _readonly, _require_finite
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
 POWER_FLOOR = 1e-12
 
+#: Bound on | ||w||^2 - 1 | for the weights the entropy functions accept.
+UNIT_NORM_TOL = 1e-12
+
 
 def _unit_powers(w: WeightVector) -> np.ndarray:
+    """Powers |w_n|^2, rejecting a total farther than ``UNIT_NORM_TOL`` from 1 (NaN fails)."""
     p = w.powers()
-    _require_unit_power(float(p.sum()))
+    power = float(p.sum())
+    if not abs(power - 1.0) <= UNIT_NORM_TOL:
+        raise ContractError(f"weights must have unit total power, got {power!r}")
     return p
 
 

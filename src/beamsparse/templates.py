@@ -43,6 +43,10 @@ class DesiredPattern:
             raise ContractError("template values and mask must be 1-D and equally sized")
         if not np.isfinite(values).all():
             raise ContractError("template holds non-finite values")
+        with np.errstate(over="ignore"):
+            energy = float(values @ values)
+        if not energy < np.inf:
+            raise ContractError("template energy d^T d overflows a float")
         if np.any(values[mask] <= 0):
             raise ContractError("template values must be positive on the mainlobe mask")
         object.__setattr__(self, "values", _readonly(values))

@@ -130,7 +130,7 @@ class TestBeampattern:
         steering = build_steering_set(ArrayGeometry(6), AngleGrid.uniform(-90, 90, 5.0))
         one_hot = np.zeros(6, complex)
         one_hot[0] = 1.0
-        pattern = beampattern(steering, WeightVector(one_hot, normalized=True))
+        pattern = beampattern(steering, WeightVector(one_hot))
         np.testing.assert_allclose(pattern, 1.0, atol=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -189,14 +189,14 @@ class TestProjection:
 
 
 class TestWeightVector:
-    def test_normalized_flag_enforced(self):
-        with pytest.raises(ContractError):
-            WeightVector(np.array([1.0, 1.0], dtype=complex), normalized=True)
-
     def test_unit_constructor(self):
         w = WeightVector.unit(np.array([3.0, 4.0]))
-        assert w.normalized
         assert float(w.powers().sum()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 0.0]]], ids=["empty", "2-D"])
+    def test_rejects_empty_or_2d_values(self, values):
+        with pytest.raises(ContractError, match="non-empty 1-D"):
+            WeightVector(np.array(values, dtype=complex))
 
     def test_values_are_read_only(self):
         w = WeightVector(np.ones(3, complex))
@@ -213,6 +213,15 @@ def test_rejects_non_finite_grid(angles):
 def test_rejects_non_finite_spacing():
     with pytest.raises(ContractError):
         ArrayGeometry(4, spacing_ratio=np.inf)
+
+
+@pytest.mark.parametrize("n_elements", [30, np.int64(30)])
+def test_spacing_must_keep_the_steering_phase_finite(n_elements):
+    # 2*pi*29*9.8e305 is about 1.79e308, just inside the float range; 1e306 is past it
+    steering = build_steering_set(ArrayGeometry(n_elements, 9.8e305), AngleGrid.uniform(-90, 90, 1.0))
+    assert np.isfinite(steering.vectors).all()
+    with pytest.raises(ContractError, match="steering phase"):
+        ArrayGeometry(n_elements, 1e306)
 
 
 def test_long_wide_array_is_a_phase_ramp():

@@ -101,6 +101,20 @@ def test_unknown_lobe_field_rejected():
         parse_config('{"mainlobes": [{"start_deg": 0, "end_deg": 5, "width": 3}]}')
 
 
+@pytest.mark.parametrize(
+    "mainlobes,message",
+    [
+        ("[5]", r"mainlobes\[0\] must be an object"),
+        ('[{"start_deg": 0}]', "missing 'end_deg'"),
+        ('{"start_deg": 0, "end_deg": 5}', "mainlobes must be a list"),
+    ],
+    ids=["not_an_object", "missing_end", "not_a_list"],
+)
+def test_malformed_mainlobes_are_named(mainlobes, message):
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config('{"mainlobes": %s}' % mainlobes)
+
+
 def test_type_errors_name_the_field():
     with pytest.raises(ConfigurationError, match="n_elements"):
         parse_config(MINIMAL[:-1] + ', "n_elements": 8.5}')
@@ -117,6 +131,7 @@ def test_type_errors_name_the_field():
     [
         ("n_elements", 1, "n_elements"),
         ("spacing_ratio", 0.0, "spacing_ratio"),
+        ("spacing_ratio", 1e308, "spacing_ratio"),
         ("grid_step_deg", -1.0, "grid_step_deg"),
         ("eta", 0.0, "eta"),
         ("max_iters", -5, "max_iters"),
@@ -158,6 +173,8 @@ def test_with_overrides_revalidates():
 def test_direct_construction_validates():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(mainlobes=())
+    with pytest.raises(ConfigurationError, match="MainlobeSpec"):
+        ExperimentConfig(mainlobes=({"start_deg": 0.0, "end_deg": 5.0},))
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
@@ -189,6 +206,15 @@ def test_huge_integer_is_a_configuration_error(field):
     target = doc["mainlobes"][0] if field == "start_deg" else doc
     target[field] = 10**400
     with pytest.raises(ConfigurationError, match=f"{field} is an integer too large"):
+        parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [("level", 1e160), ("sidelobe_level", 1e300)])
+def test_template_energy_overflow_is_a_configuration_error(field, value):
+    doc = json.loads(MINIMAL)
+    target = doc["mainlobes"][0] if field == "level" else doc
+    target[field] = value
+    with pytest.raises(ConfigurationError, match="template energy"):
         parse_config(json.dumps(doc))
 
 

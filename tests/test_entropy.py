@@ -30,13 +30,13 @@ def neg_plogp(p: np.ndarray) -> float:
 
 class TestEntropyValue:
     def test_uniform_power_is_log_n(self):
-        w = WeightVector(0.5 * np.ones(4, complex), normalized=True)
+        w = WeightVector(0.5 * np.ones(4, complex))
         assert entropy(w) == pytest.approx(1.3862943611198906, abs=1e-12)
 
     def test_one_hot_is_zero(self):
         values = np.zeros(5, complex)
         values[2] = 1j
-        assert entropy(WeightVector(values, normalized=True)) == 0.0
+        assert entropy(WeightVector(values)) == 0.0
 
     def test_half_half(self):
         w = WeightVector(np.array([np.sqrt(0.5), np.sqrt(0.5) * 1j, 0.0, 0.0]))
@@ -96,7 +96,7 @@ class TestMajorizer:
     def test_one_hot_anchor(self):
         values = np.zeros(3, complex)
         values[0] = 1.0
-        m = majorizer_diag(WeightVector(values, normalized=True))
+        m = majorizer_diag(WeightVector(values))
         assert m.diag[0] == pytest.approx(-1.0, abs=1e-14)
         # dead elements take the clamped slope
         np.testing.assert_allclose(m.diag[1:], 26.631021115928547, atol=1e-10)
@@ -119,7 +119,7 @@ class TestMajorizer:
             assert majorizer_value(w, m) >= entropy(w) - 1e-9
 
     def test_zero_majorizer_evaluates_to_zero(self):
-        w = WeightVector(np.array([1.0 + 0j, 0.0]), normalized=True)
+        w = WeightVector(np.array([1.0 + 0j, 0.0]))
         assert majorizer_value(w, MajorizerDiag(np.zeros(2), 0.0)) == 0.0
 
     def test_requires_unit_power(self):
@@ -127,10 +127,8 @@ class TestMajorizer:
             majorizer_diag(WeightVector(2.0 * np.ones(2, complex)))
 
 
-def test_unit_power_rule_matches_weight_vector():
+def test_unit_power_rule_rejects_just_past_tolerance():
     values = np.array([np.sqrt(0.5 + 5e-10), np.sqrt(0.5)], dtype=complex)
-    with pytest.raises(ContractError):
-        WeightVector(values, normalized=True)
     with pytest.raises(ContractError):
         entropy(WeightVector(values))
     with pytest.raises(ContractError):

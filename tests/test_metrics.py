@@ -115,6 +115,10 @@ class TestPeakSidelobe:
             want = 10 * np.log10(side / main)
             assert peak_sidelobe_db(pattern, mask) == pytest.approx(want, abs=1e-10)
 
+    def test_rejects_mainlobe_without_power(self):
+        with pytest.raises(DegenerateInputError, match="mainlobe region carries no power"):
+            peak_sidelobe_db(np.array([0.0, 1.0]), np.array([True, False]))
+
     def test_rejects_single_region_masks(self):
         with pytest.raises(ContractError):
             peak_sidelobe_db(np.ones(4), np.ones(4, bool))

@@ -107,6 +107,21 @@ def test_non_finite_levels_rejected(full_grid, level):
         build_template(full_grid, [MainlobeSpec(0, 5, 1.0)], sidelobe_level=level)
 
 
+@pytest.mark.parametrize(
+    "values,mask,message",
+    [
+        ([0.0, 1.0], [True], "equally sized"),
+        ([0.0, 1.0], [True, False], "positive on the mainlobe"),
+        ([0.0, 1e160], [False, True], "template energy"),
+        ([1e300, 1.0], [False, True], "template energy"),
+    ],
+    ids=["mask_shape", "zero_mainlobe", "mainlobe_energy_overflow", "sidelobe_energy_overflow"],
+)
+def test_malformed_pattern_rejected(values, mask, message):
+    with pytest.raises(ContractError, match=message):
+        DesiredPattern(values, mask)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 1])
 def test_pattern_with_non_finite_values_rejected(value, where):
