@@ -28,7 +28,6 @@ from .arrays import (
     AngleGrid,
     ArrayGeometry,
     SteeringSet,
-    WeightVector,
     beampattern,
     build_steering_set,
     project_unit_sphere,
@@ -76,7 +75,6 @@ __all__ = [
     "RunReport",
     "SolverParams",
     "SteeringSet",
-    "WeightVector",
     "augmented_lagrangian",
     "beampattern",
     "build_steering_set",

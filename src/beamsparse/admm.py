@@ -31,19 +31,20 @@ Fortran order and solved in place by Cholesky, in one LAPACK posv call (it
 is positive definite only for rho > 2, because the majorizer diagonal is
 bounded below by -1 on the sphere).
 
-``solve`` checks its inputs once, on entry, and then computes each
-intermediate once per iterate, on private kernels that take it as an
-argument. Unit power of w is the entropy's rule, so ``solve`` rejects a
-non-unit initial w at entry, where it takes that w's entropy, and checks
-each projected w once, where it takes its entropy. A sweep takes two K x N steering products: c_w = A^H w_k feeds
-the alpha refresh (through r = conj(c_w) * c_v), the v block and row k of
-the trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w has one
-power vector and one entropy, shared by the majorizer and its trace row;
-each row forms one pattern residual for the objective and the matching
+Weights, like v and u, are plain 1-D complex arrays. ``solve`` checks its
+inputs once, on entry, and then computes each intermediate once per
+iterate, on private kernels that take it as an argument. Unit power of w is
+the entropy's rule, so ``solve`` rejects a non-unit initial w at entry,
+where it takes that w's entropy, and checks each projected w once, where it
+takes its entropy. A sweep takes two K x N steering products: c_w = A^H w_k
+feeds the alpha refresh (through r = conj(c_w) * c_v), the v block and row
+k of the trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w
+has one power vector and one entropy, shared by the majorizer and its trace
+row; each row forms one pattern residual for the objective and the matching
 error, and one w - v serves the dual step, the primal residual and the
-Lagrangian. The public blocks (``update_alpha``, ``update_v``,
-``update_w`` and the rest) check their inputs and call the same kernels, so
-composing them reproduces ``solve`` bit for bit.
+Lagrangian. The public blocks (``update_alpha``, ``update_v``, ``update_w``
+and the rest) check their inputs and call the same kernels, so composing
+them reproduces ``solve`` bit for bit.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -52,7 +53,7 @@ mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -65,7 +66,6 @@ from scipy.linalg._solve_toeplitz import levinson as _levinson
 
 from .arrays import (
     SteeringSet,
-    WeightVector,
     _as_vector,
     _is_integer,
     _readonly,
@@ -123,7 +123,7 @@ class AdmmState:
 
     alpha: float
     v: np.ndarray
-    w: WeightVector
+    w: np.ndarray
     u: np.ndarray
     iter: int = 0
 
@@ -331,9 +331,9 @@ def update_w(
     d: DesiredPattern,
     m: MajorizerDiag,
     params: SolverParams,
-) -> WeightVector:
+) -> np.ndarray:
     """Majorized w block: exact unconstrained solve, then sphere projection."""
-    return WeightVector.unit(solve_weight_system(steering, v, u, alpha, d, m, params))
+    return project_unit_sphere(solve_weight_system(steering, v, u, alpha, d, m, params))
 
 
 def update_dual(u, w, v) -> np.ndarray:
@@ -344,7 +344,7 @@ def update_dual(u, w, v) -> np.ndarray:
 
 def objective_value(
     steering: SteeringSet,
-    w: WeightVector,
+    w: np.ndarray,
     alpha: float,
     d: DesiredPattern,
     params: SolverParams,
@@ -364,11 +364,12 @@ def augmented_lagrangian(
 ) -> float:
     """Scaled-dual augmented Lagrangian at the given state, with the exact entropy term."""
     _require_template(steering, d)
+    w = _as_vector(state.w, steering.n_elements, "w")
     u = _as_vector(state.u, steering.n_elements, "u")
     _require_finite(state.alpha, "alpha")
-    r = inner_products(steering, state.w.values, state.v)
-    gap = state.w.values - state.v + u
-    return _lagrangian(r - state.alpha * d.values, gap, entropy(state.w), params)
+    r = inner_products(steering, w, state.v)
+    gap = w - state.v + u
+    return _lagrangian(r - state.alpha * d.values, gap, entropy(w), params)
 
 
 def _lagrangian(
@@ -391,7 +392,7 @@ def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
 
     v0 = draw()
     w0 = draw()
-    return AdmmState(alpha=1.0, v=v0, w=WeightVector(w0), u=np.zeros(n, complex))
+    return AdmmState(alpha=1.0, v=v0, w=w0, u=np.zeros(n, complex))
 
 
 def _trace_row(
@@ -424,7 +425,7 @@ def _trace_row(
 
 def _state_is_finite(state: AdmmState) -> bool:
     return math.isfinite(state.alpha) and bool(
-        np.isfinite(np.concatenate((state.v, state.w.values, state.u))).all()
+        np.isfinite(np.concatenate((state.v, state.w, state.u))).all()
     )
 
 
@@ -434,7 +435,7 @@ def solve(
     params: SolverParams,
     init: Optional[AdmmState] = None,
     observer: Optional[Callable[[AdmmState], None]] = None,
-) -> tuple[WeightVector, float, list[IterationRecord]]:
+) -> tuple[np.ndarray, float, list[IterationRecord]]:
     """Run the full solver loop.
 
     Returns the final unit-norm weights, the final template scale, and the
@@ -452,33 +453,38 @@ def solve(
     dd = _template_energy(d)
 
     state = init if init is not None else initial_state(steering, params)
-    for name, x in (("initial v", state.v), ("initial w", state.w.values), ("initial u", state.u)):
-        _as_vector(x, steering.n_elements, name)
+    n = steering.n_elements
+    state = replace(
+        state,
+        v=_as_vector(state.v, n, "initial v"),
+        w=_as_vector(state.w, n, "initial w"),
+        u=_as_vector(state.u, n, "initial u"),
+    )
     _require_finite(state.alpha, "initial alpha")
 
     # One pass per iterate: c_w = A^H w and the powers of w serve its trace row
     # and the next sweep's alpha, v block and majorizer; c_v = A^H v, taken for
     # the w block, serves the trace row of the state that block produces.
-    c_w = _steer_products(steering, state.w.values)
+    c_w = _steer_products(steering, state.w)
     c_v = _steer_products(steering, state.v)
     pattern = np.abs(c_w) ** 2
     powers, sparsity = _powers_and_entropy(state.w)
     r = np.conj(c_w) * c_v
-    trace = [_trace_row(state, pattern, r, state.w.values - state.v, sparsity, d, params, 0.0)]
+    trace = [_trace_row(state, pattern, r, state.w - state.v, sparsity, d, params, 0.0)]
     for _ in range(params.max_iters):
         try:
             alpha = _alpha(r, d, dd)
-            v = _v_block(steering, c_w, pattern, state.w.values, state.u, alpha, d, params)
+            v = _v_block(steering, c_w, pattern, state.w, state.u, alpha, d, params)
             c_v = _steer_products(steering, v)
             diag = _majorizer_diag(powers)
             w_hat = _w_system(steering, c_v, np.abs(c_v) ** 2, v, state.u, alpha, d, diag, params)
-            w = WeightVector.unit(w_hat)
-            wv = w.values - v
+            w = project_unit_sphere(w_hat)
+            wv = w - v
             swept = AdmmState(alpha=alpha, v=v, w=w, u=state.u + wv, iter=state.iter + 1)
             if not _state_is_finite(swept):
                 raise NumericalError("iterates turned non-finite")
-            w_change = float(np.linalg.norm(w.values - state.w.values))
-            c_w = _steer_products(steering, w.values)
+            w_change = float(np.linalg.norm(w - state.w))
+            c_w = _steer_products(steering, w)
             pattern = np.abs(c_w) ** 2
             powers, sparsity = _powers_and_entropy(w)
             r = np.conj(c_w) * c_v

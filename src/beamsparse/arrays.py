@@ -33,8 +33,11 @@ def _is_integer(x) -> bool:
 
 
 def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
-    """The vector rule of every public argument: length n and, unless told not to, finite."""
+    """The vector rule of every public argument: non-empty, length n and, unless told
+    not to, finite. A caller with no length to hold x to passes np.size(x)."""
     x = np.asarray(x, dtype=dtype)
+    if x.size == 0:
+        raise ContractError(f"{name} is empty")
     if x.shape != (n,):
         raise ContractError(f"{name} must be a vector of length {n}, got array size {x.shape}")
     if finite and not np.isfinite(x).all():
@@ -166,35 +169,6 @@ class SteeringSet:
         return self.geometry.n_elements
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Complex element weights of any scale.
-
-    The entropy functions require unit total power; ``unit`` projects onto it.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or values.size == 0:
-            raise ContractError("weight vector must be a non-empty 1-D sequence")
-        object.__setattr__(self, "values", _readonly(values))
-
-    @property
-    def n_elements(self) -> int:
-        return self.values.size
-
-    def powers(self) -> np.ndarray:
-        """Per-element powers |w_n|^2."""
-        return np.abs(self.values) ** 2
-
-    @classmethod
-    def unit(cls, values: np.ndarray) -> "WeightVector":
-        """Weights projected onto the unit sphere."""
-        return cls(project_unit_sphere(np.asarray(values, dtype=complex)))
-
-
 def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
     """Steering vector of the array toward a single direction.
 
@@ -224,14 +198,14 @@ def _steer_products(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
     return np.conj(steering.vectors @ np.conj(x))
 
 
-def beampattern(steering: SteeringSet, w: WeightVector) -> np.ndarray:
+def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
     """Radiated power versus angle, |a(theta_k)^H w|^2 for every grid angle.
 
     Uses the rank-1 structure of the angle quadratic form, so the cost is
     O(N) per angle and the result is exactly real and nonnegative.
     """
-    values = _as_vector(w.values, steering.n_elements, "w")
-    return np.abs(_steer_products(steering, values)) ** 2
+    w = _as_vector(w, steering.n_elements, "w")
+    return np.abs(_steer_products(steering, w)) ** 2
 
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import WeightVector, _as_vector, _readonly, _require_finite
+from .arrays import _as_vector, _readonly, _require_finite
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
@@ -39,16 +39,16 @@ POWER_FLOOR = 1e-12
 UNIT_NORM_TOL = 1e-12
 
 
-def _unit_powers(w: WeightVector) -> np.ndarray:
+def _unit_powers(w: np.ndarray) -> np.ndarray:
     """Powers |w_n|^2, rejecting a total farther than ``UNIT_NORM_TOL`` from 1 (NaN fails)."""
-    p = w.powers()
+    p = np.abs(w) ** 2
     power = float(p.sum())
     if not abs(power - 1.0) <= UNIT_NORM_TOL:
         raise ContractError(f"weights must have unit total power, got {power!r}")
     return p
 
 
-def _powers_and_entropy(w: WeightVector) -> tuple[np.ndarray, float]:
+def _powers_and_entropy(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Powers of unit-power weights and their entropy, from one power vector."""
     p = _unit_powers(w)
     # entries below the floor contribute zero (the 0*log 0 convention)
@@ -61,9 +61,9 @@ def _majorizer_diag(p: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p, POWER_FLOOR)) - 1.0
 
 
-def entropy(w: WeightVector) -> float:
+def entropy(w: np.ndarray) -> float:
     """Shannon entropy of the element-power distribution, in [0, log N]."""
-    return _powers_and_entropy(w)[1]
+    return _powers_and_entropy(_as_vector(w, np.size(w), "w"))[1]
 
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
@@ -89,15 +89,16 @@ class MajorizerDiag:
         object.__setattr__(self, "diag", _readonly(np.asarray(self.diag, dtype=float)))
 
 
-def majorizer_diag(w_anchor: WeightVector) -> MajorizerDiag:
+def majorizer_diag(w_anchor: np.ndarray) -> MajorizerDiag:
     """Build the tangent bound of the entropy at the anchor weights."""
-    p, value = _powers_and_entropy(w_anchor)
+    p, value = _powers_and_entropy(_as_vector(w_anchor, np.size(w_anchor), "w"))
     grad = _majorizer_diag(p)
     return MajorizerDiag(grad, value - float(grad @ p))
 
 
-def majorizer_value(w: WeightVector, m: MajorizerDiag) -> float:
+def majorizer_value(w: np.ndarray, m: MajorizerDiag) -> float:
     """Evaluate the tangent bound at unit-power weights w."""
-    _as_vector(m.diag, w.n_elements, "majorizer diagonal", float)
+    w = _as_vector(w, np.size(w), "w")
+    _as_vector(m.diag, w.size, "majorizer diagonal", float)
     _require_finite(m.constant, "majorizer constant")
     return float(m.diag @ _unit_powers(w)) + m.constant

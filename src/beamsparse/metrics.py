@@ -13,12 +13,13 @@ choices of this tool, documented in the README):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import WeightVector, _as_vector, _require_finite
+from .arrays import _as_vector, _require_finite
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -51,11 +52,10 @@ def _require_both_regions(mask: np.ndarray):
         raise ContractError("mainlobes must cover some grid angles but not all of them")
 
 
-def cardinality(w: WeightVector, rel_threshold: float = _SELECTION_THRESHOLD) -> int:
+def cardinality(w: np.ndarray, rel_threshold: float = _SELECTION_THRESHOLD) -> int:
     """Number of selected elements: powers above rel_threshold * max power."""
     _require_threshold(rel_threshold)
-    _as_vector(w.values, w.n_elements, "w")  # a NaN weight would select nothing
-    p = w.powers()
+    p = np.abs(_as_vector(w, np.size(w), "w")) ** 2  # a NaN weight would select nothing
     return int(np.count_nonzero(p > rel_threshold * p.max()))
 
 
@@ -67,7 +67,15 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     """
     pattern = _as_vector(pattern, d.count, "pattern", float)
     _require_finite(alpha, "alpha")
-    return _matching_db(*_scaled_fit(pattern, alpha, d))
+    # finite inputs can still overflow a sum of squares. The solver's trace rows skip
+    # this check: there w has unit norm, so P_k <= N, and alpha * d is the projection
+    # of Re r onto d, so neither sum can overflow.
+    with np.errstate(over="ignore"):
+        scaled, fit = _scaled_fit(pattern, alpha, d)
+        energy = float(scaled @ scaled)
+    if not (math.isfinite(fit) and math.isfinite(energy)):
+        raise ContractError("the squared pattern residual or scaled template energy overflows")
+    return _matching_db(scaled, fit)
 
 
 def _scaled_fit(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> tuple[np.ndarray, float]:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm import IterationRecord, solve
-from .arrays import WeightVector, beampattern, build_steering_set
+from .arrays import _as_vector, beampattern, build_steering_set
 from .config import ExperimentConfig, config_to_dict
 from .errors import DivergenceError
 from .metrics import _RATIO_FLOOR, RunReport, _db, cardinality, matching_error_db, peak_sidelobe_db
@@ -96,18 +96,18 @@ def _write_trace(path: Path, trace: list[IterationRecord]):
 def write_outputs(
     report: RunReport,
     cfg: ExperimentConfig,
-    w: WeightVector,
+    w: np.ndarray,
     pattern: np.ndarray,
 ) -> None:
     """Write the four run artifacts into ``cfg.output_dir``."""
+    w = _as_vector(w, np.size(w), "w", finite=False)
     out = _ensure_dir(cfg.output_dir)
-    values = w.values
     _write_csv(out / WEIGHTS_FILE, {
-        "n": np.arange(values.size),
-        "re": values.real,
-        "im": values.imag,
-        "mag": np.abs(values),
-        "power_db": _db(w.powers()),
+        "n": np.arange(w.size),
+        "re": w.real,
+        "im": w.imag,
+        "mag": np.abs(w),
+        "power_db": _db(np.abs(w) ** 2),
     })
     pattern = np.asarray(pattern, dtype=float)
     _write_csv(out / BEAMPATTERN_FILE, {

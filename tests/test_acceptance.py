@@ -19,7 +19,6 @@ from beamsparse import (
     DesiredPattern,
     MainlobeSpec,
     SolverParams,
-    WeightVector,
     beampattern,
     build_steering_set,
     build_template,
@@ -152,7 +151,7 @@ def test_criterion_4_entropy_bound_suite(capfd):
         def unit_weights(n, min_power):
             p = rng.standard_normal(n) ** 2 + min_power
             p /= p.sum()
-            return WeightVector(np.sqrt(p) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+            return np.sqrt(p) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
 
         for _ in range(1000):
             n = int(rng.integers(2, 16))
@@ -222,7 +221,7 @@ def test_criterion_5_block_optimality_oracles(capfd):
             # bilinear samples and pattern against dense quadratic forms
             dense_r = np.array([w.conj() @ A @ v_in for A in mats])
             np.testing.assert_allclose(r, dense_r, atol=1e-10, rtol=0)
-            pattern = beampattern(steering, WeightVector(w))
+            pattern = beampattern(steering, w)
             dense_p = np.array([float(np.real(w.conj() @ A @ w)) for A in mats])
             np.testing.assert_allclose(pattern, dense_p, atol=1e-10, rtol=0)
 
@@ -238,7 +237,7 @@ def test_criterion_5_block_optimality_oracles(capfd):
             )
 
             # weight block before projection: first-order optimality
-            m = majorizer_diag(WeightVector(w))
+            m = majorizer_diag(w)
             w_hat = solve_weight_system(steering, v_in, u, alpha_in, d, m, params)
             gram_w = params.lam * sum(A @ np.outer(v_in, v_in.conj()) @ A.conj().T for A in mats)
             rhs_w = params.lam * alpha_in * sum(dk * (A @ v_in) for dk, A in zip(d.values, mats))
@@ -264,17 +263,17 @@ def test_criterion_6_feasibility_and_conditioning(capfd):
             solve(steering, template, params, observer=states.append)
 
             for state in states:
-                assert abs(np.linalg.norm(state.w.values) - 1.0) <= 1e-10
+                assert abs(np.linalg.norm(state.w) - 1.0) <= 1e-10
 
             # consensus violation must not grow over the run
-            first_gap = float(np.linalg.norm(states[0].w.values - states[0].v))
-            last_gap = float(np.linalg.norm(states[-1].w.values - states[-1].v))
+            first_gap = float(np.linalg.norm(states[0].w - states[0].v))
+            last_gap = float(np.linalg.norm(states[-1].w - states[-1].v))
             assert last_gap <= first_gap
 
             n = steering.n_elements
             for t in range(25, len(states), 25):
                 prev, cur = states[t - 1], states[t]
-                aux_system = data_fit_gram(steering, prev.w.values, params.lam)
+                aux_system = data_fit_gram(steering, prev.w, params.lam)
                 aux_system[np.diag_indices(n)] += params.rho / 2
                 weight_system = data_fit_gram(steering, cur.v, params.lam)
                 weight_system[np.diag_indices(n)] += (

@@ -18,7 +18,6 @@ from beamsparse import (
     NumericalError,
     POWER_FLOOR,
     SolverParams,
-    WeightVector,
     augmented_lagrangian,
     beampattern,
     build_steering_set,
@@ -34,6 +33,7 @@ from beamsparse import (
     matching_error_db,
     objective_value,
     peak_sidelobe_db,
+    project_unit_sphere,
     solve,
     solve_weight_system,
     update_alpha,
@@ -201,14 +201,14 @@ class TestUpdateW:
         v, u = random_complex(rng, 5), 0.3 * random_complex(rng, 5)
         m = MajorizerDiag(np.zeros(5), 0.0)
         w = update_w(steering, v, u, 0.9, d, m, params)
-        np.testing.assert_allclose(w.values, (v - u) / np.linalg.norm(v - u), atol=1e-12)
+        np.testing.assert_allclose(w, (v - u) / np.linalg.norm(v - u), atol=1e-12)
 
     def test_first_order_optimality_dense(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             steering, d = random_instance(rng)
             params = SolverParams(lam=float(rng.uniform(0.05, 2.0)), rho=float(rng.uniform(2.5, 40)))
-            anchor = WeightVector(unit(rng, 5))
+            anchor = unit(rng, 5)
             m = majorizer_diag(anchor)
             v, u = random_complex(rng, 5), random_complex(rng, 5)
             alpha = float(rng.uniform(-2, 2))
@@ -250,9 +250,9 @@ class TestUpdateW:
                 + (params.rho / 2) * float(np.real(np.vdot(gap, gap)))
             )
 
-        base = surrogate(w.values)
+        base = surrogate(w)
         for _ in range(100):
-            probe = w.values + 0.01 * random_complex(rng, 6)
+            probe = w + 0.01 * random_complex(rng, 6)
             probe /= np.linalg.norm(probe)
             assert base <= surrogate(probe) + 1e-12
 
@@ -260,9 +260,9 @@ class TestUpdateW:
         rng = np.random.default_rng(12)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.4, rho=7.0)
-        m = majorizer_diag(WeightVector(unit(rng, 5)))
+        m = majorizer_diag(unit(rng, 5))
         w = update_w(steering, random_complex(rng, 5), random_complex(rng, 5), 1.0, d, m, params)
-        assert abs(np.linalg.norm(w.values) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
     def test_system_matrix_stays_positive_definite(self):
         # majorizer diagonal is bounded below by -1 on the sphere, so the
@@ -272,7 +272,7 @@ class TestUpdateW:
             steering, _ = random_instance(rng)
             lam = float(rng.uniform(0.01, 1.0))
             rho = float(rng.uniform(2.1, 50.0))
-            m = majorizer_diag(WeightVector(unit(rng, 5)))
+            m = majorizer_diag(unit(rng, 5))
             matrix = data_fit_gram(steering, random_complex(rng, 5), lam)
             matrix[np.diag_indices(5)] += m.diag + rho / 2
             min_eig = float(np.linalg.eigvalsh(matrix).min())
@@ -307,7 +307,7 @@ class TestObjectiveAndLagrangian:
         params = SolverParams(lam=0.6, rho=3.0)
         one_hot = np.zeros(5, complex)
         one_hot[0] = 1.0
-        w = WeightVector(one_hot)
+        w = one_hot
         assert objective_value(steering, w, 0.0, d, params) == pytest.approx(
             params.lam * 7, abs=1e-10
         )
@@ -315,7 +315,7 @@ class TestObjectiveAndLagrangian:
     def test_perfect_match_leaves_entropy(self):
         rng = np.random.default_rng(18)
         steering, _ = random_instance(rng)
-        w = WeightVector.unit(np.ones(5, complex))
+        w = project_unit_sphere(np.ones(5, complex))
         pattern = beampattern(steering, w)
         assert np.all(pattern > 0)
         d = DesiredPattern(pattern, pattern > 0)
@@ -328,11 +328,11 @@ class TestObjectiveAndLagrangian:
         rng = np.random.default_rng(19)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.9, rho=3.0)
-        w = WeightVector(unit(rng, 5))
+        w = unit(rng, 5)
         alpha = 1.4
         mats = dense_outer_products(steering)
         total = params.lam * sum(
-            (float(np.real(w.values.conj() @ A @ w.values)) - alpha * dk) ** 2
+            (float(np.real(w.conj() @ A @ w)) - alpha * dk) ** 2
             for A, dk in zip(mats, d.values)
         ) + entropy(w)
         assert objective_value(steering, w, alpha, d, params) == pytest.approx(total, rel=1e-12)
@@ -341,8 +341,8 @@ class TestObjectiveAndLagrangian:
         rng = np.random.default_rng(20)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.8, rho=5.0)
-        w = WeightVector(unit(rng, 5))
-        state = AdmmState(alpha=1.2, v=w.values.copy(), w=w, u=np.zeros(5, complex))
+        w = unit(rng, 5)
+        state = AdmmState(alpha=1.2, v=w.copy(), w=w, u=np.zeros(5, complex))
         want = objective_value(steering, w, 1.2, d, params)
         assert augmented_lagrangian(state, steering, d, params) == pytest.approx(want, rel=1e-12)
 
@@ -350,15 +350,15 @@ class TestObjectiveAndLagrangian:
         rng = np.random.default_rng(21)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.8, rho=5.0)
-        w = WeightVector(unit(rng, 5))
+        w = unit(rng, 5)
         delta = random_complex(rng, 5)
-        consensus = AdmmState(alpha=0.7, v=w.values.copy(), w=w, u=np.zeros(5, complex))
-        shifted = AdmmState(alpha=0.7, v=w.values - delta, w=w, u=np.zeros(5, complex))
+        consensus = AdmmState(alpha=0.7, v=w.copy(), w=w, u=np.zeros(5, complex))
+        shifted = AdmmState(alpha=0.7, v=w - delta, w=w, u=np.zeros(5, complex))
         gap_energy = float(np.real(np.vdot(delta, delta)))
         base_phi = augmented_lagrangian(consensus, steering, d, params)
         got = augmented_lagrangian(shifted, steering, d, params)
         # matching term changes too, so compare against a direct evaluation
-        r = inner_products(steering, w.values, w.values - delta)
+        r = inner_products(steering, w, w - delta)
         phi = float(np.sum(np.abs(r - 0.7 * d.values) ** 2))
         want = params.lam * phi + entropy(w) + (params.rho / 2) * gap_energy
         assert got == pytest.approx(want, rel=1e-12)
@@ -368,14 +368,14 @@ class TestObjectiveAndLagrangian:
         rng = np.random.default_rng(22)
         steering, d = random_instance(rng)
         params = SolverParams(lam=1.3, rho=9.0)
-        w = WeightVector(unit(rng, 5))
+        w = unit(rng, 5)
         state = AdmmState(alpha=-0.4, v=random_complex(rng, 5), w=w, u=random_complex(rng, 5))
         mats = dense_outer_products(steering)
         phi = sum(
-            abs(w.values.conj() @ A @ state.v - state.alpha * dk) ** 2
+            abs(w.conj() @ A @ state.v - state.alpha * dk) ** 2
             for A, dk in zip(mats, d.values)
         )
-        gap = w.values - state.v + state.u
+        gap = w - state.v + state.u
         want = params.lam * float(phi) + entropy(w) + (params.rho / 2) * float(
             np.real(np.vdot(gap, gap))
         )
@@ -425,7 +425,7 @@ class TestSolve:
         params = SolverParams(lam=0.2, rho=5.0, max_iters=30)
         norms = []
         _, _, trace = solve(
-            steering, d, params, observer=lambda s: norms.append(np.linalg.norm(s.w.values))
+            steering, d, params, observer=lambda s: norms.append(np.linalg.norm(s.w))
         )
         assert [rec.iter for rec in trace] == list(range(len(trace)))
         assert all(rec.primal_residual >= 0 and rec.w_change >= 0 for rec in trace)
@@ -437,7 +437,7 @@ class TestSolve:
         params = SolverParams(lam=0.2, rho=5.0, max_iters=40, seed=123)
         w1, a1, t1 = solve(steering, d, params)
         w2, a2, t2 = solve(steering, d, params)
-        np.testing.assert_array_equal(w1.values, w2.values)
+        np.testing.assert_array_equal(w1, w2)
         assert a1 == a2
         assert t1 == t2
 
@@ -446,7 +446,7 @@ class TestSolve:
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.2, rho=5.0, max_iters=3)
         init = AdmmState(
-            alpha=1.0, v=unit(rng, 5), w=WeightVector(unit(rng, 5)), u=np.zeros(5, complex), iter=10
+            alpha=1.0, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex), iter=10
         )
         _, _, trace = solve(steering, d, params, init=init)
         assert trace[0].iter == 10
@@ -669,23 +669,23 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     state = init if init is not None else admm_mod.initial_state(steering, params)
     rows = []
     for _ in range(len(trace) - 1):
-        alpha = update_alpha(inner_products(steering, state.w.values, state.v), d)
-        v = update_v(steering, state.w.values, state.u, alpha, d, params)
+        alpha = update_alpha(inner_products(steering, state.w, state.v), d)
+        v = update_v(steering, state.w, state.u, alpha, d, params)
         m = majorizer_diag(state.w)
         w = update_w(steering, v, state.u, alpha, d, m, params)
-        u = update_dual(state.u, w.values, v)
-        w_change = float(np.linalg.norm(w.values - state.w.values))
+        u = update_dual(state.u, w, v)
+        w_change = float(np.linalg.norm(w - state.w))
         state = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
         rows.append((
             objective_value(steering, w, alpha, d, params),
             augmented_lagrangian(state, steering, d, params),
-            float(np.linalg.norm(w.values - v)),
+            float(np.linalg.norm(w - v)),
             alpha,
             matching_error_db(beampattern(steering, w), alpha, d),
             w_change,
         ))
 
-    assert np.array_equal(state.w.values, w_solve.values)
+    assert np.array_equal(state.w, w_solve)
     assert state.alpha == alpha_solve
     assert rows == [
         (r.objective, r.lagrangian, r.primal_residual, r.alpha, r.matching_error_db, r.w_change)
@@ -714,10 +714,10 @@ def test_solve_is_the_public_blocks_from_exact_zero_weights():
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=30, seed=4)
     start = admm_mod.initial_state(steering, params)
-    w = start.w.values.copy()
+    w = start.w.copy()
     w[[0, 3]] = 0.0
-    init = AdmmState(alpha=1.0, v=start.v, w=WeightVector.unit(w), u=start.u)
-    assert np.count_nonzero(init.w.powers() < POWER_FLOOR) == 2
+    init = AdmmState(alpha=1.0, v=start.v, w=project_unit_sphere(w), u=start.u)
+    assert np.count_nonzero(np.abs(init.w) ** 2 < POWER_FLOOR) == 2
     assert_solve_is_the_public_blocks(steering, d, params, init)
 
 
@@ -782,7 +782,7 @@ def test_missized_input_raises_contract_error(call):
     _, other_d = random_instance(rng, k=6)
     params = SolverParams(lam=0.2, rho=5.0)
     v, u = unit(rng, 5), 0.1 * random_complex(rng, 5)
-    w = WeightVector(unit(rng, 5))
+    w = unit(rng, 5)
     m = majorizer_diag(w)
     short_m = MajorizerDiag(np.zeros(4), 0.0)
     calls = {
@@ -794,8 +794,8 @@ def test_missized_input_raises_contract_error(call):
         "update_w-majorizer": lambda: update_w(steering, v, u, 1.0, d, short_m, params),
         "majorizer_value-short_diag": lambda: majorizer_value(w, short_m),
         "majorizer_value-short_w":
-            lambda: majorizer_value(WeightVector(unit(rng, 4)), m),
-        "update_v-template": lambda: update_v(steering, w.values, u, 1.0, other_d, params),
+            lambda: majorizer_value(unit(rng, 4), m),
+        "update_v-template": lambda: update_v(steering, w, u, 1.0, other_d, params),
         "objective_value-template": lambda: objective_value(steering, w, 1.0, other_d, params),
         "augmented_lagrangian-template":
             lambda: augmented_lagrangian(AdmmState(1.0, v, w, u), steering, other_d, params),
@@ -834,10 +834,10 @@ def test_non_finite_input_raises_contract_error(call):
     steering, d = random_instance(rng)
     params = SolverParams(lam=0.2, rho=5.0)
     v = unit(rng, 5)
-    w = WeightVector(unit(rng, 5))
+    w = unit(rng, 5)
     u = np.zeros(5, complex)
     pattern = beampattern(steering, w)
-    r = inner_products(steering, w.values, v)
+    r = inner_products(steering, w, v)
 
     def poisoned(x, value=np.nan):
         x = np.array(x)
@@ -845,23 +845,55 @@ def test_non_finite_input_raises_contract_error(call):
         return x
 
     calls = {
-        "inner_products-w": lambda: inner_products(steering, poisoned(w.values), v),
+        "inner_products-w": lambda: inner_products(steering, poisoned(w), v),
         "update_alpha-r": lambda: update_alpha(poisoned(r), d),
-        "update_dual-u": lambda: update_dual(poisoned(v), w.values, v),
+        "update_dual-u": lambda: update_dual(poisoned(v), w, v),
         "data_fit_gram-x": lambda: data_fit_gram(steering, poisoned(v), 0.2),
-        "beampattern-w": lambda: beampattern(steering, WeightVector(poisoned(w.values))),
+        "beampattern-w": lambda: beampattern(steering, poisoned(w)),
         "matching_error_db-pattern": lambda: matching_error_db(poisoned(pattern), 1.0, d),
         "peak_sidelobe_db-pattern":
             lambda: peak_sidelobe_db(poisoned(pattern), d.mainlobe_mask),
-        "entropy_gradient-nan": lambda: entropy_gradient(poisoned(w.powers())),
-        "entropy_gradient-inf": lambda: entropy_gradient(poisoned(w.powers(), np.inf)),
-        "cardinality-w": lambda: cardinality(WeightVector(poisoned(w.values))),
+        "entropy_gradient-nan": lambda: entropy_gradient(poisoned(np.abs(w) ** 2)),
+        "entropy_gradient-inf": lambda: entropy_gradient(poisoned(np.abs(w) ** 2, np.inf)),
+        "cardinality-w": lambda: cardinality(poisoned(w)),
         "matching_error_db-alpha": lambda: matching_error_db(pattern, np.inf, d),
         "objective_value-alpha": lambda: objective_value(steering, w, np.nan, d, params),
         "augmented_lagrangian-alpha":
             lambda: augmented_lagrangian(AdmmState(np.nan, v, w, u), steering, d, params),
         "majorizer_value-constant":
             lambda: majorizer_value(w, MajorizerDiag(majorizer_diag(w).diag, np.nan)),
+    }
+    with pytest.raises(ContractError):
+        calls[call]()
+
+
+MISSHAPEN_WEIGHT_CALLS = [
+    "beampattern",
+    "cardinality",
+    "entropy",
+    "majorizer_diag",
+    "majorizer_value",
+    "objective_value",
+]
+
+
+@pytest.mark.parametrize("weights", [[], [[1.0, 0.0]]], ids=["empty", "2-D"])
+@pytest.mark.parametrize("call", MISSHAPEN_WEIGHT_CALLS)
+def test_empty_or_2d_weights_raise_contract_error(call, weights):
+    # N = 2 elements, so the 2-D weights hold as many entries as the array has
+    # elements, and unit total power, in the wrong shape
+    rng = np.random.default_rng(72)
+    steering, d = random_instance(rng, n=2)
+    params = SolverParams(lam=0.2, rho=5.0)
+    w = np.array(weights, dtype=complex)
+    m = majorizer_diag(unit(rng, 2))
+    calls = {
+        "beampattern": lambda: beampattern(steering, w),
+        "cardinality": lambda: cardinality(w),
+        "entropy": lambda: entropy(w),
+        "majorizer_diag": lambda: majorizer_diag(w),
+        "majorizer_value": lambda: majorizer_value(w, m),
+        "objective_value": lambda: objective_value(steering, w, 1.0, d, params),
     }
     with pytest.raises(ContractError):
         calls[call]()

@@ -10,7 +10,6 @@ from beamsparse import (
     ExperimentConfig,
     MainlobeSpec,
     SolverParams,
-    WeightVector,
     build_template,
     cardinality,
     config_to_dict,
@@ -305,7 +304,7 @@ def test_solve_size_budget_boundary(n_elements, grid, accepted):
 @pytest.mark.parametrize("threshold", [0.0, 1e-300, 0.5, 1 - 1e-16, 1.0, np.nan, -1.0, np.inf])
 def test_config_and_cardinality_share_the_threshold_rule(threshold):
     lobes = (MainlobeSpec(22.0, 28.0, 1000.0),)
-    w = WeightVector(np.array([1.0, 0.0], complex))
+    w = np.array([1.0, 0.0], complex)
     if 0 < threshold < 1:
         assert ExperimentConfig(mainlobes=lobes, cardinality_threshold=threshold)
         assert cardinality(w, threshold) == 1

@@ -4,7 +4,6 @@ import pytest
 from beamsparse import (
     ContractError,
     MajorizerDiag,
-    WeightVector,
     entropy,
     entropy_gradient,
     majorizer_diag,
@@ -19,7 +18,7 @@ def random_unit_weights(rng, n, min_power=0.0):
     p = np.maximum(p, min_power)  # renormalization can undershoot slightly
     p /= p.sum()
     phases = rng.uniform(0, 2 * np.pi, n)
-    return WeightVector(np.sqrt(p) * np.exp(1j * phases))
+    return np.sqrt(p) * np.exp(1j * phases)
 
 
 def neg_plogp(p: np.ndarray) -> float:
@@ -30,21 +29,21 @@ def neg_plogp(p: np.ndarray) -> float:
 
 class TestEntropyValue:
     def test_uniform_power_is_log_n(self):
-        w = WeightVector(0.5 * np.ones(4, complex))
+        w = 0.5 * np.ones(4, complex)
         assert entropy(w) == pytest.approx(1.3862943611198906, abs=1e-12)
 
     def test_one_hot_is_zero(self):
         values = np.zeros(5, complex)
         values[2] = 1j
-        assert entropy(WeightVector(values)) == 0.0
+        assert entropy(values) == 0.0
 
     def test_half_half(self):
-        w = WeightVector(np.array([np.sqrt(0.5), np.sqrt(0.5) * 1j, 0.0, 0.0]))
+        w = np.array([np.sqrt(0.5), np.sqrt(0.5) * 1j, 0.0, 0.0])
         assert entropy(w) == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
-            entropy(WeightVector(np.ones(3, complex)))
+            entropy(np.ones(3, complex))
 
     def test_range_bounds(self):
         rng = np.random.default_rng(23)
@@ -88,7 +87,7 @@ class TestEntropyGradient:
 
 class TestMajorizer:
     def test_uniform_anchor_two_elements(self):
-        anchor = WeightVector(np.sqrt(0.5) * np.ones(2, complex))
+        anchor = np.sqrt(0.5) * np.ones(2, complex)
         m = majorizer_diag(anchor)
         np.testing.assert_allclose(m.diag, np.log(2) - 1, atol=1e-14)
         assert m.constant == pytest.approx(1.0, abs=1e-12)
@@ -96,7 +95,7 @@ class TestMajorizer:
     def test_one_hot_anchor(self):
         values = np.zeros(3, complex)
         values[0] = 1.0
-        m = majorizer_diag(WeightVector(values))
+        m = majorizer_diag(values)
         assert m.diag[0] == pytest.approx(-1.0, abs=1e-14)
         # dead elements take the clamped slope
         np.testing.assert_allclose(m.diag[1:], 26.631021115928547, atol=1e-10)
@@ -119,17 +118,17 @@ class TestMajorizer:
             assert majorizer_value(w, m) >= entropy(w) - 1e-9
 
     def test_zero_majorizer_evaluates_to_zero(self):
-        w = WeightVector(np.array([1.0 + 0j, 0.0]))
+        w = np.array([1.0 + 0j, 0.0])
         assert majorizer_value(w, MajorizerDiag(np.zeros(2), 0.0)) == 0.0
 
     def test_requires_unit_power(self):
         with pytest.raises(ContractError):
-            majorizer_diag(WeightVector(2.0 * np.ones(2, complex)))
+            majorizer_diag(2.0 * np.ones(2, complex))
 
 
 def test_unit_power_rule_rejects_just_past_tolerance():
     values = np.array([np.sqrt(0.5 + 5e-10), np.sqrt(0.5)], dtype=complex)
     with pytest.raises(ContractError):
-        entropy(WeightVector(values))
+        entropy(values)
     with pytest.raises(ContractError):
-        majorizer_diag(WeightVector(values))
+        majorizer_diag(values)

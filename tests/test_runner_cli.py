@@ -207,7 +207,7 @@ def test_artifacts_render_their_record_types(fast_config_path, tmp_path, monkeyp
 
     monkeypatch.setattr(runner_mod, "write_outputs", capturing)
     report = run_experiment(load_config(fast_config_path))
-    cfg, values, pattern = written["cfg"], written["w"].values, written["pattern"]
+    cfg, values, pattern = written["cfg"], written["w"], written["pattern"]
     out = tmp_path / "out"
 
     def assert_exact(rows, columns):
