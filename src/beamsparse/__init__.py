@@ -34,14 +34,7 @@ from .arrays import (
     steering_vector,
 )
 from .config import ExperimentConfig, config_to_dict, load_config, parse_config, serialize_config
-from .entropy import (
-    POWER_FLOOR,
-    MajorizerDiag,
-    entropy,
-    entropy_gradient,
-    majorizer_diag,
-    majorizer_value,
-)
+from .entropy import POWER_FLOOR, entropy, entropy_gradient, majorizer_diag, majorizer_value
 from .errors import (
     BeamsparseError,
     ConfigurationError,
@@ -69,7 +62,6 @@ __all__ = [
     "ExperimentConfig",
     "IterationRecord",
     "MainlobeSpec",
-    "MajorizerDiag",
     "NumericalError",
     "POWER_FLOOR",
     "RunReport",

@@ -31,16 +31,17 @@ Fortran order and solved in place by Cholesky, in one LAPACK posv call (it
 is positive definite only for rho > 2, because the majorizer diagonal is
 bounded below by -1 on the sphere).
 
-Weights, like v and u, are plain 1-D complex arrays. ``solve`` checks its
-inputs once, on entry, and then computes each intermediate once per
-iterate, on private kernels that take it as an argument. Unit power of w is
-the entropy's rule, so ``solve`` rejects a non-unit initial w at entry,
-where it takes that w's entropy, and checks each projected w once, where it
-takes its entropy. A sweep takes two K x N steering products: c_w = A^H w_k
-feeds the alpha refresh (through r = conj(c_w) * c_v), the v block and row
-k of the trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w
-has one power vector and one entropy, shared by the majorizer and its trace
-row; each row forms one pattern residual for the objective and the matching
+Weights, like v and u, are plain 1-D complex arrays, and the majorizer is
+its real diagonal (``entropy.majorizer_diag``). ``solve`` checks its inputs
+once, on entry, and then computes each intermediate once per iterate, on
+private kernels that take it as an argument. Unit power of w is the
+entropy's rule, so ``solve`` rejects a non-unit initial w at entry, where it
+takes that w's entropy, and checks each projected w once, where it takes its
+entropy. A sweep takes two K x N steering products: c_w = A^H w_k feeds the
+alpha refresh (through r = conj(c_w) * c_v), the v block and row k of the
+trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w has one
+power vector and one entropy, shared by the majorizer and its trace row;
+each row forms one pattern residual for the objective and the matching
 error, and one w - v serves the dual step, the primal residual and the
 Lagrangian. The public blocks (``update_alpha``, ``update_v``, ``update_w``
 and the rest) check their inputs and call the same kernels, so composing
@@ -74,12 +75,7 @@ from .arrays import (
     beampattern,
     project_unit_sphere,
 )
-from .entropy import (
-    MajorizerDiag,
-    _majorizer_diag,
-    _powers_and_entropy,
-    entropy,
-)
+from .entropy import _majorizer_diag, _powers_and_entropy, entropy
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import _matching_db, _scaled_fit
 from .templates import DesiredPattern
@@ -266,7 +262,7 @@ def _w_system(
     diag: np.ndarray,
     params: SolverParams,
 ) -> np.ndarray:
-    """solve_weight_system without its checks, from c = A^H v, power = |c|^2 and m.diag.
+    """solve_weight_system without its checks, from c = A^H v and power = |c|^2.
 
     Solves (G + diag(diag) + (rho/2) I) w = lam * alpha * sum_k d_k (a_k^H v) a_k
     + (rho/2)(v - u). The majorizer diagonal makes the matrix non-Toeplitz, so
@@ -296,6 +292,7 @@ def update_v(
 ) -> np.ndarray:
     """Exact minimizer of the v block (matching term plus consensus penalty)."""
     _require_template(steering, d)
+    _require_finite(alpha, "alpha")
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
@@ -309,18 +306,19 @@ def solve_weight_system(
     u,
     alpha: float,
     d: DesiredPattern,
-    m: MajorizerDiag,
+    diag,
     params: SolverParams,
 ) -> np.ndarray:
-    """Pre-projection solution of the majorized w block."""
+    """Pre-projection solution of the majorized w block, with diag = ``majorizer_diag``."""
     _require_template(steering, d)
+    _require_finite(alpha, "alpha")
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
     # a non-finite diagonal is left to the block solve, which reports it as a NumericalError
-    _as_vector(m.diag, n, "majorizer diagonal", float, finite=False)
+    diag = _as_vector(diag, n, "majorizer diagonal", float, finite=False)
     c = _steer_products(steering, v)
-    return _w_system(steering, c, np.abs(c) ** 2, v, u, alpha, d, m.diag, params)
+    return _w_system(steering, c, np.abs(c) ** 2, v, u, alpha, d, diag, params)
 
 
 def update_w(
@@ -329,11 +327,11 @@ def update_w(
     u,
     alpha: float,
     d: DesiredPattern,
-    m: MajorizerDiag,
+    diag,
     params: SolverParams,
 ) -> np.ndarray:
     """Majorized w block: exact unconstrained solve, then sphere projection."""
-    return project_unit_sphere(solve_weight_system(steering, v, u, alpha, d, m, params))
+    return project_unit_sphere(solve_weight_system(steering, v, u, alpha, d, diag, params))
 
 
 def update_dual(u, w, v) -> np.ndarray:

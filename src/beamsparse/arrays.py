@@ -108,14 +108,21 @@ class AngleGrid:
         if not start_deg < stop_deg:
             raise ContractError("grid_start_deg must be below grid_stop_deg")
         steps = float(np.floor((stop_deg - start_deg) / step_deg + 1e-9))
+        last = start_deg + step_deg * steps
+        # start + step * steps rounds to either side of stop when step divides the span
+        # (to the floor's tolerance), and that last angle is stop itself
+        if steps > 0 and stop_deg - last <= 1e-9 * step_deg:
+            last = stop_deg
         # check the last angle before allocating them all: a far-off stop would ask for
         # an unbounded number of angles only to reject them
-        _require_visible(start_deg, start_deg + step_deg * steps)
+        _require_visible(start_deg, last)
         if not steps < MAX_GRID_ANGLES:
             raise ContractError(
                 f"grid_step_deg {step_deg} gives more than {MAX_GRID_ANGLES} grid angles"
             )
-        return cls(start_deg + step_deg * np.arange(int(steps) + 1))
+        angles = start_deg + step_deg * np.arange(int(steps) + 1)
+        angles[-1] = last
+        return cls(angles)
 
 
 def _require_solve_size(geometry: ArrayGeometry, grid: AngleGrid):

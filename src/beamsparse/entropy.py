@@ -7,13 +7,15 @@ probability vector, and the regularizer is the Shannon entropy
 
 which is 0 when all power sits on one element and log N when power is
 uniform, so minimizing it concentrates power on few elements. Since f is
-concave in p, it is bounded above by its tangent plane at any anchor point;
-on the sphere the tangent takes the quadratic form
+concave in p, it is bounded above by its tangent plane at any anchor point
+with powers q; in w the tangent takes the quadratic form
 
-    f(w) <= w^H diag(grad) w + const,
+    f(w) <= f(anchor) + sum_n grad_n (|w_n|^2 - q_n) = w^H diag(grad) w + const,
 
-with grad_n = -log p_n - 1 evaluated at the anchor powers. The solver
-refreshes this bound once per iteration and minimizes it in place of f.
+with grad_n = -log q_n - 1, so the bound is its diagonal: ``majorizer_diag``
+returns grad as a plain array and ``majorizer_value`` evaluates the bound
+from its anchor. The solver refreshes this diagonal once per iteration and
+minimizes the bound in place of f.
 Powers below ``POWER_FLOOR`` are clamped inside the log so the bound stays
 finite when elements are driven to exact zero; such entries contribute
 nothing to the entropy value itself.
@@ -25,11 +27,9 @@ rejects a total power farther than ``UNIT_NORM_TOL`` from 1 with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .arrays import _as_vector, _readonly, _require_finite
+from .arrays import _as_vector
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
@@ -68,37 +68,24 @@ def entropy(w: np.ndarray) -> float:
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
     """Gradient of -sum p log p, elementwise -log(max(p, floor)) - 1."""
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0) & (p < np.inf)):
-        raise ContractError("powers must be finite and nonnegative")
+    p = _as_vector(p, np.size(p), "powers", float)
+    if not np.all(p >= 0):
+        raise ContractError("powers must be nonnegative")
     return _majorizer_diag(p)
 
 
-@dataclass(frozen=True, eq=False)
-class MajorizerDiag:
-    """Tangent upper bound of the entropy at an anchor point.
+def majorizer_diag(w_anchor: np.ndarray) -> np.ndarray:
+    """Diagonal of the entropy's tangent bound at the anchor weights."""
+    return _majorizer_diag(_unit_powers(_as_vector(w_anchor, np.size(w_anchor), "w")))
 
-    The bound evaluates as sum_n diag[n] * |w_n|^2 + constant; it touches the
-    entropy at the anchor and lies above it everywhere else on the sphere.
+
+def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
+    """Tangent bound of the entropy at the anchor, evaluated at unit-power weights w.
+
+    With anchor powers q and diag = ``majorizer_diag(w_anchor)``, the bound is
+    entropy(w_anchor) + sum_n diag[n] * (|w_n|^2 - q_n): it touches the entropy
+    at the anchor and lies above it everywhere else on the sphere.
     """
-
-    diag: np.ndarray
-    constant: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", _readonly(np.asarray(self.diag, dtype=float)))
-
-
-def majorizer_diag(w_anchor: np.ndarray) -> MajorizerDiag:
-    """Build the tangent bound of the entropy at the anchor weights."""
-    p, value = _powers_and_entropy(_as_vector(w_anchor, np.size(w_anchor), "w"))
-    grad = _majorizer_diag(p)
-    return MajorizerDiag(grad, value - float(grad @ p))
-
-
-def majorizer_value(w: np.ndarray, m: MajorizerDiag) -> float:
-    """Evaluate the tangent bound at unit-power weights w."""
     w = _as_vector(w, np.size(w), "w")
-    _as_vector(m.diag, w.size, "majorizer diagonal", float)
-    _require_finite(m.constant, "majorizer constant")
-    return float(m.diag @ _unit_powers(w)) + m.constant
+    q, value = _powers_and_entropy(_as_vector(w_anchor, w.size, "anchor weights"))
+    return value + float(_majorizer_diag(q) @ (_unit_powers(w) - q))

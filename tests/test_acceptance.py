@@ -157,9 +157,8 @@ def test_criterion_4_entropy_bound_suite(capfd):
             n = int(rng.integers(2, 16))
             anchor = unit_weights(n, 1e-6)
             w = unit_weights(n, 1e-6)
-            m = majorizer_diag(anchor)
-            assert majorizer_value(w, m) >= entropy(w) - 1e-9
-            assert abs(majorizer_value(anchor, m) - entropy(anchor)) <= 1e-10
+            assert majorizer_value(w, anchor) >= entropy(w) - 1e-9
+            assert abs(majorizer_value(anchor, anchor) - entropy(anchor)) <= 1e-10
 
         def reference_value(p):
             mask = p > 0
@@ -237,12 +236,12 @@ def test_criterion_5_block_optimality_oracles(capfd):
             )
 
             # weight block before projection: first-order optimality
-            m = majorizer_diag(w)
-            w_hat = solve_weight_system(steering, v_in, u, alpha_in, d, m, params)
+            diag = majorizer_diag(w)
+            w_hat = solve_weight_system(steering, v_in, u, alpha_in, d, diag, params)
             gram_w = params.lam * sum(A @ np.outer(v_in, v_in.conj()) @ A.conj().T for A in mats)
             rhs_w = params.lam * alpha_in * sum(dk * (A @ v_in) for dk, A in zip(d.values, mats))
             residual = (
-                gram_w @ w_hat + m.diag * w_hat - rhs_w + (params.rho / 2) * (w_hat - (v_in - u))
+                gram_w @ w_hat + diag * w_hat - rhs_w + (params.rho / 2) * (w_hat - (v_in - u))
             )
             assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(
                 rhs_w + (params.rho / 2) * (v_in - u)
@@ -276,9 +275,7 @@ def test_criterion_6_feasibility_and_conditioning(capfd):
                 aux_system = data_fit_gram(steering, prev.w, params.lam)
                 aux_system[np.diag_indices(n)] += params.rho / 2
                 weight_system = data_fit_gram(steering, cur.v, params.lam)
-                weight_system[np.diag_indices(n)] += (
-                    majorizer_diag(prev.w).diag + params.rho / 2
-                )
+                weight_system[np.diag_indices(n)] += majorizer_diag(prev.w) + params.rho / 2
                 assert float(np.linalg.eigvalsh(aux_system).min()) >= params.rho / 2 - 1e-9
                 assert float(np.linalg.eigvalsh(weight_system).min()) >= (
                     params.rho / 2 - 1 - 1e-9

@@ -14,7 +14,6 @@ from beamsparse import (
     DesiredPattern,
     DivergenceError,
     MainlobeSpec,
-    MajorizerDiag,
     NumericalError,
     POWER_FLOOR,
     SolverParams,
@@ -199,8 +198,7 @@ class TestUpdateW:
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.0, rho=4.0)
         v, u = random_complex(rng, 5), 0.3 * random_complex(rng, 5)
-        m = MajorizerDiag(np.zeros(5), 0.0)
-        w = update_w(steering, v, u, 0.9, d, m, params)
+        w = update_w(steering, v, u, 0.9, d, np.zeros(5), params)
         np.testing.assert_allclose(w, (v - u) / np.linalg.norm(v - u), atol=1e-12)
 
     def test_first_order_optimality_dense(self):
@@ -209,16 +207,16 @@ class TestUpdateW:
             steering, d = random_instance(rng)
             params = SolverParams(lam=float(rng.uniform(0.05, 2.0)), rho=float(rng.uniform(2.5, 40)))
             anchor = unit(rng, 5)
-            m = majorizer_diag(anchor)
+            diag = majorizer_diag(anchor)
             v, u = random_complex(rng, 5), random_complex(rng, 5)
             alpha = float(rng.uniform(-2, 2))
-            w_hat = solve_weight_system(steering, v, u, alpha, d, m, params)
+            w_hat = solve_weight_system(steering, v, u, alpha, d, diag, params)
             mats = dense_outer_products(steering)
             gram = params.lam * sum(A @ np.outer(v, v.conj()) @ A.conj().T for A in mats)
             rhs_match = params.lam * alpha * sum(dk * (A @ v) for dk, A in zip(d.values, mats))
             residual = (
                 gram @ w_hat
-                + m.diag * w_hat
+                + diag * w_hat
                 - rhs_match
                 + (params.rho / 2) * (w_hat - (v - u))
             )
@@ -238,15 +236,15 @@ class TestUpdateW:
         states = []
         solve(steering, d, params, observer=states.append)
         state, prev = states[20], states[19]
-        m = majorizer_diag(prev.w)
-        w = update_w(steering, state.v, prev.u, state.alpha, d, m, params)
+        diag = majorizer_diag(prev.w)
+        w = update_w(steering, state.v, prev.u, state.alpha, d, diag, params)
 
         def surrogate(x):
             r = inner_products(steering, x, state.v)
             gap = x - state.v + prev.u
             return (
                 params.lam * float(np.sum(np.abs(r - state.alpha * d.values) ** 2))
-                + float(m.diag @ (np.abs(x) ** 2))
+                + float(diag @ (np.abs(x) ** 2))
                 + (params.rho / 2) * float(np.real(np.vdot(gap, gap)))
             )
 
@@ -260,8 +258,8 @@ class TestUpdateW:
         rng = np.random.default_rng(12)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.4, rho=7.0)
-        m = majorizer_diag(unit(rng, 5))
-        w = update_w(steering, random_complex(rng, 5), random_complex(rng, 5), 1.0, d, m, params)
+        diag = majorizer_diag(unit(rng, 5))
+        w = update_w(steering, random_complex(rng, 5), random_complex(rng, 5), 1.0, d, diag, params)
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
     def test_system_matrix_stays_positive_definite(self):
@@ -272,9 +270,9 @@ class TestUpdateW:
             steering, _ = random_instance(rng)
             lam = float(rng.uniform(0.01, 1.0))
             rho = float(rng.uniform(2.1, 50.0))
-            m = majorizer_diag(unit(rng, 5))
+            diag = majorizer_diag(unit(rng, 5))
             matrix = data_fit_gram(steering, random_complex(rng, 5), lam)
-            matrix[np.diag_indices(5)] += m.diag + rho / 2
+            matrix[np.diag_indices(5)] += diag + rho / 2
             min_eig = float(np.linalg.eigvalsh(matrix).min())
             assert min_eig >= rho / 2 - 1 - 1e-9
             np.linalg.cholesky(matrix)  # factorization must succeed
@@ -582,16 +580,15 @@ class TestFactorizationFailure:
 
     def test_indefinite_system(self):
         steering, d, params, v, u = self.system()
-        m = MajorizerDiag(np.full(5, -1e6), 0.0)
         with pytest.raises(NumericalError, match="not positive definite"):
-            solve_weight_system(steering, v, u, 1.0, d, m, params)
+            solve_weight_system(steering, v, u, 1.0, d, np.full(5, -1e6), params)
 
     def test_nan_entry(self):
         steering, d, params, v, u = self.system()
         diag = np.zeros(5)
         diag[2] = np.nan
         with pytest.raises(NumericalError):
-            solve_weight_system(steering, v, u, 1.0, d, MajorizerDiag(diag, 0.0), params)
+            solve_weight_system(steering, v, u, 1.0, d, diag, params)
 
     def test_solve_reports_divergence_with_partial_trace(self, monkeypatch):
         steering, d, _, _, _ = self.system()
@@ -671,8 +668,8 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     for _ in range(len(trace) - 1):
         alpha = update_alpha(inner_products(steering, state.w, state.v), d)
         v = update_v(steering, state.w, state.u, alpha, d, params)
-        m = majorizer_diag(state.w)
-        w = update_w(steering, v, state.u, alpha, d, m, params)
+        diag = majorizer_diag(state.w)
+        w = update_w(steering, v, state.u, alpha, d, diag, params)
         u = update_dual(state.u, w, v)
         w_change = float(np.linalg.norm(w - state.w))
         state = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
@@ -783,18 +780,17 @@ def test_missized_input_raises_contract_error(call):
     params = SolverParams(lam=0.2, rho=5.0)
     v, u = unit(rng, 5), 0.1 * random_complex(rng, 5)
     w = unit(rng, 5)
-    m = majorizer_diag(w)
-    short_m = MajorizerDiag(np.zeros(4), 0.0)
+    diag = majorizer_diag(w)
     calls = {
         "solve_weight_system-template":
-            lambda: solve_weight_system(steering, v, u, 1.0, other_d, m, params),
+            lambda: solve_weight_system(steering, v, u, 1.0, other_d, diag, params),
         "solve_weight_system-majorizer":
-            lambda: solve_weight_system(steering, v, u, 1.0, d, short_m, params),
-        "update_w-template": lambda: update_w(steering, v, u, 1.0, other_d, m, params),
-        "update_w-majorizer": lambda: update_w(steering, v, u, 1.0, d, short_m, params),
-        "majorizer_value-short_diag": lambda: majorizer_value(w, short_m),
-        "majorizer_value-short_w":
-            lambda: majorizer_value(unit(rng, 4), m),
+            lambda: solve_weight_system(steering, v, u, 1.0, d, np.zeros(4), params),
+        "update_w-template": lambda: update_w(steering, v, u, 1.0, other_d, diag, params),
+        "update_w-majorizer": lambda: update_w(steering, v, u, 1.0, d, np.zeros(4), params),
+        # the anchor, and so its diagonal, is sized for another array
+        "majorizer_value-short_diag": lambda: majorizer_value(w, unit(rng, 4)),
+        "majorizer_value-short_w": lambda: majorizer_value(unit(rng, 4), w),
         "update_v-template": lambda: update_v(steering, w, u, 1.0, other_d, params),
         "objective_value-template": lambda: objective_value(steering, w, 1.0, other_d, params),
         "augmented_lagrangian-template":
@@ -821,7 +817,8 @@ NON_FINITE_CALLS = [
     "matching_error_db-alpha",
     "objective_value-alpha",
     "augmented_lagrangian-alpha",
-    "majorizer_value-constant",
+    "update_v-alpha",
+    "update_w-alpha",
 ]
 
 
@@ -860,8 +857,9 @@ def test_non_finite_input_raises_contract_error(call):
         "objective_value-alpha": lambda: objective_value(steering, w, np.nan, d, params),
         "augmented_lagrangian-alpha":
             lambda: augmented_lagrangian(AdmmState(np.nan, v, w, u), steering, d, params),
-        "majorizer_value-constant":
-            lambda: majorizer_value(w, MajorizerDiag(majorizer_diag(w).diag, np.nan)),
+        "update_v-alpha": lambda: update_v(steering, w, u, np.nan, d, params),
+        "update_w-alpha":
+            lambda: update_w(steering, v, u, np.inf, d, majorizer_diag(w), params),
     }
     with pytest.raises(ContractError):
         calls[call]()
@@ -871,6 +869,7 @@ MISSHAPEN_WEIGHT_CALLS = [
     "beampattern",
     "cardinality",
     "entropy",
+    "entropy_gradient",
     "majorizer_diag",
     "majorizer_value",
     "objective_value",
@@ -886,13 +885,13 @@ def test_empty_or_2d_weights_raise_contract_error(call, weights):
     steering, d = random_instance(rng, n=2)
     params = SolverParams(lam=0.2, rho=5.0)
     w = np.array(weights, dtype=complex)
-    m = majorizer_diag(unit(rng, 2))
     calls = {
         "beampattern": lambda: beampattern(steering, w),
         "cardinality": lambda: cardinality(w),
         "entropy": lambda: entropy(w),
+        "entropy_gradient": lambda: entropy_gradient(np.abs(w) ** 2),
         "majorizer_diag": lambda: majorizer_diag(w),
-        "majorizer_value": lambda: majorizer_value(w, m),
+        "majorizer_value": lambda: majorizer_value(w, unit(rng, 2)),
         "objective_value": lambda: objective_value(steering, w, 1.0, d, params),
     }
     with pytest.raises(ContractError):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from beamsparse import (
     SteeringSet,
     beampattern,
     build_steering_set,
+    parse_config,
     project_unit_sphere,
     steering_vector,
 )
@@ -222,6 +225,17 @@ def test_grid_angle_count_is_bounded():
         AngleGrid.uniform(-90, 90, 180 / MAX_GRID_ANGLES)
     with pytest.raises(ContractError, match="grid_step_deg"):
         AngleGrid.uniform(-90, 90, 1e-12)
+
+
+
+def test_full_span_grid_ends_at_90_for_every_step_dividing_180():
+    # -90 + (180/m) * m rounds to either side of 90 for some m (90.00000000000003 at m = 169)
+    for m in range(2, 2001):
+        angles = AngleGrid.uniform(-90, 90, 180 / m).angles_deg
+        assert angles.size == m + 1 and angles[-1] == 90.0, m
+        assert np.all(np.diff(angles) > 0), m
+    doc = {"mainlobes": [{"start_deg": 10, "end_deg": 20}], "grid_step_deg": 180 / 169}
+    assert parse_config(json.dumps(doc)).grid.count == 170
 
 
 @pytest.mark.parametrize("n_elements", [10**12, np.int64(10**12)])
