@@ -21,15 +21,22 @@ The sweep repeats until the weight change drops below ``eta`` or the
 iteration budget runs out. Both blocks solve a Hermitian positive definite
 system whose data-fit matrix G = lam * sum_k |a_k^H x|^2 a_k a_k^H is
 Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector from
-a uniform linear array as a phase ramp; its first column, and the
-right-hand side, come from one K x N steering product c = A^H x. The v
-block adds rho/2 to G's diagonal, which keeps it Toeplitz, and solves it by
-one Levinson recursion on the column in O(N^2) without forming the matrix.
+a uniform linear array as a phase ramp a_k[n] = z_k^n. The v block adds
+rho/2 to G's diagonal, which keeps it Toeplitz, and solves it by one
+Levinson recursion on the diagonals in O(N^2) without forming the matrix.
 The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
 along the diagonal, so its matrix is not Toeplitz: it is gathered in
 Fortran order and solved in place by Cholesky, in one LAPACK posv call (it
 is positive definite only for rho > 2, because the majorizer diagonal is
 bounded below by -1 on the sphere).
+
+Every sum over the K grid angles that a sweep needs is a trigonometric
+moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
+IEEE TSP 1997), so the sweep never touches the K x N steering matrix:
+``solve`` reads it once, for the grid moments and T_d = sum_k d_k a_k a_k^H,
+and then forms per iterate, in O(N^2), what ``_Moments`` lists. Both blocks'
+matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d and every
+trace column come from these.
 
 Weights, like v and u, are plain 1-D complex arrays, and the majorizer is
 its real diagonal (``entropy.majorizer_diag``). ``solve`` checks its inputs
@@ -37,15 +44,16 @@ once, on entry, and then computes each intermediate once per iterate, on
 private kernels that take it as an argument. Unit power of w is the
 entropy's rule, so ``solve`` rejects a non-unit initial w at entry, where it
 takes that w's entropy, and checks each projected w once, where it takes its
-entropy. A sweep takes two K x N steering products: c_w = A^H w_k feeds the
-alpha refresh (through r = conj(c_w) * c_v), the v block and row k of the
-trace; c_v = A^H v_{k+1} feeds the w block and row k + 1. Each w has one
-power vector and one entropy, shared by the majorizer and its trace row;
-each row forms one pattern residual for the objective and the matching
-error, and one w - v serves the dual step, the primal residual and the
-Lagrangian. The public blocks (``update_alpha``, ``update_v``, ``update_w``
+entropy. The moments of w_k feed the v block and row k of the trace; those
+of v_{k+1} feed the w block and row k + 1, and Re(w^H T_d v) of a row is
+the next sweep's alpha numerator. Each w has one power vector and one
+entropy, shared by the majorizer and its trace row, and one w - v serves the
+dual step, the primal residual and the Lagrangian. The public blocks
+(``update_v``, ``update_w``, ``objective_value``, ``augmented_lagrangian``
 and the rest) check their inputs and call the same kernels, so composing
-them reproduces ``solve`` bit for bit.
+them reproduces ``solve`` bit for bit. The one exception is
+``update_alpha``, which takes the per-angle samples r_k; it agrees with the
+moment form of alpha to rounding.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -56,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -72,12 +80,11 @@ from .arrays import (
     _readonly,
     _require_finite,
     _steer_products,
-    beampattern,
     project_unit_sphere,
 )
 from .entropy import _majorizer_diag, _powers_and_entropy, entropy
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .metrics import _matching_db, _scaled_fit
+from .metrics import _matching_db
 from .templates import DesiredPattern
 
 # Cholesky factorization and solve of a Hermitian system, without scipy.linalg's wrappers.
@@ -161,12 +168,21 @@ def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
 def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     """Least-squares template scale: argmin over real alpha of sum |r_k - alpha d_k|^2."""
     r = _as_vector(r, d.count, "inner products")
-    return _alpha(r, d, _template_energy(d))
+    return float(d.values @ np.real(r)) / _template_energy(d)
 
 
-def _alpha(r: np.ndarray, d: DesiredPattern, denom: float) -> float:
-    """update_alpha without its checks; denom is d^T d > 0."""
-    return float(d.values @ np.real(r)) / denom
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re a^H b."""
+    return float(np.vdot(a, b).real)
+
+
+def _residual_energy(square_sum: float, cross: float, alpha: float, dd: float) -> float:
+    """sum_k |y_k - alpha d_k|^2 from sum_k |y_k|^2, cross = Re d^T y and dd = d^T d.
+
+    The expansion cancels where the residual is small, so rounding could take
+    it below zero; it is clamped at 0.
+    """
+    return max(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
 @lru_cache(maxsize=8)
@@ -182,37 +198,72 @@ def _toeplitz_index(n: int) -> np.ndarray:
     return _readonly((n - 1) + k[None, :] - k[:, None])
 
 
-def _toeplitz_diagonals(steering: SteeringSet, power: np.ndarray, lam: float) -> np.ndarray:
-    """[conj(col[n-1:0:-1]), col] for G = lam * sum_k power_k a_k a_k^H, power = |A^H x|^2.
-
-    Every steering vector is a phase ramp a_k[n] = z_k^n, so entry (m, n) of G
-    is lam * sum_k power_k z_k^(m - n): a Hermitian Toeplitz matrix whose first
-    column is col = lam * A^T power (Golub & Van Loan, Matrix Computations,
-    4.7). Entry n - 1 + i - j of the result is entry (i, j) of G, and entry
-    n - 1 is its diagonal.
-    """
-    col = lam * (steering.vectors.T @ power)
-    n = col.shape[0]
+def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
+    """[conj(col[n-1:0:-1]), col]: a Hermitian sequence c_j = conj(c_-j) from j = 0 up,
+    extended down to j = -(n - 1). Entry n - 1 + j of the result is c_j."""
     return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))
 
 
-def _toeplitz_gram(steering: SteeringSet, power: np.ndarray, lam: float) -> np.ndarray:
-    """G = lam * sum_k power_k a_k a_k^H in Fortran order, which LAPACK factors in place."""
-    return _toeplitz_diagonals(steering, power, lam)[_toeplitz_index(steering.n_elements)].T
+def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz matrix with these diagonals, in Fortran order, which LAPACK
+    factors in place; entry n - 1 + i - j of diagonals is entry (i, j)."""
+    return diagonals[_toeplitz_index((diagonals.size + 1) // 2)].T
+
+
+def _grid_moments(steering: SteeringSet) -> np.ndarray:
+    """The grid's trigonometric moments q_i = sum_k z_k^i for i = -(N-1) ... 2N-2.
+
+    Every steering vector is a phase ramp a_k[n] = z_k^n, so the column sums
+    of the steering matrix are q_0 ... q_(N-1), its last column's products
+    with the others are q_N ... q_(2N-2), and q_-i = conj(q_i).
+    """
+    a = steering.vectors
+    n = steering.n_elements
+    return _with_negative_lags(np.concatenate((a.sum(axis=0), a[:, 1:].T @ a[:, n - 1])), n)
+
+
+def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
+    """T_d = sum_k d_k a_k a_k^H: entry (m, n) is sum_k d_k z_k^(m-n), a Hermitian
+    Toeplitz matrix whose first column is A^T d."""
+    return _toeplitz_gram(_with_negative_lags(steering.vectors.T @ d.values, steering.n_elements))
+
+
+class _Moments(NamedTuple):
+    """What a sweep needs of an iterate x, from the grid moments q and T_d.
+
+    With the autocorrelation rho_l = sum_n x_n conj(x_(n+l)), the pattern is
+    |a_k^H x|^2 = sum_l rho_l z_k^l, so diagonal l of the data-fit Gram matrix,
+    sum_k |a_k^H x|^2 z_k^l, is sum_j rho_j q_(l+j) (Lebret & Boyd, IEEE TSP
+    1997), and sum_k |a_k^H x|^2 |a_k^H y|^2 pairs rho of x with the Gram
+    diagonals of y. Arrays over lags run from -(N-1) to N-1.
+    """
+
+    auto: np.ndarray  # conj(rho) = np.correlate(x, x, "full")
+    gram: np.ndarray  # Gram diagonals at lam = 1, sum_k |a_k^H x|^2 z_k^l
+    td_x: np.ndarray  # T_d x = sum_k d_k (a_k^H x) a_k
+
+
+def _gram_diagonals(q: np.ndarray, auto: np.ndarray) -> np.ndarray:
+    """Gram diagonals at lam = 1 from the grid moments and auto = np.correlate(x, x, "full")."""
+    return _with_negative_lags(np.correlate(q, auto, "valid"), (auto.size + 1) // 2)
+
+
+def _moments(q: np.ndarray, td: np.ndarray, x: np.ndarray) -> _Moments:
+    """The moments of x, from the grid moments q and T_d: O(N^2), independent of K."""
+    auto = np.correlate(x, x, "full")
+    return _Moments(auto, _gram_diagonals(q, auto), td @ x)
+
+
+def _pattern_dot(mx: _Moments, my: _Moments) -> float:
+    """sum_k |a_k^H x|^2 |a_k^H y|^2 from the moments of x and y."""
+    return _real_dot(mx.auto, my.gram)
 
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
     """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks."""
     x = _as_vector(x, steering.n_elements, "x")
-    return _toeplitz_gram(steering, np.abs(_steer_products(steering, x)) ** 2, lam)
-
-
-def _block_rhs(
-    steering: SteeringSet, c: np.ndarray, alpha: float, d: DesiredPattern, lam: float,
-    target: np.ndarray,
-) -> np.ndarray:
-    """lam * alpha * sum_k d_k (a_k^H x) a_k + target, from c = A^H x."""
-    return lam * alpha * (steering.vectors.T @ (d.values * c)) + target
+    auto = np.correlate(x, x, "full")
+    return _toeplitz_gram(lam * _gram_diagonals(_grid_moments(steering), auto))
 
 
 def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
@@ -222,24 +273,17 @@ def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
 
 
 def _v_block(
-    steering: SteeringSet,
-    c: np.ndarray,
-    power: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
-    alpha: float,
-    d: DesiredPattern,
-    params: SolverParams,
+    mw: _Moments, w: np.ndarray, u: np.ndarray, alpha: float, params: SolverParams
 ) -> np.ndarray:
-    """update_v without its checks, from c = A^H w and power = |c|^2.
+    """update_v without its checks, from the moments of w.
 
-    Solves (G + (rho/2) I) v = lam * alpha * sum_k d_k (a_k^H w) a_k + (rho/2)(w + u)
-    by one Levinson recursion on the Toeplitz diagonals of the matrix.
+    Solves (G + (rho/2) I) v = lam * alpha * T_d w + (rho/2)(w + u) by one
+    Levinson recursion on the Toeplitz diagonals of the matrix.
     """
     half_rho = params.rho / 2.0
-    diagonals = _toeplitz_diagonals(steering, power, params.lam)
-    diagonals[steering.n_elements - 1] += half_rho
-    rhs = _block_rhs(steering, c, alpha, d, params.lam, half_rho * (w + u))
+    diagonals = params.lam * mw.gram
+    diagonals[w.size - 1] += half_rho
+    rhs = params.lam * alpha * mw.td_x + half_rho * (w + u)
     # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
     # and the inputs are checked finite where they enter, so the system is Hermitian
     # positive definite by construction. Levinson's reflection coefficients could not
@@ -252,27 +296,24 @@ def _v_block(
 
 
 def _w_system(
-    steering: SteeringSet,
-    c: np.ndarray,
-    power: np.ndarray,
+    mv: _Moments,
     v: np.ndarray,
     u: np.ndarray,
     alpha: float,
-    d: DesiredPattern,
     diag: np.ndarray,
     params: SolverParams,
 ) -> np.ndarray:
-    """solve_weight_system without its checks, from c = A^H v and power = |c|^2.
+    """solve_weight_system without its checks, from the moments of v.
 
-    Solves (G + diag(diag) + (rho/2) I) w = lam * alpha * sum_k d_k (a_k^H v) a_k
-    + (rho/2)(v - u). The majorizer diagonal makes the matrix non-Toeplitz, so
-    the Hermitian positive definite system is gathered and solved in place by
-    Cholesky, in one LAPACK posv call.
+    Solves (G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
+    The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian
+    positive definite system is gathered and solved in place by Cholesky, in
+    one LAPACK posv call.
     """
     half_rho = params.rho / 2.0
-    matrix = _toeplitz_gram(steering, power, params.lam)
-    matrix.flat[:: steering.n_elements + 1] += diag + half_rho
-    rhs = _block_rhs(steering, c, alpha, d, params.lam, half_rho * (v - u))
+    matrix = _toeplitz_gram(params.lam * mv.gram)
+    matrix.flat[:: v.size + 1] += diag + half_rho
+    rhs = params.lam * alpha * mv.td_x + half_rho * (v - u)
     _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
     if info != 0:
         raise NumericalError(
@@ -296,8 +337,8 @@ def update_v(
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
-    c = _steer_products(steering, w)
-    return _v_block(steering, c, np.abs(c) ** 2, w, u, alpha, d, params)
+    mw = _moments(_grid_moments(steering), _template_toeplitz(steering, d), w)
+    return _v_block(mw, w, u, alpha, params)
 
 
 def solve_weight_system(
@@ -317,8 +358,8 @@ def solve_weight_system(
     u = _as_vector(u, n, "u")
     # a non-finite diagonal is left to the block solve, which reports it as a NumericalError
     diag = _as_vector(diag, n, "majorizer diagonal", float, finite=False)
-    c = _steer_products(steering, v)
-    return _w_system(steering, c, np.abs(c) ** 2, v, u, alpha, d, diag, params)
+    mv = _moments(_grid_moments(steering), _template_toeplitz(steering, d), v)
+    return _w_system(mv, v, u, alpha, diag, params)
 
 
 def update_w(
@@ -340,6 +381,11 @@ def update_dual(u, w, v) -> np.ndarray:
     return _as_vector(u, n, "u") + (_as_vector(w, n, "w") - _as_vector(v, n, "v"))
 
 
+def _pattern_fit(mw: _Moments, w: np.ndarray, alpha: float, dd: float) -> float:
+    """sum_k (P_k - alpha d_k)^2 for P = |A^H w|^2, from the moments of w (d^T P = w^H T_d w)."""
+    return _residual_energy(_pattern_dot(mw, mw), _real_dot(w, mw.td_x), alpha, dd)
+
+
 def objective_value(
     steering: SteeringSet,
     w: np.ndarray,
@@ -350,8 +396,9 @@ def objective_value(
     """Value of the joint objective at (w, alpha)."""
     _require_template(steering, d)
     _require_finite(alpha, "alpha")
-    _, fit = _scaled_fit(beampattern(steering, w), alpha, d)
-    return params.lam * fit + entropy(w)
+    w = _as_vector(w, steering.n_elements, "w")
+    mw = _moments(_grid_moments(steering), _template_toeplitz(steering, d), w)
+    return params.lam * _pattern_fit(mw, w, alpha, float(d.values @ d.values)) + entropy(w)
 
 
 def augmented_lagrangian(
@@ -362,21 +409,22 @@ def augmented_lagrangian(
 ) -> float:
     """Scaled-dual augmented Lagrangian at the given state, with the exact entropy term."""
     _require_template(steering, d)
-    w = _as_vector(state.w, steering.n_elements, "w")
-    u = _as_vector(state.u, steering.n_elements, "u")
+    n = steering.n_elements
+    w = _as_vector(state.w, n, "w")
+    v = _as_vector(state.v, n, "v")
+    u = _as_vector(state.u, n, "u")
     _require_finite(state.alpha, "alpha")
-    r = inner_products(steering, w, state.v)
-    gap = w - state.v + u
-    return _lagrangian(r - state.alpha * d.values, gap, entropy(w), params)
+    q, td = _grid_moments(steering), _template_toeplitz(steering, d)
+    mw, mv = _moments(q, td, w), _moments(q, td, v)
+    phi = _residual_energy(
+        _pattern_dot(mw, mv), _real_dot(w, mv.td_x), state.alpha, float(d.values @ d.values)
+    )
+    return _lagrangian(phi, w - v + u, entropy(w), params)
 
 
-def _lagrangian(
-    residual: np.ndarray, gap: np.ndarray, sparsity: float, params: SolverParams
-) -> float:
-    """Lagrangian from the residual r - alpha * d and the gap w - v + u."""
-    phi = float(np.real(np.vdot(residual, residual)))
-    penalty = (params.rho / 2.0) * float(np.real(np.vdot(gap, gap)))
-    return params.lam * phi + sparsity + penalty
+def _lagrangian(phi: float, gap: np.ndarray, sparsity: float, params: SolverParams) -> float:
+    """Lagrangian from phi = sum_k |r_k - alpha d_k|^2 and the gap w - v + u."""
+    return params.lam * phi + sparsity + (params.rho / 2.0) * _real_dot(gap, gap)
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -395,28 +443,32 @@ def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
 
 def _trace_row(
     state: AdmmState,
-    pattern: np.ndarray,
-    r: np.ndarray,
+    mw: _Moments,
+    mv: _Moments,
+    cross: float,
+    dd: float,
     wv: np.ndarray,
     sparsity: float,
-    d: DesiredPattern,
     params: SolverParams,
     w_change: float,
 ) -> IterationRecord:
     """Trace row of a state from what its sweep already computed.
 
-    pattern = |A^H w|^2, r = conj(A^H w) * (A^H v), wv = w - v and the
-    entropy of w. The row agrees with ``objective_value``,
-    ``augmented_lagrangian`` and ``matching_error_db`` at the state.
+    mw and mv are the moments of w and v, cross = Re w^H T_d v, which is
+    Re d^T r for r = conj(A^H w) * (A^H v), wv = w - v, and sparsity the
+    entropy of w. The row is ``objective_value`` and ``augmented_lagrangian``
+    at the state, and ``matching_error_db`` to rounding.
     """
-    scaled, fit = _scaled_fit(pattern, state.alpha, d)
+    alpha = state.alpha
+    fit = _pattern_fit(mw, state.w, alpha, dd)
+    phi = _residual_energy(_pattern_dot(mw, mv), cross, alpha, dd)
     return IterationRecord(
         iter=state.iter,
         objective=params.lam * fit + sparsity,
-        lagrangian=_lagrangian(r - scaled, wv + state.u, sparsity, params),
+        lagrangian=_lagrangian(phi, wv + state.u, sparsity, params),
         primal_residual=float(np.linalg.norm(wv)),
-        alpha=float(state.alpha),
-        matching_error_db=_matching_db(scaled, fit),
+        alpha=float(alpha),
+        matching_error_db=_matching_db(alpha * alpha * dd, fit),
         w_change=float(w_change),
     )
 
@@ -460,34 +512,35 @@ def solve(
     )
     _require_finite(state.alpha, "initial alpha")
 
-    # One pass per iterate: c_w = A^H w and the powers of w serve its trace row
-    # and the next sweep's alpha, v block and majorizer; c_v = A^H v, taken for
-    # the w block, serves the trace row of the state that block produces.
-    c_w = _steer_products(steering, state.w)
-    c_v = _steer_products(steering, state.v)
-    pattern = np.abs(c_w) ** 2
+    # The steering matrix is read here only. One pass per iterate: the moments
+    # and powers of w serve its trace row and the next sweep's v block and
+    # majorizer; the moments of v, taken for the w block, serve the trace row of
+    # the state that block produces, and cross = Re w^H T_d v that row's
+    # Lagrangian and the next sweep's alpha.
+    q = _grid_moments(steering)
+    td = _template_toeplitz(steering, d)
+    mw = _moments(q, td, state.w)
+    mv = _moments(q, td, state.v)
     powers, sparsity = _powers_and_entropy(state.w)
-    r = np.conj(c_w) * c_v
-    trace = [_trace_row(state, pattern, r, state.w - state.v, sparsity, d, params, 0.0)]
+    cross = _real_dot(state.w, mv.td_x)
+    trace = [_trace_row(state, mw, mv, cross, dd, state.w - state.v, sparsity, params, 0.0)]
     for _ in range(params.max_iters):
         try:
-            alpha = _alpha(r, d, dd)
-            v = _v_block(steering, c_w, pattern, state.w, state.u, alpha, d, params)
-            c_v = _steer_products(steering, v)
+            alpha = cross / dd
+            v = _v_block(mw, state.w, state.u, alpha, params)
+            mv = _moments(q, td, v)
             diag = _majorizer_diag(powers)
-            w_hat = _w_system(steering, c_v, np.abs(c_v) ** 2, v, state.u, alpha, d, diag, params)
-            w = project_unit_sphere(w_hat)
+            w = project_unit_sphere(_w_system(mv, v, state.u, alpha, diag, params))
             wv = w - v
             swept = AdmmState(alpha=alpha, v=v, w=w, u=state.u + wv, iter=state.iter + 1)
             if not _state_is_finite(swept):
                 raise NumericalError("iterates turned non-finite")
             w_change = float(np.linalg.norm(w - state.w))
-            c_w = _steer_products(steering, w)
-            pattern = np.abs(c_w) ** 2
+            mw = _moments(q, td, w)
             powers, sparsity = _powers_and_entropy(w)
-            r = np.conj(c_w) * c_v
+            cross = _real_dot(w, mv.td_x)
             # a zero template scale fails here, in the matching error
-            row = _trace_row(swept, pattern, r, wv, sparsity, d, params, w_change)
+            row = _trace_row(swept, mw, mv, cross, dd, wv, sparsity, params, w_change)
         except (NumericalError, DegenerateInputError) as exc:
             raise DivergenceError(
                 f"solver diverged at iteration {state.iter + 1}: {exc}", trace=trace

@@ -160,4 +160,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and parse a config file."""
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)

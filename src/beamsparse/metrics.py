@@ -71,26 +71,20 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     # this check: there w has unit norm, so P_k <= N, and alpha * d is the projection
     # of Re r onto d, so neither sum can overflow.
     with np.errstate(over="ignore"):
-        scaled, fit = _scaled_fit(pattern, alpha, d)
+        scaled = alpha * d.values
+        residual = pattern - scaled
+        fit = float(residual @ residual)
         energy = float(scaled @ scaled)
     if not (math.isfinite(fit) and math.isfinite(energy)):
         raise ContractError("the squared pattern residual or scaled template energy overflows")
-    return _matching_db(scaled, fit)
+    return _matching_db(energy, fit)
 
 
-def _scaled_fit(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> tuple[np.ndarray, float]:
-    """The scaled template alpha * d and the squared residual sum (P_k - alpha * d_k)^2."""
-    scaled = alpha * d.values
-    residual = pattern - scaled
-    return scaled, float(residual @ residual)
-
-
-def _matching_db(scaled: np.ndarray, fit: float) -> float:
-    """Matching error in dB from the scaled template and the squared residual sum."""
-    denom = float(scaled @ scaled)
-    if not denom > 0.0:
+def _matching_db(energy: float, fit: float) -> float:
+    """Matching error in dB from the scaled template's energy and the squared residual sum."""
+    if not energy > 0.0:
         raise DegenerateInputError("scaled template has no energy")
-    return _db(fit / denom)
+    return _db(fit / energy)
 
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from beamsparse import (
     NumericalError,
     POWER_FLOOR,
     SolverParams,
+    SteeringSet,
     augmented_lagrangian,
     beampattern,
     build_steering_set,
@@ -546,6 +547,91 @@ def test_trace_rows_match_the_public_evaluators():
         )
 
 
+MOMENT_SIZES = [2, 3, 4, 5, 6, 7, 8, 64]
+
+
+def moment_instance(n):
+    """A random non-uniform grid of 3n + 2 angles, a random spacing, a template with zeros,
+    and unit w and random v (criterion 5's draw, at more sizes)."""
+    rng = np.random.default_rng(1000 + n)
+    k = 3 * n + 2
+    angles = np.sort(rng.uniform(-90, 90, k))
+    geometry = ArrayGeometry(n, spacing_ratio=float(rng.uniform(0.2, 1.0)))
+    steering = build_steering_set(geometry, AngleGrid(angles))
+    values = rng.uniform(0.5, 3.0, k)
+    values[rng.random(k) < 0.3] = 0.0
+    values[0] = 1.0
+    return steering, DesiredPattern(values, values > 0), unit(rng, n), random_complex(rng, n)
+
+
+def moments_of(steering, d, *xs):
+    q, td = admm_mod._grid_moments(steering), admm_mod._template_toeplitz(steering, d)
+    return [admm_mod._moments(q, td, x) for x in xs]
+
+
+class TestMomentKernels:
+    """The sweep's moment kernels against their per-angle definitions, summed angle by angle."""
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_gram_diagonals(self, n):
+        steering, d, w, _ = moment_instance(n)
+        (mw,) = moments_of(steering, d, w)
+        # lags -(n-1) ... n-1 of a_k[l] = z_k^l, with z_k^-l = conj(z_k^l)
+        dense = sum(
+            abs(np.vdot(a, w)) ** 2 * np.concatenate((np.conj(a[:0:-1]), a))
+            for a in steering.vectors
+        )
+        assert np.linalg.norm(mw.gram - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_template_toeplitz_product(self, n):
+        steering, d, _, v = moment_instance(n)
+        (mv,) = moments_of(steering, d, v)
+        dense = sum(dk * np.vdot(a, v) * a for dk, a in zip(d.values, steering.vectors))
+        assert np.linalg.norm(mv.td_x - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_moment_alpha_is_update_alpha(self, n):
+        # solve's alpha, Re(w^H T_d v) / d^T d, to 1e-12 of the sum's scale sum_k d_k |r_k| / d^T d
+        steering, d, w, v = moment_instance(n)
+        r = inner_products(steering, w, v)
+        dd = float(d.values @ d.values)
+        alpha = admm_mod._real_dot(w, admm_mod._template_toeplitz(steering, d) @ v) / dd
+        assert abs(alpha - update_alpha(r, d)) <= 1e-12 * float(d.values @ np.abs(r)) / dd
+
+    @pytest.mark.parametrize("n", MOMENT_SIZES)
+    def test_square_sums(self, n):
+        steering, d, w, v = moment_instance(n)
+        mw, mv = moments_of(steering, d, w, v)
+        pattern = beampattern(steering, w)
+        r = inner_products(steering, w, v)
+        assert admm_mod._pattern_dot(mw, mw) == pytest.approx(float(pattern @ pattern), rel=1e-12)
+        assert admm_mod._pattern_dot(mw, mv) == pytest.approx(float(np.vdot(r, r).real), rel=1e-12)
+
+    def test_zero_lam_keeps_the_pattern_square_sum(self):
+        # the blocks scale the Gram diagonals by lam; the trace row's sum of P_k^2 must not be
+        rng = np.random.default_rng(44)
+        steering, d = random_instance(rng, n=6, k=9)
+        params = SolverParams(lam=0.0, rho=5.0, max_iters=5, seed=1)
+        states = [admm_mod.initial_state(steering, params)]
+        _, _, trace = solve(steering, d, params, init=states[0], observer=states.append)
+        for state, row in zip(states, trace):
+            want = matching_error_db(beampattern(steering, state.w), state.alpha, d)
+            assert row.matching_error_db == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_fit_is_clamped_at_zero(self):
+        # an exact match cancels to rounding, which may fall either side of 0
+        assert admm_mod._residual_energy(1.0, 1.0, 1.0, 1.0 - 2.0**-52) == 0.0
+        for n in MOMENT_SIZES:
+            steering, _, w, _ = moment_instance(n)
+            pattern = beampattern(steering, w)
+            d = DesiredPattern(pattern, pattern > 0)
+            (mw,) = moments_of(steering, d, w)
+            dd = float(pattern @ pattern)
+            fit = admm_mod._pattern_fit(mw, w, 1.0, dd)
+            assert 0.0 <= fit <= 1e-12 * dd
+
+
 @pytest.mark.parametrize("field", ["v", "u"])
 def test_initial_state_of_wrong_size_rejected(field):
     rng = np.random.default_rng(43)
@@ -630,8 +716,10 @@ class TestLevinsonVBlock:
         # the kernel is private to scipy; a change to it must fail here, not in a solve
         rng = np.random.default_rng(55)
         steering, _ = random_instance(rng, n=9, k=40)
-        power = np.abs(steering.vectors.conj() @ unit(rng, 9)) ** 2
-        diagonals = admm_mod._toeplitz_diagonals(steering, power, 0.3)
+        x = unit(rng, 9)
+        diagonals = 0.3 * admm_mod._gram_diagonals(
+            admm_mod._grid_moments(steering), np.correlate(x, x, "full")
+        )
         diagonals[8] += 2.5
         col = diagonals[8:]
         assert np.linalg.eigvalsh(scipy.linalg.toeplitz(col)).min() > 0
@@ -664,9 +752,13 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     assert len(trace) == params.max_iters + 1
 
     state = init if init is not None else admm_mod.initial_state(steering, params)
-    rows = []
+    # alpha takes solve's moment form, Re(w^H T_d v) / d^T d; test_moment_alpha_is_update_alpha
+    # pins it to update_alpha(inner_products(steering, w, v), d)
+    td = admm_mod._template_toeplitz(steering, d)
+    dd = float(d.values @ d.values)
+    rows, matching = [], []
     for _ in range(len(trace) - 1):
-        alpha = update_alpha(inner_products(steering, state.w, state.v), d)
+        alpha = admm_mod._real_dot(state.w, td @ state.v) / dd
         v = update_v(steering, state.w, state.u, alpha, d, params)
         diag = majorizer_diag(state.w)
         w = update_w(steering, v, state.u, alpha, d, diag, params)
@@ -678,16 +770,17 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
             augmented_lagrangian(state, steering, d, params),
             float(np.linalg.norm(w - v)),
             alpha,
-            matching_error_db(beampattern(steering, w), alpha, d),
             w_change,
         ))
+        matching.append(matching_error_db(beampattern(steering, w), alpha, d))
 
     assert np.array_equal(state.w, w_solve)
     assert state.alpha == alpha_solve
     assert rows == [
-        (r.objective, r.lagrangian, r.primal_residual, r.alpha, r.matching_error_db, r.w_change)
-        for r in trace[1:]
+        (r.objective, r.lagrangian, r.primal_residual, r.alpha, r.w_change) for r in trace[1:]
     ]
+    # the per-angle matching error; solve's rows take it from the grid moments
+    assert [r.matching_error_db for r in trace[1:]] == pytest.approx(matching, rel=1e-12, abs=1e-12)
     return trace
 
 
@@ -718,12 +811,23 @@ def test_solve_is_the_public_blocks_from_exact_zero_weights():
     assert_solve_is_the_public_blocks(steering, d, params, init)
 
 
-def test_each_sweep_takes_two_steering_products(monkeypatch):
-    # row 0 takes A^H w_0 and A^H v_0; each sweep then takes A^H v_{k+1} for
-    # the w block and A^H w_{k+1} for its row, and shares both with the next sweep
+class ReadCountingSteering(SteeringSet):
+    """A steering set that counts the reads of its K x N matrix."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "vectors":
+            type(self).reads += 1
+        return super().__getattribute__(name)
+
+
+def test_solve_makes_no_steering_products(monkeypatch):
+    # the sweep works on the grid moments and T_d, which solve takes from the
+    # steering matrix once, before the first sweep
     rng = np.random.default_rng(53)
     steering, d = random_instance(rng, n=6, k=9)
-    params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
+    steering = ReadCountingSteering(steering.geometry, steering.grid)
     calls = {"count": 0}
     real_steer_products = admm_mod._steer_products
 
@@ -732,13 +836,20 @@ def test_each_sweep_takes_two_steering_products(monkeypatch):
         return real_steer_products(steering, x)
 
     monkeypatch.setattr(admm_mod, "_steer_products", counted)
-    _, _, trace = solve(steering, d, params)
-    assert len(trace) == 13
-    assert calls["count"] == 2 + 2 * 12
+    reads = []
+    for max_iters in (1, 12):
+        ReadCountingSteering.reads = 0
+        params = SolverParams(lam=0.2, rho=5.0, max_iters=max_iters, seed=5)
+        _, _, trace = solve(steering, d, params)
+        assert len(trace) == max_iters + 1
+        reads.append(ReadCountingSteering.reads)
+    assert calls["count"] == 0
+    assert reads[0] == reads[1] > 0
 
 
 def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
-    # the w block gathers and factors its matrix; the v block solves from the diagonals
+    # T_d is gathered once per solve; then the w block gathers and factors its
+    # matrix, and the v block solves from the diagonals
     rng = np.random.default_rng(53)
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
@@ -752,7 +863,7 @@ def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
     monkeypatch.setattr(admm_mod, "_toeplitz_gram", counted)
     _, _, trace = solve(steering, d, params)
     assert len(trace) == 13
-    assert calls["count"] == 12
+    assert calls["count"] == 1 + 12
 
 
 MISSIZED_CALLS = [

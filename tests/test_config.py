@@ -13,6 +13,7 @@ from beamsparse import (
     build_template,
     cardinality,
     config_to_dict,
+    load_config,
     parse_config,
     peak_sidelobe_db,
     serialize_config,
@@ -88,6 +89,13 @@ def test_rho_must_exceed_two():
 def test_malformed_json_reports_location():
     with pytest.raises(ConfigurationError, match=r"line 2 column"):
         parse_config('{\n"mainlobes": }')
+
+
+def test_non_utf8_file_is_a_configuration_error_naming_it(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+    with pytest.raises(ConfigurationError, match="utf16.json.*not UTF-8"):
+        load_config(path)
 
 
 def test_unknown_field_rejected():

@@ -159,6 +159,12 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(FAST_DOC).encode("utf-16-le"))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"mainlobes": [], "rho": 1}')
