@@ -25,10 +25,10 @@ a uniform linear array as a phase ramp a_k[n] = z_k^n. The v block adds
 rho/2 to G's diagonal, which keeps it Toeplitz, and solves it by one
 Levinson recursion on the diagonals in O(N^2) without forming the matrix.
 The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
-along the diagonal, so its matrix is not Toeplitz: it is gathered in
-Fortran order and solved in place by Cholesky, in one LAPACK posv call (it
-is positive definite only for rho > 2, because the majorizer diagonal is
-bounded below by -1 on the sphere).
+along the diagonal, so its matrix is not Toeplitz: it is copied from its
+diagonals in Fortran order and solved in place by Cholesky, in one LAPACK
+posv call (it is positive definite only for rho > 2, because the majorizer
+diagonal is bounded below by -1 on the sphere).
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -77,10 +76,9 @@ from .arrays import (
     SteeringSet,
     _as_vector,
     _is_integer,
-    _readonly,
+    _project_unit_sphere,
     _require_finite,
     _steer_products,
-    project_unit_sphere,
 )
 from .entropy import _majorizer_diag, _powers_and_entropy, entropy
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
@@ -185,19 +183,6 @@ def _residual_energy(square_sum: float, cross: float, alpha: float, dd: float) -
     return max(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
-@lru_cache(maxsize=8)
-def _toeplitz_index(n: int) -> np.ndarray:
-    """Read-only gather index: entry (j, i) is n - 1 + i - j.
-
-    Entry (i, j) of the Hermitian Toeplitz matrix with first column col is
-    entry n - 1 + i - j of [conj(col[n-1:0:-1]), col], so gathering with this
-    index yields the matrix's transpose in C order, which is the matrix itself
-    in Fortran order.
-    """
-    k = np.arange(n)
-    return _readonly((n - 1) + k[None, :] - k[:, None])
-
-
 def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
     """[conj(col[n-1:0:-1]), col]: a Hermitian sequence c_j = conj(c_-j) from j = 0 up,
     extended down to j = -(n - 1). Entry n - 1 + j of the result is c_j."""
@@ -206,8 +191,11 @@ def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
 
 def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
     """The Hermitian Toeplitz matrix with these diagonals, in Fortran order, which LAPACK
-    factors in place; entry n - 1 + i - j of diagonals is entry (i, j)."""
-    return diagonals[_toeplitz_index((diagonals.size + 1) // 2)].T
+    factors in place; entry n - 1 + i - j of diagonals is entry (i, j). Row i of its
+    transpose is diagonals[n-1-i : 2n-1-i], a view with strides (-itemsize, itemsize)."""
+    n = (diagonals.size + 1) // 2
+    step = diagonals.itemsize
+    return np.ndarray((n, n), diagonals.dtype, diagonals, (n - 1) * step, (-step, step)).copy().T
 
 
 def _grid_moments(steering: SteeringSet) -> np.ndarray:
@@ -307,8 +295,8 @@ def _w_system(
 
     Solves (G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
     The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian
-    positive definite system is gathered and solved in place by Cholesky, in
-    one LAPACK posv call.
+    positive definite system is copied from its diagonals and solved in place
+    by Cholesky, in one LAPACK posv call.
     """
     half_rho = params.rho / 2.0
     matrix = _toeplitz_gram(params.lam * mv.gram)
@@ -372,7 +360,7 @@ def update_w(
     params: SolverParams,
 ) -> np.ndarray:
     """Majorized w block: exact unconstrained solve, then sphere projection."""
-    return project_unit_sphere(solve_weight_system(steering, v, u, alpha, d, diag, params))
+    return _project_unit_sphere(solve_weight_system(steering, v, u, alpha, d, diag, params))
 
 
 def update_dual(u, w, v) -> np.ndarray:
@@ -434,7 +422,7 @@ def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
 
     def draw() -> np.ndarray:
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return project_unit_sphere(z)
+        return _project_unit_sphere(z)
 
     v0 = draw()
     w0 = draw()
@@ -530,7 +518,7 @@ def solve(
             v = _v_block(mw, state.w, state.u, alpha, params)
             mv = _moments(q, td, v)
             diag = _majorizer_diag(powers)
-            w = project_unit_sphere(_w_system(mv, v, state.u, alpha, diag, params))
+            w = _project_unit_sphere(_w_system(mv, v, state.u, alpha, diag, params))
             wv = w - v
             swept = AdmmState(alpha=alpha, v=v, w=w, u=state.u + wv, iter=state.iter + 1)
             if not _state_is_finite(swept):

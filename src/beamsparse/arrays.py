@@ -217,7 +217,11 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:
     """Scale a nonzero vector to unit l2 norm."""
-    x = np.asarray(x)
+    return _project_unit_sphere(_as_vector(x, np.size(x), "x"))
+
+
+def _project_unit_sphere(x: np.ndarray) -> np.ndarray:
+    """project_unit_sphere without the vector rule, for vectors the solver already holds."""
     nrm = float(np.linalg.norm(x))
     if not nrm > 0.0 or not np.isfinite(nrm):
         raise DegenerateInputError("cannot project a zero or non-finite vector onto the sphere")

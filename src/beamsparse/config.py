@@ -115,6 +115,8 @@ def parse_config(text: str) -> ExperimentConfig:
         ) from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ConfigurationError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the parser's depth
+        raise ConfigurationError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
 

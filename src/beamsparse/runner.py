@@ -10,8 +10,9 @@ Each run writes four artifacts into the configured output directory:
   except the trace, and the resolved ``config``
 
 Numbers are rendered with ``repr`` so identical runs produce byte-identical
-CSV files on the same platform. The reported runtime covers the solver loop
-only, not steering-set precomputation or file output.
+CSV files on the same platform. The reported runtime covers the whole
+``solve`` call, including its once-per-solve grid-moment set-up, but not
+steering-set precomputation or file output.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def write_outputs(
     pattern: np.ndarray,
 ) -> None:
     """Write the four run artifacts into ``cfg.output_dir``."""
-    w = _as_vector(w, np.size(w), "w", finite=False)
+    w = _as_vector(w, cfg.n_elements, "w", finite=False)
+    pattern = _as_vector(pattern, cfg.grid.count, "pattern", float, finite=False)
     out = _ensure_dir(cfg.output_dir)
     _write_csv(out / WEIGHTS_FILE, {
         "n": np.arange(w.size),
@@ -109,7 +111,6 @@ def write_outputs(
         "mag": np.abs(w),
         "power_db": _db(np.abs(w) ** 2),
     })
-    pattern = np.asarray(pattern, dtype=float)
     _write_csv(out / BEAMPATTERN_FILE, {
         "theta_deg": cfg.grid.angles_deg,
         "power": pattern,

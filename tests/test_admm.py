@@ -847,6 +847,21 @@ def test_solve_makes_no_steering_products(monkeypatch):
     assert reads[0] == reads[1] > 0
 
 
+@pytest.mark.parametrize("n", [1, *MOMENT_SIZES])
+def test_toeplitz_gram_is_a_fresh_fortran_copy_of_its_diagonals(n):
+    # posv factors the result in place, so it must be Fortran-ordered, writable and
+    # its own memory, and it must read each entry from the diagonals unchanged
+    rng = np.random.default_rng(54)
+    diagonals = rng.standard_normal(2 * n - 1) + 1j * rng.standard_normal(2 * n - 1)
+    matrix = admm_mod._toeplitz_gram(diagonals)
+    assert matrix.shape == (n, n)
+    assert matrix.flags.f_contiguous and matrix.flags.writeable
+    assert not np.shares_memory(matrix, diagonals)
+    for i in range(n):
+        for j in range(n):
+            assert matrix[i, j] == diagonals[n - 1 + i - j]
+
+
 def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
     # T_d is gathered once per solve; then the w block gathers and factors its
     # matrix, and the v block solves from the diagonals
@@ -984,6 +999,7 @@ MISSHAPEN_WEIGHT_CALLS = [
     "majorizer_diag",
     "majorizer_value",
     "objective_value",
+    "project_unit_sphere",
 ]
 
 
@@ -1004,6 +1020,7 @@ def test_empty_or_2d_weights_raise_contract_error(call, weights):
         "majorizer_diag": lambda: majorizer_diag(w),
         "majorizer_value": lambda: majorizer_value(w, unit(rng, 2)),
         "objective_value": lambda: objective_value(steering, w, 1.0, d, params),
+        "project_unit_sphere": lambda: project_unit_sphere(w),
     }
     with pytest.raises(ContractError):
         calls[call]()

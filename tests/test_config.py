@@ -231,6 +231,13 @@ def test_integer_past_the_digit_limit_is_a_configuration_error():
         parse_config(MINIMAL[:-1] + ', "rho": 1' + "0" * 5000 + "}")
 
 
+@pytest.mark.parametrize("opening", ["[", '{"a": '])
+def test_nesting_past_the_parser_depth_is_a_configuration_error(opening):
+    # json.loads recurses once per level and raises RecursionError this deep
+    with pytest.raises(ConfigurationError, match="invalid JSON"):
+        parse_config(opening * 100_000)
+
+
 def test_grid_rule_is_on_generated_angles():
     cfg = parse_config(MINIMAL[:-1] + ', "grid_stop_deg": 90.5}')
     assert cfg.grid.angles_deg[-1] == 90.0

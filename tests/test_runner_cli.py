@@ -6,6 +6,7 @@ import pytest
 
 import beamsparse.runner as runner_mod
 from beamsparse import (
+    ContractError,
     DivergenceError,
     IterationRecord,
     RunReport,
@@ -122,6 +123,27 @@ class TestRunExperiment:
         _, rows = read_csv(tmp_path / "out" / "trace.csv")
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("short", ["w", "pattern"])
+    def test_mis_sized_outputs_are_rejected_before_writing(
+        self, fast_config_path, tmp_path, monkeypatch, short
+    ):
+        # a short column would drop rows from its CSV without an error
+        written = {}
+        real = runner_mod.write_outputs
+
+        def capturing(report, cfg, w, pattern):
+            written.update(report=report, cfg=cfg, w=w, pattern=pattern)
+            real(report, cfg, w, pattern)
+
+        monkeypatch.setattr(runner_mod, "write_outputs", capturing)
+        run_experiment(load_config(fast_config_path))
+        cfg = written["cfg"].with_overrides(output_dir=str(tmp_path / "short"))
+        args = {"w": written["w"], "pattern": written["pattern"]}
+        args[short] = args[short][:-1]
+        with pytest.raises(ContractError, match=short):
+            real(written["report"], cfg, **args)
+        assert not (tmp_path / "short").exists()
+
 
 class TestCli:
     def test_convergence_exit_code_and_output(self, fast_config_path, tmp_path, capsys):
@@ -162,6 +184,12 @@ class TestCli:
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + json.dumps(FAST_DOC).encode("utf-16-le"))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_deeply_nested_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
