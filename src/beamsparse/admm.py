@@ -36,7 +36,7 @@ IEEE TSP 1997), so the sweep never touches the K x N steering matrix:
 ``solve`` reads it once, for the grid moments and T_d = sum_k d_k a_k a_k^H,
 and then forms per iterate, in O(N^2), what ``_Moments`` lists. Both blocks'
 matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d and every
-trace column come from these.
+raw trace scalar come from these.
 
 Weights, like v and u, are plain 1-D complex arrays, and the majorizer is
 its real diagonal (``entropy.majorizer_diag``). ``solve`` checks its inputs
@@ -48,12 +48,16 @@ entropy. The moments of w_k feed the v block and row k of the trace; those
 of v_{k+1} feed the w block and row k + 1, and Re(w^H T_d v) of a row is
 the next sweep's alpha numerator. Each w has one power vector and one
 entropy, shared by the majorizer and its trace row, and one w - v serves the
-dual step, the primal residual and the Lagrangian. The public blocks
-(``update_v``, ``update_w``, ``objective_value``, ``augmented_lagrangian``
-and the rest) check their inputs and call the same kernels, so composing
-them reproduces ``solve`` bit for bit. The one exception is
-``update_alpha``, which takes the per-angle samples r_k; it agrees with the
-moment form of alpha to rounding.
+dual step, the primal residual and the Lagrangian. A row appends nine raw
+scalars (sum_k P_k^2, d^T P, sum_k |r_k|^2, Re d^T r, the entropy,
+||w - v + u||^2, ||w - v||^2, alpha and the weight change) to one flat
+buffer that grows with the sweeps run; when the loop ends or a sweep fails,
+one vectorized pass through the public evaluators' formulas derives the rows.
+The public blocks (``update_v``, ``update_w``, ``objective_value``,
+``augmented_lagrangian`` and the rest) check their inputs and call the same
+kernels, so composing them reproduces ``solve`` bit for bit. The one
+exception is ``update_alpha``, which takes the per-angle samples r_k; it
+agrees with the moment form of alpha to rounding.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -62,7 +66,8 @@ mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -78,11 +83,12 @@ from .arrays import (
     _is_integer,
     _project_unit_sphere,
     _require_finite,
+    _sq_norm,
     _steer_products,
 )
 from .entropy import _majorizer_diag, _powers_and_entropy, entropy
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .metrics import _matching_db
+from .metrics import _db
 from .templates import DesiredPattern
 
 # Cholesky factorization and solve of a Hermitian system, without scipy.linalg's wrappers.
@@ -142,9 +148,13 @@ class IterationRecord:
     w_change: float
 
 
-def _require_template(steering: SteeringSet, d: DesiredPattern):
-    # the length only: DesiredPattern itself rejects non-finite values
+def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
+    """The template's length (DesiredPattern rejects non-finite values), and a finite lam K N,
+    which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
     _as_vector(d.values, steering.n_angles, "template", float, finite=False)
+    k, n = steering.n_angles, steering.n_elements
+    if not math.isfinite(params.lam * (k * n)):
+        raise ContractError(f"lam (lambda) {params.lam} times K = {k} and N = {n} overflows")
 
 
 def _template_energy(d: DesiredPattern) -> float:
@@ -174,13 +184,13 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _residual_energy(square_sum: float, cross: float, alpha: float, dd: float) -> float:
+def _residual_energy(square_sum, cross, alpha, dd: float):
     """sum_k |y_k - alpha d_k|^2 from sum_k |y_k|^2, cross = Re d^T y and dd = d^T d.
 
     The expansion cancels where the residual is small, so rounding could take
-    it below zero; it is clamped at 0.
+    it below zero; it is clamped at 0, elementwise for arrays.
     """
-    return max(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
+    return np.maximum(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
 def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
@@ -320,7 +330,7 @@ def update_v(
     params: SolverParams,
 ) -> np.ndarray:
     """Exact minimizer of the v block (matching term plus consensus penalty)."""
-    _require_template(steering, d)
+    _require_problem(steering, d, params)
     _require_finite(alpha, "alpha")
     n = steering.n_elements
     w = _as_vector(w, n, "w")
@@ -339,7 +349,7 @@ def solve_weight_system(
     params: SolverParams,
 ) -> np.ndarray:
     """Pre-projection solution of the majorized w block, with diag = ``majorizer_diag``."""
-    _require_template(steering, d)
+    _require_problem(steering, d, params)
     _require_finite(alpha, "alpha")
     n = steering.n_elements
     v = _as_vector(v, n, "v")
@@ -371,7 +381,7 @@ def update_dual(u, w, v) -> np.ndarray:
 
 def _pattern_fit(mw: _Moments, w: np.ndarray, alpha: float, dd: float) -> float:
     """sum_k (P_k - alpha d_k)^2 for P = |A^H w|^2, from the moments of w (d^T P = w^H T_d w)."""
-    return _residual_energy(_pattern_dot(mw, mw), _real_dot(w, mw.td_x), alpha, dd)
+    return float(_residual_energy(_pattern_dot(mw, mw), _real_dot(w, mw.td_x), alpha, dd))
 
 
 def objective_value(
@@ -382,7 +392,7 @@ def objective_value(
     params: SolverParams,
 ) -> float:
     """Value of the joint objective at (w, alpha)."""
-    _require_template(steering, d)
+    _require_problem(steering, d, params)
     _require_finite(alpha, "alpha")
     w = _as_vector(w, steering.n_elements, "w")
     mw = _moments(_grid_moments(steering), _template_toeplitz(steering, d), w)
@@ -396,7 +406,7 @@ def augmented_lagrangian(
     params: SolverParams,
 ) -> float:
     """Scaled-dual augmented Lagrangian at the given state, with the exact entropy term."""
-    _require_template(steering, d)
+    _require_problem(steering, d, params)
     n = steering.n_elements
     w = _as_vector(state.w, n, "w")
     v = _as_vector(state.v, n, "v")
@@ -404,15 +414,16 @@ def augmented_lagrangian(
     _require_finite(state.alpha, "alpha")
     q, td = _grid_moments(steering), _template_toeplitz(steering, d)
     mw, mv = _moments(q, td, w), _moments(q, td, v)
-    phi = _residual_energy(
+    phi = float(_residual_energy(
         _pattern_dot(mw, mv), _real_dot(w, mv.td_x), state.alpha, float(d.values @ d.values)
-    )
-    return _lagrangian(phi, w - v + u, entropy(w), params)
+    ))
+    gap = w - v + u
+    return _lagrangian(phi, _real_dot(gap, gap), entropy(w), params)
 
 
-def _lagrangian(phi: float, gap: np.ndarray, sparsity: float, params: SolverParams) -> float:
-    """Lagrangian from phi = sum_k |r_k - alpha d_k|^2 and the gap w - v + u."""
-    return params.lam * phi + sparsity + (params.rho / 2.0) * _real_dot(gap, gap)
+def _lagrangian(phi, gap_sq, sparsity, params: SolverParams):
+    """Lagrangian from phi = sum_k |r_k - alpha d_k|^2 and gap_sq = ||w - v + u||^2."""
+    return params.lam * phi + sparsity + (params.rho / 2.0) * gap_sq
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -429,42 +440,37 @@ def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
     return AdmmState(alpha=1.0, v=v0, w=w0, u=np.zeros(n, complex))
 
 
-def _trace_row(
-    state: AdmmState,
-    mw: _Moments,
-    mv: _Moments,
-    cross: float,
-    dd: float,
-    wv: np.ndarray,
-    sparsity: float,
-    params: SolverParams,
-    w_change: float,
-) -> IterationRecord:
-    """Trace row of a state from what its sweep already computed.
-
-    mw and mv are the moments of w and v, cross = Re w^H T_d v, which is
-    Re d^T r for r = conj(A^H w) * (A^H v), wv = w - v, and sparsity the
-    entropy of w. The row is ``objective_value`` and ``augmented_lagrangian``
-    at the state, and ``matching_error_db`` to rounding.
-    """
-    alpha = state.alpha
-    fit = _pattern_fit(mw, state.w, alpha, dd)
-    phi = _residual_energy(_pattern_dot(mw, mv), cross, alpha, dd)
-    return IterationRecord(
-        iter=state.iter,
-        objective=params.lam * fit + sparsity,
-        lagrangian=_lagrangian(phi, wv + state.u, sparsity, params),
-        primal_residual=float(np.linalg.norm(wv)),
-        alpha=float(alpha),
-        matching_error_db=_matching_db(alpha * alpha * dd, fit),
-        w_change=float(w_change),
-    )
+def _append_row(raw: array, mw: _Moments, mv: _Moments, w: np.ndarray, cross: float,
+                sparsity: float, wv: np.ndarray, u: np.ndarray, alpha: float, dd: float,
+                w_change: float):
+    """Append a state's raw trace scalars from what its sweep computed: the moments of w and
+    v, cross = Re w^H T_d v = Re d^T r, the entropy of w and wv = w - v. The blocks check v and
+    w finite; this checks alpha and u, and a zero template scale, which leaves the row's
+    matching error undefined."""
+    gap = wv + u
+    gap_sq = _real_dot(gap, gap)
+    if not math.isfinite(alpha + gap_sq):
+        raise NumericalError("iterates turned non-finite")
+    if not alpha * alpha * dd > 0.0:
+        raise DegenerateInputError("scaled template has no energy")
+    raw.extend((_pattern_dot(mw, mw), _real_dot(w, mw.td_x), _pattern_dot(mw, mv), cross,
+                sparsity, gap_sq, _sq_norm(wv), alpha, w_change))
 
 
-def _state_is_finite(state: AdmmState) -> bool:
-    return math.isfinite(state.alpha) and bool(
-        np.isfinite(np.concatenate((state.v, state.w, state.u))).all()
-    )
+def _derive_rows(raw: array, start: int, dd: float, params: SolverParams) -> list[IterationRecord]:
+    """The trace rows of the scalars ``_append_row`` appended, numbered from start: one
+    vectorized pass through the formulas of ``objective_value``, ``augmented_lagrangian`` and
+    ``matching_error_db``, silent on overflow like their Python floats, so bit for bit equal
+    to the first two at each state and to the third to rounding."""
+    scalars = np.frombuffer(raw).reshape(-1, 9).T
+    square_sum, pattern_td, sample_sq, cross, sparsity, gap_sq, wv_sq, alpha, w_change = scalars
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = _residual_energy(square_sum, pattern_td, alpha, dd)
+        phi = _residual_energy(sample_sq, cross, alpha, dd)
+        columns = (params.lam * fit + sparsity, _lagrangian(phi, gap_sq, sparsity, params),
+                   np.sqrt(wv_sq), alpha, _db(fit / (alpha * alpha * dd)), w_change)
+    iters = range(start, start + alpha.size)
+    return [IterationRecord(*row) for row in zip(iters, *(c.tolist() for c in columns))]
 
 
 def solve(
@@ -477,69 +483,61 @@ def solve(
     """Run the full solver loop.
 
     Returns the final unit-norm weights, the final template scale, and the
-    iteration trace (row 0 is the initial state). ``observer``, when given,
-    is called with every newly accepted state.
+    iteration trace (row 0 is the initial state), derived from the sweeps' raw
+    scalars once the loop ends. ``observer``, when given, is called with every
+    newly accepted state.
 
     Raises
     ------
     DivergenceError
         If a sweep fails: a block solve fails, an iterate turns non-finite,
         or the template scale drops to zero so the trace row is undefined.
-        The exception carries the trace collected so far.
+        The exception carries the trace of the sweeps done before.
     """
-    _require_template(steering, d)
+    _require_problem(steering, d, params)
     dd = _template_energy(d)
 
     state = init if init is not None else initial_state(steering, params)
     n = steering.n_elements
-    state = replace(
-        state,
-        v=_as_vector(state.v, n, "initial v"),
-        w=_as_vector(state.w, n, "initial w"),
-        u=_as_vector(state.u, n, "initial u"),
-    )
-    _require_finite(state.alpha, "initial alpha")
+    v = _as_vector(state.v, n, "initial v")
+    w = _as_vector(state.w, n, "initial w")
+    u = _as_vector(state.u, n, "initial u")
+    alpha = state.alpha
+    _require_finite(alpha, "initial alpha")
 
-    # The steering matrix is read here only. One pass per iterate: the moments
-    # and powers of w serve its trace row and the next sweep's v block and
-    # majorizer; the moments of v, taken for the w block, serve the trace row of
-    # the state that block produces, and cross = Re w^H T_d v that row's
-    # Lagrangian and the next sweep's alpha.
+    # The steering matrix is read here only; each iterate's moments and powers serve both
+    # blocks and the rows, as the module docstring lists.
     q = _grid_moments(steering)
     td = _template_toeplitz(steering, d)
-    mw = _moments(q, td, state.w)
-    mv = _moments(q, td, state.v)
-    powers, sparsity = _powers_and_entropy(state.w)
-    cross = _real_dot(state.w, mv.td_x)
-    trace = [_trace_row(state, mw, mv, cross, dd, state.w - state.v, sparsity, params, 0.0)]
-    for _ in range(params.max_iters):
+    mw = _moments(q, td, w)
+    mv = _moments(q, td, v)
+    powers, sparsity = _powers_and_entropy(w)
+    cross = _real_dot(w, mv.td_x)
+    raw = array("d")
+    _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
+    for it in range(state.iter + 1, state.iter + 1 + params.max_iters):
         try:
             alpha = cross / dd
-            v = _v_block(mw, state.w, state.u, alpha, params)
+            v = _v_block(mw, w, u, alpha, params)
             mv = _moments(q, td, v)
             diag = _majorizer_diag(powers)
-            w = _project_unit_sphere(_w_system(mv, v, state.u, alpha, diag, params))
-            wv = w - v
-            swept = AdmmState(alpha=alpha, v=v, w=w, u=state.u + wv, iter=state.iter + 1)
-            if not _state_is_finite(swept):
-                raise NumericalError("iterates turned non-finite")
-            w_change = float(np.linalg.norm(w - state.w))
+            swept = _project_unit_sphere(_w_system(mv, v, u, alpha, diag, params))
+            wv = swept - v
+            u = u + wv
+            w_change = math.sqrt(_sq_norm(swept - w))
+            w = swept
             mw = _moments(q, td, w)
             powers, sparsity = _powers_and_entropy(w)
             cross = _real_dot(w, mv.td_x)
-            # a zero template scale fails here, in the matching error
-            row = _trace_row(swept, mw, mv, cross, dd, wv, sparsity, params, w_change)
+            _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:
-            raise DivergenceError(
-                f"solver diverged at iteration {state.iter + 1}: {exc}", trace=trace
-            ) from exc
-        state = swept
-        trace.append(row)
+            trace = _derive_rows(raw, state.iter, dd, params)
+            raise DivergenceError(f"solver diverged at iteration {it}: {exc}", trace) from exc
         if observer is not None:
-            observer(state)
+            observer(AdmmState(alpha=alpha, v=v, w=w, u=u, iter=it))
         if w_change <= params.eta:
             break
-    return state.w, float(state.alpha), trace
+    return w, float(alpha), _derive_rows(raw, state.iter, dd, params)
 
 
 def converged(trace: list[IterationRecord], eta: float) -> bool:

@@ -220,9 +220,14 @@ def project_unit_sphere(x: np.ndarray) -> np.ndarray:
     return _project_unit_sphere(_as_vector(x, np.size(x), "x"))
 
 
+def _sq_norm(x: np.ndarray) -> float:
+    """||x||^2 of a complex x as numpy.linalg.norm sums it: its sqrt is norm(x) bit for bit."""
+    return x.real.dot(x.real) + x.imag.dot(x.imag)
+
+
 def _project_unit_sphere(x: np.ndarray) -> np.ndarray:
     """project_unit_sphere without the vector rule, for vectors the solver already holds."""
-    nrm = float(np.linalg.norm(x))
-    if not nrm > 0.0 or not np.isfinite(nrm):
+    nrm = math.sqrt(_sq_norm(x))
+    if not 0.0 < nrm < math.inf:
         raise DegenerateInputError("cannot project a zero or non-finite vector onto the sphere")
     return x / nrm

@@ -77,11 +77,6 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
         energy = float(scaled @ scaled)
     if not (math.isfinite(fit) and math.isfinite(energy)):
         raise ContractError("the squared pattern residual or scaled template energy overflows")
-    return _matching_db(energy, fit)
-
-
-def _matching_db(energy: float, fit: float) -> float:
-    """Matching error in dB from the scaled template's energy and the squared residual sum."""
     if not energy > 0.0:
         raise DegenerateInputError("scaled template has no energy")
     return _db(fit / energy)

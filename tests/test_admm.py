@@ -1,3 +1,8 @@
+import math
+import sys
+import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -809,6 +814,71 @@ def test_solve_is_the_public_blocks_from_exact_zero_weights():
     init = AdmmState(alpha=1.0, v=start.v, w=project_unit_sphere(w), u=start.u)
     assert np.count_nonzero(np.abs(init.w) ** 2 < POWER_FLOOR) == 2
     assert_solve_is_the_public_blocks(steering, d, params, init)
+
+
+def config_problem(name, **overrides):
+    cfg = load_config(CONFIGS / f"{name}.json").with_overrides(**overrides)
+    return build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
+
+
+def largest_accepted_lam(steering):
+    """The largest lam with lam * K * N finite, the bound solve and the public blocks hold."""
+    kn = steering.n_angles * steering.n_elements
+    lam = sys.float_info.max / kn
+    while not math.isfinite(lam * kn):
+        lam = math.nextafter(lam, 0.0)
+    while math.isfinite(math.nextafter(lam, math.inf) * kn):
+        lam = math.nextafter(lam, math.inf)
+    return lam
+
+
+def test_lam_that_overflows_the_data_fit_is_rejected():
+    # at lam = 1e306, lam * G overflows in the v block on single_mainlobe (N = 30, K = 181)
+    steering, d, params = config_problem("single_mainlobe", max_iters=5)
+    past = math.nextafter(largest_accepted_lam(steering), math.inf)
+    state = admm_mod.initial_state(steering, params)
+    for lam in (1e306, 1e308, past):
+        params = replace(params, lam=lam)
+        with pytest.raises(ContractError, match="lam"):
+            solve(steering, d, params)
+        with pytest.raises(ContractError, match="lam"):
+            update_v(steering, state.w, state.u, 1.0, d, params)
+
+
+@pytest.mark.parametrize("name", ["single_mainlobe", "two_mainlobes"])
+def test_largest_accepted_lam_runs_without_warnings(name):
+    steering, d, params = config_problem(name, max_iters=200)
+    params = replace(params, lam=largest_accepted_lam(steering))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, trace = solve(steering, d, params)
+    assert len(trace) > 40
+
+
+@pytest.mark.parametrize("name,sweeps", [("single_mainlobe", 40), ("two_mainlobes", 200)])
+def test_solve_is_the_public_blocks_at_the_largest_accepted_lam(name, sweeps):
+    # the objective overflows to inf on some rows, as a Python float does, and the
+    # derived trace columns must follow it without a warning
+    steering, d, params = config_problem(name, max_iters=sweeps)
+    params = replace(params, lam=largest_accepted_lam(steering))
+    trace = assert_solve_is_the_public_blocks(steering, d, params)
+    assert any(math.isinf(row.objective) for row in trace)
+    state = admm_mod.initial_state(steering, params)
+    assert type(objective_value(steering, state.w, 1.0, d, params)) is float
+    assert type(augmented_lagrangian(state, steering, d, params)) is float
+
+
+def test_no_allocation_grows_with_the_iteration_budget():
+    steering, d, _ = config_problem("single_mainlobe")
+    params = SolverParams(max_iters=10**12, eta=math.inf)
+    tracemalloc.start()
+    try:
+        _, _, trace = solve(steering, d, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 2
+    assert peak < 2**20
 
 
 class ReadCountingSteering(SteeringSet):

@@ -11,6 +11,7 @@ from beamsparse import (
     matching_error_db,
     peak_sidelobe_db,
 )
+from beamsparse.metrics import _RATIO_FLOOR, _db
 
 
 def weights_from_powers(powers):
@@ -101,6 +102,21 @@ class TestMatchingError:
         d = DesiredPattern(np.array([1.0, 0.0]), np.array([True, False]))
         with pytest.raises(DegenerateInputError):
             matching_error_db(np.array([1.0, 1.0]), 0.0, d)
+
+
+def test_db_of_an_array_is_the_scalar_db_of_each_entry_bit_for_bit():
+    # the solver derives its trace's dB column from an array; trace.csv must keep the
+    # digits a per-row scalar evaluation writes
+    rng = np.random.default_rng(7)
+    floor = [_RATIO_FLOOR, np.nextafter(_RATIO_FLOOR, 0.0), np.nextafter(_RATIO_FLOOR, 1.0)]
+    ratios = np.concatenate((
+        [0.0, 1e-40, *floor, 1.0, 1e40],
+        np.logspace(-40, 40, 4001),
+        10.0 ** rng.uniform(-40, 40, 4000),
+    ))
+    scalars = [_db(float(r)) for r in ratios]
+    assert all(type(x) is float for x in scalars)
+    np.testing.assert_array_equal(_db(ratios).view(np.int64), np.array(scalars).view(np.int64))
 
 
 class TestPeakSidelobe:

@@ -193,6 +193,14 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_lambda_that_overflows_the_data_fit_exits_one(self, tmp_path, capsys):
+        # lam * K * N overflows at K = 61 angles and N = 8 elements, so the solve
+        # rejects lam on entry, before any sweep
+        path = tmp_path / "huge_lambda.json"
+        path.write_text(json.dumps({**FAST_DOC, "lambda": 1e306, "output_dir": str(tmp_path)}))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert "lam (lambda)" in capsys.readouterr().err
+
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"mainlobes": [], "rho": 1}')
