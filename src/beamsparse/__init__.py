@@ -10,8 +10,8 @@ entropy term.
 
 from .admm import (
     AdmmState,
-    IterationRecord,
     SolverParams,
+    Trace,
     augmented_lagrangian,
     converged,
     inner_products,
@@ -60,13 +60,13 @@ __all__ = [
     "DesiredPattern",
     "DivergenceError",
     "ExperimentConfig",
-    "IterationRecord",
     "MainlobeSpec",
     "NumericalError",
     "POWER_FLOOR",
     "RunReport",
     "SolverParams",
     "SteeringSet",
+    "Trace",
     "augmented_lagrangian",
     "beampattern",
     "build_steering_set",

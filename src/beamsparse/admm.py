@@ -50,9 +50,9 @@ the next sweep's alpha numerator. Each w has one power vector and one
 entropy, shared by the majorizer and its trace row, and one w - v serves the
 dual step, the primal residual and the Lagrangian. A row appends nine raw
 scalars (sum_k P_k^2, d^T P, sum_k |r_k|^2, Re d^T r, the entropy,
-||w - v + u||^2, ||w - v||^2, alpha and the weight change) to one flat
-buffer that grows with the sweeps run; when the loop ends or a sweep fails,
-one vectorized pass through the public evaluators' formulas derives the rows.
+||w - v + u||^2, ||w - v||^2, alpha, the weight change) to one growing buffer;
+once the loop ends or a sweep fails, one vectorized pass of the public evaluators'
+formulas derives the ``Trace``, one column per field, with no per-row object.
 The public blocks (``update_v``, ``update_w``, ``objective_value``,
 ``augmented_lagrangian`` and the rest) check their inputs and call the same
 kernels, so composing them reproduces ``solve`` bit for bit. The one
@@ -81,7 +81,9 @@ from .arrays import (
     SteeringSet,
     _as_vector,
     _is_integer,
+    _is_real,
     _project_unit_sphere,
+    _readonly,
     _require_finite,
     _sq_norm,
     _steer_products,
@@ -112,12 +114,12 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ContractError(f"lam (lambda) must be finite and >= 0, got {self.lam}")
-        if not 2.0 < self.rho < np.inf:
-            raise ContractError(f"rho must exceed 2 and be finite, got {self.rho}")
-        if not self.eta > 0:
-            raise ContractError(f"eta must be positive, got {self.eta}")
+        if not (_is_real(self.lam) and 0 <= self.lam < np.inf):
+            raise ContractError(f"lam (lambda) must be finite and >= 0, got {self.lam!r}")
+        if not (_is_real(self.rho) and 2.0 < self.rho < np.inf):
+            raise ContractError(f"rho must exceed 2 and be finite, got {self.rho!r}")
+        if not (_is_real(self.eta) and self.eta > 0):
+            raise ContractError(f"eta must be positive, got {self.eta!r}")
         if not _is_integer(self.max_iters) or self.max_iters < 0:
             raise ContractError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if not _is_integer(self.seed) or self.seed < 0:
@@ -135,17 +137,17 @@ class AdmmState:
     iter: int = 0
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-iteration trace row; ``trace.csv`` has one column per field, in this order."""
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """The iteration trace: one read-only 1-D array per ``trace.csv`` column, in this order."""
 
-    iter: int
-    objective: float
-    lagrangian: float
-    primal_residual: float
-    alpha: float
-    matching_error_db: float
-    w_change: float
+    iter: np.ndarray
+    objective: np.ndarray
+    lagrangian: np.ndarray
+    primal_residual: np.ndarray
+    alpha: np.ndarray
+    matching_error_db: np.ndarray
+    w_change: np.ndarray
 
 
 def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
@@ -318,7 +320,7 @@ def _w_system(
             f"matrix is not positive definite: leading minor {info} fails" if info > 0
             else f"Cholesky solve rejected argument {-info} (posv)"
         )
-    return _require_finite_solution(solution)
+    return solution
 
 
 def update_v(
@@ -357,7 +359,7 @@ def solve_weight_system(
     # a non-finite diagonal is left to the block solve, which reports it as a NumericalError
     diag = _as_vector(diag, n, "majorizer diagonal", float, finite=False)
     mv = _moments(_grid_moments(steering), _template_toeplitz(steering, d), v)
-    return _w_system(mv, v, u, alpha, diag, params)
+    return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
 
 
 def update_w(
@@ -457,8 +459,8 @@ def _append_row(raw: array, mw: _Moments, mv: _Moments, w: np.ndarray, cross: fl
                 sparsity, gap_sq, _sq_norm(wv), alpha, w_change))
 
 
-def _derive_rows(raw: array, start: int, dd: float, params: SolverParams) -> list[IterationRecord]:
-    """The trace rows of the scalars ``_append_row`` appended, numbered from start: one
+def _derive_trace(raw: array, start: int, dd: float, params: SolverParams) -> Trace:
+    """The trace of the scalars ``_append_row`` appended, numbered from start: one
     vectorized pass through the formulas of ``objective_value``, ``augmented_lagrangian`` and
     ``matching_error_db``, silent on overflow like their Python floats, so bit for bit equal
     to the first two at each state and to the third to rounding."""
@@ -469,8 +471,7 @@ def _derive_rows(raw: array, start: int, dd: float, params: SolverParams) -> lis
         phi = _residual_energy(sample_sq, cross, alpha, dd)
         columns = (params.lam * fit + sparsity, _lagrangian(phi, gap_sq, sparsity, params),
                    np.sqrt(wv_sq), alpha, _db(fit / (alpha * alpha * dd)), w_change)
-    iters = range(start, start + alpha.size)
-    return [IterationRecord(*row) for row in zip(iters, *(c.tolist() for c in columns))]
+    return Trace(*map(_readonly, (np.arange(start, start + alpha.size), *columns)))
 
 
 def solve(
@@ -479,13 +480,13 @@ def solve(
     params: SolverParams,
     init: Optional[AdmmState] = None,
     observer: Optional[Callable[[AdmmState], None]] = None,
-) -> tuple[np.ndarray, float, list[IterationRecord]]:
+) -> tuple[np.ndarray, float, Trace]:
     """Run the full solver loop.
 
-    Returns the final unit-norm weights, the final template scale, and the
-    iteration trace (row 0 is the initial state), derived from the sweeps' raw
-    scalars once the loop ends. ``observer``, when given, is called with every
-    newly accepted state.
+    Returns the final unit-norm weights, the final template scale and the
+    ``Trace``, one column per field from the initial state (numbered
+    ``init.iter``) on, derived with no per-row object once the loop ends.
+    ``observer``, when given, is called with every newly accepted state.
 
     Raises
     ------
@@ -498,6 +499,8 @@ def solve(
     dd = _template_energy(d)
 
     state = init if init is not None else initial_state(steering, params)
+    if not _is_integer(state.iter) or state.iter < 0:
+        raise ContractError(f"initial iter must be an integer >= 0, got {state.iter!r}")
     n = steering.n_elements
     v = _as_vector(state.v, n, "initial v")
     w = _as_vector(state.w, n, "initial w")
@@ -531,15 +534,15 @@ def solve(
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:
-            trace = _derive_rows(raw, state.iter, dd, params)
+            trace = _derive_trace(raw, state.iter, dd, params)
             raise DivergenceError(f"solver diverged at iteration {it}: {exc}", trace) from exc
         if observer is not None:
             observer(AdmmState(alpha=alpha, v=v, w=w, u=u, iter=it))
         if w_change <= params.eta:
             break
-    return w, float(alpha), _derive_rows(raw, state.iter, dd, params)
+    return w, float(alpha), _derive_trace(raw, state.iter, dd, params)
 
 
-def converged(trace: list[IterationRecord], eta: float) -> bool:
+def converged(trace: Trace, eta: float) -> bool:
     """Whether the trace ends because the weight change dropped below eta."""
-    return len(trace) >= 2 and trace[-1].w_change <= eta
+    return trace.w_change.size >= 2 and bool(trace.w_change[-1] <= eta)

@@ -32,6 +32,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    """A Python or numpy int or float; no bool, string, complex or array."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
     """The vector rule of every public argument: non-empty, length n and, unless told
     not to, finite. A caller with no length to hold x to passes np.size(x)."""
@@ -47,8 +52,8 @@ def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.n
 
 def _require_finite(x: float, name: str):
     """The scalar rule of every public argument that the vector rule does not cover."""
-    if not math.isfinite(x):
-        raise ContractError(f"{name} is non-finite, got {x}")
+    if not (_is_real(x) and math.isfinite(x)):
+        raise ContractError(f"{name} is non-finite or not a real number, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ class NumericalError(BeamsparseError, RuntimeError):
 class DivergenceError(NumericalError):
     """The solver produced non-finite iterates.
 
-    Carries the iteration trace collected before the failure in ``trace``.
+    Carries the ``Trace`` of the sweeps before the failure in ``trace``.
     """
 
     def __init__(self, message, trace=None):
         super().__init__(message)
-        self.trace = list(trace) if trace is not None else []
+        self.trace = trace

@@ -19,12 +19,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import _as_vector, _require_finite
+from .arrays import _as_vector, _is_real, _require_finite
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .admm import IterationRecord
+    from .admm import Trace
 
 #: Serialized stand-in for -inf dB (exact ratios of zero).
 DB_FLOOR = -300.0
@@ -42,7 +42,7 @@ def _db(ratio):
 
 def _require_threshold(rel_threshold: float):
     """The selection threshold is a fraction of the strongest power, inside (0, 1)."""
-    if not 0.0 < rel_threshold < 1.0:
+    if not (_is_real(rel_threshold) and 0.0 < rel_threshold < 1.0):
         raise ContractError(f"cardinality_threshold must lie in (0, 1), got {rel_threshold}")
 
 
@@ -107,7 +107,7 @@ class RunReport:
     runtime_seconds: float
     iterations: int
     final_alpha: float
-    trace: "list[IterationRecord]"
+    trace: Trace
 
     def __post_init__(self):
         if self.cardinality < 0:

@@ -5,7 +5,7 @@ Each run writes four artifacts into the configured output directory:
 * ``weights.csv``      n,re,im,mag,power_db                 (N rows)
 * ``beampattern.csv``  theta_deg,power,power_db,desired_scaled  (K rows,
   power_db normalized so the pattern peak is 0 dB)
-* ``trace.csv``        one column per ``IterationRecord`` field  (iterations+1 rows)
+* ``trace.csv``        one column per ``Trace`` field  (iterations+1 rows)
 * ``summary.json``     ``schema_version``, one key per ``RunReport`` field
   except the trace, and the resolved ``config``
 
@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .admm import IterationRecord, solve
+from .admm import solve
 from .arrays import _as_vector, beampattern, build_steering_set
 from .config import ExperimentConfig, config_to_dict
 from .errors import DivergenceError
@@ -51,7 +50,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         w, alpha, trace = solve(steering, cfg.template, cfg.params)
     except DivergenceError as exc:
         out_dir = _ensure_dir(cfg.output_dir)
-        _write_trace(out_dir / TRACE_FILE, exc.trace)
+        _write_csv(out_dir / TRACE_FILE, vars(exc.trace))
         raise
     runtime = time.perf_counter() - started
 
@@ -61,7 +60,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         matching_error_db=matching_error_db(pattern, alpha, cfg.template),
         peak_sidelobe_db=peak_sidelobe_db(pattern, cfg.template.mainlobe_mask),
         runtime_seconds=runtime,
-        iterations=len(trace) - 1,
+        iterations=trace.iter.size - 1,
         final_alpha=alpha,
         trace=trace,
     )
@@ -75,23 +74,15 @@ def _ensure_dir(path: str | Path) -> Path:
     return out
 
 
-def _write_csv(path: Path, columns: dict[str, list | np.ndarray]):
+def _write_csv(path: Path, columns: dict[str, np.ndarray]):
     """A header of column names, then one row per entry.
 
-    A column is a list of Python numbers or an array, which ``tolist`` turns
-    into one; ``repr`` then writes ints as is and floats exactly.
+    ``tolist`` turns each column into Python numbers, which ``repr`` writes:
+    ints as is and floats exactly.
     """
-    cells = [
-        map(repr, col.tolist() if isinstance(col, np.ndarray) else col)
-        for col in columns.values()
-    ]
+    cells = [map(repr, col.tolist()) for col in columns.values()]
     rows = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def _write_trace(path: Path, trace: list[IterationRecord]):
-    names = [f.name for f in fields(IterationRecord)]
-    _write_csv(path, {name: list(map(attrgetter(name), trace)) for name in names})
 
 
 def write_outputs(
@@ -117,7 +108,7 @@ def write_outputs(
         "power_db": _db(pattern / max(float(pattern.max()), _RATIO_FLOOR)),
         "desired_scaled": report.final_alpha * cfg.template.values,
     })
-    _write_trace(out / TRACE_FILE, report.trace)
+    _write_csv(out / TRACE_FILE, vars(report.trace))
 
     metrics = {f.name: getattr(report, f.name) for f in fields(RunReport) if f.name != "trace"}
     summary = {"schema_version": SCHEMA_VERSION, **metrics, "config": config_to_dict(cfg)}

@@ -129,14 +129,14 @@ def test_criterion_3_convergence_shape(capfd):
     def body():
         steering, template = reference_problem(SINGLE_LOBE)
         _, _, trace = solve(steering, template, reference_params(seed=0))
-        probe = min(100, len(trace) - 1)
-        first_step = trace[1].w_change
-        assert trace[probe].w_change <= 1e-3 * first_step, (
-            f"w change at iteration {probe} is {trace[probe].w_change:.3e}, "
+        probe = min(100, trace.iter.size - 1)
+        first_step = trace.w_change[1]
+        assert trace.w_change[probe] <= 1e-3 * first_step, (
+            f"w change at iteration {probe} is {trace.w_change[probe]:.3e}, "
             f"more than 1e-3 of the first step {first_step:.3e}"
         )
-        final_error = trace[-1].matching_error_db
-        assert abs(trace[probe].matching_error_db - final_error) <= 0.5, (
+        final_error = trace.matching_error_db[-1]
+        assert abs(trace.matching_error_db[probe] - final_error) <= 0.5, (
             "matching error at iteration 100 drifts more than 0.5 dB from its final value"
         )
 

@@ -2,7 +2,7 @@ import math
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from beamsparse import (
     POWER_FLOOR,
     SolverParams,
     SteeringSet,
+    Trace,
     augmented_lagrangian,
     beampattern,
     build_steering_set,
@@ -409,8 +410,8 @@ class TestSolve:
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.2, rho=5.0, eta=np.inf, max_iters=50)
         _, _, trace = solve(steering, d, params)
-        assert len(trace) == 2
-        assert trace[-1].iter == 1
+        assert trace.iter.size == 2
+        assert trace.iter[-1] == 1
         assert converged(trace, params.eta)
 
     def test_zero_iteration_budget_returns_initial_state(self):
@@ -418,8 +419,8 @@ class TestSolve:
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.2, rho=5.0, max_iters=0)
         w, alpha, trace = solve(steering, d, params)
-        assert len(trace) == 1
-        assert trace[0].iter == 0
+        assert trace.iter.size == 1
+        assert trace.iter[0] == 0
         assert alpha == 1.0
         assert not converged(trace, params.eta)
 
@@ -431,8 +432,8 @@ class TestSolve:
         _, _, trace = solve(
             steering, d, params, observer=lambda s: norms.append(np.linalg.norm(s.w))
         )
-        assert [rec.iter for rec in trace] == list(range(len(trace)))
-        assert all(rec.primal_residual >= 0 and rec.w_change >= 0 for rec in trace)
+        assert trace.iter.tolist() == list(range(trace.iter.size))
+        assert (trace.primal_residual >= 0).all() and (trace.w_change >= 0).all()
         assert all(abs(nrm - 1.0) <= 1e-10 for nrm in norms)
 
     def test_seeded_runs_are_reproducible(self):
@@ -443,7 +444,7 @@ class TestSolve:
         w2, a2, t2 = solve(steering, d, params)
         np.testing.assert_array_equal(w1, w2)
         assert a1 == a2
-        assert t1 == t2
+        assert all(np.array_equal(getattr(t1, f.name), getattr(t2, f.name)) for f in fields(t1))
 
     def test_warm_start_from_given_state(self):
         rng = np.random.default_rng(29)
@@ -453,8 +454,33 @@ class TestSolve:
             alpha=1.0, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex), iter=10
         )
         _, _, trace = solve(steering, d, params, init=init)
-        assert trace[0].iter == 10
-        assert trace[-1].iter == 13
+        assert trace.iter[0] == 10
+        assert trace.iter[-1] == 13
+
+    def test_trace_is_one_read_only_column_per_csv_field(self):
+        rng = np.random.default_rng(29)
+        steering, d = random_instance(rng)
+        params = SolverParams(lam=0.2, rho=5.0, max_iters=3)
+        init = AdmmState(
+            alpha=1.0, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex), iter=10
+        )
+        _, _, trace = solve(steering, d, params, init=init)
+        names = [f.name for f in fields(Trace)]
+        assert names == [
+            "iter", "objective", "lagrangian", "primal_residual",
+            "alpha", "matching_error_db", "w_change",
+        ]
+        for name in names:
+            column = getattr(trace, name)
+            assert column.shape == (4,)
+            assert not column.flags.writeable
+        assert np.issubdtype(trace.iter.dtype, np.integer)
+        assert trace.iter.tolist() == [10, 11, 12, 13]
+        # no row view: a caller that still reads rows fails instead of reading columns
+        with pytest.raises(TypeError):
+            len(trace)
+        with pytest.raises(TypeError):
+            trace[0]
 
     def test_rejects_all_zero_template(self):
         rng = np.random.default_rng(30)
@@ -483,7 +509,7 @@ class TestSolve:
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, params)
         # rows: initial state plus the two clean iterations
-        assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
+        assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
 
 
 class TestSolverParamsOwnsItsRules:
@@ -494,14 +520,15 @@ class TestSolverParamsOwnsItsRules:
             SolverParams(**{field: value})
 
     @pytest.mark.parametrize("field", ["lam", "rho"])
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, "x", None, 1 + 2j, True])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
             SolverParams(**{field: value})
 
     def test_nan_eta_rejected(self):
-        with pytest.raises(ContractError, match="eta"):
-            SolverParams(eta=np.nan)
+        for eta in (np.nan, "x", None, 1 + 2j, np.ones(2)):
+            with pytest.raises(ContractError, match="eta"):
+                SolverParams(eta=eta)
 
 
 def dense_data_fit_gram(steering, x, lam):
@@ -538,16 +565,16 @@ def test_trace_rows_match_the_public_evaluators():
     init = admm_mod.initial_state(steering, params)
     states = [init]
     _, _, trace = solve(steering, d, params, init=init, observer=states.append)
-    assert len(states) == len(trace)
-    for state, row in zip(states, trace):
+    assert len(states) == trace.iter.size
+    for k, state in enumerate(states):
         pattern = beampattern(steering, state.w)
-        assert row.objective == pytest.approx(
+        assert trace.objective[k] == pytest.approx(
             objective_value(steering, state.w, state.alpha, d, params), rel=1e-12
         )
-        assert row.lagrangian == pytest.approx(
+        assert trace.lagrangian[k] == pytest.approx(
             augmented_lagrangian(state, steering, d, params), rel=1e-12
         )
-        assert row.matching_error_db == pytest.approx(
+        assert trace.matching_error_db[k] == pytest.approx(
             matching_error_db(pattern, state.alpha, d), rel=1e-12, abs=1e-12
         )
 
@@ -620,9 +647,9 @@ class TestMomentKernels:
         params = SolverParams(lam=0.0, rho=5.0, max_iters=5, seed=1)
         states = [admm_mod.initial_state(steering, params)]
         _, _, trace = solve(steering, d, params, init=states[0], observer=states.append)
-        for state, row in zip(states, trace):
+        for state, error_db in zip(states, trace.matching_error_db):
             want = matching_error_db(beampattern(steering, state.w), state.alpha, d)
-            assert row.matching_error_db == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert error_db == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_fit_is_clamped_at_zero(self):
         # an exact match cancels to rounding, which may fall either side of 0
@@ -659,7 +686,7 @@ def test_zero_template_scale_carries_partial_trace():
     init = AdmmState(alpha=1.0, v=np.zeros_like(start.v), w=start.w, u=start.u)
     with pytest.raises(DivergenceError, match="iteration 1: scaled template has no energy") as exc:
         solve(steering, cfg.template, cfg.params, init=init)
-    assert [row.iter for row in exc.value.trace] == [0]
+    assert exc.value.trace.iter.tolist() == [0]
 
 
 class TestFactorizationFailure:
@@ -681,6 +708,22 @@ class TestFactorizationFailure:
         with pytest.raises(NumericalError):
             solve_weight_system(steering, v, u, 1.0, d, diag, params)
 
+    def test_non_finite_weight_solution_ends_in_divergence(self, monkeypatch):
+        # solve checks the w block's solution once, where it projects it onto the sphere
+        steering, d, _, _, _ = self.system()
+        calls = {"count": 0}
+        real_w_system = admm_mod._w_system
+
+        def poisoned(*args):
+            calls["count"] += 1
+            solution = real_w_system(*args)
+            return np.full_like(solution, np.nan) if calls["count"] == 3 else solution
+
+        monkeypatch.setattr(admm_mod, "_w_system", poisoned)
+        with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
+            solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
+        assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
+
     def test_solve_reports_divergence_with_partial_trace(self, monkeypatch):
         steering, d, _, _, _ = self.system()
         calls = {"count": 0}
@@ -695,7 +738,7 @@ class TestFactorizationFailure:
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert isinstance(excinfo.value.__cause__, NumericalError)
-        assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
+        assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
 
 
 class TestLevinsonVBlock:
@@ -748,13 +791,13 @@ class TestLevinsonVBlock:
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert isinstance(excinfo.value.__cause__, NumericalError)
-        assert [row.iter for row in excinfo.value.trace] == [0, 1, 2]
+        assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
 
 
 def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     """solve equals a loop written from the public blocks, exactly, in w, alpha and every row."""
     w_solve, alpha_solve, trace = solve(steering, d, params, init=init)
-    assert len(trace) == params.max_iters + 1
+    assert trace.iter.size == params.max_iters + 1
 
     state = init if init is not None else admm_mod.initial_state(steering, params)
     # alpha takes solve's moment form, Re(w^H T_d v) / d^T d; test_moment_alpha_is_update_alpha
@@ -762,7 +805,7 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     td = admm_mod._template_toeplitz(steering, d)
     dd = float(d.values @ d.values)
     rows, matching = [], []
-    for _ in range(len(trace) - 1):
+    for _ in range(trace.iter.size - 1):
         alpha = admm_mod._real_dot(state.w, td @ state.v) / dd
         v = update_v(steering, state.w, state.u, alpha, d, params)
         diag = majorizer_diag(state.w)
@@ -781,11 +824,10 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
 
     assert np.array_equal(state.w, w_solve)
     assert state.alpha == alpha_solve
-    assert rows == [
-        (r.objective, r.lagrangian, r.primal_residual, r.alpha, r.w_change) for r in trace[1:]
-    ]
+    names = ("objective", "lagrangian", "primal_residual", "alpha", "w_change")
+    assert rows == list(zip(*(getattr(trace, name)[1:].tolist() for name in names)))
     # the per-angle matching error; solve's rows take it from the grid moments
-    assert [r.matching_error_db for r in trace[1:]] == pytest.approx(matching, rel=1e-12, abs=1e-12)
+    assert trace.matching_error_db[1:].tolist() == pytest.approx(matching, rel=1e-12, abs=1e-12)
     return trace
 
 
@@ -800,7 +842,7 @@ def test_solve_is_the_public_blocks_on_the_negative_alpha_branch():
     cfg = load_config(CONFIGS / "two_mainlobes.json").with_overrides(seed=9, max_iters=200)
     steering = build_steering_set(cfg.geometry, cfg.grid)
     trace = assert_solve_is_the_public_blocks(steering, cfg.template, cfg.params)
-    assert any(row.alpha < 0 for row in trace)
+    assert (trace.alpha < 0).any()
 
 
 def test_solve_is_the_public_blocks_from_exact_zero_weights():
@@ -852,7 +894,7 @@ def test_largest_accepted_lam_runs_without_warnings(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, trace = solve(steering, d, params)
-    assert len(trace) > 40
+    assert trace.iter.size > 40
 
 
 @pytest.mark.parametrize("name,sweeps", [("single_mainlobe", 40), ("two_mainlobes", 200)])
@@ -862,7 +904,7 @@ def test_solve_is_the_public_blocks_at_the_largest_accepted_lam(name, sweeps):
     steering, d, params = config_problem(name, max_iters=sweeps)
     params = replace(params, lam=largest_accepted_lam(steering))
     trace = assert_solve_is_the_public_blocks(steering, d, params)
-    assert any(math.isinf(row.objective) for row in trace)
+    assert np.isinf(trace.objective).any()
     state = admm_mod.initial_state(steering, params)
     assert type(objective_value(steering, state.w, 1.0, d, params)) is float
     assert type(augmented_lagrangian(state, steering, d, params)) is float
@@ -877,7 +919,7 @@ def test_no_allocation_grows_with_the_iteration_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(trace) == 2
+    assert trace.iter.size == 2
     assert peak < 2**20
 
 
@@ -911,7 +953,7 @@ def test_solve_makes_no_steering_products(monkeypatch):
         ReadCountingSteering.reads = 0
         params = SolverParams(lam=0.2, rho=5.0, max_iters=max_iters, seed=5)
         _, _, trace = solve(steering, d, params)
-        assert len(trace) == max_iters + 1
+        assert trace.iter.size == max_iters + 1
         reads.append(ReadCountingSteering.reads)
     assert calls["count"] == 0
     assert reads[0] == reads[1] > 0
@@ -947,7 +989,7 @@ def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
 
     monkeypatch.setattr(admm_mod, "_toeplitz_gram", counted)
     _, _, trace = solve(steering, d, params)
-    assert len(trace) == 13
+    assert trace.iter.size == 13
     assert calls["count"] == 1 + 12
 
 
@@ -1015,14 +1057,25 @@ NON_FINITE_CALLS = [
     "augmented_lagrangian-alpha",
     "update_v-alpha",
     "update_w-alpha",
+    "solve-iter-float",
+    "solve-iter-str",
+    "solve-iter-negative",
 ]
+# alpha that is not a real number, passed to each function that takes one
+NON_REAL_ALPHAS = {"str": "x", "none": None, "complex": 1 + 2j, "array": np.ones(2)}
+ALPHA_CALLS = [
+    "matching_error_db", "objective_value", "augmented_lagrangian", "update_v", "update_w", "solve",
+]
+NON_FINITE_CALLS += [f"{call}-alpha-{kind}" for call in ALPHA_CALLS for kind in NON_REAL_ALPHAS]
 
 
 @pytest.mark.parametrize("call", NON_FINITE_CALLS)
 def test_non_finite_input_raises_contract_error(call):
     # N = 5 elements on a 7-angle grid; each call gets one input with a NaN
     # (or inf) entry, or one NaN (or inf) scalar, which would otherwise come
-    # back as a NaN result
+    # back as a NaN result, or one scalar that is not a real number (or an
+    # initial iteration number that is not an integer >= 0), which would
+    # otherwise escape as a bare TypeError
     rng = np.random.default_rng(71)
     steering, d = random_instance(rng)
     params = SolverParams(lam=0.2, rho=5.0)
@@ -1056,7 +1109,24 @@ def test_non_finite_input_raises_contract_error(call):
         "update_v-alpha": lambda: update_v(steering, w, u, np.nan, d, params),
         "update_w-alpha":
             lambda: update_w(steering, v, u, np.inf, d, majorizer_diag(w), params),
+        "solve-iter-float": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, 2.5)),
+        "solve-iter-str": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, "a")),
+        "solve-iter-negative": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, -1)),
     }
+
+    def alpha_calls(alpha):
+        return {
+            "matching_error_db": lambda: matching_error_db(pattern, alpha, d),
+            "objective_value": lambda: objective_value(steering, w, alpha, d, params),
+            "augmented_lagrangian":
+                lambda: augmented_lagrangian(AdmmState(alpha, v, w, u), steering, d, params),
+            "update_v": lambda: update_v(steering, w, u, alpha, d, params),
+            "update_w": lambda: update_w(steering, v, u, alpha, d, majorizer_diag(w), params),
+            "solve": lambda: solve(steering, d, params, AdmmState(alpha, v, w, u)),
+        }
+
+    for kind, alpha in NON_REAL_ALPHAS.items():
+        calls.update({f"{name}-alpha-{kind}": f for name, f in alpha_calls(alpha).items()})
     with pytest.raises(ContractError):
         calls[call]()
 

@@ -5,8 +5,8 @@ from beamsparse import (
     ContractError,
     DegenerateInputError,
     DesiredPattern,
-    IterationRecord,
     RunReport,
+    Trace,
     cardinality,
     matching_error_db,
     peak_sidelobe_db,
@@ -34,7 +34,7 @@ class TestCardinality:
 
     def test_threshold_bounds(self):
         w = weights_from_powers([1.0, 0.0])
-        for bad in (0.0, 1.0, -0.5, 2.0):
+        for bad in (0.0, 1.0, -0.5, 2.0, "x", None, 1 + 2j, np.full(2, 0.5)):
             with pytest.raises(ContractError):
                 cardinality(w, bad)
 
@@ -155,15 +155,16 @@ class TestPeakSidelobe:
 
 class TestRunReport:
     def _record(self):
-        return IterationRecord(
-            iter=0, objective=1.0, lagrangian=1.0, primal_residual=0.1,
-            alpha=1.0, matching_error_db=-3.0, w_change=0.0,
+        return Trace(
+            iter=np.array([0]), objective=np.array([1.0]), lagrangian=np.array([1.0]),
+            primal_residual=np.array([0.1]), alpha=np.array([1.0]),
+            matching_error_db=np.array([-3.0]), w_change=np.array([0.0]),
         )
 
     def test_accepts_valid_report(self):
         report = RunReport(
             cardinality=3, matching_error_db=-2.0, peak_sidelobe_db=-10.0,
-            runtime_seconds=0.5, iterations=0, final_alpha=1.0, trace=[self._record()],
+            runtime_seconds=0.5, iterations=0, final_alpha=1.0, trace=self._record(),
         )
         assert report.cardinality == 3
 

@@ -65,7 +65,7 @@ def test_solve_returns_unit_weights_or_a_typed_error(problem):
     assert np.isfinite(w).all()
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
     assert np.isfinite(alpha)
-    assert 1 <= len(trace) <= params.max_iters + 1
+    assert 1 <= trace.iter.size <= params.max_iters + 1
 
 
 def reference_problem(n=12):
@@ -101,9 +101,9 @@ def test_weights_with_zero_elements_give_a_finite_trace():
     init = AdmmState(alpha=start.alpha, v=start.v, w=w0, u=start.u)
     w, alpha, trace = solve(steering, template, params, init=init)
     assert np.isfinite(w).all() and np.isfinite(alpha)
-    assert len(trace) == params.max_iters + 1
-    for row in trace:
+    assert trace.iter.size == params.max_iters + 1
+    for k in range(trace.iter.size):
         assert np.isfinite(
-            [row.objective, row.lagrangian, row.primal_residual, row.alpha,
-             row.matching_error_db, row.w_change]
+            [trace.objective[k], trace.lagrangian[k], trace.primal_residual[k], trace.alpha[k],
+             trace.matching_error_db[k], trace.w_change[k]]
         ).all()

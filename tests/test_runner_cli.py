@@ -8,8 +8,8 @@ import beamsparse.runner as runner_mod
 from beamsparse import (
     ContractError,
     DivergenceError,
-    IterationRecord,
     RunReport,
+    Trace,
     converged,
     load_config,
     run_experiment,
@@ -54,7 +54,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
 
         assert 0 <= report.cardinality <= cfg.n_elements
-        assert report.iterations == len(report.trace) - 1
+        assert report.iterations == report.trace.iter.size - 1
         assert report.runtime_seconds >= 0
 
         header, rows = read_csv(out / "weights.csv")
@@ -92,7 +92,7 @@ class TestRunExperiment:
         path.write_text(json.dumps(doc))
         report = run_experiment(load_config(path))
         assert report.iterations == 0
-        assert len(report.trace) == 1
+        assert report.trace.iter.size == 1
         _, rows = read_csv(tmp_path / "out0" / "trace.csv")
         assert len(rows) == 1
 
@@ -109,13 +109,14 @@ class TestRunExperiment:
             assert (outputs[0] / artifact).read_bytes() == (outputs[1] / artifact).read_bytes()
 
     def test_divergence_writes_partial_trace(self, fast_config_path, tmp_path, monkeypatch):
-        record = IterationRecord(
-            iter=0, objective=1.0, lagrangian=1.0, primal_residual=0.5,
-            alpha=1.0, matching_error_db=3.0, w_change=0.0,
+        record = Trace(
+            iter=np.array([0]), objective=np.array([1.0]), lagrangian=np.array([1.0]),
+            primal_residual=np.array([0.5]), alpha=np.array([1.0]),
+            matching_error_db=np.array([3.0]), w_change=np.array([0.0]),
         )
 
         def exploding(*args, **kwargs):
-            raise DivergenceError("boom", trace=[record])
+            raise DivergenceError("boom", trace=record)
 
         monkeypatch.setattr(runner_mod, "solve", exploding)
         with pytest.raises(DivergenceError):
@@ -212,8 +213,8 @@ def test_seed_changes_solution(fast_config_path, tmp_path):
     cfg = load_config(fast_config_path)
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg.with_overrides(seed=11, output_dir=str(tmp_path / "other")))
-    t1 = np.array([rec.w_change for rec in r1.trace[1:4]])
-    t2 = np.array([rec.w_change for rec in r2.trace[1:4]])
+    t1 = r1.trace.w_change[1:4]
+    t2 = r2.trace.w_change[1:4]
     assert not np.allclose(t1, t2)
 
 
@@ -238,7 +239,7 @@ def test_run_builds_steering_set_once(fast_config_path, monkeypatch):
 
 def test_artifacts_render_their_record_types(fast_config_path, tmp_path, monkeypatch):
     # each CSV cell parses back to exactly the value it was written from, the
-    # trace columns are the IterationRecord fields and the summary's metric
+    # trace columns are the Trace fields and the summary's metric
     # keys are the RunReport fields
     written = {}
     real = runner_mod.write_outputs
@@ -263,10 +264,10 @@ def test_artifacts_render_their_record_types(fast_config_path, tmp_path, monkeyp
         assert [row[0] for row in rows] == [str(int(x)) for x in expected]
 
     header, rows = read_csv(out / "trace.csv")
-    names = [f.name for f in fields(IterationRecord)]
+    names = [f.name for f in fields(Trace)]
     assert header == names
-    assert_integers(rows, [rec.iter for rec in report.trace])
-    assert_exact(rows, [[getattr(rec, name) for rec in report.trace] for name in names])
+    assert_integers(rows, report.trace.iter)
+    assert_exact(rows, [getattr(report.trace, name) for name in names])
 
     _, rows = read_csv(out / "weights.csv")
     assert_integers(rows, range(cfg.n_elements))
