@@ -79,9 +79,9 @@ from scipy.linalg._solve_toeplitz import levinson as _levinson
 
 from .arrays import (
     SteeringSet,
+    _as_real,
     _as_vector,
     _is_integer,
-    _is_real,
     _project_unit_sphere,
     _readonly,
     _require_finite,
@@ -114,11 +114,11 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_real(self.lam) and 0 <= self.lam < np.inf):
+        if not 0 <= _as_real(self.lam) < np.inf:
             raise ContractError(f"lam (lambda) must be finite and >= 0, got {self.lam!r}")
-        if not (_is_real(self.rho) and 2.0 < self.rho < np.inf):
+        if not 2.0 < _as_real(self.rho) < np.inf:
             raise ContractError(f"rho must exceed 2 and be finite, got {self.rho!r}")
-        if not (_is_real(self.eta) and self.eta > 0):
+        if not _as_real(self.eta) > 0:
             raise ContractError(f"eta must be positive, got {self.eta!r}")
         if not _is_integer(self.max_iters) or self.max_iters < 0:
             raise ContractError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
@@ -155,7 +155,7 @@ def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverPar
     which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
     _as_vector(d.values, steering.n_angles, "template", float, finite=False)
     k, n = steering.n_angles, steering.n_elements
-    if not math.isfinite(params.lam * (k * n)):
+    if not math.isfinite(float(params.lam) * (k * n)):
         raise ContractError(f"lam (lambda) {params.lam} times K = {k} and N = {n} overflows")
 
 
@@ -377,8 +377,8 @@ def update_w(
 
 def update_dual(u, w, v) -> np.ndarray:
     """Dual ascent on the consensus constraint: u + (w - v)."""
-    n = np.size(u)
-    return _as_vector(u, n, "u") + (_as_vector(w, n, "w") - _as_vector(v, n, "v"))
+    u = _as_vector(u, None, "u")
+    return u + (_as_vector(w, u.size, "w") - _as_vector(v, u.size, "v"))
 
 
 def _pattern_fit(mw: _Moments, w: np.ndarray, alpha: float, dd: float) -> float:

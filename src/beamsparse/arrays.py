@@ -32,17 +32,31 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_real(x) -> bool:
-    """A Python or numpy int or float; no bool, string, complex or array."""
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+def _as_real(x) -> float:
+    """The scalar rule of every public number: a Python or numpy int or float, not a bool, as a
+    float. Anything else, or an int too large for a float, is NaN, which fails every range check."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
 
 
-def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
-    """The vector rule of every public argument: non-empty, length n and, unless told
-    not to, finite. A caller with no length to hold x to passes np.size(x)."""
-    x = np.asarray(x, dtype=dtype)
+def _as_vector(x, n: int | None, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
+    """The vector rule of every public argument: a non-empty 1-D array of numbers, of length
+    n (any length for n=None) and, unless told not to, finite. Strings, objects (huge ints
+    among them), ragged nesting and complex values for a real dtype are rejected, not cast."""
+    try:
+        raw = np.asarray(x)
+    except ValueError:  # ragged nesting, rejected below as objects
+        raw = np.asarray(None)
+    if raw.dtype.kind not in "biuf" + np.dtype(dtype).kind:
+        raise ContractError(f"{name} must hold numbers of dtype {np.dtype(dtype)}, got {raw.dtype}")
+    x = raw.astype(dtype, copy=False)
     if x.size == 0:
         raise ContractError(f"{name} is empty")
+    n = x.size if n is None else n
     if x.shape != (n,):
         raise ContractError(f"{name} must be a vector of length {n}, got array size {x.shape}")
     if finite and not np.isfinite(x).all():
@@ -52,7 +66,7 @@ def _as_vector(x, n: int, name: str, dtype=complex, finite: bool = True) -> np.n
 
 def _require_finite(x: float, name: str):
     """The scalar rule of every public argument that the vector rule does not cover."""
-    if not (_is_real(x) and math.isfinite(x)):
+    if not math.isfinite(_as_real(x)):
         raise ContractError(f"{name} is non-finite or not a real number, got {x!r}")
 
 
@@ -73,16 +87,18 @@ class ArrayGeometry:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        if not _is_integer(self.n_elements):
-            raise ContractError("n_elements must be an integer")
-        if self.n_elements < 2:
-            raise ContractError(f"n_elements must be >= 2, got {self.n_elements}")
+        # NaN for a count too large for a float, which has no steering phase
+        n = _as_real(self.n_elements) if _is_integer(self.n_elements) else math.nan
+        if not n >= 2:
+            raise ContractError(
+                f"n_elements must be an integer >= 2 that a float holds, got {self.n_elements!r}"
+            )
         # plain floats: an overflowing phase is inf, with no numpy warning
-        phase = 2.0 * math.pi * float(self.spacing_ratio) * (int(self.n_elements) - 1)
-        if not (self.spacing_ratio > 0 and math.isfinite(phase)):
+        spacing = _as_real(self.spacing_ratio)
+        if not (spacing > 0 and math.isfinite(2.0 * math.pi * spacing * (n - 1))):
             raise ContractError(
                 "spacing_ratio must be > 0 with a finite steering phase "
-                f"2*pi*spacing_ratio*(n_elements - 1), got {self.spacing_ratio}"
+                f"2*pi*spacing_ratio*(n_elements - 1), got {self.spacing_ratio!r}"
             )
 
 
@@ -93,12 +109,11 @@ class AngleGrid:
     angles_deg: np.ndarray
 
     def __post_init__(self):
-        angles = np.asarray(self.angles_deg, dtype=float)
-        if angles.ndim != 1 or angles.size == 0:
-            raise ContractError("angle grid must be a non-empty 1-D sequence")
+        angles = _as_vector(self.angles_deg, None, "grid angles", float)
+        # visible first: np.diff of far-apart finite angles could overflow
+        _require_visible(angles.min(), angles.max())
         if not np.all(np.diff(angles) > 0):
             raise ContractError("grid angles must be strictly increasing")
-        _require_visible(angles[0], angles[-1])
         object.__setattr__(self, "angles_deg", _readonly(angles))
 
     @property
@@ -108,24 +123,25 @@ class AngleGrid:
     @classmethod
     def uniform(cls, start_deg: float, stop_deg: float, step_deg: float) -> "AngleGrid":
         """Regular grid from start to stop inclusive (when step divides the span)."""
-        if not 0 < step_deg < np.inf:
-            raise ContractError(f"grid_step_deg must be finite and > 0, got {step_deg}")
-        if not start_deg < stop_deg:
+        start, stop, step = map(_as_real, (start_deg, stop_deg, step_deg))
+        if not 0 < step < np.inf:
+            raise ContractError(f"grid_step_deg must be finite and > 0, got {step_deg!r}")
+        if not start < stop:
             raise ContractError("grid_start_deg must be below grid_stop_deg")
-        steps = float(np.floor((stop_deg - start_deg) / step_deg + 1e-9))
-        last = start_deg + step_deg * steps
+        steps = float(np.floor((stop - start) / step + 1e-9))
+        last = start + step * steps
         # start + step * steps rounds to either side of stop when step divides the span
         # (to the floor's tolerance), and that last angle is stop itself
-        if steps > 0 and stop_deg - last <= 1e-9 * step_deg:
-            last = stop_deg
+        if steps > 0 and stop - last <= 1e-9 * step:
+            last = stop
         # check the last angle before allocating them all: a far-off stop would ask for
         # an unbounded number of angles only to reject them
-        _require_visible(start_deg, last)
+        _require_visible(start, last)
         if not steps < MAX_GRID_ANGLES:
             raise ContractError(
-                f"grid_step_deg {step_deg} gives more than {MAX_GRID_ANGLES} grid angles"
+                f"grid_step_deg {step_deg!r} gives more than {MAX_GRID_ANGLES} grid angles"
             )
-        angles = start_deg + step_deg * np.arange(int(steps) + 1)
+        angles = start + step * np.arange(int(steps) + 1)
         angles[-1] = last
         return cls(angles)
 
@@ -222,7 +238,7 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:
     """Scale a nonzero vector to unit l2 norm."""
-    return _project_unit_sphere(_as_vector(x, np.size(x), "x"))
+    return _project_unit_sphere(_as_vector(x, None, "x"))
 
 
 def _sq_norm(x: np.ndarray) -> float:

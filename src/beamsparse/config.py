@@ -7,7 +7,11 @@ for the trade-off weight is "lambda"; it maps to the ``lam`` attribute
 because ``lambda`` is reserved in Python.
 
 A config checks its values by building, and keeping, the objects that use
-them, so each rule is written once, by the type that owns it.
+them, so each rule is written once, by the type that owns it. The parser
+checks only the document's shape (an object, known keys, mainlobe objects)
+and passes every value through as given: a value that is not a number is
+rejected by the object that uses it, and the config echoes numbers as the
+document gave them.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ from .metrics import _SELECTION_THRESHOLD, _require_both_regions, _require_thres
 from .templates import DesiredPattern, MainlobeSpec, build_template
 
 _LOBE_KEYS = {f.name for f in fields(MainlobeSpec)}
-
-# Passed through as given: ArrayGeometry, SolverParams and ExperimentConfig
-# check their types.
-_CHECKED_BY_OWNER = {"n_elements", "max_iters", "seed", "output_dir"}
 
 # JSON key -> attribute name (identity except for the reserved word).
 _KEY_TO_ATTR = {"lambda": "lam"}
@@ -61,8 +61,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise ConfigurationError("output_dir must be a non-empty string")
-        if not all(isinstance(lobe, MainlobeSpec) for lobe in self.mainlobes):
-            raise ConfigurationError("mainlobes must be MainlobeSpec entries")
+        if not (isinstance(self.mainlobes, tuple)
+                and all(isinstance(lobe, MainlobeSpec) for lobe in self.mainlobes)):
+            raise ConfigurationError("mainlobes must be a tuple of MainlobeSpec entries")
         keep = object.__setattr__
         try:
             keep(self, "geometry", ArrayGeometry(self.n_elements, self.spacing_ratio))
@@ -83,15 +84,6 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
 
-def _as_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key} must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # JSON integers are unbounded
-        raise ConfigurationError(f"{key} is an integer too large for a float") from None
-
-
 def _parse_lobe(index: int, raw) -> MainlobeSpec:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"mainlobes[{index}] must be an object")
@@ -101,8 +93,7 @@ def _parse_lobe(index: int, raw) -> MainlobeSpec:
     for key in ("start_deg", "end_deg"):
         if key not in raw:
             raise ConfigurationError(f"mainlobes[{index}] is missing '{key}'")
-    kwargs = {key: _as_number(f"mainlobes[{index}].{key}", raw[key]) for key in raw}
-    return MainlobeSpec(**kwargs)
+    return MainlobeSpec(**raw)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -125,17 +116,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigurationError(f"unknown config field '{sorted(unknown)[0]}'")
 
-    kwargs = {}
-    for key, value in doc.items():
-        attr = _KEY_TO_ATTR.get(key, key)
-        if key == "mainlobes":
-            if not isinstance(value, list):
-                raise ConfigurationError("mainlobes must be a list")
-            kwargs[attr] = tuple(_parse_lobe(i, lobe) for i, lobe in enumerate(value))
-        elif key in _CHECKED_BY_OWNER:
-            kwargs[attr] = value
-        else:
-            kwargs[attr] = _as_number(key, value)
+    kwargs = {_KEY_TO_ATTR.get(key, key): value for key, value in doc.items()}
+    lobes = kwargs.get("mainlobes", [])
+    if not isinstance(lobes, list):
+        raise ConfigurationError("mainlobes must be a list")
+    kwargs["mainlobes"] = tuple(_parse_lobe(i, lobe) for i, lobe in enumerate(lobes))
     return ExperimentConfig(**kwargs)
 
 

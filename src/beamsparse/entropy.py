@@ -63,12 +63,12 @@ def _majorizer_diag(p: np.ndarray) -> np.ndarray:
 
 def entropy(w: np.ndarray) -> float:
     """Shannon entropy of the element-power distribution, in [0, log N]."""
-    return _powers_and_entropy(_as_vector(w, np.size(w), "w"))[1]
+    return _powers_and_entropy(_as_vector(w, None, "w"))[1]
 
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
     """Gradient of -sum p log p, elementwise -log(max(p, floor)) - 1."""
-    p = _as_vector(p, np.size(p), "powers", float)
+    p = _as_vector(p, None, "powers", float)
     if not np.all(p >= 0):
         raise ContractError("powers must be nonnegative")
     return _majorizer_diag(p)
@@ -76,7 +76,7 @@ def entropy_gradient(p: np.ndarray) -> np.ndarray:
 
 def majorizer_diag(w_anchor: np.ndarray) -> np.ndarray:
     """Diagonal of the entropy's tangent bound at the anchor weights."""
-    return _majorizer_diag(_unit_powers(_as_vector(w_anchor, np.size(w_anchor), "w")))
+    return _majorizer_diag(_unit_powers(_as_vector(w_anchor, None, "w")))
 
 
 def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
@@ -86,6 +86,6 @@ def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
     entropy(w_anchor) + sum_n diag[n] * (|w_n|^2 - q_n): it touches the entropy
     at the anchor and lies above it everywhere else on the sphere.
     """
-    w = _as_vector(w, np.size(w), "w")
+    w = _as_vector(w, None, "w")
     q, value = _powers_and_entropy(_as_vector(w_anchor, w.size, "anchor weights"))
     return value + float(_majorizer_diag(q) @ (_unit_powers(w) - q))

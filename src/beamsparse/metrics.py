@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import _as_vector, _is_real, _require_finite
+from .arrays import _as_real, _as_vector, _is_integer, _require_finite
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -42,8 +42,8 @@ def _db(ratio):
 
 def _require_threshold(rel_threshold: float):
     """The selection threshold is a fraction of the strongest power, inside (0, 1)."""
-    if not (_is_real(rel_threshold) and 0.0 < rel_threshold < 1.0):
-        raise ContractError(f"cardinality_threshold must lie in (0, 1), got {rel_threshold}")
+    if not 0.0 < _as_real(rel_threshold) < 1.0:
+        raise ContractError(f"cardinality_threshold must lie in (0, 1), got {rel_threshold!r}")
 
 
 def _require_both_regions(mask: np.ndarray):
@@ -55,7 +55,7 @@ def _require_both_regions(mask: np.ndarray):
 def cardinality(w: np.ndarray, rel_threshold: float = _SELECTION_THRESHOLD) -> int:
     """Number of selected elements: powers above rel_threshold * max power."""
     _require_threshold(rel_threshold)
-    p = np.abs(_as_vector(w, np.size(w), "w")) ** 2  # a NaN weight would select nothing
+    p = np.abs(_as_vector(w, None, "w")) ** 2  # a NaN weight would select nothing
     return int(np.count_nonzero(p > rel_threshold * p.max()))
 
 
@@ -84,8 +84,8 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
     """Highest sidelobe power relative to the mainlobe peak, in dB."""
-    mask = _as_vector(mask, np.size(pattern), "mask", bool)
-    pattern = _as_vector(pattern, mask.size, "pattern", float)
+    pattern = _as_vector(pattern, None, "pattern", float)
+    mask = _as_vector(mask, pattern.size, "mask", bool)
     _require_both_regions(mask)
     main_peak = float(pattern[mask].max())
     side_peak = float(pattern[~mask].max())
@@ -110,7 +110,7 @@ class RunReport:
     trace: Trace
 
     def __post_init__(self):
-        if self.cardinality < 0:
-            raise ContractError("cardinality cannot be negative")
-        if self.iterations < 0 or self.runtime_seconds < 0:
-            raise ContractError("iterations and runtime must be nonnegative")
+        if not all(_is_integer(n) and n >= 0 for n in (self.cardinality, self.iterations)):
+            raise ContractError("cardinality and iterations must be integers >= 0")
+        if not _as_real(self.runtime_seconds) >= 0:
+            raise ContractError(f"runtime must be nonnegative, got {self.runtime_seconds!r}")

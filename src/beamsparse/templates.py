@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import AngleGrid, _readonly
+from .arrays import AngleGrid, _as_real, _as_vector, _readonly
 from .errors import ConfigurationError, ContractError
 
 
@@ -20,13 +20,13 @@ class MainlobeSpec:
     level: float = 1000.0
 
     def __post_init__(self):
-        if not (-90.0 <= self.start_deg < self.end_deg <= 90.0):
+        if not (-90.0 <= _as_real(self.start_deg) < _as_real(self.end_deg) <= 90.0):
             raise ConfigurationError(
-                f"mainlobe interval [{self.start_deg}, {self.end_deg}] must satisfy "
+                f"mainlobe interval [{self.start_deg!r}, {self.end_deg!r}] must satisfy "
                 "-90 <= start < end <= 90"
             )
-        if not 0 < self.level < np.inf:
-            raise ConfigurationError(f"mainlobe level must be finite and > 0, got {self.level}")
+        if not 0 < _as_real(self.level) < np.inf:
+            raise ConfigurationError(f"mainlobe level must be finite and > 0, got {self.level!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,12 +37,8 @@ class DesiredPattern:
     mainlobe_mask: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.mainlobe_mask, dtype=bool)
-        if values.ndim != 1 or values.shape != mask.shape:
-            raise ContractError("template values and mask must be 1-D and equally sized")
-        if not np.isfinite(values).all():
-            raise ContractError("template holds non-finite values")
+        values = _as_vector(self.values, None, "template", float)
+        mask = _as_vector(self.mainlobe_mask, values.size, "mainlobe mask", bool)
         with np.errstate(over="ignore"):
             energy = float(values @ values)
         if not energy < np.inf:
@@ -71,11 +67,12 @@ def build_template(
     """
     if len(lobes) == 0:
         raise ConfigurationError("mainlobes must contain at least one lobe")
-    if not 0 <= sidelobe_level < np.inf:
-        raise ConfigurationError(f"sidelobe_level must be finite and >= 0, got {sidelobe_level}")
+    level = _as_real(sidelobe_level)
+    if not 0 <= level < np.inf:
+        raise ConfigurationError(f"sidelobe_level must be finite and >= 0, got {sidelobe_level!r}")
 
     angles = grid.angles_deg
-    values = np.full(grid.count, float(sidelobe_level))
+    values = np.full(grid.count, level)
     mask = np.zeros(grid.count, dtype=bool)
     for lobe in lobes:
         covered = (angles >= lobe.start_deg) & (angles <= lobe.end_deg)

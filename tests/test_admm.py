@@ -520,13 +520,17 @@ class TestSolverParamsOwnsItsRules:
             SolverParams(**{field: value})
 
     @pytest.mark.parametrize("field", ["lam", "rho"])
-    @pytest.mark.parametrize("value", [np.inf, np.nan, "x", None, 1 + 2j, True])
+    @pytest.mark.parametrize(
+        "value",
+        [np.inf, np.nan, "x", None, 1 + 2j, True, "0.5", pytest.param([1.0], id="list"),
+         pytest.param(10**400, id="huge_int")],
+    )
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
             SolverParams(**{field: value})
 
     def test_nan_eta_rejected(self):
-        for eta in (np.nan, "x", None, 1 + 2j, np.ones(2)):
+        for eta in (np.nan, "x", None, 1 + 2j, np.ones(2), "0.5", True, [1.0], 10**400):
             with pytest.raises(ContractError, match="eta"):
                 SolverParams(eta=eta)
 
@@ -879,7 +883,7 @@ def test_lam_that_overflows_the_data_fit_is_rejected():
     steering, d, params = config_problem("single_mainlobe", max_iters=5)
     past = math.nextafter(largest_accepted_lam(steering), math.inf)
     state = admm_mod.initial_state(steering, params)
-    for lam in (1e306, 1e308, past):
+    for lam in (1e306, 1e308, past, 10**308):
         params = replace(params, lam=lam)
         with pytest.raises(ContractError, match="lam"):
             solve(steering, d, params)
@@ -1060,9 +1064,20 @@ NON_FINITE_CALLS = [
     "solve-iter-float",
     "solve-iter-str",
     "solve-iter-negative",
+    "inner_products-str",
+    "beampattern-str",
+    "project_unit_sphere-str",
+    "update_dual-ragged",
+    "peak_sidelobe_db-ragged",
+    "cardinality-huge_int",
+    "matching_error_db-complex",
+    "entropy_gradient-complex",
 ]
 # alpha that is not a real number, passed to each function that takes one
-NON_REAL_ALPHAS = {"str": "x", "none": None, "complex": 1 + 2j, "array": np.ones(2)}
+NON_REAL_ALPHAS = {
+    "str": "x", "numeric_str": "0.5", "none": None, "bool": True, "complex": 1 + 2j,
+    "array": np.ones(2), "list": [1.0], "huge_int": 10**400,
+}
 ALPHA_CALLS = [
     "matching_error_db", "objective_value", "augmented_lagrangian", "update_v", "update_w", "solve",
 ]
@@ -1075,7 +1090,9 @@ def test_non_finite_input_raises_contract_error(call):
     # (or inf) entry, or one NaN (or inf) scalar, which would otherwise come
     # back as a NaN result, or one scalar that is not a real number (or an
     # initial iteration number that is not an integer >= 0), which would
-    # otherwise escape as a bare TypeError
+    # otherwise escape as a bare TypeError or OverflowError, or one vector of
+    # strings, ragged nesting, huge ints or, for a real vector, complex values,
+    # which would otherwise be cast or escape as a bare error
     rng = np.random.default_rng(71)
     steering, d = random_instance(rng)
     params = SolverParams(lam=0.2, rho=5.0)
@@ -1112,6 +1129,14 @@ def test_non_finite_input_raises_contract_error(call):
         "solve-iter-float": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, 2.5)),
         "solve-iter-str": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, "a")),
         "solve-iter-negative": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, -1)),
+        "inner_products-str": lambda: inner_products(steering, w, ["1"] * 5),
+        "beampattern-str": lambda: beampattern(steering, ["a"] * 5),
+        "project_unit_sphere-str": lambda: project_unit_sphere(["a", "b"]),
+        "update_dual-ragged": lambda: update_dual([0.0, [1.0]], w, v),
+        "peak_sidelobe_db-ragged": lambda: peak_sidelobe_db([1.0, [2.0]], d.mainlobe_mask),
+        "cardinality-huge_int": lambda: cardinality([10**400, 0]),
+        "matching_error_db-complex": lambda: matching_error_db(pattern + 0j, 1.0, d),
+        "entropy_gradient-complex": lambda: entropy_gradient(np.abs(w) ** 2 + 0j),
     }
 
     def alpha_calls(alpha):

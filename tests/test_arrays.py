@@ -17,6 +17,9 @@ from beamsparse import (
 )
 from beamsparse.arrays import MAX_GRID_ANGLES
 
+# scalars that are not real numbers; the scalar rule reads each as NaN
+NOT_REAL = ["0.5", None, True, 1 + 2j, [1.0], 10**400]
+
 
 def dense_pattern_oracle(a: np.ndarray, w: np.ndarray) -> float:
     """Quadratic form through the explicitly materialized outer product."""
@@ -28,6 +31,10 @@ class TestGeometry:
     def test_rejects_single_element(self):
         with pytest.raises(ContractError):
             ArrayGeometry(1)
+        # not an integer, or one too large for a float, which has no steering phase
+        for n_elements in (True, 4.0, "4", 10**400):
+            with pytest.raises(ContractError, match="n_elements"):
+                ArrayGeometry(n_elements)
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ContractError):
@@ -55,6 +62,11 @@ class TestAngleGrid:
     def test_rejects_out_of_range(self):
         with pytest.raises(ContractError):
             AngleGrid(np.array([-91.0, 0.0]))
+        # a non-number is NaN to the scalar rule, outside every range
+        for value in NOT_REAL:
+            for args in ((value, 90, 1.0), (-90, value, 1.0), (-90, 90, value)):
+                with pytest.raises(ContractError, match="grid_"):
+                    AngleGrid.uniform(*args)
 
 
 class TestSteeringVector:
@@ -190,15 +202,21 @@ class TestProjection:
             project_unit_sphere(np.zeros(3))
 
 
-@pytest.mark.parametrize("angles", [[np.nan], [0.0, np.nan, 10.0], [-np.inf, 0.0]])
+@pytest.mark.parametrize(
+    "angles",
+    # the last row's np.diff would overflow if the grid were not first checked visible
+    [[np.nan], [0.0, np.nan, 10.0], [-np.inf, 0.0], ["a"], [0.0, [1.0]], [1j], [10**400],
+     [1e308, -1e308]],
+)
 def test_rejects_non_finite_grid(angles):
     with pytest.raises(ContractError):
-        AngleGrid(np.array(angles))
+        AngleGrid(angles)
 
 
 def test_rejects_non_finite_spacing():
-    with pytest.raises(ContractError):
-        ArrayGeometry(4, spacing_ratio=np.inf)
+    for spacing_ratio in (np.inf, *NOT_REAL):
+        with pytest.raises(ContractError, match="spacing_ratio"):
+            ArrayGeometry(4, spacing_ratio=spacing_ratio)
 
 
 @pytest.mark.parametrize("n_elements", [30, np.int64(30)])

@@ -131,6 +131,24 @@ def test_type_errors_name_the_field():
         parse_config(MINIMAL[:-1] + ', "eta": true}')
     with pytest.raises(ConfigurationError, match="output_dir"):
         parse_config(MINIMAL[:-1] + ', "output_dir": 3}')
+    # a count too large for a float, which has no steering phase
+    with pytest.raises(ConfigurationError, match="n_elements"):
+        parse_config(MINIMAL[:-1] + ', "n_elements": 1%s}' % ("0" * 400))
+    # every real field, top-level or lobe, passes the owner's scalar rule
+    lobe_fields = {"start_deg": "mainlobe interval", "end_deg": "mainlobe interval",
+                   "level": "mainlobe level"}
+    for field in ["spacing_ratio", "grid_start_deg", "grid_stop_deg", "grid_step_deg",
+                  "sidelobe_level", "lambda", "rho", "eta", "cardinality_threshold", *lobe_fields]:
+        for value in ["0.5", None, True, [1.0], {"a": 1}, 10**400]:
+            doc = json.loads(MINIMAL)
+            (doc["mainlobes"][0] if field in lobe_fields else doc)[field] = value
+            with pytest.raises(ConfigurationError, match=lobe_fields.get(field, field)):
+                parse_config(json.dumps(doc))
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ConfigurationError, match="spacing_ratio"):
+        cfg.with_overrides(spacing_ratio="x")
+    with pytest.raises(ConfigurationError, match="grid_step_deg"):
+        cfg.with_overrides(grid_step_deg=None)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +200,10 @@ def test_direct_construction_validates():
         ExperimentConfig(mainlobes=())
     with pytest.raises(ConfigurationError, match="MainlobeSpec"):
         ExperimentConfig(mainlobes=({"start_deg": 0.0, "end_deg": 5.0},))
+    # only a tuple keeps the frozen config hashable
+    for mainlobes in (None, 5, [MainlobeSpec(22.0, 28.0)]):
+        with pytest.raises(ConfigurationError, match="mainlobes must be a tuple"):
+            ExperimentConfig(mainlobes=mainlobes)
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
@@ -206,13 +228,16 @@ def test_non_finite_grid_rejected(field, value):
         parse_config(json.dumps(doc))
 
 
-@pytest.mark.parametrize("field", ["rho", "start_deg"])
-def test_huge_integer_is_a_configuration_error(field):
-    # float() of a 401-digit integer overflows
+@pytest.mark.parametrize(
+    "field,message", [("rho", "rho must exceed 2"), ("start_deg", "mainlobe interval")],
+    ids=["rho", "start_deg"],
+)
+def test_huge_integer_is_a_configuration_error(field, message):
+    # float() of a 401-digit integer overflows; the owner's scalar rule reads it as NaN
     doc = json.loads(MINIMAL)
     target = doc["mainlobes"][0] if field == "start_deg" else doc
     target[field] = 10**400
-    with pytest.raises(ConfigurationError, match=f"{field} is an integer too large"):
+    with pytest.raises(ConfigurationError, match=message):
         parse_config(json.dumps(doc))
 
 
@@ -316,11 +341,15 @@ def test_solve_size_budget_boundary(n_elements, grid, accepted):
             parse_config(json.dumps(doc))
 
 
-@pytest.mark.parametrize("threshold", [0.0, 1e-300, 0.5, 1 - 1e-16, 1.0, np.nan, -1.0, np.inf])
+@pytest.mark.parametrize(
+    "threshold",
+    [0.0, 1e-300, 0.5, 1 - 1e-16, 1.0, np.nan, -1.0, np.inf, pytest.param("0.5", id="str"),
+     None, True, 1 + 2j, pytest.param([0.5], id="list"), pytest.param(10**400, id="huge_int")],
+)
 def test_config_and_cardinality_share_the_threshold_rule(threshold):
     lobes = (MainlobeSpec(22.0, 28.0, 1000.0),)
     w = np.array([1.0, 0.0], complex)
-    if 0 < threshold < 1:
+    if type(threshold) is float and 0 < threshold < 1:
         assert ExperimentConfig(mainlobes=lobes, cardinality_threshold=threshold)
         assert cardinality(w, threshold) == 1
         return

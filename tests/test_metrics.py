@@ -179,3 +179,10 @@ class TestRunReport:
                 cardinality=0, matching_error_db=0.0, peak_sidelobe_db=0.0,
                 runtime_seconds=-0.1, iterations=0, final_alpha=1.0, trace=[],
             )
+        # integer fields take integers, and the runtime the scalar rule
+        for field, value in [("cardinality", True), ("cardinality", 2.0), ("iterations", "3"),
+                             *(("runtime_seconds", v) for v in ("0.5", None, True, 10**400))]:
+            fields = dict(cardinality=0, runtime_seconds=0.0, iterations=0) | {field: value}
+            with pytest.raises(ContractError):
+                RunReport(matching_error_db=0.0, peak_sidelobe_db=0.0, final_alpha=1.0,
+                          trace=[], **fields)

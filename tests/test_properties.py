@@ -3,7 +3,13 @@
 Whatever the drawn array, grid, template and parameters, ``solve`` either
 returns finite unit-norm weights with a finite template scale, or raises a
 typed ``BeamsparseError``; it never lets a bare numpy or LAPACK error out.
+The same holds one boundary further out, for arbitrary JSON config documents.
 """
+
+import json
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from beamsparse import (
     build_steering_set,
     build_template,
     initial_state,
+    parse_config,
     project_unit_sphere,
     solve,
 )
@@ -107,3 +114,39 @@ def test_weights_with_zero_elements_give_a_finite_trace():
             [trace.objective[k], trace.lagrangian[k], trace.primal_residual[k], trace.alpha[k],
              trace.matching_error_db[k], trace.w_change[k]]
         ).all()
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "single_mainlobe.json").read_text()
+)
+LOBE_KEYS = ["start_deg", "end_deg", "level"]
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(-(10**400), 10**400),
+    st.integers(-3, 100),
+    st.floats(),
+    st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+edits = st.lists(st.tuples(st.sampled_from(sorted(REFERENCE) + LOBE_KEYS), json_values),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(edits)
+def test_config_documents_solve_or_raise_a_typed_error(changes):
+    # the reference document with 1-3 top-level or lobe keys set to arbitrary JSON values,
+    # the lobe's first: a new "mainlobes" value replaces the lobe
+    doc = json.loads(json.dumps(REFERENCE))
+    for key, value in sorted(changes, key=lambda change: change[0] not in LOBE_KEYS):
+        (doc["mainlobes"][0] if key in LOBE_KEYS else doc)[key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = parse_config(json.dumps(doc))
+            params = replace(cfg.params, max_iters=min(cfg.max_iters, 3))
+            solve(build_steering_set(cfg.geometry, cfg.grid), cfg.template, params)
+        except BeamsparseError:
+            pass

@@ -11,6 +11,11 @@ from beamsparse import (
 )
 
 
+# scalars that are not real numbers; the scalar rule reads each as NaN
+NOT_REAL = ["0.5", None, True, 1 + 2j, pytest.param([1.0], id="list"),
+            pytest.param(10**400, id="huge_int")]
+
+
 @pytest.fixture
 def full_grid():
     return AngleGrid.uniform(-90, 90, 1.0)
@@ -99,10 +104,13 @@ def test_bad_lobe_interval_rejected():
         MainlobeSpec(0, 5, 0.0)
 
 
-@pytest.mark.parametrize("level", [np.inf, np.nan])
+@pytest.mark.parametrize("level", [np.inf, np.nan, *NOT_REAL])
 def test_non_finite_levels_rejected(full_grid, level):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="mainlobe level"):
         MainlobeSpec(0, 5, level)
+    for start, end in ((level, 5), (0, level)):
+        with pytest.raises(ConfigurationError, match="mainlobe interval"):
+            MainlobeSpec(start, end, 1.0)
     with pytest.raises(ConfigurationError, match="sidelobe_level"):
         build_template(full_grid, [MainlobeSpec(0, 5, 1.0)], sidelobe_level=level)
 
@@ -110,12 +118,18 @@ def test_non_finite_levels_rejected(full_grid, level):
 @pytest.mark.parametrize(
     "values,mask,message",
     [
-        ([0.0, 1.0], [True], "equally sized"),
+        ([0.0, 1.0], [True], "mainlobe mask must be a vector of length 2"),
         ([0.0, 1.0], [True, False], "positive on the mainlobe"),
         ([0.0, 1e160], [False, True], "template energy"),
         ([1e300, 1.0], [False, True], "template energy"),
+        ([], [], "template is empty"),
+        (["a", "b"], [False, True], "template must hold numbers of dtype float64"),
+        ([0.0, [1.0]], [False, True], "template must hold numbers of dtype float64"),
+        ([0.0, 1j], [False, True], "template must hold numbers of dtype float64"),
+        ([0.0, 1.0], ["a", "b"], "mainlobe mask must hold numbers of dtype bool"),
     ],
-    ids=["mask_shape", "zero_mainlobe", "mainlobe_energy_overflow", "sidelobe_energy_overflow"],
+    ids=["mask_shape", "zero_mainlobe", "mainlobe_energy_overflow", "sidelobe_energy_overflow",
+         "empty", "str", "ragged", "complex", "str_mask"],
 )
 def test_malformed_pattern_rejected(values, mask, message):
     with pytest.raises(ContractError, match=message):
