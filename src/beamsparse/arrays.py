@@ -182,6 +182,12 @@ class SteeringSet:
     vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.geometry, ArrayGeometry):
+            raise ContractError(
+                f"geometry must be an ArrayGeometry, got {type(self.geometry).__name__}"
+            )
+        if not isinstance(self.grid, AngleGrid):
+            raise ContractError(f"grid must be an AngleGrid, got {type(self.grid).__name__}")
         _require_solve_size(self.geometry, self.grid)
         sin_theta = np.sin(np.radians(self.grid.angles_deg))
         n = np.arange(self.geometry.n_elements)

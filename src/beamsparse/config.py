@@ -61,9 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise ConfigurationError("output_dir must be a non-empty string")
-        if not (isinstance(self.mainlobes, tuple)
-                and all(isinstance(lobe, MainlobeSpec) for lobe in self.mainlobes)):
-            raise ConfigurationError("mainlobes must be a tuple of MainlobeSpec entries")
+        if not isinstance(self.mainlobes, tuple):  # a frozen config must hash
+            raise ConfigurationError("mainlobes must be a tuple")
         keep = object.__setattr__
         try:
             keep(self, "geometry", ArrayGeometry(self.n_elements, self.spacing_ratio))

@@ -9,6 +9,11 @@ Each run writes four artifacts into the configured output directory:
 * ``summary.json``     ``schema_version``, one key per ``RunReport`` field
   except the trace, and the resolved ``config``
 
+A run replaces each artifact with a new file: it unlinks the old one and
+creates the file afresh, never truncating or renaming over it. A hard link,
+an open reader or a symlink at an artifact's path keeps the old file; a
+symlink is replaced, not followed.
+
 Numbers are rendered with ``repr`` so identical runs produce byte-identical
 CSV files on the same platform. The reported runtime covers the whole
 ``solve`` call, including its once-per-solve grid-moment set-up, but not
@@ -82,7 +87,18 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]):
     """
     cells = [map(repr, col.tolist()) for col in columns.values()]
     rows = [",".join(columns), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(rows) + "\n")
+
+
+def _write_text(path: Path, text: str):
+    """Write ``text`` to ``path`` as a new file, unlinking any old one first.
+
+    Rewriting an existing file, by truncating it or by renaming a new one over
+    it, was measured to wait on the filesystem (ext4, about 45 ms a file once a
+    directory had been written twice); creating a fresh file did not.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def write_outputs(
@@ -112,6 +128,4 @@ def write_outputs(
 
     metrics = {f.name: getattr(report, f.name) for f in fields(RunReport) if f.name != "trace"}
     summary = {"schema_version": SCHEMA_VERSION, **metrics, "config": config_to_dict(cfg)}
-    (out / SUMMARY_FILE).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_text(out / SUMMARY_FILE, json.dumps(summary, indent=2, sort_keys=True) + "\n")

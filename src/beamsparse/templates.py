@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +65,9 @@ def build_template(
     are allowed only when they agree on the level, otherwise the template is
     ambiguous and rejected.
     """
-    if len(lobes) == 0:
-        raise ConfigurationError("mainlobes must contain at least one lobe")
+    if not (isinstance(lobes, Sequence) and lobes
+            and all(isinstance(lobe, MainlobeSpec) for lobe in lobes)):
+        raise ConfigurationError("mainlobes must be a non-empty sequence of MainlobeSpec entries")
     level = _as_real(sidelobe_level)
     if not 0 <= level < np.inf:
         raise ConfigurationError(f"sidelobe_level must be finite and >= 0, got {sidelobe_level!r}")

@@ -115,6 +115,21 @@ class TestSteeringSet:
         steering = build_steering_set(ArrayGeometry(5), AngleGrid(np.array([0.0])))
         np.testing.assert_allclose(steering.vectors, np.ones((1, 5)), atol=1e-15)
 
+    def test_rejects_arguments_of_the_wrong_type(self):
+        geometry, grid = ArrayGeometry(4), AngleGrid(np.array([0.0]))
+        for args, match in (
+            ((None, grid), "geometry must be an ArrayGeometry, got NoneType"),
+            ((4, grid), "geometry must be an ArrayGeometry, got int"),
+            ((geometry, None), "grid must be an AngleGrid, got NoneType"),
+            ((geometry, np.array([0.0])), "grid must be an AngleGrid, got ndarray"),
+            ((grid, geometry), "geometry must be an ArrayGeometry, got AngleGrid"),
+        ):
+            for build in (SteeringSet, build_steering_set):
+                with pytest.raises(ContractError, match=match):
+                    build(*args)
+        with pytest.raises(ContractError, match="geometry must be an ArrayGeometry"):
+            steering_vector(None, 0.0)
+
     def test_vectors_follow_from_geometry_and_grid(self):
         # closed form exp(j 2 pi spacing n sin(theta_k)), one entry at a time
         rng = np.random.default_rng(12)

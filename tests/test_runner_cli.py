@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +17,8 @@ from beamsparse import (
 )
 from beamsparse.cli import main as cli_main
 from beamsparse.metrics import _db
+
+ARTIFACTS = ("weights.csv", "beampattern.csv", "trace.csv", "summary.json")
 
 FAST_DOC = {
     "n_elements": 8,
@@ -109,6 +112,13 @@ class TestRunExperiment:
             assert (outputs[0] / artifact).read_bytes() == (outputs[1] / artifact).read_bytes()
 
     def test_divergence_writes_partial_trace(self, fast_config_path, tmp_path, monkeypatch):
+        # over an earlier run's trace, as a new file: a hard link keeps the old bytes
+        cfg = load_config(fast_config_path)
+        trace = tmp_path / "out" / "trace.csv"
+        run_experiment(cfg)
+        first = trace.read_bytes()
+        os.link(trace, tmp_path / "kept.csv")
+
         record = Trace(
             iter=np.array([0]), objective=np.array([1.0]), lagrangian=np.array([1.0]),
             primal_residual=np.array([0.5]), alpha=np.array([1.0]),
@@ -120,9 +130,43 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner_mod, "solve", exploding)
         with pytest.raises(DivergenceError):
-            run_experiment(load_config(fast_config_path))
-        _, rows = read_csv(tmp_path / "out" / "trace.csv")
+            run_experiment(cfg)
+        assert (tmp_path / "kept.csv").read_bytes() == first
+        _, rows = read_csv(trace)
         assert len(rows) == 1
+
+    def test_rerun_replaces_each_artifact_with_a_new_file(self, fast_config_path, tmp_path):
+        # a hard link made after the first run must keep that run's bytes: a rerun
+        # into the same directory creates new files and rewrites none in place
+        cfg = load_config(fast_config_path)
+        out, kept, fresh = tmp_path / "out", tmp_path / "kept", tmp_path / "fresh"
+        run_experiment(cfg)
+        first = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        kept.mkdir()
+        for name in ARTIFACTS:
+            os.link(out / name, kept / name)
+
+        second = cfg.with_overrides(seed=cfg.seed + 1)
+        run_experiment(second)
+        run_experiment(second.with_overrides(output_dir=str(fresh)))
+        assert (out / "weights.csv").read_bytes() != first["weights.csv"]
+        for name in ARTIFACTS:
+            assert (kept / name).read_bytes() == first[name], name
+        for name in ARTIFACTS[:3]:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert json.loads((out / "summary.json").read_text())["config"]["seed"] == second.seed
+
+    def test_symlinked_artifact_is_replaced_not_followed(self, fast_config_path, tmp_path):
+        target = tmp_path / "elsewhere.csv"
+        target.write_text("keep me\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "weights.csv").symlink_to(target)
+        run_experiment(load_config(fast_config_path))
+        assert target.read_text() == "keep me\n"
+        assert not (out / "weights.csv").is_symlink()
+        header, _ = read_csv(out / "weights.csv")
+        assert header == ["n", "re", "im", "mag", "power_db"]
 
     @pytest.mark.parametrize("short", ["w", "pattern"])
     def test_mis_sized_outputs_are_rejected_before_writing(

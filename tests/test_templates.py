@@ -90,6 +90,15 @@ def test_empty_lobes_rejected(full_grid):
         build_template(full_grid, [])
 
 
+@pytest.mark.parametrize("lobes", [
+    (), None, 5, "ab", [5], [{"start_deg": 0, "end_deg": 5}],
+    (MainlobeSpec(0, 5, 1.0), None), pytest.param({MainlobeSpec(0, 5, 1.0)}, id="set"),
+])
+def test_lobes_must_be_a_non_empty_sequence_of_specs(full_grid, lobes):
+    with pytest.raises(ConfigurationError, match="non-empty sequence of MainlobeSpec"):
+        build_template(full_grid, lobes)
+
+
 def test_negative_sidelobe_level_rejected(full_grid):
     with pytest.raises(ConfigurationError):
         build_template(full_grid, [MainlobeSpec(0, 5, 1.0)], sidelobe_level=-1.0)
