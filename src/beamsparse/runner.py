@@ -12,7 +12,8 @@ Each run writes four artifacts into the configured output directory:
 A run replaces each artifact with a new file: it unlinks the old one and
 creates the file afresh, never truncating or renaming over it. A hard link,
 an open reader or a symlink at an artifact's path keeps the old file; a
-symlink is replaced, not followed.
+symlink is replaced, not followed. Nothing is synced to disk: a crash soon
+after a run can leave an artifact empty or missing.
 
 Numbers are rendered with ``repr`` so identical runs produce byte-identical
 CSV files on the same platform. The reported runtime covers the whole
@@ -93,9 +94,13 @@ def _write_csv(path: Path, columns: dict[str, np.ndarray]):
 def _write_text(path: Path, text: str):
     """Write ``text`` to ``path`` as a new file, unlinking any old one first.
 
-    Rewriting an existing file, by truncating it or by renaming a new one over
-    it, was measured to wait on the filesystem (ext4, about 45 ms a file once a
-    directory had been written twice); creating a fresh file did not.
+    On ext4, truncating or unlinking a file whose data is already on disk was
+    measured to wait 40-70 ms. A file truncated and rewritten has its new
+    data written out when it is closed (``auto_da_alloc``), so rewriting in
+    place waited on every write of a file from the third on. A new file's data
+    stays in memory until periodic writeback (about 30 s), so a rerun within
+    that time unlinks it without waiting. The price is durability: nothing here
+    syncs, and a crash before writeback can leave an artifact empty or missing.
     """
     path.unlink(missing_ok=True)
     path.write_text(text, encoding="utf-8")

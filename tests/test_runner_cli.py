@@ -50,6 +50,20 @@ def read_csv(path):
     return header, rows
 
 
+def _make_solve_diverge(monkeypatch):
+    """Make ``run_experiment``'s solve raise ``DivergenceError`` with a one-row trace."""
+    record = Trace(
+        iter=np.array([0]), objective=np.array([1.0]), lagrangian=np.array([1.0]),
+        primal_residual=np.array([0.5]), alpha=np.array([1.0]),
+        matching_error_db=np.array([3.0]), w_change=np.array([0.0]),
+    )
+
+    def exploding(*args, **kwargs):
+        raise DivergenceError("boom", trace=record)
+
+    monkeypatch.setattr(runner_mod, "solve", exploding)
+
+
 class TestRunExperiment:
     def test_report_and_artifacts(self, fast_config_path, tmp_path):
         cfg = load_config(fast_config_path)
@@ -112,23 +126,22 @@ class TestRunExperiment:
             assert (outputs[0] / artifact).read_bytes() == (outputs[1] / artifact).read_bytes()
 
     def test_divergence_writes_partial_trace(self, fast_config_path, tmp_path, monkeypatch):
-        # over an earlier run's trace, as a new file: a hard link keeps the old bytes
+        _make_solve_diverge(monkeypatch)
+        with pytest.raises(DivergenceError):
+            run_experiment(load_config(fast_config_path))
+        _, rows = read_csv(tmp_path / "out" / "trace.csv")
+        assert len(rows) == 1
+
+    def test_divergence_replaces_an_earlier_trace_with_a_new_file(
+        self, fast_config_path, tmp_path, monkeypatch
+    ):
+        # a hard link to the earlier run's trace keeps its bytes
         cfg = load_config(fast_config_path)
         trace = tmp_path / "out" / "trace.csv"
         run_experiment(cfg)
         first = trace.read_bytes()
         os.link(trace, tmp_path / "kept.csv")
-
-        record = Trace(
-            iter=np.array([0]), objective=np.array([1.0]), lagrangian=np.array([1.0]),
-            primal_residual=np.array([0.5]), alpha=np.array([1.0]),
-            matching_error_db=np.array([3.0]), w_change=np.array([0.0]),
-        )
-
-        def exploding(*args, **kwargs):
-            raise DivergenceError("boom", trace=record)
-
-        monkeypatch.setattr(runner_mod, "solve", exploding)
+        _make_solve_diverge(monkeypatch)
         with pytest.raises(DivergenceError):
             run_experiment(cfg)
         assert (tmp_path / "kept.csv").read_bytes() == first
