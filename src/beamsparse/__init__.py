@@ -31,7 +31,6 @@ from .arrays import (
     beampattern,
     build_steering_set,
     project_unit_sphere,
-    steering_vector,
 )
 from .config import ExperimentConfig, config_to_dict, load_config, parse_config, serialize_config
 from .entropy import POWER_FLOOR, entropy, entropy_gradient, majorizer_diag, majorizer_value
@@ -90,7 +89,6 @@ __all__ = [
     "serialize_config",
     "solve",
     "solve_weight_system",
-    "steering_vector",
     "update_alpha",
     "update_dual",
     "update_v",

@@ -32,11 +32,12 @@ diagonal is bounded below by -1 on the sphere).
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
-IEEE TSP 1997), so the sweep never touches the K x N steering matrix:
-``solve`` reads it once, for the grid moments and T_d = sum_k d_k a_k a_k^H,
-and then forms per iterate, in O(N^2), what ``_Moments`` lists. Both blocks'
-matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d and every
-raw trace scalar come from these.
+IEEE TSP 1997), so the sweep never touches the K x N steering matrix: from
+``SteeringSet.moments`` and T_d = sum_k d_k a_k a_k^H, for which ``solve``
+reads it once, it forms per iterate, in O(N^2), what ``_Moments`` lists.
+Both blocks' matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d
+(d^T d being ``DesiredPattern.energy``) and every raw trace scalar come
+from these.
 
 Weights, like v and u, are plain 1-D complex arrays, and the majorizer is
 its real diagonal (``entropy.majorizer_diag``). ``solve`` checks its inputs
@@ -68,7 +69,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from collections.abc import Callable
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -85,8 +87,10 @@ from .arrays import (
     _project_unit_sphere,
     _readonly,
     _require_finite,
+    _require_type,
     _sq_norm,
     _steer_products,
+    _with_negative_lags,
 )
 from .entropy import _majorizer_diag, _powers_and_entropy, entropy
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
@@ -134,7 +138,6 @@ class AdmmState:
     v: np.ndarray
     w: np.ndarray
     u: np.ndarray
-    iter: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +154,11 @@ class Trace:
 
 
 def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
-    """The template's length (DesiredPattern rejects non-finite values), and a finite lam K N,
-    which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
+    """Types, the template's length (DesiredPattern rejects non-finite values), and a finite
+    lam K N, which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
+    _require_type(steering, SteeringSet, "steering")
+    _require_type(d, DesiredPattern, "template")
+    _require_type(params, SolverParams, "params")
     _as_vector(d.values, steering.n_angles, "template", float, finite=False)
     k, n = steering.n_angles, steering.n_elements
     if not math.isfinite(float(params.lam) * (k * n)):
@@ -161,14 +167,14 @@ def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverPar
 
 def _template_energy(d: DesiredPattern) -> float:
     """d^T d, the denominator of the alpha refresh; an all-zero template has none."""
-    dd = float(d.values @ d.values)
-    if not dd > 0.0:
+    if not d.energy > 0.0:
         raise DegenerateInputError("template is all zero; alpha is undefined")
-    return dd
+    return d.energy
 
 
 def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
     """Bilinear pattern samples r_k = w^H a_k a_k^H v for every grid angle."""
+    _require_type(steering, SteeringSet, "steering")
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     v = _as_vector(v, n, "v")
@@ -177,6 +183,7 @@ def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
 
 def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
     """Least-squares template scale: argmin over real alpha of sum |r_k - alpha d_k|^2."""
+    _require_type(d, DesiredPattern, "template")
     r = _as_vector(r, d.count, "inner products")
     return float(d.values @ np.real(r)) / _template_energy(d)
 
@@ -195,12 +202,6 @@ def _residual_energy(square_sum, cross, alpha, dd: float):
     return np.maximum(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
-def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
-    """[conj(col[n-1:0:-1]), col]: a Hermitian sequence c_j = conj(c_-j) from j = 0 up,
-    extended down to j = -(n - 1). Entry n - 1 + j of the result is c_j."""
-    return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))
-
-
 def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
     """The Hermitian Toeplitz matrix with these diagonals, in Fortran order, which LAPACK
     factors in place; entry n - 1 + i - j of diagonals is entry (i, j). Row i of its
@@ -208,18 +209,6 @@ def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
     n = (diagonals.size + 1) // 2
     step = diagonals.itemsize
     return np.ndarray((n, n), diagonals.dtype, diagonals, (n - 1) * step, (-step, step)).copy().T
-
-
-def _grid_moments(steering: SteeringSet) -> np.ndarray:
-    """The grid's trigonometric moments q_i = sum_k z_k^i for i = -(N-1) ... 2N-2.
-
-    Every steering vector is a phase ramp a_k[n] = z_k^n, so the column sums
-    of the steering matrix are q_0 ... q_(N-1), its last column's products
-    with the others are q_N ... q_(2N-2), and q_-i = conj(q_i).
-    """
-    a = steering.vectors
-    n = steering.n_elements
-    return _with_negative_lags(np.concatenate((a.sum(axis=0), a[:, 1:].T @ a[:, n - 1])), n)
 
 
 def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
@@ -261,9 +250,11 @@ def _pattern_dot(mx: _Moments, my: _Moments) -> float:
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
     """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks."""
+    _require_type(steering, SteeringSet, "steering")
+    _require_finite(lam, "lam")
     x = _as_vector(x, steering.n_elements, "x")
     auto = np.correlate(x, x, "full")
-    return _toeplitz_gram(lam * _gram_diagonals(_grid_moments(steering), auto))
+    return _toeplitz_gram(lam * _gram_diagonals(steering.moments, auto))
 
 
 def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
@@ -337,7 +328,7 @@ def update_v(
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
-    mw = _moments(_grid_moments(steering), _template_toeplitz(steering, d), w)
+    mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
     return _v_block(mw, w, u, alpha, params)
 
 
@@ -358,7 +349,7 @@ def solve_weight_system(
     u = _as_vector(u, n, "u")
     # a non-finite diagonal is left to the block solve, which reports it as a NumericalError
     diag = _as_vector(diag, n, "majorizer diagonal", float, finite=False)
-    mv = _moments(_grid_moments(steering), _template_toeplitz(steering, d), v)
+    mv = _moments(steering.moments, _template_toeplitz(steering, d), v)
     return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
 
 
@@ -397,8 +388,8 @@ def objective_value(
     _require_problem(steering, d, params)
     _require_finite(alpha, "alpha")
     w = _as_vector(w, steering.n_elements, "w")
-    mw = _moments(_grid_moments(steering), _template_toeplitz(steering, d), w)
-    return params.lam * _pattern_fit(mw, w, alpha, float(d.values @ d.values)) + entropy(w)
+    mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
+    return params.lam * _pattern_fit(mw, w, alpha, d.energy) + entropy(w)
 
 
 def augmented_lagrangian(
@@ -409,16 +400,16 @@ def augmented_lagrangian(
 ) -> float:
     """Scaled-dual augmented Lagrangian at the given state, with the exact entropy term."""
     _require_problem(steering, d, params)
+    _require_type(state, AdmmState, "state")
     n = steering.n_elements
     w = _as_vector(state.w, n, "w")
     v = _as_vector(state.v, n, "v")
     u = _as_vector(state.u, n, "u")
     _require_finite(state.alpha, "alpha")
-    q, td = _grid_moments(steering), _template_toeplitz(steering, d)
+    q, td = steering.moments, _template_toeplitz(steering, d)
     mw, mv = _moments(q, td, w), _moments(q, td, v)
-    phi = float(_residual_energy(
-        _pattern_dot(mw, mv), _real_dot(w, mv.td_x), state.alpha, float(d.values @ d.values)
-    ))
+    cross = _real_dot(w, mv.td_x)
+    phi = float(_residual_energy(_pattern_dot(mw, mv), cross, state.alpha, d.energy))
     gap = w - v + u
     return _lagrangian(phi, _real_dot(gap, gap), entropy(w), params)
 
@@ -430,6 +421,8 @@ def _lagrangian(phi, gap_sq, sparsity, params: SolverParams):
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
     """Random start: v and w drawn i.i.d. complex Gaussian then unit-normalized."""
+    _require_type(steering, SteeringSet, "steering")
+    _require_type(params, SolverParams, "params")
     rng = np.random.default_rng(params.seed)
     n = steering.n_elements
 
@@ -459,8 +452,8 @@ def _append_row(raw: array, mw: _Moments, mv: _Moments, w: np.ndarray, cross: fl
                 sparsity, gap_sq, _sq_norm(wv), alpha, w_change))
 
 
-def _derive_trace(raw: array, start: int, dd: float, params: SolverParams) -> Trace:
-    """The trace of the scalars ``_append_row`` appended, numbered from start: one
+def _derive_trace(raw: array, dd: float, params: SolverParams) -> Trace:
+    """The trace of the scalars ``_append_row`` appended, numbered from 0: one
     vectorized pass through the formulas of ``objective_value``, ``augmented_lagrangian`` and
     ``matching_error_db``, silent on overflow like their Python floats, so bit for bit equal
     to the first two at each state and to the third to rounding."""
@@ -471,7 +464,7 @@ def _derive_trace(raw: array, start: int, dd: float, params: SolverParams) -> Tr
         phi = _residual_energy(sample_sq, cross, alpha, dd)
         columns = (params.lam * fit + sparsity, _lagrangian(phi, gap_sq, sparsity, params),
                    np.sqrt(wv_sq), alpha, _db(fit / (alpha * alpha * dd)), w_change)
-    return Trace(*map(_readonly, (np.arange(start, start + alpha.size), *columns)))
+    return Trace(*map(_readonly, (np.arange(alpha.size), *columns)))
 
 
 def solve(
@@ -484,8 +477,8 @@ def solve(
     """Run the full solver loop.
 
     Returns the final unit-norm weights, the final template scale and the
-    ``Trace``, one column per field from the initial state (numbered
-    ``init.iter``) on, derived with no per-row object once the loop ends.
+    ``Trace``, one column per field from the initial state (row 0) on,
+    derived with no per-row object once the loop ends.
     ``observer``, when given, is called with every newly accepted state.
 
     Raises
@@ -499,8 +492,9 @@ def solve(
     dd = _template_energy(d)
 
     state = init if init is not None else initial_state(steering, params)
-    if not _is_integer(state.iter) or state.iter < 0:
-        raise ContractError(f"initial iter must be an integer >= 0, got {state.iter!r}")
+    _require_type(state, AdmmState, "init")
+    if observer is not None:
+        _require_type(observer, Callable, "observer")
     n = steering.n_elements
     v = _as_vector(state.v, n, "initial v")
     w = _as_vector(state.w, n, "initial w")
@@ -508,9 +502,9 @@ def solve(
     alpha = state.alpha
     _require_finite(alpha, "initial alpha")
 
-    # The steering matrix is read here only; each iterate's moments and powers serve both
-    # blocks and the rows, as the module docstring lists.
-    q = _grid_moments(steering)
+    # The steering matrix is read here only, for T_d; each iterate's moments and powers serve
+    # both blocks and the rows, as the module docstring lists.
+    q = steering.moments
     td = _template_toeplitz(steering, d)
     mw = _moments(q, td, w)
     mv = _moments(q, td, v)
@@ -518,7 +512,7 @@ def solve(
     cross = _real_dot(w, mv.td_x)
     raw = array("d")
     _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
-    for it in range(state.iter + 1, state.iter + 1 + params.max_iters):
+    for it in range(1, params.max_iters + 1):
         try:
             alpha = cross / dd
             v = _v_block(mw, w, u, alpha, params)
@@ -534,13 +528,13 @@ def solve(
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:
-            trace = _derive_trace(raw, state.iter, dd, params)
+            trace = _derive_trace(raw, dd, params)
             raise DivergenceError(f"solver diverged at iteration {it}: {exc}", trace) from exc
         if observer is not None:
-            observer(AdmmState(alpha=alpha, v=v, w=w, u=u, iter=it))
+            observer(AdmmState(alpha=alpha, v=v, w=w, u=u))
         if w_change <= params.eta:
             break
-    return w, float(alpha), _derive_trace(raw, state.iter, dd, params)
+    return w, float(alpha), _derive_trace(raw, dd, params)
 
 
 def converged(trace: Trace, eta: float) -> bool:

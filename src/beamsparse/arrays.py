@@ -1,4 +1,4 @@
-"""Uniform linear array model: steering vectors, beampatterns, sphere projection.
+"""Uniform linear array model: steering vectors, grid moments, beampatterns, sphere projection.
 
 Angles cross the public API in degrees and are converted to radians exactly
 once, internally. All container types are immutable after construction and
@@ -62,6 +62,13 @@ def _as_vector(x, n: int | None, name: str, dtype=complex, finite: bool = True) 
     if finite and not np.isfinite(x).all():
         raise ContractError(f"{name} holds non-finite values")
     return x
+
+
+def _require_type(x, cls: type, name: str):
+    """The type rule of every package object a public call takes, checked where it enters."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ContractError(f"{name} must be {article} {cls.__name__}, got {type(x).__name__}")
 
 
 def _require_finite(x: float, name: str):
@@ -166,6 +173,12 @@ def _require_visible(first_deg: float, last_deg: float):
         raise ContractError("grid angles must lie within [-90, 90] degrees")
 
 
+def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
+    """[conj(col[n-1:0:-1]), col]: a Hermitian sequence c_j = conj(c_-j) from j = 0 up,
+    extended down to j = -(n - 1). Entry n - 1 + j of the result is c_j."""
+    return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))
+
+
 @dataclass(frozen=True, eq=False)
 class SteeringSet:
     """Steering vectors of an array for every angle of a grid.
@@ -175,24 +188,28 @@ class SteeringSet:
     2*pi*spacing_ratio*n*sin(theta_k), with the first element as phase
     reference. Each row is thus a geometric phase ramp a_k[n] = a_k[1]^n of
     unit modulus, the structure the solver's Toeplitz Gram build relies on.
+
+    ``moments`` holds the grid's trigonometric moments q_i = sum_k z_k^i of z_k = a_k[1],
+    entry N-1+i for i = -(N-1) ... 2N-2: the column sums of ``vectors`` (q_0 ... q_(N-1)), its
+    last column's products with the others (q_N ... q_(2N-2)), and q_-i = conj(q_i).
     """
 
     geometry: ArrayGeometry
     grid: AngleGrid
     vectors: np.ndarray = field(init=False, repr=False)
+    moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.geometry, ArrayGeometry):
-            raise ContractError(
-                f"geometry must be an ArrayGeometry, got {type(self.geometry).__name__}"
-            )
-        if not isinstance(self.grid, AngleGrid):
-            raise ContractError(f"grid must be an AngleGrid, got {type(self.grid).__name__}")
+        _require_type(self.geometry, ArrayGeometry, "geometry")
+        _require_type(self.grid, AngleGrid, "grid")
         _require_solve_size(self.geometry, self.grid)
+        n = self.geometry.n_elements
         sin_theta = np.sin(np.radians(self.grid.angles_deg))
-        n = np.arange(self.geometry.n_elements)
-        phases = 2.0 * np.pi * self.geometry.spacing_ratio * np.outer(sin_theta, n)
-        object.__setattr__(self, "vectors", _readonly(np.exp(1j * phases)))
+        phases = 2.0 * np.pi * self.geometry.spacing_ratio * np.outer(sin_theta, np.arange(n))
+        a = np.exp(1j * phases)
+        col = np.concatenate((a.sum(axis=0), a[:, 1:].T @ a[:, n - 1]))  # q_0 ... q_(2N-2)
+        object.__setattr__(self, "vectors", _readonly(a))
+        object.__setattr__(self, "moments", _readonly(_with_negative_lags(col, n)))
 
     @property
     def n_angles(self) -> int:
@@ -201,25 +218,6 @@ class SteeringSet:
     @property
     def n_elements(self) -> int:
         return self.geometry.n_elements
-
-
-def steering_vector(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
-    """Steering vector of the array toward a single direction.
-
-    The one-angle row of ``build_steering_set``.
-
-    Parameters
-    ----------
-    geometry : ArrayGeometry
-    theta_deg : float
-        Direction in degrees, within [-90, +90].
-
-    Returns
-    -------
-    ndarray
-        Complex vector of length ``geometry.n_elements``.
-    """
-    return build_steering_set(geometry, AngleGrid([theta_deg])).vectors[0]
 
 
 def build_steering_set(geometry: ArrayGeometry, grid: AngleGrid) -> SteeringSet:
@@ -238,6 +236,7 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
     Uses the rank-1 structure of the angle quadratic form, so the cost is
     O(N) per angle and the result is exactly real and nonnegative.
     """
+    _require_type(steering, SteeringSet, "steering")
     w = _as_vector(w, steering.n_elements, "w")
     return np.abs(_steer_products(steering, w)) ** 2
 

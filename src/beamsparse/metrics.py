@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import _as_real, _as_vector, _is_integer, _require_finite
+from .arrays import _as_real, _as_vector, _is_integer, _require_finite, _require_type
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -65,6 +65,7 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     10*log10( sum (P_k - alpha*d_k)^2 / sum (alpha*d_k)^2 ), floored at
     ``DB_FLOOR`` for an exact match.
     """
+    _require_type(d, DesiredPattern, "template")
     pattern = _as_vector(pattern, d.count, "pattern", float)
     _require_finite(alpha, "alpha")
     # finite inputs can still overflow a sum of squares. The solver's trace rows skip

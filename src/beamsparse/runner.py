@@ -17,8 +17,8 @@ after a run can leave an artifact empty or missing.
 
 Numbers are rendered with ``repr`` so identical runs produce byte-identical
 CSV files on the same platform. The reported runtime covers the whole
-``solve`` call, including its once-per-solve grid-moment set-up, but not
-steering-set precomputation or file output.
+``solve`` call, including its once-per-solve set-up of T_d, but not the
+steering set's precomputation (its vectors and grid moments) or file output.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import solve
-from .arrays import _as_vector, beampattern, build_steering_set
+from .admm import Trace, solve
+from .arrays import _as_vector, _require_type, beampattern, build_steering_set
 from .config import ExperimentConfig, config_to_dict
 from .errors import DivergenceError
 from .metrics import _RATIO_FLOOR, RunReport, _db, cardinality, matching_error_db, peak_sidelobe_db
@@ -48,14 +48,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Build the steering set, run the solver, compute metrics, write artifacts.
 
     On solver divergence the partial trace is still written to
-    ``trace.csv`` before the error propagates.
+    ``trace.csv`` before the error propagates, and an earlier run's other
+    artifacts are removed, so the directory holds only this run's output.
     """
+    _require_type(cfg, ExperimentConfig, "config")
     steering = build_steering_set(cfg.geometry, cfg.grid)
     started = time.perf_counter()
     try:
         w, alpha, trace = solve(steering, cfg.template, cfg.params)
     except DivergenceError as exc:
         out_dir = _ensure_dir(cfg.output_dir)
+        for name in (WEIGHTS_FILE, BEAMPATTERN_FILE, SUMMARY_FILE):
+            (out_dir / name).unlink(missing_ok=True)
         _write_csv(out_dir / TRACE_FILE, vars(exc.trace))
         raise
     runtime = time.perf_counter() - started
@@ -113,6 +117,9 @@ def write_outputs(
     pattern: np.ndarray,
 ) -> None:
     """Write the four run artifacts into ``cfg.output_dir``."""
+    _require_type(report, RunReport, "report")
+    _require_type(report.trace, Trace, "report trace")
+    _require_type(cfg, ExperimentConfig, "config")
     w = _as_vector(w, cfg.n_elements, "w", finite=False)
     pattern = _as_vector(pattern, cfg.grid.count, "pattern", float, finite=False)
     out = _ensure_dir(cfg.output_dir)

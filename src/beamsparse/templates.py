@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import AngleGrid, _as_real, _as_vector, _readonly
+from .arrays import AngleGrid, _as_real, _as_vector, _readonly, _require_type
 from .errors import ConfigurationError, ContractError
 
 
@@ -31,10 +31,11 @@ class MainlobeSpec:
 
 @dataclass(frozen=True, eq=False)
 class DesiredPattern:
-    """Template values per grid angle plus the mainlobe membership mask."""
+    """Template values d per grid angle, the mainlobe membership mask and the energy d^T d."""
 
     values: np.ndarray
     mainlobe_mask: np.ndarray
+    energy: float = field(init=False, repr=False)
 
     def __post_init__(self):
         values = _as_vector(self.values, None, "template", float)
@@ -47,6 +48,7 @@ class DesiredPattern:
             raise ContractError("template values must be positive on the mainlobe mask")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "mainlobe_mask", _readonly(mask))
+        object.__setattr__(self, "energy", energy)
 
     @property
     def count(self) -> int:
@@ -65,6 +67,7 @@ def build_template(
     are allowed only when they agree on the level, otherwise the template is
     ambiguous and rejected.
     """
+    _require_type(grid, AngleGrid, "grid")
     if not (isinstance(lobes, Sequence) and lobes
             and all(isinstance(lobe, MainlobeSpec) for lobe in lobes)):
         raise ConfigurationError("mainlobes must be a non-empty sequence of MainlobeSpec entries")

@@ -21,6 +21,7 @@ from beamsparse import (
     MainlobeSpec,
     NumericalError,
     POWER_FLOOR,
+    RunReport,
     SolverParams,
     SteeringSet,
     Trace,
@@ -40,12 +41,14 @@ from beamsparse import (
     objective_value,
     peak_sidelobe_db,
     project_unit_sphere,
+    run_experiment,
     solve,
     solve_weight_system,
     update_alpha,
     update_dual,
     update_v,
     update_w,
+    write_outputs,
 )
 from beamsparse.admm import data_fit_gram
 
@@ -447,23 +450,22 @@ class TestSolve:
         assert all(np.array_equal(getattr(t1, f.name), getattr(t2, f.name)) for f in fields(t1))
 
     def test_warm_start_from_given_state(self):
+        # row 0 of the trace is the given state, numbered 0 like any start
         rng = np.random.default_rng(29)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.2, rho=5.0, max_iters=3)
-        init = AdmmState(
-            alpha=1.0, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex), iter=10
-        )
+        init = AdmmState(alpha=2.5, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex))
         _, _, trace = solve(steering, d, params, init=init)
-        assert trace.iter[0] == 10
-        assert trace.iter[-1] == 13
+        assert trace.iter.tolist() == [0, 1, 2, 3]
+        assert trace.alpha[0] == init.alpha
+        assert trace.objective[0] == objective_value(steering, init.w, init.alpha, d, params)
+        assert trace.lagrangian[0] == augmented_lagrangian(init, steering, d, params)
 
     def test_trace_is_one_read_only_column_per_csv_field(self):
         rng = np.random.default_rng(29)
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.2, rho=5.0, max_iters=3)
-        init = AdmmState(
-            alpha=1.0, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex), iter=10
-        )
+        init = AdmmState(alpha=1.0, v=unit(rng, 5), w=unit(rng, 5), u=np.zeros(5, complex))
         _, _, trace = solve(steering, d, params, init=init)
         names = [f.name for f in fields(Trace)]
         assert names == [
@@ -475,7 +477,7 @@ class TestSolve:
             assert column.shape == (4,)
             assert not column.flags.writeable
         assert np.issubdtype(trace.iter.dtype, np.integer)
-        assert trace.iter.tolist() == [10, 11, 12, 13]
+        assert trace.iter.tolist() == [0, 1, 2, 3]
         # no row view: a caller that still reads rows fails instead of reading columns
         with pytest.raises(TypeError):
             len(trace)
@@ -601,7 +603,7 @@ def moment_instance(n):
 
 
 def moments_of(steering, d, *xs):
-    q, td = admm_mod._grid_moments(steering), admm_mod._template_toeplitz(steering, d)
+    q, td = steering.moments, admm_mod._template_toeplitz(steering, d)
     return [admm_mod._moments(q, td, x) for x in xs]
 
 
@@ -769,9 +771,7 @@ class TestLevinsonVBlock:
         rng = np.random.default_rng(55)
         steering, _ = random_instance(rng, n=9, k=40)
         x = unit(rng, 9)
-        diagonals = 0.3 * admm_mod._gram_diagonals(
-            admm_mod._grid_moments(steering), np.correlate(x, x, "full")
-        )
+        diagonals = 0.3 * admm_mod._gram_diagonals(steering.moments, np.correlate(x, x, "full"))
         diagonals[8] += 2.5
         col = diagonals[8:]
         assert np.linalg.eigvalsh(scipy.linalg.toeplitz(col)).min() > 0
@@ -816,7 +816,7 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
         w = update_w(steering, v, state.u, alpha, d, diag, params)
         u = update_dual(state.u, w, v)
         w_change = float(np.linalg.norm(w - state.w))
-        state = AdmmState(alpha=alpha, v=v, w=w, u=u, iter=state.iter + 1)
+        state = AdmmState(alpha=alpha, v=v, w=w, u=u)
         rows.append((
             objective_value(steering, w, alpha, d, params),
             augmented_lagrangian(state, steering, d, params),
@@ -1050,6 +1050,7 @@ NON_FINITE_CALLS = [
     "update_alpha-r",
     "update_dual-u",
     "data_fit_gram-x",
+    "data_fit_gram-lam",
     "beampattern-w",
     "matching_error_db-pattern",
     "peak_sidelobe_db-pattern",
@@ -1061,9 +1062,6 @@ NON_FINITE_CALLS = [
     "augmented_lagrangian-alpha",
     "update_v-alpha",
     "update_w-alpha",
-    "solve-iter-float",
-    "solve-iter-str",
-    "solve-iter-negative",
     "inner_products-str",
     "beampattern-str",
     "project_unit_sphere-str",
@@ -1088,8 +1086,7 @@ NON_FINITE_CALLS += [f"{call}-alpha-{kind}" for call in ALPHA_CALLS for kind in 
 def test_non_finite_input_raises_contract_error(call):
     # N = 5 elements on a 7-angle grid; each call gets one input with a NaN
     # (or inf) entry, or one NaN (or inf) scalar, which would otherwise come
-    # back as a NaN result, or one scalar that is not a real number (or an
-    # initial iteration number that is not an integer >= 0), which would
+    # back as a NaN result, or one scalar that is not a real number, which would
     # otherwise escape as a bare TypeError or OverflowError, or one vector of
     # strings, ragged nesting, huge ints or, for a real vector, complex values,
     # which would otherwise be cast or escape as a bare error
@@ -1112,6 +1109,7 @@ def test_non_finite_input_raises_contract_error(call):
         "update_alpha-r": lambda: update_alpha(poisoned(r), d),
         "update_dual-u": lambda: update_dual(poisoned(v), w, v),
         "data_fit_gram-x": lambda: data_fit_gram(steering, poisoned(v), 0.2),
+        "data_fit_gram-lam": lambda: data_fit_gram(steering, v, np.nan),
         "beampattern-w": lambda: beampattern(steering, poisoned(w)),
         "matching_error_db-pattern": lambda: matching_error_db(poisoned(pattern), 1.0, d),
         "peak_sidelobe_db-pattern":
@@ -1126,9 +1124,6 @@ def test_non_finite_input_raises_contract_error(call):
         "update_v-alpha": lambda: update_v(steering, w, u, np.nan, d, params),
         "update_w-alpha":
             lambda: update_w(steering, v, u, np.inf, d, majorizer_diag(w), params),
-        "solve-iter-float": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, 2.5)),
-        "solve-iter-str": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, "a")),
-        "solve-iter-negative": lambda: solve(steering, d, params, AdmmState(1.0, v, w, u, -1)),
         "inner_products-str": lambda: inner_products(steering, w, ["1"] * 5),
         "beampattern-str": lambda: beampattern(steering, ["a"] * 5),
         "project_unit_sphere-str": lambda: project_unit_sphere(["a", "b"]),
@@ -1154,6 +1149,74 @@ def test_non_finite_input_raises_contract_error(call):
         calls.update({f"{name}-alpha-{kind}": f for name, f in alpha_calls(alpha).items()})
     with pytest.raises(ContractError):
         calls[call]()
+
+
+WRONG_TYPE_CALLS = [
+    "solve-steering",
+    "solve-template",
+    "solve-params",
+    "solve-init",
+    "solve-observer",
+    "update_v-steering",
+    "solve_weight_system-params",
+    "update_w-template",
+    "objective_value-template",
+    "augmented_lagrangian-state",
+    "initial_state-steering",
+    "inner_products-steering",
+    "data_fit_gram-steering",
+    "beampattern-steering",
+    "update_alpha-template",
+    "matching_error_db-template",
+    "build_template-grid",
+    "run_experiment-config",
+    "write_outputs-report",
+    "write_outputs-config",
+    "write_outputs-trace",
+]
+
+
+@pytest.mark.parametrize("call", WRONG_TYPE_CALLS)
+def test_wrong_type_object_raises_contract_error(call, tmp_path):
+    # each call gets None, or an object of another type, for one package object, which
+    # would otherwise end in a bare AttributeError or TypeError; the error names the type
+    rng = np.random.default_rng(73)
+    steering, d = random_instance(rng)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=0)
+    v = unit(rng, 5)
+    w = unit(rng, 5)
+    u = np.zeros(5, complex)
+    pattern = beampattern(steering, w)
+    cfg = load_config(CONFIGS / "single_mainlobe.json").with_overrides(output_dir=str(tmp_path))
+    _, _, trace = solve(steering, d, params)
+    report = RunReport(1, 0.0, 0.0, 0.0, 0, 1.0, trace)
+    calls = {
+        "solve-steering": lambda: solve(None, d, params),
+        "solve-template": lambda: solve(steering, None, params),
+        "solve-params": lambda: solve(steering, d, None),
+        "solve-init": lambda: solve(steering, d, params, init=object()),
+        "solve-observer": lambda: solve(steering, d, params, observer=1),
+        "update_v-steering": lambda: update_v(None, w, u, 1.0, d, params),
+        "solve_weight_system-params":
+            lambda: solve_weight_system(steering, v, u, 1.0, d, majorizer_diag(w), None),
+        "update_w-template": lambda: update_w(steering, v, u, 1.0, None, majorizer_diag(w), params),
+        "objective_value-template": lambda: objective_value(steering, w, 1.0, None, params),
+        "augmented_lagrangian-state": lambda: augmented_lagrangian(None, steering, d, params),
+        "initial_state-steering": lambda: admm_mod.initial_state(None, params),
+        "inner_products-steering": lambda: inner_products(None, w, v),
+        "data_fit_gram-steering": lambda: data_fit_gram(None, w, 0.2),
+        "beampattern-steering": lambda: beampattern(None, w),
+        "update_alpha-template": lambda: update_alpha(inner_products(steering, w, v), None),
+        "matching_error_db-template": lambda: matching_error_db(pattern, 1.0, None),
+        "build_template-grid": lambda: build_template(None, (MainlobeSpec(-10.0, 10.0),)),
+        "run_experiment-config": lambda: run_experiment(None),
+        "write_outputs-report": lambda: write_outputs(None, cfg, w, pattern),
+        "write_outputs-config": lambda: write_outputs(report, None, w, pattern),
+        "write_outputs-trace": lambda: write_outputs(replace(report, trace=None), cfg, w, pattern),
+    }
+    with pytest.raises(ContractError, match=r"must be an? [A-Z]\w+, got (NoneType|object|int)$"):
+        calls[call]()
+    assert not any(tmp_path.iterdir())
 
 
 MISSHAPEN_WEIGHT_CALLS = [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,12 +14,16 @@ from beamsparse import (
     build_steering_set,
     parse_config,
     project_unit_sphere,
-    steering_vector,
 )
 from beamsparse.arrays import MAX_GRID_ANGLES
 
 # scalars that are not real numbers; the scalar rule reads each as NaN
 NOT_REAL = ["0.5", None, True, 1 + 2j, [1.0], 10**400]
+
+
+def one_angle_row(geometry: ArrayGeometry, theta_deg: float) -> np.ndarray:
+    """The steering vector toward one direction: the row of a one-angle steering set."""
+    return build_steering_set(geometry, AngleGrid([theta_deg])).vectors[0]
 
 
 def dense_pattern_oracle(a: np.ndarray, w: np.ndarray) -> float:
@@ -71,22 +76,22 @@ class TestAngleGrid:
 
 class TestSteeringVector:
     def test_broadside_is_all_ones(self):
-        a = steering_vector(ArrayGeometry(3), 0.0)
+        a = one_angle_row(ArrayGeometry(3), 0.0)
         np.testing.assert_allclose(a, np.ones(3), atol=1e-15)
 
     def test_endfire_two_elements(self):
-        a = steering_vector(ArrayGeometry(2), 90.0)
+        a = one_angle_row(ArrayGeometry(2), 90.0)
         np.testing.assert_allclose(a, [1.0, -1.0], atol=1e-12)
 
     def test_thirty_degree_phase_ramp(self):
         # phase of element n is 2*pi*0.5*n*sin(30 deg) = n*pi/2
-        a = steering_vector(ArrayGeometry(4), 30.0)
+        a = one_angle_row(ArrayGeometry(4), 30.0)
         expected = np.exp(1j * np.pi / 2 * np.arange(4))
         np.testing.assert_allclose(a, expected, atol=1e-12)
 
     def test_rejects_angle_outside_visible_region(self):
         with pytest.raises(ContractError):
-            steering_vector(ArrayGeometry(4), 90.5)
+            one_angle_row(ArrayGeometry(4), 90.5)
 
     def test_unit_modulus_everywhere(self):
         rng = np.random.default_rng(42)
@@ -94,7 +99,7 @@ class TestSteeringVector:
             n = int(rng.integers(2, 12))
             geo = ArrayGeometry(n, spacing_ratio=float(rng.uniform(0.1, 2.0)))
             theta = float(rng.uniform(-90, 90))
-            a = steering_vector(geo, theta)
+            a = one_angle_row(geo, theta)
             np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
             assert a[0] == 1.0 + 0.0j
 
@@ -109,7 +114,7 @@ class TestSteeringSet:
         grid = AngleGrid(np.array([-40.0, 0.0, 13.0, 71.0]))
         steering = build_steering_set(geo, grid)
         for k, theta in enumerate(grid.angles_deg):
-            np.testing.assert_allclose(steering.vectors[k], steering_vector(geo, theta), atol=1e-12)
+            np.testing.assert_allclose(steering.vectors[k], one_angle_row(geo, theta), atol=1e-12)
 
     def test_single_broadside_angle(self):
         steering = build_steering_set(ArrayGeometry(5), AngleGrid(np.array([0.0])))
@@ -127,8 +132,6 @@ class TestSteeringSet:
             for build in (SteeringSet, build_steering_set):
                 with pytest.raises(ContractError, match=match):
                     build(*args)
-        with pytest.raises(ContractError, match="geometry must be an ArrayGeometry"):
-            steering_vector(None, 0.0)
 
     def test_vectors_follow_from_geometry_and_grid(self):
         # closed form exp(j 2 pi spacing n sin(theta_k)), one entry at a time
@@ -144,6 +147,28 @@ class TestSteeringSet:
             ])
             np.testing.assert_allclose(steering.vectors, expected, rtol=0, atol=1e-10)
             assert not steering.vectors.flags.writeable
+
+    def test_moments_are_the_per_angle_power_sums(self):
+        # q_i = sum_k z_k^i for i = -(N-1) ... 2N-2, z_k = exp(j 2 pi spacing sin(theta_k)),
+        # on a non-uniform grid at a spacing other than half a wavelength
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 7, 30):
+            spacing = 0.83
+            angles = np.unique(rng.uniform(-90, 90, 4 * n + 3))
+            steering = SteeringSet(ArrayGeometry(n, spacing), AngleGrid(angles))
+            z = np.exp(2j * np.pi * spacing * np.sin(np.radians(angles)))
+            lags = np.arange(-(n - 1), 2 * n - 1)
+            expected = np.array([np.sum(z**i) for i in lags])
+            assert steering.moments.shape == (3 * n - 2,)
+            np.testing.assert_allclose(steering.moments, expected, rtol=0, atol=1e-12 * z.size)
+
+    def test_moments_are_read_only(self):
+        steering = build_steering_set(ArrayGeometry(4), AngleGrid.uniform(-90, 90, 10.0))
+        assert not steering.moments.flags.writeable
+        with pytest.raises(ValueError):
+            steering.moments[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            steering.moments = np.zeros_like(steering.moments)
 
 
 class TestBeampattern:

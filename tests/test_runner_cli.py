@@ -148,6 +148,21 @@ class TestRunExperiment:
         _, rows = read_csv(trace)
         assert len(rows) == 1
 
+    def test_divergence_leaves_only_the_partial_trace(
+        self, fast_config_path, tmp_path, monkeypatch
+    ):
+        # an earlier converged run's weights, pattern and summary do not outlive the failed run
+        cfg = load_config(fast_config_path)
+        out = tmp_path / "out"
+        run_experiment(cfg)
+        assert sorted(os.listdir(out)) == sorted(ARTIFACTS)
+        _make_solve_diverge(monkeypatch)
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg)
+        assert os.listdir(out) == ["trace.csv"]
+        _, rows = read_csv(out / "trace.csv")
+        assert len(rows) == 1
+
     def test_rerun_replaces_each_artifact_with_a_new_file(self, fast_config_path, tmp_path):
         # a hard link made after the first run must keep that run's bytes: a rerun
         # into the same directory creates new files and rewrites none in place

@@ -153,3 +153,11 @@ def test_pattern_with_non_finite_values_rejected(value, where):
     values[where] = value
     with pytest.raises(ContractError, match="template holds non-finite values"):
         DesiredPattern(values, [False, True])
+
+
+def test_energy_is_the_template_square_sum(full_grid):
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 3.0, 40)
+    assert DesiredPattern(values, values > 1.0).energy == float(values @ values)
+    tpl = build_template(full_grid, [MainlobeSpec(22, 28, 1000.0)], sidelobe_level=0.5)
+    assert tpl.energy == float(tpl.values @ tpl.values)
