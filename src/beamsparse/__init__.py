@@ -20,9 +20,7 @@ from .admm import (
     solve,
     solve_weight_system,
     update_alpha,
-    update_dual,
     update_v,
-    update_w,
 )
 from .arrays import (
     AngleGrid,
@@ -90,8 +88,6 @@ __all__ = [
     "solve",
     "solve_weight_system",
     "update_alpha",
-    "update_dual",
     "update_v",
-    "update_w",
     "write_outputs",
 ]

@@ -54,9 +54,10 @@ scalars (sum_k P_k^2, d^T P, sum_k |r_k|^2, Re d^T r, the entropy,
 ||w - v + u||^2, ||w - v||^2, alpha, the weight change) to one growing buffer;
 once the loop ends or a sweep fails, one vectorized pass of the public evaluators'
 formulas derives the ``Trace``, one column per field, with no per-row object.
-The public blocks (``update_v``, ``update_w``, ``objective_value``,
+The public blocks (``update_v``, ``solve_weight_system``, ``objective_value``,
 ``augmented_lagrangian`` and the rest) check their inputs and call the same
-kernels, so composing them reproduces ``solve`` bit for bit. The one
+kernels, so composing them, with ``project_unit_sphere`` and the dual step
+u + (w - v), reproduces ``solve`` bit for bit. The one
 exception is ``update_alpha``, which takes the per-angle samples r_k; it
 agrees with the moment form of alpha to rounding.
 
@@ -122,12 +123,17 @@ class SolverParams:
             raise ContractError(f"lam (lambda) must be finite and >= 0, got {self.lam!r}")
         if not 2.0 < _as_real(self.rho) < np.inf:
             raise ContractError(f"rho must exceed 2 and be finite, got {self.rho!r}")
-        if not _as_real(self.eta) > 0:
-            raise ContractError(f"eta must be positive, got {self.eta!r}")
+        _require_tolerance(self.eta)
         if not _is_integer(self.max_iters) or self.max_iters < 0:
             raise ContractError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+
+def _require_tolerance(eta: float):
+    """The stop tolerance on the weight change: a positive real number, possibly infinite."""
+    if not _as_real(eta) > 0:
+        raise ContractError(f"eta must be positive, got {eta!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +160,16 @@ class Trace:
 
 
 def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
-    """Types, the template's length (DesiredPattern rejects non-finite values), and a finite
-    lam K N, which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
+    """Types, the template's length (DesiredPattern checks its values), and a finite lam K N,
+    which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
     _require_type(steering, SteeringSet, "steering")
     _require_type(d, DesiredPattern, "template")
     _require_type(params, SolverParams, "params")
-    _as_vector(d.values, steering.n_angles, "template", float, finite=False)
     k, n = steering.n_angles, steering.n_elements
+    if d.count != k:
+        raise ContractError(
+            f"template must be a vector of length {k}, got array size {d.values.shape}"
+        )
     if not math.isfinite(float(params.lam) * (k * n)):
         raise ContractError(f"lam (lambda) {params.lam} times K = {k} and N = {n} overflows")
 
@@ -347,29 +356,9 @@ def solve_weight_system(
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
-    # a non-finite diagonal is left to the block solve, which reports it as a NumericalError
-    diag = _as_vector(diag, n, "majorizer diagonal", float, finite=False)
+    diag = _as_vector(diag, n, "majorizer diagonal", float)
     mv = _moments(steering.moments, _template_toeplitz(steering, d), v)
     return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
-
-
-def update_w(
-    steering: SteeringSet,
-    v,
-    u,
-    alpha: float,
-    d: DesiredPattern,
-    diag,
-    params: SolverParams,
-) -> np.ndarray:
-    """Majorized w block: exact unconstrained solve, then sphere projection."""
-    return _project_unit_sphere(solve_weight_system(steering, v, u, alpha, d, diag, params))
-
-
-def update_dual(u, w, v) -> np.ndarray:
-    """Dual ascent on the consensus constraint: u + (w - v)."""
-    u = _as_vector(u, None, "u")
-    return u + (_as_vector(w, u.size, "w") - _as_vector(v, u.size, "v"))
 
 
 def _pattern_fit(mw: _Moments, w: np.ndarray, alpha: float, dd: float) -> float:
@@ -539,4 +528,6 @@ def solve(
 
 def converged(trace: Trace, eta: float) -> bool:
     """Whether the trace ends because the weight change dropped below eta."""
+    _require_type(trace, Trace, "trace")
+    _require_tolerance(eta)
     return trace.w_change.size >= 2 and bool(trace.w_change[-1] <= eta)

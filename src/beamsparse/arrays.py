@@ -43,10 +43,10 @@ def _as_real(x) -> float:
         return math.nan
 
 
-def _as_vector(x, n: int | None, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
-    """The vector rule of every public argument: a non-empty 1-D array of numbers, of length
-    n (any length for n=None) and, unless told not to, finite. Strings, objects (huge ints
-    among them), ragged nesting and complex values for a real dtype are rejected, not cast."""
+def _as_vector(x, n: int | None, name: str, dtype=complex) -> np.ndarray:
+    """The vector rule of every public argument: a non-empty 1-D array of finite numbers, of
+    length n (any length for n=None). Strings, objects (huge ints among them), ragged nesting
+    and complex values for a real dtype are rejected, not cast."""
     try:
         raw = np.asarray(x)
     except ValueError:  # ragged nesting, rejected below as objects
@@ -59,7 +59,7 @@ def _as_vector(x, n: int | None, name: str, dtype=complex, finite: bool = True) 
     n = x.size if n is None else n
     if x.shape != (n,):
         raise ContractError(f"{name} must be a vector of length {n}, got array size {x.shape}")
-    if finite and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise ContractError(f"{name} holds non-finite values")
     return x
 
@@ -234,11 +234,16 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
     """Radiated power versus angle, |a(theta_k)^H w|^2 for every grid angle.
 
     Uses the rank-1 structure of the angle quadratic form, so the cost is
-    O(N) per angle and the result is exactly real and nonnegative.
+    O(N) per angle and the result is exactly real and nonnegative. Finite weights whose
+    pattern overflows raise ``ContractError``.
     """
     _require_type(steering, SteeringSet, "steering")
     w = _as_vector(w, steering.n_elements, "w")
-    return np.abs(_steer_products(steering, w)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN inside the product
+        pattern = np.abs(_steer_products(steering, w)) ** 2
+    if not np.isfinite(pattern).all():
+        raise ContractError("the pattern |a_k^H w|^2 of w overflows")
+    return pattern
 
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:

@@ -17,13 +17,14 @@ document gave them.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .admm import SolverParams
-from .arrays import AngleGrid, ArrayGeometry, _require_solve_size
+from .arrays import AngleGrid, ArrayGeometry, _require_solve_size, _require_type
 from .errors import ConfigurationError, ContractError
 from .metrics import _SELECTION_THRESHOLD, _require_both_regions, _require_threshold
 from .templates import DesiredPattern, MainlobeSpec, build_template
@@ -97,6 +98,7 @@ def _parse_lobe(index: int, raw) -> MainlobeSpec:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate one JSON experiment document."""
+    _require_type(text, str, "config text")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,6 +127,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Resolved config as a JSON-ready dict (uses the \"lambda\" key)."""
+    _require_type(cfg, ExperimentConfig, "config")
     out = {}
     for f in fields(ExperimentConfig):
         if not f.init:
@@ -146,6 +149,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and parse a config file."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ContractError(f"config path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -27,6 +27,6 @@ class DivergenceError(NumericalError):
     Carries the ``Trace`` of the sweeps before the failure in ``trace``.
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace

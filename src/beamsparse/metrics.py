@@ -55,8 +55,12 @@ def _require_both_regions(mask: np.ndarray):
 def cardinality(w: np.ndarray, rel_threshold: float = _SELECTION_THRESHOLD) -> int:
     """Number of selected elements: powers above rel_threshold * max power."""
     _require_threshold(rel_threshold)
-    p = np.abs(_as_vector(w, None, "w")) ** 2  # a NaN weight would select nothing
-    return int(np.count_nonzero(p > rel_threshold * p.max()))
+    with np.errstate(over="ignore"):
+        p = np.abs(_as_vector(w, None, "w")) ** 2
+    top = p.max()
+    if not np.isfinite(top):  # every power would fall below an infinite threshold
+        raise ContractError("the powers |w_n|^2 of w overflow")
+    return int(np.count_nonzero(p > rel_threshold * top))
 
 
 def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> float:

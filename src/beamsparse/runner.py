@@ -120,8 +120,8 @@ def write_outputs(
     _require_type(report, RunReport, "report")
     _require_type(report.trace, Trace, "report trace")
     _require_type(cfg, ExperimentConfig, "config")
-    w = _as_vector(w, cfg.n_elements, "w", finite=False)
-    pattern = _as_vector(pattern, cfg.grid.count, "pattern", float, finite=False)
+    w = _as_vector(w, cfg.n_elements, "w")
+    pattern = _as_vector(pattern, cfg.grid.count, "pattern", float)
     out = _ensure_dir(cfg.output_dir)
     _write_csv(out / WEIGHTS_FILE, {
         "n": np.arange(w.size),

@@ -45,9 +45,7 @@ from beamsparse import (
     solve,
     solve_weight_system,
     update_alpha,
-    update_dual,
     update_v,
-    update_w,
     write_outputs,
 )
 from beamsparse.admm import data_fit_gram
@@ -208,7 +206,7 @@ class TestUpdateW:
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.0, rho=4.0)
         v, u = random_complex(rng, 5), 0.3 * random_complex(rng, 5)
-        w = update_w(steering, v, u, 0.9, d, np.zeros(5), params)
+        w = project_unit_sphere(solve_weight_system(steering, v, u, 0.9, d, np.zeros(5), params))
         np.testing.assert_allclose(w, (v - u) / np.linalg.norm(v - u), atol=1e-12)
 
     def test_first_order_optimality_dense(self):
@@ -247,7 +245,9 @@ class TestUpdateW:
         solve(steering, d, params, observer=states.append)
         state, prev = states[20], states[19]
         diag = majorizer_diag(prev.w)
-        w = update_w(steering, state.v, prev.u, state.alpha, d, diag, params)
+        w = project_unit_sphere(
+            solve_weight_system(steering, state.v, prev.u, state.alpha, d, diag, params)
+        )
 
         def surrogate(x):
             r = inner_products(steering, x, state.v)
@@ -269,7 +269,8 @@ class TestUpdateW:
         steering, d = random_instance(rng)
         params = SolverParams(lam=0.4, rho=7.0)
         diag = majorizer_diag(unit(rng, 5))
-        w = update_w(steering, random_complex(rng, 5), random_complex(rng, 5), 1.0, d, diag, params)
+        v, u = random_complex(rng, 5), random_complex(rng, 5)
+        w = project_unit_sphere(solve_weight_system(steering, v, u, 1.0, d, diag, params))
         assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
 
     def test_system_matrix_stays_positive_definite(self):
@@ -286,26 +287,6 @@ class TestUpdateW:
             min_eig = float(np.linalg.eigvalsh(matrix).min())
             assert min_eig >= rho / 2 - 1 - 1e-9
             np.linalg.cholesky(matrix)  # factorization must succeed
-
-
-class TestUpdateDual:
-    def test_consensus_leaves_dual_unchanged(self):
-        rng = np.random.default_rng(14)
-        u, w = random_complex(rng, 4), random_complex(rng, 4)
-        np.testing.assert_allclose(update_dual(u, w, w), u)
-
-    def test_zero_dual_returns_gap(self):
-        rng = np.random.default_rng(15)
-        w, v = random_complex(rng, 4), random_complex(rng, 4)
-        np.testing.assert_allclose(update_dual(np.zeros(4, complex), w, v), w - v)
-
-    def test_linear_growth_under_constant_gap(self):
-        rng = np.random.default_rng(16)
-        w, v = random_complex(rng, 4), random_complex(rng, 4)
-        u = np.zeros(4, complex)
-        for k in range(1, 6):
-            u = update_dual(u, w, v)
-            np.testing.assert_allclose(u, k * (w - v), atol=1e-12)
 
 
 class TestObjectiveAndLagrangian:
@@ -426,6 +407,20 @@ class TestSolve:
         assert trace.iter[0] == 0
         assert alpha == 1.0
         assert not converged(trace, params.eta)
+
+    @pytest.mark.parametrize(
+        "eta", ["x", None, 0.0, -1.0, np.nan, 1 + 2j, 10**400],
+        ids=["str", "none", "zero", "negative", "nan", "complex", "huge_int"],
+    )
+    def test_converged_takes_the_solver_tolerance_rule(self, eta):
+        # eta passes the rule of SolverParams.eta, a real number > 0 and possibly infinite;
+        # anything else would escape as a bare error or be compared as if it were a tolerance
+        rng = np.random.default_rng(26)
+        steering, d = random_instance(rng)
+        _, _, trace = solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=2))
+        assert converged(trace, np.inf)
+        with pytest.raises(ContractError, match="eta"):
+            converged(trace, eta)
 
     def test_trace_iteration_numbering_and_invariants(self):
         rng = np.random.default_rng(27)
@@ -708,11 +703,10 @@ class TestFactorizationFailure:
             solve_weight_system(steering, v, u, 1.0, d, np.full(5, -1e6), params)
 
     def test_nan_entry(self):
-        steering, d, params, v, u = self.system()
-        diag = np.zeros(5)
-        diag[2] = np.nan
-        with pytest.raises(NumericalError):
-            solve_weight_system(steering, v, u, 1.0, d, diag, params)
+        # finite inputs whose Gram matrix overflows, so the solve meets inf and NaN entries
+        steering, d, params, _, u = self.system()
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            solve_weight_system(steering, np.full(5, 1e300), u, 1.0, d, np.zeros(5), params)
 
     def test_non_finite_weight_solution_ends_in_divergence(self, monkeypatch):
         # solve checks the w block's solution once, where it projects it onto the sphere
@@ -813,8 +807,8 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
         alpha = admm_mod._real_dot(state.w, td @ state.v) / dd
         v = update_v(steering, state.w, state.u, alpha, d, params)
         diag = majorizer_diag(state.w)
-        w = update_w(steering, v, state.u, alpha, d, diag, params)
-        u = update_dual(state.u, w, v)
+        w = project_unit_sphere(solve_weight_system(steering, v, state.u, alpha, d, diag, params))
+        u = state.u + (w - v)
         w_change = float(np.linalg.norm(w - state.w))
         state = AdmmState(alpha=alpha, v=v, w=w, u=u)
         rows.append((
@@ -1000,8 +994,6 @@ def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
 MISSIZED_CALLS = [
     "solve_weight_system-template",
     "solve_weight_system-majorizer",
-    "update_w-template",
-    "update_w-majorizer",
     "majorizer_value-short_diag",
     "majorizer_value-short_w",
     "update_v-template",
@@ -1028,8 +1020,6 @@ def test_missized_input_raises_contract_error(call):
             lambda: solve_weight_system(steering, v, u, 1.0, other_d, diag, params),
         "solve_weight_system-majorizer":
             lambda: solve_weight_system(steering, v, u, 1.0, d, np.zeros(4), params),
-        "update_w-template": lambda: update_w(steering, v, u, 1.0, other_d, diag, params),
-        "update_w-majorizer": lambda: update_w(steering, v, u, 1.0, d, np.zeros(4), params),
         # the anchor, and so its diagonal, is sized for another array
         "majorizer_value-short_diag": lambda: majorizer_value(w, unit(rng, 4)),
         "majorizer_value-short_w": lambda: majorizer_value(unit(rng, 4), w),
@@ -1048,7 +1038,7 @@ def test_missized_input_raises_contract_error(call):
 NON_FINITE_CALLS = [
     "inner_products-w",
     "update_alpha-r",
-    "update_dual-u",
+    "update_v-u",
     "data_fit_gram-x",
     "data_fit_gram-lam",
     "beampattern-w",
@@ -1061,11 +1051,12 @@ NON_FINITE_CALLS = [
     "objective_value-alpha",
     "augmented_lagrangian-alpha",
     "update_v-alpha",
-    "update_w-alpha",
+    "solve_weight_system-alpha",
+    "solve_weight_system-diag",
     "inner_products-str",
     "beampattern-str",
     "project_unit_sphere-str",
-    "update_dual-ragged",
+    "project_unit_sphere-ragged",
     "peak_sidelobe_db-ragged",
     "cardinality-huge_int",
     "matching_error_db-complex",
@@ -1077,7 +1068,8 @@ NON_REAL_ALPHAS = {
     "array": np.ones(2), "list": [1.0], "huge_int": 10**400,
 }
 ALPHA_CALLS = [
-    "matching_error_db", "objective_value", "augmented_lagrangian", "update_v", "update_w", "solve",
+    "matching_error_db", "objective_value", "augmented_lagrangian", "update_v",
+    "solve_weight_system", "solve",
 ]
 NON_FINITE_CALLS += [f"{call}-alpha-{kind}" for call in ALPHA_CALLS for kind in NON_REAL_ALPHAS]
 
@@ -1107,7 +1099,7 @@ def test_non_finite_input_raises_contract_error(call):
     calls = {
         "inner_products-w": lambda: inner_products(steering, poisoned(w), v),
         "update_alpha-r": lambda: update_alpha(poisoned(r), d),
-        "update_dual-u": lambda: update_dual(poisoned(v), w, v),
+        "update_v-u": lambda: update_v(steering, w, poisoned(u), 1.0, d, params),
         "data_fit_gram-x": lambda: data_fit_gram(steering, poisoned(v), 0.2),
         "data_fit_gram-lam": lambda: data_fit_gram(steering, v, np.nan),
         "beampattern-w": lambda: beampattern(steering, poisoned(w)),
@@ -1122,12 +1114,15 @@ def test_non_finite_input_raises_contract_error(call):
         "augmented_lagrangian-alpha":
             lambda: augmented_lagrangian(AdmmState(np.nan, v, w, u), steering, d, params),
         "update_v-alpha": lambda: update_v(steering, w, u, np.nan, d, params),
-        "update_w-alpha":
-            lambda: update_w(steering, v, u, np.inf, d, majorizer_diag(w), params),
+        "solve_weight_system-alpha":
+            lambda: solve_weight_system(steering, v, u, np.inf, d, majorizer_diag(w), params),
+        "solve_weight_system-diag": lambda: solve_weight_system(
+            steering, v, u, 1.0, d, poisoned(majorizer_diag(w)), params
+        ),
         "inner_products-str": lambda: inner_products(steering, w, ["1"] * 5),
         "beampattern-str": lambda: beampattern(steering, ["a"] * 5),
         "project_unit_sphere-str": lambda: project_unit_sphere(["a", "b"]),
-        "update_dual-ragged": lambda: update_dual([0.0, [1.0]], w, v),
+        "project_unit_sphere-ragged": lambda: project_unit_sphere([0.0, [1.0]]),
         "peak_sidelobe_db-ragged": lambda: peak_sidelobe_db([1.0, [2.0]], d.mainlobe_mask),
         "cardinality-huge_int": lambda: cardinality([10**400, 0]),
         "matching_error_db-complex": lambda: matching_error_db(pattern + 0j, 1.0, d),
@@ -1141,7 +1136,8 @@ def test_non_finite_input_raises_contract_error(call):
             "augmented_lagrangian":
                 lambda: augmented_lagrangian(AdmmState(alpha, v, w, u), steering, d, params),
             "update_v": lambda: update_v(steering, w, u, alpha, d, params),
-            "update_w": lambda: update_w(steering, v, u, alpha, d, majorizer_diag(w), params),
+            "solve_weight_system":
+                lambda: solve_weight_system(steering, v, u, alpha, d, majorizer_diag(w), params),
             "solve": lambda: solve(steering, d, params, AdmmState(alpha, v, w, u)),
         }
 
@@ -1159,7 +1155,7 @@ WRONG_TYPE_CALLS = [
     "solve-observer",
     "update_v-steering",
     "solve_weight_system-params",
-    "update_w-template",
+    "solve_weight_system-template",
     "objective_value-template",
     "augmented_lagrangian-state",
     "initial_state-steering",
@@ -1199,7 +1195,8 @@ def test_wrong_type_object_raises_contract_error(call, tmp_path):
         "update_v-steering": lambda: update_v(None, w, u, 1.0, d, params),
         "solve_weight_system-params":
             lambda: solve_weight_system(steering, v, u, 1.0, d, majorizer_diag(w), None),
-        "update_w-template": lambda: update_w(steering, v, u, 1.0, None, majorizer_diag(w), params),
+        "solve_weight_system-template":
+            lambda: solve_weight_system(steering, v, u, 1.0, None, majorizer_diag(w), params),
         "objective_value-template": lambda: objective_value(steering, w, 1.0, None, params),
         "augmented_lagrangian-state": lambda: augmented_lagrangian(None, steering, d, params),
         "initial_state-steering": lambda: admm_mod.initial_state(None, params),

@@ -212,6 +212,20 @@ class TestBeampattern:
         with pytest.raises(ContractError):
             beampattern(steering, np.ones(5, complex))
 
+    @pytest.mark.parametrize("scale", [1e160, 1.7e308])
+    def test_overflowing_pattern_rejected(self, scale):
+        # finite weights whose pattern overflows once came back as inf (1e160) or with a
+        # RuntimeWarning from the steering product (1.7e308)
+        steering = build_steering_set(ArrayGeometry(4), AngleGrid.uniform(-90, 90, 10.0))
+        with pytest.raises(ContractError, match="overflows"):
+            beampattern(steering, np.full(4, scale, complex))
+
+    def test_large_finite_pattern_keeps_its_value(self):
+        steering = build_steering_set(ArrayGeometry(4), AngleGrid.uniform(-90, 90, 10.0))
+        w = np.full(4, 1e150, complex)
+        want = np.abs(np.conj(steering.vectors @ np.conj(w))) ** 2
+        assert np.array_equal(beampattern(steering, w), want)
+
 
 class TestProjection:
     def test_rescales_to_unit_norm(self):

@@ -46,6 +46,18 @@ class TestCardinality:
         counts = [cardinality(w, t) for t in thresholds]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize(
+        "w", [[1e200, 1.0, 1e199], [1.7e308, 1.7e308j]], ids=["power", "magnitude"]
+    )
+    def test_overflowing_powers_rejected(self, w):
+        # the strongest power overflowed to inf, so nothing passed the threshold and the
+        # count came back as 0, with only a RuntimeWarning
+        with pytest.raises(ContractError, match="overflow"):
+            cardinality(np.array(w))
+
+    def test_largest_finite_powers_still_count(self):
+        assert cardinality(np.array([1e154, 1.0, 1e153])) == 2
+
     def test_invariant_to_phase_and_permutation(self):
         rng = np.random.default_rng(10)
         p = rng.random(8)

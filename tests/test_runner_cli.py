@@ -196,11 +196,17 @@ class TestRunExperiment:
         header, _ = read_csv(out / "weights.csv")
         assert header == ["n", "re", "im", "mag", "power_db"]
 
-    @pytest.mark.parametrize("short", ["w", "pattern"])
+    @pytest.mark.parametrize("column,fault", [
+        pytest.param("w", "short", id="w"),
+        pytest.param("pattern", "short", id="pattern"),
+        pytest.param("w", "nan", id="w-nan"),
+        pytest.param("pattern", "nan", id="pattern-nan"),
+    ])
     def test_mis_sized_outputs_are_rejected_before_writing(
-        self, fast_config_path, tmp_path, monkeypatch, short
+        self, fast_config_path, tmp_path, monkeypatch, column, fault
     ):
-        # a short column would drop rows from its CSV without an error
+        # a short column would drop rows from its CSV, and a NaN entry would write a nan
+        # cell, without an error
         written = {}
         real = runner_mod.write_outputs
 
@@ -210,12 +216,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner_mod, "write_outputs", capturing)
         run_experiment(load_config(fast_config_path))
-        cfg = written["cfg"].with_overrides(output_dir=str(tmp_path / "short"))
+        cfg = written["cfg"].with_overrides(output_dir=str(tmp_path / "rejected"))
         args = {"w": written["w"], "pattern": written["pattern"]}
-        args[short] = args[short][:-1]
-        with pytest.raises(ContractError, match=short):
+        if fault == "short":
+            args[column] = args[column][:-1]
+        else:
+            args[column] = args[column].copy()
+            args[column][1] = np.nan
+        with pytest.raises(ContractError, match=column):
             real(written["report"], cfg, **args)
-        assert not (tmp_path / "short").exists()
+        assert not (tmp_path / "rejected").exists()
 
 
 class TestCli:
@@ -245,7 +255,7 @@ class TestCli:
     def test_budget_exhaustion_exit_code(self, tmp_path):
         doc = dict(FAST_DOC)
         doc["max_iters"] = 2  # far too few to reach eta
-        doc["output_dir"] = str(tmp_path / "short")
+        doc["output_dir"] = str(tmp_path / "rejected")
         path = tmp_path / "short.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["run", "--config", str(path), "--quiet"]) == 2
