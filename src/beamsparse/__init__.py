@@ -12,11 +12,10 @@ from .admm import (
     AdmmState,
     SolverParams,
     Trace,
-    augmented_lagrangian,
     converged,
+    data_fit_gram,
     inner_products,
     initial_state,
-    objective_value,
     solve,
     solve_weight_system,
     update_alpha,
@@ -40,8 +39,8 @@ from .errors import (
     DivergenceError,
     NumericalError,
 )
-from .metrics import RunReport, cardinality, matching_error_db, peak_sidelobe_db
-from .runner import run_experiment, write_outputs
+from .metrics import cardinality, matching_error_db, peak_sidelobe_db
+from .runner import RunReport, run_experiment, write_outputs
 from .templates import DesiredPattern, MainlobeSpec, build_template
 
 __version__ = "0.1.0"
@@ -64,13 +63,13 @@ __all__ = [
     "SolverParams",
     "SteeringSet",
     "Trace",
-    "augmented_lagrangian",
     "beampattern",
     "build_steering_set",
     "build_template",
     "cardinality",
     "config_to_dict",
     "converged",
+    "data_fit_gram",
     "entropy",
     "entropy_gradient",
     "initial_state",
@@ -79,7 +78,6 @@ __all__ = [
     "majorizer_diag",
     "majorizer_value",
     "matching_error_db",
-    "objective_value",
     "parse_config",
     "peak_sidelobe_db",
     "project_unit_sphere",

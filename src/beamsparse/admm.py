@@ -52,14 +52,16 @@ entropy, shared by the majorizer and its trace row, and one w - v serves the
 dual step, the primal residual and the Lagrangian. A row appends nine raw
 scalars (sum_k P_k^2, d^T P, sum_k |r_k|^2, Re d^T r, the entropy,
 ||w - v + u||^2, ||w - v||^2, alpha, the weight change) to one growing buffer;
-once the loop ends or a sweep fails, one vectorized pass of the public evaluators'
-formulas derives the ``Trace``, one column per field, with no per-row object.
-The public blocks (``update_v``, ``solve_weight_system``, ``objective_value``,
-``augmented_lagrangian`` and the rest) check their inputs and call the same
-kernels, so composing them, with ``project_unit_sphere`` and the dual step
-u + (w - v), reproduces ``solve`` bit for bit. The one
-exception is ``update_alpha``, which takes the per-angle samples r_k; it
-agrees with the moment form of alpha to rounding.
+once the loop ends or a sweep fails, one vectorized pass derives the ``Trace``,
+one column per field, with no per-row object. That pass is the package's one
+evaluator of the objective and the augmented Lagrangian: row 0 of ``solve``
+with ``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
+The public blocks (``update_v``, ``solve_weight_system`` and the rest)
+check their inputs and call the same kernels, so composing them, with
+``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
+w, alpha, primal residual and weight change bit for bit. The one exception is
+``update_alpha``, which takes the per-angle samples r_k; it agrees with the
+moment form of alpha to rounding.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -93,7 +95,7 @@ from .arrays import (
     _steer_products,
     _with_negative_lags,
 )
-from .entropy import _majorizer_diag, _powers_and_entropy, entropy
+from .entropy import _majorizer_diag, _powers_and_entropy
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import _db
 from .templates import DesiredPattern
@@ -148,7 +150,11 @@ class AdmmState:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """The iteration trace: one read-only 1-D array per ``trace.csv`` column, in this order."""
+    """The iteration trace: one read-only 1-D array per ``trace.csv`` column, in this order.
+
+    The columns are real arrays of one length >= 1, and alpha is finite; objective and
+    lagrangian may hold inf, where lam times the squared residual overflows.
+    """
 
     iter: np.ndarray
     objective: np.ndarray
@@ -157,6 +163,17 @@ class Trace:
     alpha: np.ndarray
     matching_error_db: np.ndarray
     w_change: np.ndarray
+
+    def __post_init__(self):
+        for name, column in vars(self).items():
+            if not (isinstance(column, np.ndarray) and column.ndim == 1
+                    and column.dtype.kind in "iuf"):
+                raise ContractError(f"trace column {name} must be a 1-D real array")
+        sizes = {column.size for column in vars(self).values()}
+        if len(sizes) != 1 or 0 in sizes:
+            raise ContractError(f"trace columns must share one length >= 1, got sizes {sizes}")
+        if not np.isfinite(self.alpha).all():
+            raise ContractError("trace column alpha must be finite")
 
 
 def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
@@ -258,7 +275,8 @@ def _pattern_dot(mx: _Moments, my: _Moments) -> float:
 
 
 def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
-    """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks."""
+    """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks. Acceptance
+    criterion 6 builds both blocks' systems from it to check that they stay positive definite."""
     _require_type(steering, SteeringSet, "steering")
     _require_finite(lam, "lam")
     x = _as_vector(x, steering.n_elements, "x")
@@ -361,53 +379,6 @@ def solve_weight_system(
     return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
 
 
-def _pattern_fit(mw: _Moments, w: np.ndarray, alpha: float, dd: float) -> float:
-    """sum_k (P_k - alpha d_k)^2 for P = |A^H w|^2, from the moments of w (d^T P = w^H T_d w)."""
-    return float(_residual_energy(_pattern_dot(mw, mw), _real_dot(w, mw.td_x), alpha, dd))
-
-
-def objective_value(
-    steering: SteeringSet,
-    w: np.ndarray,
-    alpha: float,
-    d: DesiredPattern,
-    params: SolverParams,
-) -> float:
-    """Value of the joint objective at (w, alpha)."""
-    _require_problem(steering, d, params)
-    _require_finite(alpha, "alpha")
-    w = _as_vector(w, steering.n_elements, "w")
-    mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
-    return params.lam * _pattern_fit(mw, w, alpha, d.energy) + entropy(w)
-
-
-def augmented_lagrangian(
-    state: AdmmState,
-    steering: SteeringSet,
-    d: DesiredPattern,
-    params: SolverParams,
-) -> float:
-    """Scaled-dual augmented Lagrangian at the given state, with the exact entropy term."""
-    _require_problem(steering, d, params)
-    _require_type(state, AdmmState, "state")
-    n = steering.n_elements
-    w = _as_vector(state.w, n, "w")
-    v = _as_vector(state.v, n, "v")
-    u = _as_vector(state.u, n, "u")
-    _require_finite(state.alpha, "alpha")
-    q, td = steering.moments, _template_toeplitz(steering, d)
-    mw, mv = _moments(q, td, w), _moments(q, td, v)
-    cross = _real_dot(w, mv.td_x)
-    phi = float(_residual_energy(_pattern_dot(mw, mv), cross, state.alpha, d.energy))
-    gap = w - v + u
-    return _lagrangian(phi, _real_dot(gap, gap), entropy(w), params)
-
-
-def _lagrangian(phi, gap_sq, sparsity, params: SolverParams):
-    """Lagrangian from phi = sum_k |r_k - alpha d_k|^2 and gap_sq = ||w - v + u||^2."""
-    return params.lam * phi + sparsity + (params.rho / 2.0) * gap_sq
-
-
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
     """Random start: v and w drawn i.i.d. complex Gaussian then unit-normalized."""
     _require_type(steering, SteeringSet, "steering")
@@ -442,17 +413,19 @@ def _append_row(raw: array, mw: _Moments, mv: _Moments, w: np.ndarray, cross: fl
 
 
 def _derive_trace(raw: array, dd: float, params: SolverParams) -> Trace:
-    """The trace of the scalars ``_append_row`` appended, numbered from 0: one
-    vectorized pass through the formulas of ``objective_value``, ``augmented_lagrangian`` and
-    ``matching_error_db``, silent on overflow like their Python floats, so bit for bit equal
-    to the first two at each state and to the third to rounding."""
+    """The trace of the scalars ``_append_row`` appended, numbered from 0: one vectorized
+    pass, silent on overflow, through the objective lam * sum_k (P_k - alpha d_k)^2 + f(w),
+    the scaled-dual augmented Lagrangian lam * sum_k |r_k - alpha d_k|^2 + f(w)
+    + (rho/2) ||w - v + u||^2 and ``matching_error_db``'s formula, to which it agrees to
+    rounding."""
     scalars = np.frombuffer(raw).reshape(-1, 9).T
     square_sum, pattern_td, sample_sq, cross, sparsity, gap_sq, wv_sq, alpha, w_change = scalars
     with np.errstate(over="ignore", invalid="ignore"):
         fit = _residual_energy(square_sum, pattern_td, alpha, dd)
         phi = _residual_energy(sample_sq, cross, alpha, dd)
-        columns = (params.lam * fit + sparsity, _lagrangian(phi, gap_sq, sparsity, params),
-                   np.sqrt(wv_sq), alpha, _db(fit / (alpha * alpha * dd)), w_change)
+        lagrangian = params.lam * phi + sparsity + (params.rho / 2.0) * gap_sq
+        columns = (params.lam * fit + sparsity, lagrangian, np.sqrt(wv_sq), alpha,
+                   _db(fit / (alpha * alpha * dd)), w_change)
     return Trace(*map(_readonly, (np.arange(alpha.size), *columns)))
 
 

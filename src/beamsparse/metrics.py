@@ -1,4 +1,4 @@
-"""Run-level quality metrics and the run report record.
+"""Run-level quality metrics.
 
 Two conventions here are deliberate reconstructions (the counting rule for
 selected elements and the normalization of the matching error are design
@@ -14,17 +14,12 @@ choices of this tool, documented in the README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import _as_real, _as_vector, _is_integer, _require_finite, _require_type
+from .arrays import _as_real, _as_vector, _require_finite, _require_type
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .admm import Trace
 
 #: Serialized stand-in for -inf dB (exact ratios of zero).
 DB_FLOOR = -300.0
@@ -98,24 +93,3 @@ def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
         raise DegenerateInputError("mainlobe region carries no power")
     return _db(side_peak / main_peak)
 
-
-@dataclass(frozen=True, eq=False)
-class RunReport:
-    """Final metrics of a solver run plus the full per-iteration trace.
-
-    ``summary.json`` has one key per field except ``trace``.
-    """
-
-    cardinality: int
-    matching_error_db: float
-    peak_sidelobe_db: float
-    runtime_seconds: float
-    iterations: int
-    final_alpha: float
-    trace: Trace
-
-    def __post_init__(self):
-        if not all(_is_integer(n) and n >= 0 for n in (self.cardinality, self.iterations)):
-            raise ContractError("cardinality and iterations must be integers >= 0")
-        if not _as_real(self.runtime_seconds) >= 0:
-            raise ContractError(f"runtime must be nonnegative, got {self.runtime_seconds!r}")

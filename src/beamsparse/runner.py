@@ -7,7 +7,8 @@ Each run writes four artifacts into the configured output directory:
   power_db normalized so the pattern peak is 0 dB)
 * ``trace.csv``        one column per ``Trace`` field  (iterations+1 rows)
 * ``summary.json``     ``schema_version``, one key per ``RunReport`` field
-  except the trace, and the resolved ``config``
+  except the trace, ``iterations`` and ``final_alpha`` (read from the trace),
+  and the resolved ``config``
 
 A run replaces each artifact with a new file: it unlinks the old one and
 creates the file afresh, never truncating or renaming over it. A hard link,
@@ -25,16 +26,24 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .admm import Trace, solve
-from .arrays import _as_vector, _require_type, beampattern, build_steering_set
+from .arrays import (
+    _as_real,
+    _as_vector,
+    _is_integer,
+    _require_finite,
+    _require_type,
+    beampattern,
+    build_steering_set,
+)
 from .config import ExperimentConfig, config_to_dict
-from .errors import DivergenceError
-from .metrics import _RATIO_FLOOR, RunReport, _db, cardinality, matching_error_db, peak_sidelobe_db
+from .errors import ContractError, DivergenceError
+from .metrics import _RATIO_FLOOR, _db, cardinality, matching_error_db, peak_sidelobe_db
 
 SCHEMA_VERSION = "1"
 
@@ -42,6 +51,43 @@ WEIGHTS_FILE = "weights.csv"
 BEAMPATTERN_FILE = "beampattern.csv"
 TRACE_FILE = "trace.csv"
 SUMMARY_FILE = "summary.json"
+
+
+@dataclass(frozen=True, eq=False)
+class RunReport:
+    """Final metrics of a solver run plus its trace, from which the iteration count and the
+    final template scale are read.
+
+    ``summary.json`` has one key per field except ``trace``, plus ``iterations`` and
+    ``final_alpha``.
+    """
+
+    cardinality: int
+    matching_error_db: float
+    peak_sidelobe_db: float
+    runtime_seconds: float
+    trace: Trace
+
+    def __post_init__(self):
+        if not _is_integer(self.cardinality) or self.cardinality < 0:
+            raise ContractError(f"cardinality must be an integer >= 0, got {self.cardinality!r}")
+        _require_finite(self.matching_error_db, "matching_error_db")
+        _require_finite(self.peak_sidelobe_db, "peak_sidelobe_db")
+        if not 0 <= _as_real(self.runtime_seconds) < np.inf:
+            raise ContractError(
+                f"runtime_seconds must be finite and >= 0, got {self.runtime_seconds!r}"
+            )
+        _require_type(self.trace, Trace, "trace")
+
+    @property
+    def iterations(self) -> int:
+        """The sweeps run: the trace rows after row 0, the initial state."""
+        return self.trace.iter.size - 1
+
+    @property
+    def final_alpha(self) -> float:
+        """The template scale of the last trace row, the one ``solve`` returns."""
+        return float(self.trace.alpha[-1])
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
@@ -70,8 +116,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         matching_error_db=matching_error_db(pattern, alpha, cfg.template),
         peak_sidelobe_db=peak_sidelobe_db(pattern, cfg.template.mainlobe_mask),
         runtime_seconds=runtime,
-        iterations=trace.iter.size - 1,
-        final_alpha=alpha,
         trace=trace,
     )
     write_outputs(report, cfg, w, pattern)
@@ -118,7 +162,6 @@ def write_outputs(
 ) -> None:
     """Write the four run artifacts into ``cfg.output_dir``."""
     _require_type(report, RunReport, "report")
-    _require_type(report.trace, Trace, "report trace")
     _require_type(cfg, ExperimentConfig, "config")
     w = _as_vector(w, cfg.n_elements, "w")
     pattern = _as_vector(pattern, cfg.grid.count, "pattern", float)
@@ -139,5 +182,6 @@ def write_outputs(
     _write_csv(out / TRACE_FILE, vars(report.trace))
 
     metrics = {f.name: getattr(report, f.name) for f in fields(RunReport) if f.name != "trace"}
-    summary = {"schema_version": SCHEMA_VERSION, **metrics, "config": config_to_dict(cfg)}
+    summary = {"schema_version": SCHEMA_VERSION, **metrics, "iterations": report.iterations,
+               "final_alpha": report.final_alpha, "config": config_to_dict(cfg)}
     _write_text(out / SUMMARY_FILE, json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -25,12 +25,12 @@ from beamsparse import (
     SolverParams,
     SteeringSet,
     Trace,
-    augmented_lagrangian,
     beampattern,
     build_steering_set,
     build_template,
     cardinality,
     converged,
+    data_fit_gram,
     entropy,
     entropy_gradient,
     inner_products,
@@ -38,7 +38,6 @@ from beamsparse import (
     majorizer_diag,
     majorizer_value,
     matching_error_db,
-    objective_value,
     peak_sidelobe_db,
     project_unit_sphere,
     run_experiment,
@@ -48,7 +47,6 @@ from beamsparse import (
     update_v,
     write_outputs,
 )
-from beamsparse.admm import data_fit_gram
 
 
 def random_instance(rng, n=5, k=7):
@@ -76,6 +74,30 @@ def unit(rng, n):
 
 def dense_outer_products(steering):
     return [np.outer(a, a.conj()) for a in steering.vectors]
+
+
+def dense_objective(steering, d, params, w, alpha):
+    """lam * sum_k (P_k - alpha d_k)^2 + f(w), from the K x N steering matrix."""
+    pattern = np.abs(steering.vectors.conj() @ w) ** 2
+    residual = pattern - alpha * d.values
+    return params.lam * float(residual @ residual) + entropy(w)
+
+
+def dense_lagrangian(steering, d, params, state):
+    """lam * sum_k |r_k - alpha d_k|^2 + f(w) + (rho/2) ||w - v + u||^2, from the K x N
+    steering matrix."""
+    a = steering.vectors.conj()
+    r = np.conj(a @ state.w) * (a @ state.v)
+    gap = state.w - state.v + state.u
+    phi = float(np.sum(np.abs(r - state.alpha * d.values) ** 2))
+    return params.lam * phi + entropy(state.w) + (params.rho / 2) * float(np.vdot(gap, gap).real)
+
+
+def first_row(steering, d, params, state):
+    """Row 0 of the trace of a zero-budget solve from the given state: the trace evaluates
+    the objective and the Lagrangian at every state, row 0 at the start state."""
+    _, _, trace = solve(steering, d, replace(params, max_iters=0), init=state)
+    return trace.objective[0], trace.lagrangian[0]
 
 
 def grid_search_alpha(r, d, rounds=40, points=201):
@@ -290,16 +312,8 @@ class TestUpdateW:
 
 
 class TestObjectiveAndLagrangian:
-    def test_one_hot_zero_alpha(self):
-        rng = np.random.default_rng(17)
-        steering, d = random_instance(rng)
-        params = SolverParams(lam=0.6, rho=3.0)
-        one_hot = np.zeros(5, complex)
-        one_hot[0] = 1.0
-        w = one_hot
-        assert objective_value(steering, w, 0.0, d, params) == pytest.approx(
-            params.lam * 7, abs=1e-10
-        )
+    """Row 0 of the trace, the objective and Lagrangian at the start state, against dense
+    and per-angle evaluations."""
 
     def test_perfect_match_leaves_entropy(self):
         rng = np.random.default_rng(18)
@@ -309,9 +323,9 @@ class TestObjectiveAndLagrangian:
         assert np.all(pattern > 0)
         d = DesiredPattern(pattern, pattern > 0)
         params = SolverParams(lam=2.0, rho=3.0)
-        assert objective_value(steering, w, 1.0, d, params) == pytest.approx(
-            entropy(w), abs=1e-10
-        )
+        state = AdmmState(alpha=1.0, v=w.copy(), w=w, u=np.zeros(5, complex))
+        objective, _ = first_row(steering, d, params, state)
+        assert objective == pytest.approx(entropy(w), abs=1e-10)
 
     def test_objective_matches_dense_reimplementation(self):
         rng = np.random.default_rng(19)
@@ -324,7 +338,9 @@ class TestObjectiveAndLagrangian:
             (float(np.real(w.conj() @ A @ w)) - alpha * dk) ** 2
             for A, dk in zip(mats, d.values)
         ) + entropy(w)
-        assert objective_value(steering, w, alpha, d, params) == pytest.approx(total, rel=1e-12)
+        state = AdmmState(alpha=alpha, v=random_complex(rng, 5), w=w, u=random_complex(rng, 5))
+        objective, _ = first_row(steering, d, params, state)
+        assert objective == pytest.approx(total, rel=1e-12)
 
     def test_lagrangian_reduces_to_objective_on_consensus(self):
         rng = np.random.default_rng(20)
@@ -332,8 +348,10 @@ class TestObjectiveAndLagrangian:
         params = SolverParams(lam=0.8, rho=5.0)
         w = unit(rng, 5)
         state = AdmmState(alpha=1.2, v=w.copy(), w=w, u=np.zeros(5, complex))
-        want = objective_value(steering, w, 1.2, d, params)
-        assert augmented_lagrangian(state, steering, d, params) == pytest.approx(want, rel=1e-12)
+        want = dense_objective(steering, d, params, w, 1.2)
+        objective, lagrangian = first_row(steering, d, params, state)
+        assert objective == pytest.approx(want, rel=1e-12)
+        assert lagrangian == pytest.approx(want, rel=1e-12)
 
     def test_penalty_term_added(self):
         rng = np.random.default_rng(21)
@@ -344,8 +362,8 @@ class TestObjectiveAndLagrangian:
         consensus = AdmmState(alpha=0.7, v=w.copy(), w=w, u=np.zeros(5, complex))
         shifted = AdmmState(alpha=0.7, v=w - delta, w=w, u=np.zeros(5, complex))
         gap_energy = float(np.real(np.vdot(delta, delta)))
-        base_phi = augmented_lagrangian(consensus, steering, d, params)
-        got = augmented_lagrangian(shifted, steering, d, params)
+        _, base_phi = first_row(steering, d, params, consensus)
+        _, got = first_row(steering, d, params, shifted)
         # matching term changes too, so compare against a direct evaluation
         r = inner_products(steering, w, w - delta)
         phi = float(np.sum(np.abs(r - 0.7 * d.values) ** 2))
@@ -368,7 +386,8 @@ class TestObjectiveAndLagrangian:
         want = params.lam * float(phi) + entropy(w) + (params.rho / 2) * float(
             np.real(np.vdot(gap, gap))
         )
-        assert augmented_lagrangian(state, steering, d, params) == pytest.approx(want, rel=1e-12)
+        _, lagrangian = first_row(steering, d, params, state)
+        assert lagrangian == pytest.approx(want, rel=1e-12)
 
 
 class TestSolverParams:
@@ -453,8 +472,6 @@ class TestSolve:
         _, _, trace = solve(steering, d, params, init=init)
         assert trace.iter.tolist() == [0, 1, 2, 3]
         assert trace.alpha[0] == init.alpha
-        assert trace.objective[0] == objective_value(steering, init.w, init.alpha, d, params)
-        assert trace.lagrangian[0] == augmented_lagrangian(init, steering, d, params)
 
     def test_trace_is_one_read_only_column_per_csv_field(self):
         rng = np.random.default_rng(29)
@@ -507,6 +524,55 @@ class TestSolve:
             solve(steering, d, params)
         # rows: initial state plus the two clean iterations
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
+
+
+TRACE_FIELDS = [f.name for f in fields(Trace)]
+
+
+def trace_columns(rows=4):
+    return dict(
+        iter=np.arange(rows), objective=np.ones(rows), lagrangian=np.ones(rows),
+        primal_residual=np.zeros(rows), alpha=np.ones(rows), matching_error_db=np.zeros(rows),
+        w_change=np.zeros(rows),
+    )
+
+
+class TestTraceOwnsItsColumnRule:
+    """Every Trace, the solver's or a caller's, holds seven real columns of one length >= 1
+    and a finite alpha, so no writer or reader of a trace meets a ragged or empty one."""
+
+    @pytest.mark.parametrize("name", TRACE_FIELDS)
+    @pytest.mark.parametrize(
+        "value",
+        [None, [1.0] * 4, np.ones((4, 1)), np.ones(4, complex), np.ones(4, bool),
+         np.array(["a"] * 4)],
+        ids=["none", "list", "2-D", "complex", "bool", "str"],
+    )
+    def test_each_column_is_a_1d_real_array(self, name, value):
+        with pytest.raises(ContractError, match=f"column {name} "):
+            Trace(**trace_columns() | {name: value})
+
+    @pytest.mark.parametrize("name", TRACE_FIELDS)
+    def test_columns_share_one_length(self, name):
+        # a four-row trace with a one-entry column would write a two-line trace.csv
+        columns = trace_columns()
+        with pytest.raises(ContractError, match="one length"):
+            Trace(**columns | {name: columns[name][:1]})
+
+    def test_has_a_row(self):
+        with pytest.raises(ContractError, match="one length"):
+            Trace(**trace_columns(0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_alpha_is_finite(self, value):
+        with pytest.raises(ContractError, match="alpha"):
+            Trace(**trace_columns() | {"alpha": np.array([1.0, value, 1.0, 1.0])})
+
+    def test_objective_and_lagrangian_may_overflow(self):
+        # both read inf on some rows at the largest accepted lam
+        inf = np.full(4, np.inf)
+        trace = Trace(**trace_columns() | {"objective": inf, "lagrangian": inf})
+        assert np.isinf(trace.objective).all() and np.isinf(trace.lagrangian).all()
 
 
 class TestSolverParamsOwnsItsRules:
@@ -570,10 +636,10 @@ def test_trace_rows_match_the_public_evaluators():
     for k, state in enumerate(states):
         pattern = beampattern(steering, state.w)
         assert trace.objective[k] == pytest.approx(
-            objective_value(steering, state.w, state.alpha, d, params), rel=1e-12
+            dense_objective(steering, d, params, state.w, state.alpha), rel=1e-12
         )
         assert trace.lagrangian[k] == pytest.approx(
-            augmented_lagrangian(state, steering, d, params), rel=1e-12
+            dense_lagrangian(steering, d, params, state), rel=1e-12
         )
         assert trace.matching_error_db[k] == pytest.approx(
             matching_error_db(pattern, state.alpha, d), rel=1e-12, abs=1e-12
@@ -661,7 +727,8 @@ class TestMomentKernels:
             d = DesiredPattern(pattern, pattern > 0)
             (mw,) = moments_of(steering, d, w)
             dd = float(pattern @ pattern)
-            fit = admm_mod._pattern_fit(mw, w, 1.0, dd)
+            square_sum, pattern_td = admm_mod._pattern_dot(mw, mw), admm_mod._real_dot(w, mw.td_x)
+            fit = admm_mod._residual_energy(square_sum, pattern_td, 1.0, dd)
             assert 0.0 <= fit <= 1e-12 * dd
 
 
@@ -793,7 +860,9 @@ class TestLevinsonVBlock:
 
 
 def assert_solve_is_the_public_blocks(steering, d, params, init=None):
-    """solve equals a loop written from the public blocks, exactly, in w, alpha and every row."""
+    """solve equals a loop written from the public blocks, exactly, in w, alpha and the
+    primal residual and weight change of every row; each row's objective and Lagrangian
+    equal their dense evaluation, and its matching error the per-angle one, to rounding."""
     w_solve, alpha_solve, trace = solve(steering, d, params, init=init)
     assert trace.iter.size == params.max_iters + 1
 
@@ -802,7 +871,7 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     # pins it to update_alpha(inner_products(steering, w, v), d)
     td = admm_mod._template_toeplitz(steering, d)
     dd = float(d.values @ d.values)
-    rows, matching = [], []
+    rows, values, matching = [], [], []
     for _ in range(trace.iter.size - 1):
         alpha = admm_mod._real_dot(state.w, td @ state.v) / dd
         v = update_v(steering, state.w, state.u, alpha, d, params)
@@ -811,19 +880,19 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
         u = state.u + (w - v)
         w_change = float(np.linalg.norm(w - state.w))
         state = AdmmState(alpha=alpha, v=v, w=w, u=u)
-        rows.append((
-            objective_value(steering, w, alpha, d, params),
-            augmented_lagrangian(state, steering, d, params),
-            float(np.linalg.norm(w - v)),
-            alpha,
-            w_change,
-        ))
+        rows.append((float(np.linalg.norm(w - v)), alpha, w_change))
+        # at the largest lam, lam times the squared residual overflows to inf on some rows, in
+        # these Python floats as in the trace's columns, and inf is approximately only inf
+        values.append((dense_objective(steering, d, params, w, alpha),
+                       dense_lagrangian(steering, d, params, state)))
         matching.append(matching_error_db(beampattern(steering, w), alpha, d))
 
     assert np.array_equal(state.w, w_solve)
     assert state.alpha == alpha_solve
-    names = ("objective", "lagrangian", "primal_residual", "alpha", "w_change")
+    names = ("primal_residual", "alpha", "w_change")
     assert rows == list(zip(*(getattr(trace, name)[1:].tolist() for name in names)))
+    for name, column in zip(("objective", "lagrangian"), zip(*values)):
+        assert getattr(trace, name)[1:].tolist() == pytest.approx(list(column), rel=1e-12)
     # the per-angle matching error; solve's rows take it from the grid moments
     assert trace.matching_error_db[1:].tolist() == pytest.approx(matching, rel=1e-12, abs=1e-12)
     return trace
@@ -903,9 +972,6 @@ def test_solve_is_the_public_blocks_at_the_largest_accepted_lam(name, sweeps):
     params = replace(params, lam=largest_accepted_lam(steering))
     trace = assert_solve_is_the_public_blocks(steering, d, params)
     assert np.isinf(trace.objective).any()
-    state = admm_mod.initial_state(steering, params)
-    assert type(objective_value(steering, state.w, 1.0, d, params)) is float
-    assert type(augmented_lagrangian(state, steering, d, params)) is float
 
 
 def test_no_allocation_grows_with_the_iteration_budget():
@@ -997,9 +1063,6 @@ MISSIZED_CALLS = [
     "majorizer_value-short_diag",
     "majorizer_value-short_w",
     "update_v-template",
-    "objective_value-template",
-    "augmented_lagrangian-template",
-    "augmented_lagrangian-u",
     "data_fit_gram-x",
 ]
 
@@ -1024,11 +1087,6 @@ def test_missized_input_raises_contract_error(call):
         "majorizer_value-short_diag": lambda: majorizer_value(w, unit(rng, 4)),
         "majorizer_value-short_w": lambda: majorizer_value(unit(rng, 4), w),
         "update_v-template": lambda: update_v(steering, w, u, 1.0, other_d, params),
-        "objective_value-template": lambda: objective_value(steering, w, 1.0, other_d, params),
-        "augmented_lagrangian-template":
-            lambda: augmented_lagrangian(AdmmState(1.0, v, w, u), steering, other_d, params),
-        "augmented_lagrangian-u":
-            lambda: augmented_lagrangian(AdmmState(1.0, v, w, u[:4]), steering, d, params),
         "data_fit_gram-x": lambda: data_fit_gram(steering, v[:4], 0.2),
     }
     with pytest.raises(ContractError):
@@ -1048,8 +1106,6 @@ NON_FINITE_CALLS = [
     "entropy_gradient-inf",
     "cardinality-w",
     "matching_error_db-alpha",
-    "objective_value-alpha",
-    "augmented_lagrangian-alpha",
     "update_v-alpha",
     "solve_weight_system-alpha",
     "solve_weight_system-diag",
@@ -1068,8 +1124,7 @@ NON_REAL_ALPHAS = {
     "array": np.ones(2), "list": [1.0], "huge_int": 10**400,
 }
 ALPHA_CALLS = [
-    "matching_error_db", "objective_value", "augmented_lagrangian", "update_v",
-    "solve_weight_system", "solve",
+    "matching_error_db", "update_v", "solve_weight_system", "solve",
 ]
 NON_FINITE_CALLS += [f"{call}-alpha-{kind}" for call in ALPHA_CALLS for kind in NON_REAL_ALPHAS]
 
@@ -1110,9 +1165,6 @@ def test_non_finite_input_raises_contract_error(call):
         "entropy_gradient-inf": lambda: entropy_gradient(poisoned(np.abs(w) ** 2, np.inf)),
         "cardinality-w": lambda: cardinality(poisoned(w)),
         "matching_error_db-alpha": lambda: matching_error_db(pattern, np.inf, d),
-        "objective_value-alpha": lambda: objective_value(steering, w, np.nan, d, params),
-        "augmented_lagrangian-alpha":
-            lambda: augmented_lagrangian(AdmmState(np.nan, v, w, u), steering, d, params),
         "update_v-alpha": lambda: update_v(steering, w, u, np.nan, d, params),
         "solve_weight_system-alpha":
             lambda: solve_weight_system(steering, v, u, np.inf, d, majorizer_diag(w), params),
@@ -1132,9 +1184,6 @@ def test_non_finite_input_raises_contract_error(call):
     def alpha_calls(alpha):
         return {
             "matching_error_db": lambda: matching_error_db(pattern, alpha, d),
-            "objective_value": lambda: objective_value(steering, w, alpha, d, params),
-            "augmented_lagrangian":
-                lambda: augmented_lagrangian(AdmmState(alpha, v, w, u), steering, d, params),
             "update_v": lambda: update_v(steering, w, u, alpha, d, params),
             "solve_weight_system":
                 lambda: solve_weight_system(steering, v, u, alpha, d, majorizer_diag(w), params),
@@ -1156,8 +1205,6 @@ WRONG_TYPE_CALLS = [
     "update_v-steering",
     "solve_weight_system-params",
     "solve_weight_system-template",
-    "objective_value-template",
-    "augmented_lagrangian-state",
     "initial_state-steering",
     "inner_products-steering",
     "data_fit_gram-steering",
@@ -1185,7 +1232,7 @@ def test_wrong_type_object_raises_contract_error(call, tmp_path):
     pattern = beampattern(steering, w)
     cfg = load_config(CONFIGS / "single_mainlobe.json").with_overrides(output_dir=str(tmp_path))
     _, _, trace = solve(steering, d, params)
-    report = RunReport(1, 0.0, 0.0, 0.0, 0, 1.0, trace)
+    report = RunReport(1, 0.0, 0.0, 0.0, trace)
     calls = {
         "solve-steering": lambda: solve(None, d, params),
         "solve-template": lambda: solve(steering, None, params),
@@ -1197,8 +1244,6 @@ def test_wrong_type_object_raises_contract_error(call, tmp_path):
             lambda: solve_weight_system(steering, v, u, 1.0, d, majorizer_diag(w), None),
         "solve_weight_system-template":
             lambda: solve_weight_system(steering, v, u, 1.0, None, majorizer_diag(w), params),
-        "objective_value-template": lambda: objective_value(steering, w, 1.0, None, params),
-        "augmented_lagrangian-state": lambda: augmented_lagrangian(None, steering, d, params),
         "initial_state-steering": lambda: admm_mod.initial_state(None, params),
         "inner_products-steering": lambda: inner_products(None, w, v),
         "data_fit_gram-steering": lambda: data_fit_gram(None, w, 0.2),
@@ -1223,7 +1268,6 @@ MISSHAPEN_WEIGHT_CALLS = [
     "entropy_gradient",
     "majorizer_diag",
     "majorizer_value",
-    "objective_value",
     "project_unit_sphere",
 ]
 
@@ -1244,7 +1288,6 @@ def test_empty_or_2d_weights_raise_contract_error(call, weights):
         "entropy_gradient": lambda: entropy_gradient(np.abs(w) ** 2),
         "majorizer_diag": lambda: majorizer_diag(w),
         "majorizer_value": lambda: majorizer_value(w, unit(rng, 2)),
-        "objective_value": lambda: objective_value(steering, w, 1.0, d, params),
         "project_unit_sphere": lambda: project_unit_sphere(w),
     }
     with pytest.raises(ContractError):

@@ -166,35 +166,49 @@ class TestPeakSidelobe:
 
 
 class TestRunReport:
-    def _record(self):
+    def _record(self, alpha=(1.0,)):
+        rows = len(alpha)
         return Trace(
-            iter=np.array([0]), objective=np.array([1.0]), lagrangian=np.array([1.0]),
-            primal_residual=np.array([0.1]), alpha=np.array([1.0]),
-            matching_error_db=np.array([-3.0]), w_change=np.array([0.0]),
+            iter=np.arange(rows), objective=np.ones(rows), lagrangian=np.ones(rows),
+            primal_residual=np.full(rows, 0.1), alpha=np.array(alpha),
+            matching_error_db=np.full(rows, -3.0), w_change=np.zeros(rows),
         )
+
+    def _fields(self, **changes):
+        return dict(
+            cardinality=0, matching_error_db=0.0, peak_sidelobe_db=0.0, runtime_seconds=0.0,
+            trace=self._record(),
+        ) | changes
 
     def test_accepts_valid_report(self):
         report = RunReport(
             cardinality=3, matching_error_db=-2.0, peak_sidelobe_db=-10.0,
-            runtime_seconds=0.5, iterations=0, final_alpha=1.0, trace=self._record(),
+            runtime_seconds=0.5, trace=self._record(),
         )
         assert report.cardinality == 3
 
+    def test_iterations_and_final_alpha_are_read_from_the_trace(self):
+        report = RunReport(**self._fields(trace=self._record(alpha=(1.0, 0.5, 0.25, -0.125))))
+        assert report.iterations == 3
+        assert type(report.final_alpha) is float and report.final_alpha == -0.125
+        # they are not fields, so no caller can store a second copy that disagrees
+        with pytest.raises(TypeError):
+            RunReport(**self._fields(iterations=3))
+        with pytest.raises(TypeError):
+            RunReport(**self._fields(final_alpha=1.0))
+
     def test_rejects_negative_fields(self):
         with pytest.raises(ContractError):
-            RunReport(
-                cardinality=-1, matching_error_db=0.0, peak_sidelobe_db=0.0,
-                runtime_seconds=0.0, iterations=0, final_alpha=1.0, trace=[],
-            )
+            RunReport(**self._fields(cardinality=-1))
         with pytest.raises(ContractError):
-            RunReport(
-                cardinality=0, matching_error_db=0.0, peak_sidelobe_db=0.0,
-                runtime_seconds=-0.1, iterations=0, final_alpha=1.0, trace=[],
-            )
-        # integer fields take integers, and the runtime the scalar rule
-        for field, value in [("cardinality", True), ("cardinality", 2.0), ("iterations", "3"),
-                             *(("runtime_seconds", v) for v in ("0.5", None, True, 10**400))]:
-            fields = dict(cardinality=0, runtime_seconds=0.0, iterations=0) | {field: value}
-            with pytest.raises(ContractError):
-                RunReport(matching_error_db=0.0, peak_sidelobe_db=0.0, final_alpha=1.0,
-                          trace=[], **fields)
+            RunReport(**self._fields(runtime_seconds=-0.1))
+        # the count takes integers, the runtime the scalar rule, the two dB values finite
+        # real numbers (summary.json has no token for NaN or inf), and the trace its type
+        for field, value in [("cardinality", True), ("cardinality", 2.0),
+                             *(("runtime_seconds", v)
+                               for v in ("0.5", None, True, 10**400, np.inf)),
+                             *((name, v) for name in ("matching_error_db", "peak_sidelobe_db")
+                               for v in (np.nan, np.inf, -np.inf, None, "0.5", 10**400)),
+                             ("trace", None), ("trace", [])]:
+            with pytest.raises(ContractError, match=field):
+                RunReport(**self._fields(**{field: value}))

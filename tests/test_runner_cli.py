@@ -321,8 +321,8 @@ def test_run_builds_steering_set_once(fast_config_path, monkeypatch):
 
 def test_artifacts_render_their_record_types(fast_config_path, tmp_path, monkeypatch):
     # each CSV cell parses back to exactly the value it was written from, the
-    # trace columns are the Trace fields and the summary's metric
-    # keys are the RunReport fields
+    # trace columns are the Trace fields and the summary's metric keys are the
+    # RunReport fields other than the trace, plus the two read from the trace
     written = {}
     real = runner_mod.write_outputs
 
@@ -365,7 +365,10 @@ def test_artifacts_render_their_record_types(fast_config_path, tmp_path, monkeyp
     ])
 
     summary = json.loads((out / "summary.json").read_text())
-    metrics = {f.name for f in fields(RunReport)} - {"trace"}
+    metrics = {f.name for f in fields(RunReport)} - {"trace"} | {"iterations", "final_alpha"}
     assert set(summary) == metrics | {"schema_version", "config"}
     for name in metrics:
         assert summary[name] == getattr(report, name)
+    _, rows = read_csv(out / "trace.csv")
+    assert summary["iterations"] == len(rows) - 1
+    assert summary["final_alpha"] == float(rows[-1][names.index("alpha")])
