@@ -14,7 +14,6 @@ from .admm import (
     Trace,
     converged,
     data_fit_gram,
-    inner_products,
     initial_state,
     solve,
     solve_weight_system,
@@ -73,7 +72,6 @@ __all__ = [
     "entropy",
     "entropy_gradient",
     "initial_state",
-    "inner_products",
     "load_config",
     "majorizer_diag",
     "majorizer_value",

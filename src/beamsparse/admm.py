@@ -56,12 +56,10 @@ once the loop ends or a sweep fails, one vectorized pass derives the ``Trace``,
 one column per field, with no per-row object. That pass is the package's one
 evaluator of the objective and the augmented Lagrangian: row 0 of ``solve``
 with ``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
-The public blocks (``update_v``, ``solve_weight_system`` and the rest)
+The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``)
 check their inputs and call the same kernels, so composing them, with
 ``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
-w, alpha, primal residual and weight change bit for bit. The one exception is
-``update_alpha``, which takes the per-angle samples r_k; it agrees with the
-moment form of alpha to rounding.
+w, alpha, primal residual and weight change bit for bit.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -92,7 +90,6 @@ from .arrays import (
     _require_finite,
     _require_type,
     _sq_norm,
-    _steer_products,
     _with_negative_lags,
 )
 from .entropy import _majorizer_diag, _powers_and_entropy
@@ -176,17 +173,23 @@ class Trace:
             raise ContractError("trace column alpha must be finite")
 
 
-def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
-    """Types, the template's length (DesiredPattern checks its values), and a finite lam K N,
-    which bounds lam times the Gram diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
+def _require_template(steering: SteeringSet, d: DesiredPattern):
+    """Types and the template's length (DesiredPattern checks its values)."""
     _require_type(steering, SteeringSet, "steering")
     _require_type(d, DesiredPattern, "template")
-    _require_type(params, SolverParams, "params")
-    k, n = steering.n_angles, steering.n_elements
+    k = steering.n_angles
     if d.count != k:
         raise ContractError(
             f"template must be a vector of length {k}, got array size {d.values.shape}"
         )
+
+
+def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
+    """The template's rule, and a finite lam K N, which bounds lam times the Gram
+    diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
+    _require_template(steering, d)
+    _require_type(params, SolverParams, "params")
+    k, n = steering.n_angles, steering.n_elements
     if not math.isfinite(float(params.lam) * (k * n)):
         raise ContractError(f"lam (lambda) {params.lam} times K = {k} and N = {n} overflows")
 
@@ -196,22 +199,6 @@ def _template_energy(d: DesiredPattern) -> float:
     if not d.energy > 0.0:
         raise DegenerateInputError("template is all zero; alpha is undefined")
     return d.energy
-
-
-def inner_products(steering: SteeringSet, w, v) -> np.ndarray:
-    """Bilinear pattern samples r_k = w^H a_k a_k^H v for every grid angle."""
-    _require_type(steering, SteeringSet, "steering")
-    n = steering.n_elements
-    w = _as_vector(w, n, "w")
-    v = _as_vector(v, n, "v")
-    return np.conj(_steer_products(steering, w)) * _steer_products(steering, v)
-
-
-def update_alpha(r: np.ndarray, d: DesiredPattern) -> float:
-    """Least-squares template scale: argmin over real alpha of sum |r_k - alpha d_k|^2."""
-    _require_type(d, DesiredPattern, "template")
-    r = _as_vector(r, d.count, "inner products")
-    return float(d.values @ np.real(r)) / _template_energy(d)
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -339,6 +326,16 @@ def _w_system(
             else f"Cholesky solve rejected argument {-info} (posv)"
         )
     return solution
+
+
+def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
+    """Least-squares template scale, argmin over real alpha of sum_k |r_k - alpha d_k|^2 with
+    r_k = w^H a_k a_k^H v, in the sweep's moment form Re(w^H T_d v) / d^T d."""
+    _require_template(steering, d)
+    n = steering.n_elements
+    w = _as_vector(w, n, "w")
+    v = _as_vector(v, n, "v")
+    return _real_dot(w, _template_toeplitz(steering, d) @ v) / _template_energy(d)
 
 
 def update_v(

@@ -45,13 +45,15 @@ def _as_real(x) -> float:
 
 def _as_vector(x, n: int | None, name: str, dtype=complex) -> np.ndarray:
     """The vector rule of every public argument: a non-empty 1-D array of finite numbers, of
-    length n (any length for n=None). Strings, objects (huge ints among them), ragged nesting
-    and complex values for a real dtype are rejected, not cast."""
+    length n (any length for n=None). Strings, objects (huge ints among them), ragged nesting,
+    complex values for a real dtype, bools for a numeric dtype and numbers for a bool dtype
+    are rejected, not cast."""
     try:
         raw = np.asarray(x)
     except ValueError:  # ragged nesting, rejected below as objects
         raw = np.asarray(None)
-    if raw.dtype.kind not in "biuf" + np.dtype(dtype).kind:
+    kind = np.dtype(dtype).kind
+    if raw.dtype.kind not in ("b" if kind == "b" else "iuf" + kind):
         raise ContractError(f"{name} must hold numbers of dtype {np.dtype(dtype)}, got {raw.dtype}")
     x = raw.astype(dtype, copy=False)
     if x.size == 0:
@@ -61,6 +63,15 @@ def _as_vector(x, n: int | None, name: str, dtype=complex) -> np.ndarray:
         raise ContractError(f"{name} must be a vector of length {n}, got array size {x.shape}")
     if not np.isfinite(x).all():
         raise ContractError(f"{name} holds non-finite values")
+    return x
+
+
+def _as_powers(x, n: int | None, name: str) -> np.ndarray:
+    """The power rule of every pattern, template and power vector: the vector rule, real,
+    with no entry below zero."""
+    x = _as_vector(x, n, name, float)
+    if not (x >= 0.0).all():
+        raise ContractError(f"{name} must be nonnegative")
     return x
 
 

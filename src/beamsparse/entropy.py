@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import _as_vector
+from .arrays import _as_powers, _as_vector
 from .errors import ContractError
 
 #: Clamp floor for log arguments; keeps gradients finite at zero power.
@@ -68,10 +68,7 @@ def entropy(w: np.ndarray) -> float:
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
     """Gradient of -sum p log p, elementwise -log(max(p, floor)) - 1."""
-    p = _as_vector(p, None, "powers", float)
-    if not np.all(p >= 0):
-        raise ContractError("powers must be nonnegative")
-    return _majorizer_diag(p)
+    return _majorizer_diag(_as_powers(p, None, "powers"))
 
 
 def majorizer_diag(w_anchor: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arrays import _as_real, _as_vector, _require_finite, _require_type
+from .arrays import _as_powers, _as_real, _as_vector, _require_finite, _require_type
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -65,7 +65,7 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     ``DB_FLOOR`` for an exact match.
     """
     _require_type(d, DesiredPattern, "template")
-    pattern = _as_vector(pattern, d.count, "pattern", float)
+    pattern = _as_powers(pattern, d.count, "pattern")
     _require_finite(alpha, "alpha")
     # finite inputs can still overflow a sum of squares. The solver's trace rows skip
     # this check: there w has unit norm, so P_k <= N, and alpha * d is the projection
@@ -84,7 +84,7 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
     """Highest sidelobe power relative to the mainlobe peak, in dB."""
-    pattern = _as_vector(pattern, None, "pattern", float)
+    pattern = _as_powers(pattern, None, "pattern")
     mask = _as_vector(mask, pattern.size, "mask", bool)
     _require_both_regions(mask)
     main_peak = float(pattern[mask].max())

@@ -33,6 +33,7 @@ import numpy as np
 
 from .admm import Trace, solve
 from .arrays import (
+    _as_powers,
     _as_real,
     _as_vector,
     _is_integer,
@@ -164,7 +165,7 @@ def write_outputs(
     _require_type(report, RunReport, "report")
     _require_type(cfg, ExperimentConfig, "config")
     w = _as_vector(w, cfg.n_elements, "w")
-    pattern = _as_vector(pattern, cfg.grid.count, "pattern", float)
+    pattern = _as_powers(pattern, cfg.grid.count, "pattern")
     out = _ensure_dir(cfg.output_dir)
     _write_csv(out / WEIGHTS_FILE, {
         "n": np.arange(w.size),

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import AngleGrid, _as_real, _as_vector, _readonly, _require_type
+from .arrays import AngleGrid, _as_powers, _as_real, _as_vector, _readonly, _require_type
 from .errors import ConfigurationError, ContractError
 
 
@@ -31,14 +31,14 @@ class MainlobeSpec:
 
 @dataclass(frozen=True, eq=False)
 class DesiredPattern:
-    """Template values d per grid angle, the mainlobe membership mask and the energy d^T d."""
+    """Template values d >= 0 per grid angle, the mainlobe membership mask and the energy d^T d."""
 
     values: np.ndarray
     mainlobe_mask: np.ndarray
     energy: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        values = _as_vector(self.values, None, "template", float)
+        values = _as_powers(self.values, None, "template")
         mask = _as_vector(self.mainlobe_mask, values.size, "mainlobe mask", bool)
         with np.errstate(over="ignore"):
             energy = float(values @ values)

@@ -25,7 +25,6 @@ from beamsparse import (
     cardinality,
     entropy,
     entropy_gradient,
-    inner_products,
     majorizer_diag,
     majorizer_value,
     solve,
@@ -213,13 +212,13 @@ def test_criterion_5_block_optimality_oracles(capfd):
             alpha_in = float(rng.uniform(-2, 2))
             mats = [np.outer(a, a.conj()) for a in steering.vectors]
 
-            # template scale: closed form against the 1-D search oracle
-            r = inner_products(steering, w, v_in)
-            assert abs(update_alpha(r, d) - grid_search_alpha(r, d.values)) <= 1e-6
-
-            # bilinear samples and pattern against dense quadratic forms
+            # template scale: closed form against the 1-D search oracle on the dense
+            # bilinear samples r_k = w^H a_k a_k^H v
             dense_r = np.array([w.conj() @ A @ v_in for A in mats])
-            np.testing.assert_allclose(r, dense_r, atol=1e-10, rtol=0)
+            alpha = update_alpha(steering, w, v_in, d)
+            assert abs(alpha - grid_search_alpha(dense_r, d.values)) <= 1e-6
+
+            # pattern against dense quadratic forms
             pattern = beampattern(steering, w)
             dense_p = np.array([float(np.real(w.conj() @ A @ w)) for A in mats])
             np.testing.assert_allclose(pattern, dense_p, atol=1e-10, rtol=0)

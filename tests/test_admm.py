@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 import beamsparse.admm as admm_mod
+import beamsparse.arrays as arrays_mod
 from beamsparse import (
     AdmmState,
     AngleGrid,
@@ -33,7 +34,6 @@ from beamsparse import (
     data_fit_gram,
     entropy,
     entropy_gradient,
-    inner_products,
     load_config,
     majorizer_diag,
     majorizer_value,
@@ -76,6 +76,11 @@ def dense_outer_products(steering):
     return [np.outer(a, a.conj()) for a in steering.vectors]
 
 
+def dense_samples(steering, w, v):
+    """The bilinear pattern samples r_k = w^H a_k a_k^H v, from dense outer products."""
+    return np.array([w.conj() @ A @ v for A in dense_outer_products(steering)])
+
+
 def dense_objective(steering, d, params, w, alpha):
     """lam * sum_k (P_k - alpha d_k)^2 + f(w), from the K x N steering matrix."""
     pattern = np.abs(steering.vectors.conj() @ w) ** 2
@@ -113,67 +118,72 @@ def grid_search_alpha(r, d, rounds=40, points=201):
     return 0.5 * (lo + hi)
 
 
-class TestInnerProducts:
-    def test_matched_weights(self):
+class TestUpdateAlpha:
+    """The closed-form template scale against the per-angle least-squares fit to the dense
+    bilinear samples r_k = w^H a_k a_k^H v."""
+
+    def test_perfect_match_gives_one(self):
         rng = np.random.default_rng(0)
         steering, _ = random_instance(rng)
-        x = steering.vectors[2] / np.sqrt(5)
-        r = inner_products(steering, x, x)
-        assert r[2] == pytest.approx(5.0, abs=1e-10)
-
-    def test_zero_auxiliary(self):
-        rng = np.random.default_rng(1)
-        steering, _ = random_instance(rng)
-        r = inner_products(steering, unit(rng, 5), np.zeros(5, complex))
-        np.testing.assert_array_equal(r, 0.0)
-
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            steering, _ = random_instance(rng)
-            w, v = random_complex(rng, 5), random_complex(rng, 5)
-            r = inner_products(steering, w, v)
-            dense = np.array([w.conj() @ A @ v for A in dense_outer_products(steering)])
-            np.testing.assert_allclose(r, dense, atol=1e-10)
-
-    def test_rejects_wrong_length(self):
-        rng = np.random.default_rng(3)
-        steering, _ = random_instance(rng)
-        with pytest.raises(ContractError):
-            inner_products(steering, np.ones(4, complex), np.ones(5, complex))
-
-
-class TestUpdateAlpha:
-    def test_perfect_match_gives_one(self):
-        d = DesiredPattern(np.array([1.0, 2.0, 0.0]), np.array([True, True, False]))
-        assert update_alpha(d.values.astype(complex), d) == pytest.approx(1.0)
+        w = unit(rng, 5)
+        pattern = beampattern(steering, w)
+        d = DesiredPattern(pattern, pattern > 0)
+        assert update_alpha(steering, w, w, d) == pytest.approx(1.0, rel=1e-12)
 
     def test_pure_scaling(self):
-        d = DesiredPattern(np.array([1.0, 2.0, 3.0]), np.ones(3, bool))
-        assert update_alpha(2.0 * d.values.astype(complex), d) == pytest.approx(2.0)
+        rng = np.random.default_rng(1)
+        steering, _ = random_instance(rng)
+        w = unit(rng, 5)
+        pattern = beampattern(steering, w)
+        d = DesiredPattern(pattern, pattern > 0)
+        assert update_alpha(steering, w, 2.0 * w, d) == pytest.approx(2.0, rel=1e-12)
+
+    def test_matched_weights(self):
+        # x = a_2 / sqrt(N) gives r_2 = 5, and a template on angle 2 alone reads r_2
+        rng = np.random.default_rng(2)
+        steering, _ = random_instance(rng)
+        x = steering.vectors[2] / np.sqrt(5)
+        values = np.zeros(7)
+        values[2] = 1.0
+        d = DesiredPattern(values, values > 0)
+        assert update_alpha(steering, x, x, d) == pytest.approx(5.0, abs=1e-10)
+
+    def test_zero_auxiliary(self):
+        rng = np.random.default_rng(3)
+        steering, d = random_instance(rng)
+        assert update_alpha(steering, unit(rng, 5), np.zeros(5, complex), d) == 0.0
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            _, d = random_instance(rng)
-            r = random_complex(rng, 7)
-            got = update_alpha(r, d)
-            want = grid_search_alpha(r, d.values)
+            steering, d = random_instance(rng)
+            w, v = random_complex(rng, 5), random_complex(rng, 5)
+            got = update_alpha(steering, w, v, d)
+            want = grid_search_alpha(dense_samples(steering, w, v), d.values)
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_never_improved_by_perturbation(self):
         rng = np.random.default_rng(5)
-        _, d = random_instance(rng)
-        r = random_complex(rng, 7)
-        alpha = update_alpha(r, d)
+        steering, d = random_instance(rng)
+        w, v = random_complex(rng, 5), random_complex(rng, 5)
+        r = dense_samples(steering, w, v)
+        alpha = update_alpha(steering, w, v, d)
         cost = lambda a: float(np.sum(np.abs(r - a * d.values) ** 2))
         assert cost(alpha) <= cost(alpha + 1e-3) + 1e-12
         assert cost(alpha) <= cost(alpha - 1e-3) + 1e-12
 
     def test_rejects_zero_template(self):
-        d = DesiredPattern(np.zeros(3), np.zeros(3, bool))
+        rng = np.random.default_rng(6)
+        steering, _ = random_instance(rng)
+        d = DesiredPattern(np.zeros(7), np.zeros(7, bool))
         with pytest.raises(DegenerateInputError):
-            update_alpha(np.ones(3, complex), d)
+            update_alpha(steering, unit(rng, 5), unit(rng, 5), d)
+
+    def test_rejects_wrong_length(self):
+        rng = np.random.default_rng(7)
+        steering, d = random_instance(rng)
+        with pytest.raises(ContractError):
+            update_alpha(steering, np.ones(4, complex), np.ones(5, complex), d)
 
 
 class TestUpdateV:
@@ -211,7 +221,7 @@ class TestUpdateV:
         v = update_v(steering, w, u, alpha, d, params)
 
         def cost(x):
-            r = inner_products(steering, w, x)
+            r = dense_samples(steering, w, x)
             gap = w - x + u
             return params.lam * float(np.sum(np.abs(r - alpha * d.values) ** 2)) + (
                 params.rho / 2
@@ -272,7 +282,7 @@ class TestUpdateW:
         )
 
         def surrogate(x):
-            r = inner_products(steering, x, state.v)
+            r = dense_samples(steering, x, state.v)
             gap = x - state.v + prev.u
             return (
                 params.lam * float(np.sum(np.abs(r - state.alpha * d.values) ** 2))
@@ -365,7 +375,7 @@ class TestObjectiveAndLagrangian:
         _, base_phi = first_row(steering, d, params, consensus)
         _, got = first_row(steering, d, params, shifted)
         # matching term changes too, so compare against a direct evaluation
-        r = inner_products(steering, w, w - delta)
+        r = dense_samples(steering, w, w - delta)
         phi = float(np.sum(np.abs(r - 0.7 * d.values) ** 2))
         want = params.lam * phi + entropy(w) + (params.rho / 2) * gap_energy
         assert got == pytest.approx(want, rel=1e-12)
@@ -691,19 +701,20 @@ class TestMomentKernels:
 
     @pytest.mark.parametrize("n", MOMENT_SIZES)
     def test_moment_alpha_is_update_alpha(self, n):
-        # solve's alpha, Re(w^H T_d v) / d^T d, to 1e-12 of the sum's scale sum_k d_k |r_k| / d^T d
+        # update_alpha, solve's Re(w^H T_d v) / d^T d, is the per-angle least-squares fit
+        # d^T Re(r) / d^T d, to 1e-12 of the sum's scale sum_k d_k |r_k| / d^T d
         steering, d, w, v = moment_instance(n)
-        r = inner_products(steering, w, v)
+        r = dense_samples(steering, w, v)
         dd = float(d.values @ d.values)
-        alpha = admm_mod._real_dot(w, admm_mod._template_toeplitz(steering, d) @ v) / dd
-        assert abs(alpha - update_alpha(r, d)) <= 1e-12 * float(d.values @ np.abs(r)) / dd
+        fit, scale = float(d.values @ r.real) / dd, float(d.values @ np.abs(r)) / dd
+        assert abs(update_alpha(steering, w, v, d) - fit) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", MOMENT_SIZES)
     def test_square_sums(self, n):
         steering, d, w, v = moment_instance(n)
         mw, mv = moments_of(steering, d, w, v)
         pattern = beampattern(steering, w)
-        r = inner_products(steering, w, v)
+        r = dense_samples(steering, w, v)
         assert admm_mod._pattern_dot(mw, mw) == pytest.approx(float(pattern @ pattern), rel=1e-12)
         assert admm_mod._pattern_dot(mw, mv) == pytest.approx(float(np.vdot(r, r).real), rel=1e-12)
 
@@ -867,13 +878,9 @@ def assert_solve_is_the_public_blocks(steering, d, params, init=None):
     assert trace.iter.size == params.max_iters + 1
 
     state = init if init is not None else admm_mod.initial_state(steering, params)
-    # alpha takes solve's moment form, Re(w^H T_d v) / d^T d; test_moment_alpha_is_update_alpha
-    # pins it to update_alpha(inner_products(steering, w, v), d)
-    td = admm_mod._template_toeplitz(steering, d)
-    dd = float(d.values @ d.values)
     rows, values, matching = [], [], []
     for _ in range(trace.iter.size - 1):
-        alpha = admm_mod._real_dot(state.w, td @ state.v) / dd
+        alpha = update_alpha(steering, state.w, state.v, d)
         v = update_v(steering, state.w, state.u, alpha, d, params)
         diag = majorizer_diag(state.w)
         w = project_unit_sphere(solve_weight_system(steering, v, state.u, alpha, d, diag, params))
@@ -1005,13 +1012,13 @@ def test_solve_makes_no_steering_products(monkeypatch):
     steering, d = random_instance(rng, n=6, k=9)
     steering = ReadCountingSteering(steering.geometry, steering.grid)
     calls = {"count": 0}
-    real_steer_products = admm_mod._steer_products
+    real_steer_products = arrays_mod._steer_products
 
     def counted(steering, x):
         calls["count"] += 1
         return real_steer_products(steering, x)
 
-    monkeypatch.setattr(admm_mod, "_steer_products", counted)
+    monkeypatch.setattr(arrays_mod, "_steer_products", counted)
     reads = []
     for max_iters in (1, 12):
         ReadCountingSteering.reads = 0
@@ -1094,8 +1101,8 @@ def test_missized_input_raises_contract_error(call):
 
 
 NON_FINITE_CALLS = [
-    "inner_products-w",
-    "update_alpha-r",
+    "update_alpha-w",
+    "update_alpha-v",
     "update_v-u",
     "data_fit_gram-x",
     "data_fit_gram-lam",
@@ -1109,7 +1116,7 @@ NON_FINITE_CALLS = [
     "update_v-alpha",
     "solve_weight_system-alpha",
     "solve_weight_system-diag",
-    "inner_products-str",
+    "update_alpha-str",
     "beampattern-str",
     "project_unit_sphere-str",
     "project_unit_sphere-ragged",
@@ -1117,6 +1124,15 @@ NON_FINITE_CALLS = [
     "cardinality-huge_int",
     "matching_error_db-complex",
     "entropy_gradient-complex",
+    "peak_sidelobe_db-float_mask",
+    "peak_sidelobe_db-int_mask",
+    "peak_sidelobe_db-bool_pattern",
+    "cardinality-bool",
+    "entropy-bool",
+    "entropy_gradient-bool",
+    "project_unit_sphere-bool",
+    "peak_sidelobe_db-negative",
+    "matching_error_db-negative",
 ]
 # alpha that is not a real number, passed to each function that takes one
 NON_REAL_ALPHAS = {
@@ -1135,8 +1151,10 @@ def test_non_finite_input_raises_contract_error(call):
     # (or inf) entry, or one NaN (or inf) scalar, which would otherwise come
     # back as a NaN result, or one scalar that is not a real number, which would
     # otherwise escape as a bare TypeError or OverflowError, or one vector of
-    # strings, ragged nesting, huge ints or, for a real vector, complex values,
-    # which would otherwise be cast or escape as a bare error
+    # strings, ragged nesting, huge ints, complex values for a real vector, bools
+    # for a numeric one or numbers for a mask, which would otherwise be cast or
+    # escape as a bare error, or one pattern with a negative power, which would
+    # otherwise be scored
     rng = np.random.default_rng(71)
     steering, d = random_instance(rng)
     params = SolverParams(lam=0.2, rho=5.0)
@@ -1144,7 +1162,6 @@ def test_non_finite_input_raises_contract_error(call):
     w = unit(rng, 5)
     u = np.zeros(5, complex)
     pattern = beampattern(steering, w)
-    r = inner_products(steering, w, v)
 
     def poisoned(x, value=np.nan):
         x = np.array(x)
@@ -1152,8 +1169,8 @@ def test_non_finite_input_raises_contract_error(call):
         return x
 
     calls = {
-        "inner_products-w": lambda: inner_products(steering, poisoned(w), v),
-        "update_alpha-r": lambda: update_alpha(poisoned(r), d),
+        "update_alpha-w": lambda: update_alpha(steering, poisoned(w), v, d),
+        "update_alpha-v": lambda: update_alpha(steering, w, poisoned(v, np.inf), d),
         "update_v-u": lambda: update_v(steering, w, poisoned(u), 1.0, d, params),
         "data_fit_gram-x": lambda: data_fit_gram(steering, poisoned(v), 0.2),
         "data_fit_gram-lam": lambda: data_fit_gram(steering, v, np.nan),
@@ -1171,7 +1188,7 @@ def test_non_finite_input_raises_contract_error(call):
         "solve_weight_system-diag": lambda: solve_weight_system(
             steering, v, u, 1.0, d, poisoned(majorizer_diag(w)), params
         ),
-        "inner_products-str": lambda: inner_products(steering, w, ["1"] * 5),
+        "update_alpha-str": lambda: update_alpha(steering, w, ["1"] * 5, d),
         "beampattern-str": lambda: beampattern(steering, ["a"] * 5),
         "project_unit_sphere-str": lambda: project_unit_sphere(["a", "b"]),
         "project_unit_sphere-ragged": lambda: project_unit_sphere([0.0, [1.0]]),
@@ -1179,6 +1196,16 @@ def test_non_finite_input_raises_contract_error(call):
         "cardinality-huge_int": lambda: cardinality([10**400, 0]),
         "matching_error_db-complex": lambda: matching_error_db(pattern + 0j, 1.0, d),
         "entropy_gradient-complex": lambda: entropy_gradient(np.abs(w) ** 2 + 0j),
+        "peak_sidelobe_db-float_mask": lambda: peak_sidelobe_db([1.0, 2.0, 3.0], [0.5, 0.0, 0.0]),
+        "peak_sidelobe_db-int_mask": lambda: peak_sidelobe_db([1.0, 2.0, 3.0], [0, 1, 0]),
+        "peak_sidelobe_db-bool_pattern": lambda: peak_sidelobe_db([True, False], [True, False]),
+        "cardinality-bool": lambda: cardinality([True, False, True]),
+        "entropy-bool": lambda: entropy([True, False]),
+        "entropy_gradient-bool": lambda: entropy_gradient([True, False]),
+        "project_unit_sphere-bool": lambda: project_unit_sphere([True, False]),
+        "peak_sidelobe_db-negative":
+            lambda: peak_sidelobe_db([-1.0, 2.0, -3.0], [False, True, False]),
+        "matching_error_db-negative": lambda: matching_error_db(-pattern, 1.0, d),
     }
 
     def alpha_calls(alpha):
@@ -1206,7 +1233,7 @@ WRONG_TYPE_CALLS = [
     "solve_weight_system-params",
     "solve_weight_system-template",
     "initial_state-steering",
-    "inner_products-steering",
+    "update_alpha-steering",
     "data_fit_gram-steering",
     "beampattern-steering",
     "update_alpha-template",
@@ -1245,10 +1272,10 @@ def test_wrong_type_object_raises_contract_error(call, tmp_path):
         "solve_weight_system-template":
             lambda: solve_weight_system(steering, v, u, 1.0, None, majorizer_diag(w), params),
         "initial_state-steering": lambda: admm_mod.initial_state(None, params),
-        "inner_products-steering": lambda: inner_products(None, w, v),
+        "update_alpha-steering": lambda: update_alpha(None, w, v, d),
         "data_fit_gram-steering": lambda: data_fit_gram(None, w, 0.2),
         "beampattern-steering": lambda: beampattern(None, w),
-        "update_alpha-template": lambda: update_alpha(inner_products(steering, w, v), None),
+        "update_alpha-template": lambda: update_alpha(steering, w, v, None),
         "matching_error_db-template": lambda: matching_error_db(pattern, 1.0, None),
         "build_template-grid": lambda: build_template(None, (MainlobeSpec(-10.0, 10.0),)),
         "run_experiment-config": lambda: run_experiment(None),

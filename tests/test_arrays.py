@@ -260,7 +260,7 @@ class TestProjection:
     "angles",
     # the last row's np.diff would overflow if the grid were not first checked visible
     [[np.nan], [0.0, np.nan, 10.0], [-np.inf, 0.0], ["a"], [0.0, [1.0]], [1j], [10**400],
-     [1e308, -1e308]],
+     [1e308, -1e308], [False, True]],
 )
 def test_rejects_non_finite_grid(angles):
     with pytest.raises(ContractError):

@@ -201,12 +201,13 @@ class TestRunExperiment:
         pytest.param("pattern", "short", id="pattern"),
         pytest.param("w", "nan", id="w-nan"),
         pytest.param("pattern", "nan", id="pattern-nan"),
+        pytest.param("pattern", "negative", id="pattern-negative"),
     ])
     def test_mis_sized_outputs_are_rejected_before_writing(
         self, fast_config_path, tmp_path, monkeypatch, column, fault
     ):
-        # a short column would drop rows from its CSV, and a NaN entry would write a nan
-        # cell, without an error
+        # a short column would drop rows from its CSV, a NaN entry would write a nan cell
+        # and a negative power a pattern no array radiates, without an error
         written = {}
         real = runner_mod.write_outputs
 
@@ -222,7 +223,7 @@ class TestRunExperiment:
             args[column] = args[column][:-1]
         else:
             args[column] = args[column].copy()
-            args[column][1] = np.nan
+            args[column][1] = {"nan": np.nan, "negative": -1.0}[fault]
         with pytest.raises(ContractError, match=column):
             real(written["report"], cfg, **args)
         assert not (tmp_path / "rejected").exists()

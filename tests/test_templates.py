@@ -136,9 +136,14 @@ def test_non_finite_levels_rejected(full_grid, level):
         ([0.0, [1.0]], [False, True], "template must hold numbers of dtype float64"),
         ([0.0, 1j], [False, True], "template must hold numbers of dtype float64"),
         ([0.0, 1.0], ["a", "b"], "mainlobe mask must hold numbers of dtype bool"),
+        ([1.0, 0.0], [0.7, 0.0], "mainlobe mask must hold numbers of dtype bool"),
+        ([1.0, 0.0], [1, 0], "mainlobe mask must hold numbers of dtype bool"),
+        ([True, False], [True, False], "template must hold numbers of dtype float64"),
+        ([-5.0, 2.0, 0.0], [False, True, False], "template must be nonnegative"),
     ],
     ids=["mask_shape", "zero_mainlobe", "mainlobe_energy_overflow", "sidelobe_energy_overflow",
-         "empty", "str", "ragged", "complex", "str_mask"],
+         "empty", "str", "ragged", "complex", "str_mask", "float_mask", "int_mask",
+         "bool_values", "negative"],
 )
 def test_malformed_pattern_rejected(values, mask, message):
     with pytest.raises(ContractError, match=message):
