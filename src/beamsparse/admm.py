@@ -12,7 +12,8 @@ w = v, scaled dual u), and each sweep performs, in order:
 
 1. closed-form least-squares refresh of the template scale alpha;
 2. an exact solve of the v block (unconstrained complex least squares);
-3. a refresh of the diagonal entropy majorizer at the current weights;
+3. the diagonal entropy majorizer at the current weights, which came with
+   their entropy when they were formed;
 4. an exact solve of the majorized w block followed by projection back
    onto the unit sphere;
 5. dual ascent on u.
@@ -47,9 +48,10 @@ entropy's rule, so ``solve`` rejects a non-unit initial w at entry, where it
 takes that w's entropy, and checks each projected w once, where it takes its
 entropy. The moments of w_k feed the v block and row k of the trace; those
 of v_{k+1} feed the w block and row k + 1, and Re(w^H T_d v) of a row is
-the next sweep's alpha numerator. Each w has one power vector and one
-entropy, shared by the majorizer and its trace row, and one w - v serves the
-dual step, the primal residual and the Lagrangian. A row appends nine raw
+the next sweep's alpha numerator. Each w's powers pass once through the
+entropy's penalty kernel, whose one clamped log gives both the entropy of its
+trace row and the majorizer diagonal of the next w block, and one w - v serves
+the dual step, the primal residual and the Lagrangian. A row appends nine raw
 scalars (sum_k P_k^2, d^T P, sum_k |r_k|^2, Re d^T r, the entropy,
 ||w - v + u||^2, ||w - v||^2, alpha, the weight change) to one growing buffer;
 once the loop ends or a sweep fails, one vectorized pass derives the ``Trace``,
@@ -92,7 +94,7 @@ from .arrays import (
     _sq_norm,
     _with_negative_lags,
 )
-from .entropy import _majorizer_diag, _powers_and_entropy
+from .entropy import _penalty, _unit_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import _db
 from .templates import DesiredPattern
@@ -461,13 +463,13 @@ def solve(
     alpha = state.alpha
     _require_finite(alpha, "initial alpha")
 
-    # The steering matrix is read here only, for T_d; each iterate's moments and powers serve
+    # The steering matrix is read here only, for T_d; each iterate's moments and penalty serve
     # both blocks and the rows, as the module docstring lists.
     q = steering.moments
     td = _template_toeplitz(steering, d)
     mw = _moments(q, td, w)
     mv = _moments(q, td, v)
-    powers, sparsity = _powers_and_entropy(w)
+    sparsity, diag = _penalty(_unit_powers(w))
     cross = _real_dot(w, mv.td_x)
     raw = array("d")
     _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
@@ -476,14 +478,13 @@ def solve(
             alpha = cross / dd
             v = _v_block(mw, w, u, alpha, params)
             mv = _moments(q, td, v)
-            diag = _majorizer_diag(powers)
             swept = _project_unit_sphere(_w_system(mv, v, u, alpha, diag, params))
             wv = swept - v
             u = u + wv
             w_change = math.sqrt(_sq_norm(swept - w))
             w = swept
             mw = _moments(q, td, w)
-            powers, sparsity = _powers_and_entropy(w)
+            sparsity, diag = _penalty(_unit_powers(w))
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:

@@ -16,9 +16,12 @@ with grad_n = -log q_n - 1, so the bound is its diagonal: ``majorizer_diag``
 returns grad as a plain array and ``majorizer_value`` evaluates the bound
 from its anchor. The solver refreshes this diagonal once per iteration and
 minimizes the bound in place of f.
-Powers below ``POWER_FLOOR`` are clamped inside the log so the bound stays
-finite when elements are driven to exact zero; such entries contribute
-nothing to the entropy value itself.
+The entropy and its tangent diagonal come from one kernel over the powers,
+which clamps them at ``POWER_FLOOR`` and takes one log, L = log max(p, floor):
+the value is -sum p L over the powers at or above the floor (powers below it
+contribute nothing, the 0 log 0 convention) and the diagonal is -1 - L, which
+stays finite when elements are driven to exact zero. Every function here, and
+the solver for each weight vector, reads that kernel.
 
 This module owns the unit-power rule: every function here that takes weights
 rejects a total power farther than ``UNIT_NORM_TOL`` from 1 with
@@ -48,32 +51,25 @@ def _unit_powers(w: np.ndarray) -> np.ndarray:
     return p
 
 
-def _powers_and_entropy(w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Powers of unit-power weights and their entropy, from one power vector."""
-    p = _unit_powers(w)
-    # entries below the floor contribute zero (the 0*log 0 convention)
-    safe = np.where(p >= POWER_FLOOR, p, 1.0)
-    return p, -float((safe * np.log(safe)).sum())
-
-
-def _majorizer_diag(p: np.ndarray) -> np.ndarray:
-    """Diagonal of the tangent bound at anchor powers p: the entropy gradient."""
-    return -np.log(np.maximum(p, POWER_FLOOR)) - 1.0
+def _penalty(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """The entropy of powers p and its tangent diagonal there, from one clamped log."""
+    log_p = np.log(np.maximum(p, POWER_FLOOR))
+    return 0.0 - float(np.where(p >= POWER_FLOOR, p * log_p, 0.0).sum()), -1.0 - log_p
 
 
 def entropy(w: np.ndarray) -> float:
     """Shannon entropy of the element-power distribution, in [0, log N]."""
-    return _powers_and_entropy(_as_vector(w, None, "w"))[1]
+    return _penalty(_unit_powers(_as_vector(w, None, "w")))[0]
 
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
     """Gradient of -sum p log p, elementwise -log(max(p, floor)) - 1."""
-    return _majorizer_diag(_as_powers(p, None, "powers"))
+    return _penalty(_as_powers(p, None, "powers"))[1]
 
 
 def majorizer_diag(w_anchor: np.ndarray) -> np.ndarray:
     """Diagonal of the entropy's tangent bound at the anchor weights."""
-    return _majorizer_diag(_unit_powers(_as_vector(w_anchor, None, "w")))
+    return _penalty(_unit_powers(_as_vector(w_anchor, None, "w")))[1]
 
 
 def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
@@ -84,5 +80,6 @@ def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
     at the anchor and lies above it everywhere else on the sphere.
     """
     w = _as_vector(w, None, "w")
-    q, value = _powers_and_entropy(_as_vector(w_anchor, w.size, "anchor weights"))
-    return value + float(_majorizer_diag(q) @ (_unit_powers(w) - q))
+    q = _unit_powers(_as_vector(w_anchor, w.size, "anchor weights"))
+    value, diag = _penalty(q)
+    return value + float(diag @ (_unit_powers(w) - q))

@@ -805,14 +805,15 @@ class TestFactorizationFailure:
     def test_solve_reports_divergence_with_partial_trace(self, monkeypatch):
         steering, d, _, _, _ = self.system()
         calls = {"count": 0}
-        real_majorizer_diag = admm_mod._majorizer_diag
+        real_penalty = admm_mod._penalty
 
+        # call 1 is the initial w's, so call 3 gives sweep 3 its majorizer diagonal
         def indefinite(p):
             calls["count"] += 1
-            diag = real_majorizer_diag(p)
-            return diag if calls["count"] < 3 else np.full(5, -1e6)
+            value, diag = real_penalty(p)
+            return value, (diag if calls["count"] < 3 else np.full(5, -1e6))
 
-        monkeypatch.setattr(admm_mod, "_majorizer_diag", indefinite)
+        monkeypatch.setattr(admm_mod, "_penalty", indefinite)
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert isinstance(excinfo.value.__cause__, NumericalError)
@@ -1059,6 +1060,25 @@ def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
         return real_toeplitz_gram(*args)
 
     monkeypatch.setattr(admm_mod, "_toeplitz_gram", counted)
+    _, _, trace = solve(steering, d, params)
+    assert trace.iter.size == 13
+    assert calls["count"] == 1 + 12
+
+
+def test_each_weight_vector_takes_one_penalty(monkeypatch):
+    # the initial w and each sweep's projected w pass once through the entropy
+    # kernel, whose value feeds the trace row and whose diagonal the next w block
+    rng = np.random.default_rng(53)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
+    calls = {"count": 0}
+    real_penalty = admm_mod._penalty
+
+    def counted(p):
+        calls["count"] += 1
+        return real_penalty(p)
+
+    monkeypatch.setattr(admm_mod, "_penalty", counted)
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls["count"] == 1 + 12

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from beamsparse import (
+    POWER_FLOOR,
     ContractError,
     entropy,
     entropy_gradient,
     majorizer_diag,
     majorizer_value,
 )
+from beamsparse.entropy import _penalty
 
 
 def random_unit_weights(rng, n, min_power=0.0):
@@ -35,6 +39,12 @@ class TestEntropyValue:
         values = np.zeros(5, complex)
         values[2] = 1j
         assert entropy(values) == 0.0
+
+    @pytest.mark.parametrize("w", [np.array([1 + 0j, 0]), [1.0, 0.0], np.array([0, 0, 1j])])
+    def test_one_hot_is_positive_zero(self, w):
+        # the sum of 1 log 1 = 0.0 must not come back negated as -0.0
+        assert math.copysign(1.0, entropy(w)) == 1.0
+        assert math.copysign(1.0, majorizer_value(w, w)) == 1.0
 
     def test_half_half(self):
         w = np.array([np.sqrt(0.5), np.sqrt(0.5) * 1j, 0.0, 0.0])
@@ -82,6 +92,38 @@ class TestEntropyGradient:
                 lo[i] -= h
                 fd = (neg_plogp(hi) - neg_plogp(lo)) / (2 * h)
                 assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
+
+
+class TestPenaltyKernel:
+    """One clamped log gives the entropy and its tangent diagonal, equal bit for bit to
+    each written on its own: the entropy of the powers with those below the floor set to
+    1, and the gradient from the log of the powers clamped at the floor."""
+
+    @staticmethod
+    def assert_matches_the_two_formulas(p):
+        safe = np.where(p >= POWER_FLOOR, p, 1.0)
+        value, diag = _penalty(p)
+        assert value == -float((safe * np.log(safe)).sum())
+        assert np.array_equal(diag, -np.log(np.maximum(p, POWER_FLOOR)) - 1.0)
+
+    @pytest.mark.parametrize("edge", [
+        0.0, np.nextafter(POWER_FLOOR, 0), POWER_FLOOR, np.nextafter(POWER_FLOOR, 1)
+    ])
+    def test_floor_edges(self, edge):
+        self.assert_matches_the_two_formulas(np.array([edge]))
+        self.assert_matches_the_two_formulas(np.array([edge, 1e-9, 0.3, 1 / np.e, 0.7, 1.0]))
+
+    def test_unit_powers_with_zeros_and_tiny_entries(self):
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            # magnitudes down to 1e-10, so powers down to about 1e-20 of the total
+            scale = 10.0 ** rng.uniform(-10, 0, n)
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+            z[rng.random(n) < 0.2] = 0.0
+            if not z.any():
+                continue
+            self.assert_matches_the_two_formulas(np.abs(z / np.linalg.norm(z)) ** 2)
 
 
 class TestMajorizer:
