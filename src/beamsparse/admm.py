@@ -20,10 +20,11 @@ w = v, scaled dual u), and each sweep performs, in order:
 
 The sweep repeats until the weight change drops below ``eta`` or the
 iteration budget runs out. Both blocks solve a Hermitian positive definite
-system whose data-fit matrix G = lam * sum_k |a_k^H x|^2 a_k a_k^H is
-Hermitian Toeplitz, since ``SteeringSet`` derives every steering vector from
-a uniform linear array as a phase ramp a_k[n] = z_k^n. The v block adds
-rho/2 to G's diagonal, which keeps it Toeplitz, and solves it by one
+system whose data-fit matrix is lam * G, with G = sum_k |a_k^H x|^2 a_k a_k^H
+(``data_fit_gram``), and lam is set only in ``SolverParams``. G is Hermitian
+Toeplitz, since ``SteeringSet`` derives every steering vector from a uniform
+linear array as a phase ramp a_k[n] = z_k^n. The v block adds
+rho/2 to lam G's diagonal, which keeps it Toeplitz, and solves it by one
 Levinson recursion on the diagonals in O(N^2) without forming the matrix.
 The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
 along the diagonal, so its matrix is not Toeplitz: it is copied from its
@@ -61,7 +62,9 @@ with ``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
 The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``)
 check their inputs and call the same kernels, so composing them, with
 ``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
-w, alpha, primal residual and weight change bit for bit.
+w, alpha, primal residual and weight change bit for bit. They run the kernels with
+numpy's overflow warnings off and check the result, so finite inputs that overflow end in
+a typed error; the sweep, whose iterates are bounded, pays for no such check.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state.
@@ -94,7 +97,7 @@ from .arrays import (
     _sq_norm,
     _with_negative_lags,
 )
-from .entropy import _penalty, _unit_powers
+from .entropy import _penalty, _unit_powers, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
 from .metrics import _db
 from .templates import DesiredPattern
@@ -263,14 +266,16 @@ def _pattern_dot(mx: _Moments, my: _Moments) -> float:
     return _real_dot(mx.auto, my.gram)
 
 
-def data_fit_gram(steering: SteeringSet, x: np.ndarray, lam: float) -> np.ndarray:
-    """lam * sum_k |a_k^H x|^2 a_k a_k^H, the data-fit Hessian of both blocks. Acceptance
-    criterion 6 builds both blocks' systems from it to check that they stay positive definite."""
+def data_fit_gram(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
+    """G = sum_k |a_k^H x|^2 a_k a_k^H, whose diagonals are ``_Moments.gram``: lam * G is the
+    data-fit Hessian of both blocks, from which acceptance criterion 6 builds their systems.
+    A finite x whose G overflows raises ``ContractError``."""
     _require_type(steering, SteeringSet, "steering")
-    _require_finite(lam, "lam")
     x = _as_vector(x, steering.n_elements, "x")
-    auto = np.correlate(x, x, "full")
-    return _toeplitz_gram(lam * _gram_diagonals(steering.moments, auto))
+    diagonals = _gram_diagonals(steering.moments, np.correlate(x, x, "full"))
+    if not np.isfinite(diagonals).all():
+        raise ContractError("the data-fit Gram matrix of x overflows")
+    return _toeplitz_gram(diagonals)
 
 
 def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
@@ -323,10 +328,7 @@ def _w_system(
     rhs = params.lam * alpha * mv.td_x + half_rho * (v - u)
     _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
     if info != 0:
-        raise NumericalError(
-            f"matrix is not positive definite: leading minor {info} fails" if info > 0
-            else f"Cholesky solve rejected argument {-info} (posv)"
-        )
+        raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
     return solution
 
 
@@ -337,7 +339,12 @@ def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     v = _as_vector(v, n, "v")
-    return _real_dot(w, _template_toeplitz(steering, d) @ v) / _template_energy(d)
+    dd = _template_energy(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _real_dot(w, _template_toeplitz(steering, d) @ v) / dd
+    if not math.isfinite(alpha):
+        raise ContractError("the template scale Re(w^H T_d v) / d^T d overflows")
+    return alpha
 
 
 def update_v(
@@ -354,8 +361,9 @@ def update_v(
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
-    mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
-    return _v_block(mw, w, u, alpha, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
+        return _v_block(mw, w, u, alpha, params)
 
 
 def solve_weight_system(
@@ -374,8 +382,9 @@ def solve_weight_system(
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
     diag = _as_vector(diag, n, "majorizer diagonal", float)
-    mv = _moments(steering.moments, _template_toeplitz(steering, d), v)
-    return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = _moments(steering.moments, _template_toeplitz(steering, d), v)
+        return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -469,7 +478,7 @@ def solve(
     td = _template_toeplitz(steering, d)
     mw = _moments(q, td, w)
     mv = _moments(q, td, v)
-    sparsity, diag = _penalty(_unit_powers(w))
+    sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
     cross = _real_dot(w, mv.td_x)
     raw = array("d")
     _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)

@@ -236,11 +236,6 @@ def build_steering_set(geometry: ArrayGeometry, grid: AngleGrid) -> SteeringSet:
     return SteeringSet(geometry, grid)
 
 
-def _steer_products(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
-    """a_k^H x for every grid angle, without forming the conjugate steering matrix."""
-    return np.conj(steering.vectors @ np.conj(x))
-
-
 def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
     """Radiated power versus angle, |a(theta_k)^H w|^2 for every grid angle.
 
@@ -251,7 +246,7 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
     _require_type(steering, SteeringSet, "steering")
     w = _as_vector(w, steering.n_elements, "w")
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN inside the product
-        pattern = np.abs(_steer_products(steering, w)) ** 2
+        pattern = np.abs(steering.vectors @ np.conj(w)) ** 2
     if not np.isfinite(pattern).all():
         raise ContractError("the pattern |a_k^H w|^2 of w overflows")
     return pattern
@@ -259,7 +254,11 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:
     """Scale a nonzero vector to unit l2 norm."""
-    return _project_unit_sphere(_as_vector(x, None, "x"))
+    x = _as_vector(x, None, "x")
+    with np.errstate(over="ignore"):
+        if _sq_norm(x) == math.inf:
+            raise ContractError("the squared norm of x overflows")
+    return _project_unit_sphere(x)
 
 
 def _sq_norm(x: np.ndarray) -> float:

@@ -25,7 +25,7 @@ the solver for each weight vector, reads that kernel.
 
 This module owns the unit-power rule: every function here that takes weights
 rejects a total power farther than ``UNIT_NORM_TOL`` from 1 with
-``ContractError``, in the one place that forms the powers.
+``ContractError``, in the one place that forms the powers (overflowing powers total inf).
 """
 
 from __future__ import annotations
@@ -51,6 +51,14 @@ def _unit_powers(w: np.ndarray) -> np.ndarray:
     return p
 
 
+def _weight_powers(w, n: int | None, name: str) -> np.ndarray:
+    """_unit_powers of public weights, after the vector rule; powers that overflow total inf
+    with no warning. Projected weights, of entries at most 1 in modulus, need no guard."""
+    w = _as_vector(w, n, name)
+    with np.errstate(over="ignore"):
+        return _unit_powers(w)
+
+
 def _penalty(p: np.ndarray) -> tuple[float, np.ndarray]:
     """The entropy of powers p and its tangent diagonal there, from one clamped log."""
     log_p = np.log(np.maximum(p, POWER_FLOOR))
@@ -59,17 +67,19 @@ def _penalty(p: np.ndarray) -> tuple[float, np.ndarray]:
 
 def entropy(w: np.ndarray) -> float:
     """Shannon entropy of the element-power distribution, in [0, log N]."""
-    return _penalty(_unit_powers(_as_vector(w, None, "w")))[0]
+    return _penalty(_weight_powers(w, None, "w"))[0]
 
 
 def entropy_gradient(p: np.ndarray) -> np.ndarray:
     """Gradient of -sum p log p, elementwise -log(max(p, floor)) - 1."""
-    return _penalty(_as_powers(p, None, "powers"))[1]
+    p = _as_powers(p, None, "powers")
+    with np.errstate(over="ignore"):  # the discarded value may overflow; -1 - log p cannot
+        return _penalty(p)[1]
 
 
 def majorizer_diag(w_anchor: np.ndarray) -> np.ndarray:
     """Diagonal of the entropy's tangent bound at the anchor weights."""
-    return _penalty(_unit_powers(_as_vector(w_anchor, None, "w")))[1]
+    return _penalty(_weight_powers(w_anchor, None, "w"))[1]
 
 
 def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
@@ -79,7 +89,7 @@ def majorizer_value(w: np.ndarray, w_anchor: np.ndarray) -> float:
     entropy(w_anchor) + sum_n diag[n] * (|w_n|^2 - q_n): it touches the entropy
     at the anchor and lies above it everywhere else on the sphere.
     """
-    w = _as_vector(w, None, "w")
-    q = _unit_powers(_as_vector(w_anchor, w.size, "anchor weights"))
+    p = _weight_powers(w, None, "w")
+    q = _weight_powers(w_anchor, p.size, "anchor weights")
     value, diag = _penalty(q)
-    return value + float(diag @ (_unit_powers(w) - q))
+    return value + float(diag @ (p - q))

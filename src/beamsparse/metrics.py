@@ -75,11 +75,12 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
         residual = pattern - scaled
         fit = float(residual @ residual)
         energy = float(scaled @ scaled)
-    if not (math.isfinite(fit) and math.isfinite(energy)):
-        raise ContractError("the squared pattern residual or scaled template energy overflows")
     if not energy > 0.0:
         raise DegenerateInputError("scaled template has no energy")
-    return _db(fit / energy)
+    ratio = fit / energy
+    if not (math.isfinite(energy) and math.isfinite(ratio)):
+        raise ContractError("the squared residual, scaled template energy or their ratio overflows")
+    return _db(ratio)
 
 
 def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
@@ -91,5 +92,8 @@ def peak_sidelobe_db(pattern: np.ndarray, mask: np.ndarray) -> float:
     side_peak = float(pattern[~mask].max())
     if not main_peak > 0.0:
         raise DegenerateInputError("mainlobe region carries no power")
-    return _db(side_peak / main_peak)
+    ratio = side_peak / main_peak
+    if ratio == math.inf:
+        raise ContractError("the peak sidelobe power ratio overflows")
+    return _db(ratio)
 

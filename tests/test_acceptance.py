@@ -271,9 +271,9 @@ def test_criterion_6_feasibility_and_conditioning(capfd):
             n = steering.n_elements
             for t in range(25, len(states), 25):
                 prev, cur = states[t - 1], states[t]
-                aux_system = data_fit_gram(steering, prev.w, params.lam)
+                aux_system = params.lam * data_fit_gram(steering, prev.w)
                 aux_system[np.diag_indices(n)] += params.rho / 2
-                weight_system = data_fit_gram(steering, cur.v, params.lam)
+                weight_system = params.lam * data_fit_gram(steering, cur.v)
                 weight_system[np.diag_indices(n)] += majorizer_diag(prev.w) + params.rho / 2
                 assert float(np.linalg.eigvalsh(aux_system).min()) >= params.rho / 2 - 1e-9
                 assert float(np.linalg.eigvalsh(weight_system).min()) >= (

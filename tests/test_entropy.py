@@ -77,6 +77,12 @@ class TestEntropyGradient:
         with pytest.raises(ContractError):
             entropy_gradient(np.array([-0.1]))
 
+    @pytest.mark.parametrize("power", [1e305, 1e306, np.finfo(float).max])
+    def test_huge_powers_give_the_finite_gradient(self, power):
+        # the kernel's discarded entropy value overflows here; pytest turns numpy's
+        # overflow RuntimeWarning into a failure
+        assert np.array_equal(entropy_gradient(np.full(3, power)), np.full(3, -1.0 - np.log(power)))
+
     def test_matches_central_differences(self):
         # interior points only; step scaled to the coordinate keeps the
         # truncation error well under the 1e-6 relative target

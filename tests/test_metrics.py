@@ -100,12 +100,12 @@ class TestMatchingError:
 
     @pytest.mark.parametrize(
         "pattern, alpha",
-        [([1.0, 1.0], 1e200), ([1e200, 1.0], 1.0)],
-        ids=["scaled-template-energy", "residual"],
+        [([1.0, 1.0], 1e200), ([1e200, 1.0], 1.0), ([1.0, 1.0], 1e-160)],
+        ids=["scaled-template-energy", "residual", "ratio"],
     )
     def test_overflowing_sums_of_squares_rejected(self, pattern, alpha):
-        # finite inputs whose sums of squares overflow once made a nan or +inf dB;
-        # pytest turns numpy's overflow RuntimeWarning into a failure
+        # finite inputs whose sums of squares, or their ratio, overflow once made a nan or
+        # +inf dB; pytest turns numpy's overflow RuntimeWarning into a failure
         d = DesiredPattern(np.array([1000.0, 0.0]), np.array([True, False]))
         with pytest.raises(ContractError, match="overflows"):
             matching_error_db(np.array(pattern), alpha, d)
@@ -157,6 +157,11 @@ class TestPeakSidelobe:
     def test_rejects_mainlobe_without_power(self):
         with pytest.raises(DegenerateInputError, match="mainlobe region carries no power"):
             peak_sidelobe_db(np.array([0.0, 1.0]), np.array([True, False]))
+
+    def test_ratio_that_overflows_rejected(self):
+        # finite peaks whose ratio overflows once made +inf dB
+        with pytest.raises(ContractError, match="ratio overflows"):
+            peak_sidelobe_db(np.array([1e-300, 1e10]), np.array([True, False]))
 
     def test_rejects_single_region_masks(self):
         with pytest.raises(ContractError):
