@@ -46,7 +46,8 @@ its real diagonal (``entropy.majorizer_diag``). ``solve`` checks its inputs
 once, on entry, and then computes each intermediate once per iterate, on
 private kernels that take it as an argument. Unit power of w is the
 entropy's rule, so ``solve`` rejects a non-unit initial w at entry, where it
-takes that w's entropy, and checks each projected w once, where it takes its
+takes that w's entropy before forming any moment, then a start state whose row 0
+breaks the ``Trace`` rule, and checks each projected w once, where it takes its
 entropy. The moments of w_k feed the v block and row k of the trace; those
 of v_{k+1} feed the w block and row k + 1, and Re(w^H T_d v) of a row is
 the next sweep's alpha numerator. Each w's powers pass once through the
@@ -154,8 +155,11 @@ class AdmmState:
 class Trace:
     """The iteration trace: one read-only 1-D array per ``trace.csv`` column, in this order.
 
-    The columns are real arrays of one length >= 1, and alpha is finite; objective and
-    lagrangian may hold inf, where lam times the squared residual overflows.
+    The columns are real arrays of one length n >= 1. iter counts 0 ... n - 1; alpha and
+    matching_error_db are finite; primal_residual and w_change are finite and >= 0; objective
+    and lagrangian are never NaN or -inf and may hold inf, where lam times the squared
+    residual overflows. They have no bound of 0: the entropy of one-hot weights rounds to
+    about -4e-16.
     """
 
     iter: np.ndarray
@@ -174,8 +178,17 @@ class Trace:
         sizes = {column.size for column in vars(self).values()}
         if len(sizes) != 1 or 0 in sizes:
             raise ContractError(f"trace columns must share one length >= 1, got sizes {sizes}")
-        if not np.isfinite(self.alpha).all():
-            raise ContractError("trace column alpha must be finite")
+        if not np.array_equal(self.iter, np.arange(self.iter.size)):
+            raise ContractError("trace column iter must count the rows from 0")
+        for name in ("primal_residual", "alpha", "matching_error_db", "w_change"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ContractError(f"trace column {name} must be finite")
+        for name in ("primal_residual", "w_change"):
+            if not (getattr(self, name) >= 0.0).all():
+                raise ContractError(f"trace column {name} must be >= 0")
+        for name in ("objective", "lagrangian"):
+            if not (getattr(self, name) > -np.inf).all():  # NaN fails too
+                raise ContractError(f"trace column {name} must not hold NaN or -inf")
 
 
 def _require_template(steering: SteeringSet, d: DesiredPattern):
@@ -471,17 +484,24 @@ def solve(
     u = _as_vector(state.u, n, "initial u")
     alpha = state.alpha
     _require_finite(alpha, "initial alpha")
+    sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
 
     # The steering matrix is read here only, for T_d; each iterate's moments and penalty serve
     # both blocks and the rows, as the module docstring lists.
     q = steering.moments
     td = _template_toeplitz(steering, d)
-    mw = _moments(q, td, w)
-    mv = _moments(q, td, v)
-    sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
-    cross = _real_dot(w, mv.td_x)
     raw = array("d")
-    _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
+    # finite start vectors can overflow where the sweep's bounded iterates cannot: row 0 is
+    # formed with overflow silenced and must meet the Trace rule
+    with np.errstate(over="ignore", invalid="ignore"):
+        mw = _moments(q, td, w)
+        mv = _moments(q, td, v)
+        cross = _real_dot(w, mv.td_x)
+        _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
+    try:
+        _derive_trace(raw, dd, params)
+    except ContractError as exc:
+        raise ContractError(f"the start state's trace row is invalid: {exc}") from exc
     for it in range(1, params.max_iters + 1):
         try:
             alpha = cross / dd

@@ -166,13 +166,17 @@ def write_outputs(
     _require_type(cfg, ExperimentConfig, "config")
     w = _as_vector(w, cfg.n_elements, "w")
     pattern = _as_powers(pattern, cfg.grid.count, "pattern")
+    with np.errstate(over="ignore"):
+        power = np.abs(w) ** 2
+    if not np.isfinite(power).all():
+        raise ContractError("the powers |w_n|^2 of w overflow")
     out = _ensure_dir(cfg.output_dir)
     _write_csv(out / WEIGHTS_FILE, {
         "n": np.arange(w.size),
         "re": w.real,
         "im": w.imag,
         "mag": np.abs(w),
-        "power_db": _db(np.abs(w) ** 2),
+        "power_db": _db(power),
     })
     _write_csv(out / BEAMPATTERN_FILE, {
         "theta_deg": cfg.grid.angles_deg,

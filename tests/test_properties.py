@@ -4,11 +4,14 @@ Whatever the drawn array, grid, template and parameters, ``solve`` either
 returns finite unit-norm weights with a finite template scale, or raises a
 typed ``BeamsparseError``; it never lets a bare numpy or LAPACK error out.
 The same holds one boundary further out, for arbitrary JSON config documents,
-and for every public numeric function given valid inputs scaled toward the ends
-of the float range: a finite result or a typed error, with no numpy warning.
+and for every numeric argument of every public callable in ``test_boundary``'s
+registry given its valid value scaled toward the ends of the float range: a
+finite result or a typed error, with no numpy warning.
 """
 
 import json
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,30 +28,18 @@ from beamsparse import (
     ArrayGeometry,
     BeamsparseError,
     ContractError,
-    DesiredPattern,
     MainlobeSpec,
     NumericalError,
     SolverParams,
-    beampattern,
+    Trace,
     build_steering_set,
     build_template,
-    cardinality,
-    data_fit_gram,
-    entropy,
-    entropy_gradient,
     initial_state,
-    load_config,
-    majorizer_diag,
-    majorizer_value,
-    matching_error_db,
     parse_config,
-    peak_sidelobe_db,
     project_unit_sphere,
     solve,
-    solve_weight_system,
-    update_alpha,
-    update_v,
 )
+from test_boundary import HELD, REGISTRY, STATE, call_with, valid_args
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -169,111 +160,138 @@ def test_config_documents_solve_or_raise_a_typed_error(changes):
             pass
 
 
-def scaled_problem():
-    """A 6-element, 10-angle problem and one valid value of each numeric argument."""
-    grid = AngleGrid.uniform(-90.0, 90.0, 20.0)
-    steering = build_steering_set(ArrayGeometry(6), grid)
-    template = build_template(grid, [MainlobeSpec(-10.0, 30.0, 1000.0)], 1.0)
-    start = initial_state(steering, SolverParams(seed=3))
-    rng = np.random.default_rng(81)
-    base = {
-        "w": start.w,
-        "v": start.v,
-        "anchor": project_unit_sphere(start.v + start.w),
-        "u": 0.1 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)),
-        "x": rng.standard_normal(6) + 1j * rng.standard_normal(6),
-        "p": np.abs(start.w) ** 2,
-        "diag": majorizer_diag(start.w),
-        "pattern": beampattern(steering, start.w),
-        "alpha": 0.8,
-        "d": template.values,
-        "lam": 0.1,
-    }
-    return steering, template.mainlobe_mask, base
+def leaves(name):
+    """The numeric arguments of a registry entry, and "arg.field" for each numeric field of a
+    held type that an argument takes."""
+    found = []
+    for arg, (kind, _) in REGISTRY[name][1].items():
+        if kind.held:
+            found += [f"{arg}.{field}" for field in leaves(kind.held)]
+        elif kind.numeric:
+            found.append(arg)
+    return found
 
 
-STEERING, MASK, BASE = scaled_problem()
-# each public numeric function, the arguments it takes of BASE, and the call; "d" is the
-# template's values and "lam" the solver's weight, from which the call's objects are built
-NUMERIC_CALLS = {
-    "update_alpha": ("w v d", lambda a: update_alpha(STEERING, a["w"], a["v"], a["d"])),
-    "update_v": ("w u alpha d lam",
-                 lambda a: update_v(STEERING, a["w"], a["u"], a["alpha"], a["d"], a["params"])),
-    "solve_weight_system": ("v u alpha d diag lam", lambda a: solve_weight_system(
-        STEERING, a["v"], a["u"], a["alpha"], a["d"], a["diag"], a["params"])),
-    "data_fit_gram": ("x", lambda a: data_fit_gram(STEERING, a["x"])),
-    "beampattern": ("w", lambda a: beampattern(STEERING, a["w"])),
-    "project_unit_sphere": ("x", lambda a: project_unit_sphere(a["x"])),
-    "entropy": ("w", lambda a: entropy(a["w"])),
-    "entropy_gradient": ("p", lambda a: entropy_gradient(a["p"])),
-    "majorizer_diag": ("w", lambda a: majorizer_diag(a["w"])),
-    "majorizer_value": ("w anchor", lambda a: majorizer_value(a["w"], a["anchor"])),
-    "cardinality": ("w", lambda a: cardinality(a["w"])),
-    "matching_error_db": ("pattern alpha d",
-                          lambda a: matching_error_db(a["pattern"], a["alpha"], a["d"])),
-    "peak_sidelobe_db": ("pattern", lambda a: peak_sidelobe_db(a["pattern"], MASK)),
-}
-# an argument keeps its value (k = 0) or is scaled by 10^k
-exponents = st.one_of(st.just(0), st.integers(-300, 308))
-scaled_calls = st.sampled_from(sorted(NUMERIC_CALLS)).flatmap(
-    lambda name: st.tuples(st.just(name), st.fixed_dictionaries(
-        {arg: exponents for arg in NUMERIC_CALLS[name][0].split()})))
+def scaled_args(name, powers):
+    """The entry's valid arguments with each drawn leaf scaled by its 10^k."""
+    args = valid_args(name)
+    for leaf, k in powers.items():
+        arg, _, field = leaf.partition(".")
+        if field:
+            args[arg] = replace(args[arg], **{field: getattr(args[arg], field) * 10.0 ** k})
+        else:
+            args[arg] = args[arg] * 10.0 ** k
+    return args
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(scaled_calls)
-def test_scaled_inputs_give_a_finite_result_or_a_typed_error(call):
+def numbers(result):
+    """The numbers a call returns; +inf in a trace's objective and lagrangian reads as 0."""
+    for part in result if isinstance(result, tuple) else (result,):
+        if isinstance(part, Trace):
+            yield from (np.where(column == np.inf, 0.0, column)
+                        if name in ("objective", "lagrangian") else column
+                        for name, column in vars(part).items())
+        elif isinstance(part, (float, np.ndarray)):
+            yield part
+
+
+SCALED = sorted(name for name in REGISTRY if name not in HELD and leaves(name))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A scratch working directory, for the artifacts of ``write_outputs``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("scaled"))
+        yield
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(SCALED).flatmap(lambda name: st.tuples(st.just(name), st.dictionaries(
+    st.sampled_from(leaves(name)), st.integers(-300, 308), min_size=1))))
+def test_scaled_inputs_give_a_finite_result_or_a_typed_error(workdir, call):
+    # one or more numeric arguments of a registry entry, solve's start state by its fields,
+    # scaled by 10^k
     name, powers = call
     with np.errstate(over="ignore"):  # a scaled input may itself overflow to inf
-        args = {arg: BASE[arg] * 10.0 ** k for arg, k in powers.items()}
+        args = scaled_args(name, powers)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            if "d" in args:
-                args["d"] = DesiredPattern(args["d"], MASK)
-            if "lam" in args:
-                args["params"] = SolverParams(lam=args["lam"], rho=5.0)
-            result = NUMERIC_CALLS[name][1](args)
+            result = REGISTRY[name][0](**args)
         except BeamsparseError:
             return
-    assert np.isfinite(result).all()
+    assert all(np.isfinite(number).all() for number in numbers(result))
 
 
-def single_mainlobe():
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "single_mainlobe.json")
-    steering = build_steering_set(cfg.geometry, cfg.grid)
-    return steering, cfg.template, cfg.params, initial_state(steering, cfg.params)
-
-
-HUGE = np.full(30, 1e200 + 0j)
-# finite inputs at N = 30, K = 181 whose intermediates overflow: each must end in its typed
-# error, not in a numpy warning or a non-finite result
+HUGE = np.full(6, 1e200 + 0j)
+# a registry call and the finite arguments that overflow its intermediates: each must end in
+# its typed error, not in a numpy warning or a non-finite result
 OVERFLOWING_CALLS = {
-    "entropy": (ContractError, "unit total power", lambda s, d, p, x: entropy(HUGE)),
-    "majorizer_diag": (ContractError, "unit total power", lambda s, d, p, x: majorizer_diag(HUGE)),
-    "majorizer_value":
-        (ContractError, "unit total power", lambda s, d, p, x: majorizer_value(HUGE, x.w)),
-    "solve-initial_w": (ContractError, "unit total power",
-                        lambda s, d, p, x: solve(s, d, p, AdmmState(1.0, x.v, HUGE, x.u))),
+    "entropy": ("entropy", {"w": HUGE}, ContractError, "unit total power"),
+    "majorizer_diag": ("majorizer_diag", {"w_anchor": HUGE}, ContractError, "unit total power"),
+    "majorizer_value": ("majorizer_value", {"w": HUGE}, ContractError, "unit total power"),
+    "solve-initial_w":
+        ("solve", {"init": replace(STATE, w=HUGE)}, ContractError, "unit total power"),
+    "solve-initial_w_max": ("solve", {"init": replace(STATE, w=1e308 * STATE.w)}, ContractError,
+                            "unit total power"),
     "project_unit_sphere":
-        (ContractError, "overflows", lambda s, d, p, x: project_unit_sphere(np.full(30, 1e155))),
-    "update_alpha": (ContractError, "overflows", lambda s, d, p, x: update_alpha(s, HUGE, HUGE, d)),
-    "update_v": (NumericalError, "non-finite entries",
-                 lambda s, d, p, x: update_v(s, x.w, x.u, 1e307, d, p)),
-    "solve_weight_system": (NumericalError, "non-finite entries", lambda s, d, p, x:
-                            solve_weight_system(s, x.v, x.u, 1e307, d, majorizer_diag(x.w), p)),
-    "data_fit_gram": (ContractError, "overflows", lambda s, d, p, x: data_fit_gram(s, 1e160 * x.w)),
-    # the initial state's first trace row: the gap ||w - v + u||^2 overflows
-    "solve-initial_u": (NumericalError, "iterates turned non-finite",
-                        lambda s, d, p, x: solve(s, d, p, AdmmState(1.0, x.v, x.w, HUGE))),
+        ("project_unit_sphere", {"x": np.full(6, 1e155)}, ContractError, "overflows"),
+    "update_alpha": ("update_alpha", {"w": HUGE, "v": HUGE}, ContractError, "overflows"),
+    "update_v": ("update_v", {"alpha": 1e307}, NumericalError, "non-finite entries"),
+    "solve_weight_system":
+        ("solve_weight_system", {"alpha": 1e307}, NumericalError, "non-finite entries"),
+    "data_fit_gram": ("data_fit_gram", {"x": 1e160 * STATE.w}, ContractError, "overflows"),
+    "write_outputs": ("write_outputs", {"w": HUGE}, ContractError, "overflow"),
+    # the start state's first trace row: the gap ||w - v + u||^2 overflows
+    "solve-initial_u": ("solve", {"init": replace(STATE, u=HUGE)}, NumericalError,
+                        "iterates turned non-finite"),
+    "solve-initial_v": ("solve", {"init": replace(STATE, v=1e308 * STATE.v)}, NumericalError,
+                        "iterates turned non-finite"),
+    # or breaks the Trace rule: alpha^2 d^T d overflows, the matching error is inf, or
+    # sum_k |r_k|^2 is NaN
+    "solve-initial_alpha": ("solve", {"init": replace(STATE, alpha=1e154)}, ContractError,
+                            "matching_error_db must be finite"),
+    "solve-initial_tiny_alpha": ("solve", {"init": replace(STATE, alpha=1e-160)}, ContractError,
+                                 "matching_error_db must be finite"),
+    "solve-initial_v_lagrangian": ("solve", {"init": replace(STATE, v=1e154 * STATE.v)},
+                                   ContractError, "lagrangian must not hold NaN"),
 }
 
 
 @pytest.mark.parametrize("call", sorted(OVERFLOWING_CALLS))
-def test_finite_inputs_that_overflow_raise_a_typed_error(call):
-    error, match, run = OVERFLOWING_CALLS[call]
-    problem = single_mainlobe()
+def test_finite_inputs_that_overflow_raise_a_typed_error(call, tmp_path, monkeypatch):
+    name, changes, error, match = OVERFLOWING_CALLS[call]
+    monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
-            run(*problem)
+            call_with(name, **changes)
+    assert not any(tmp_path.iterdir())
+
+
+# a failing property, then a passing test, run under the repository's pytest settings
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # on a failure Hypothesis imports libcst, which warns with a DeprecationWarning that the
+    # settings' error::DeprecationWarning would turn into an INTERNALERROR ending the session
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c",
+         str(Path(__file__).resolve().parents[1] / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_probe.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
