@@ -39,6 +39,7 @@ from beamsparse import (
     update_alpha,
     update_v,
 )
+from test_boundary import NON_REAL, check_bad_call
 
 
 def random_instance(rng, n=5, k=7):
@@ -528,10 +529,66 @@ class TestSolve:
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
 
 
-def test_trace_has_a_row():
-    empty = np.zeros(0)
-    with pytest.raises(ContractError, match="one length"):
-        Trace(np.arange(0), *[empty] * 6)
+# The bad-input tests below keep their ids; each makes the call that tests/test_boundary.py's
+# registry generates for the same bad input, and checks the error's type and message.
+TRACE_FIELDS = [f.name for f in fields(Trace)]
+
+
+def trace_columns(rows=4):
+    return dict(
+        iter=np.arange(rows), objective=np.ones(rows), lagrangian=np.ones(rows),
+        primal_residual=np.zeros(rows), alpha=np.ones(rows), matching_error_db=np.zeros(rows),
+        w_change=np.zeros(rows),
+    )
+
+
+class TestTraceOwnsItsColumnRule:
+    """Every Trace, the solver's or a caller's, holds seven real columns of one length >= 1
+    and a finite alpha, so no writer or reader of a trace meets a ragged or empty one."""
+
+    @pytest.mark.parametrize("name", TRACE_FIELDS)
+    @pytest.mark.parametrize("case", ["none", "list", "2-D", "complex", "bool", "str"])
+    def test_each_column_is_a_1d_real_array(self, name, case):
+        check_bad_call(f"Trace-{name}-{case}", ContractError, f"column {name} ")
+
+    @pytest.mark.parametrize("name", TRACE_FIELDS)
+    def test_columns_share_one_length(self, name):
+        # a three-row trace with a one-entry column would write a two-line trace.csv
+        check_bad_call(f"Trace-{name}-short", ContractError, "one length")
+
+    def test_has_a_row(self):
+        with pytest.raises(ContractError, match="one length"):
+            Trace(**trace_columns(0))
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "-inf"])
+    def test_alpha_is_finite(self, case):
+        check_bad_call(f"Trace-alpha-{case}", ContractError, "alpha")
+
+    def test_objective_and_lagrangian_may_overflow(self):
+        # both read inf on some rows at the largest accepted lam
+        inf = np.full(4, np.inf)
+        trace = Trace(**trace_columns() | {"objective": inf, "lagrangian": inf})
+        assert np.isinf(trace.objective).all() and np.isinf(trace.lagrangian).all()
+
+
+class TestSolverParamsOwnsItsRules:
+    @pytest.mark.parametrize("field", ["max_iters", "seed"])
+    @pytest.mark.parametrize("case", ["float", "bool", "negative"], ids=["2.5", "True", "-1"])
+    def test_integer_fields(self, field, case):
+        check_bad_call(f"SolverParams-{field}-{case}", ContractError, field)
+
+    @pytest.mark.parametrize("field", ["lam", "rho"])
+    @pytest.mark.parametrize(
+        "case",
+        ["inf", "nan", "str", "none", "complex", "bool", "numeric_str", "list", "huge_int"],
+        ids=["inf", "nan", "x", "None", "(1+2j)", "True", "0.5", "list", "huge_int"],
+    )
+    def test_non_finite_rejected(self, field, case):
+        check_bad_call(f"SolverParams-{field}-{case}", ContractError, field)
+
+    def test_nan_eta_rejected(self):
+        for case in ("nan", *NON_REAL):
+            check_bad_call(f"SolverParams-eta-{case}", ContractError, "eta")
 
 
 def dense_data_fit_gram(steering, x):
@@ -1010,3 +1067,108 @@ def test_each_weight_vector_takes_one_penalty(monkeypatch):
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls["count"] == 1 + 12
+
+
+# old id -> the registry's case id
+MISSIZED_CALLS = {
+    "solve_weight_system-template": "solve_weight_system-d-short",
+    "solve_weight_system-majorizer": "solve_weight_system-diag-short",
+    # the anchor, and so its diagonal, is sized for another array than w
+    "majorizer_value-short_diag": "majorizer_value-w_anchor-short",
+    "majorizer_value-short_w": "majorizer_value-w_anchor-short",
+    "update_v-template": "update_v-d-short",
+    "data_fit_gram-x": "data_fit_gram-x-short",
+}
+
+
+@pytest.mark.parametrize("call", MISSIZED_CALLS)
+def test_missized_input_raises_contract_error(call):
+    check_bad_call(MISSIZED_CALLS[call], ContractError)
+
+
+NON_FINITE_CALLS = {
+    "update_alpha-w": "update_alpha-w-nan",
+    "update_alpha-v": "update_alpha-v-inf",
+    "update_v-u": "update_v-u-nan",
+    "data_fit_gram-x": "data_fit_gram-x-nan",
+    "beampattern-w": "beampattern-w-nan",
+    "matching_error_db-pattern": "matching_error_db-pattern-nan",
+    "peak_sidelobe_db-pattern": "peak_sidelobe_db-pattern-nan",
+    "entropy_gradient-nan": "entropy_gradient-p-nan",
+    "entropy_gradient-inf": "entropy_gradient-p-inf",
+    "cardinality-w": "cardinality-w-nan",
+    "matching_error_db-alpha": "matching_error_db-alpha-inf",
+    "update_v-alpha": "update_v-alpha-nan",
+    "solve_weight_system-alpha": "solve_weight_system-alpha-inf",
+    "solve_weight_system-diag": "solve_weight_system-diag-nan",
+    "update_alpha-str": "update_alpha-v-str",
+    "beampattern-str": "beampattern-w-str",
+    "project_unit_sphere-str": "project_unit_sphere-x-str",
+    "project_unit_sphere-ragged": "project_unit_sphere-x-ragged",
+    "peak_sidelobe_db-ragged": "peak_sidelobe_db-pattern-ragged",
+    "cardinality-huge_int": "cardinality-w-huge_int",
+    "matching_error_db-complex": "matching_error_db-pattern-complex",
+    "entropy_gradient-complex": "entropy_gradient-p-complex",
+    "peak_sidelobe_db-float_mask": "peak_sidelobe_db-mask-float",
+    "peak_sidelobe_db-int_mask": "peak_sidelobe_db-mask-int",
+    "peak_sidelobe_db-bool_pattern": "peak_sidelobe_db-pattern-bool",
+    "cardinality-bool": "cardinality-w-bool",
+    "entropy-bool": "entropy-w-bool",
+    "entropy_gradient-bool": "entropy_gradient-p-bool",
+    "project_unit_sphere-bool": "project_unit_sphere-x-bool",
+    "peak_sidelobe_db-negative": "peak_sidelobe_db-pattern-negative",
+    "matching_error_db-negative": "matching_error_db-pattern-negative",
+}
+# alpha that is not a real number, passed to each function that takes one (solve, in init)
+NON_FINITE_CALLS |= {
+    f"{call}-alpha-{case}": f"{call}{'-init' if call == 'solve' else ''}-alpha-{case}"
+    for call in ["matching_error_db", "update_v", "solve_weight_system", "solve"]
+    for case in NON_REAL
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS)
+def test_non_finite_input_raises_contract_error(call):
+    check_bad_call(NON_FINITE_CALLS[call], ContractError)
+
+
+WRONG_TYPE_CALLS = {
+    "solve-steering": "solve-steering-none",
+    "solve-template": "solve-d-none",
+    "solve-params": "solve-params-none",
+    "solve-init": "solve-init-object",
+    "solve-observer": "solve-observer-object",
+    "update_v-steering": "update_v-steering-none",
+    "solve_weight_system-params": "solve_weight_system-params-none",
+    "solve_weight_system-template": "solve_weight_system-d-none",
+    "initial_state-steering": "initial_state-steering-none",
+    "update_alpha-steering": "update_alpha-steering-none",
+    "data_fit_gram-steering": "data_fit_gram-steering-none",
+    "beampattern-steering": "beampattern-steering-none",
+    "update_alpha-template": "update_alpha-d-none",
+    "matching_error_db-template": "matching_error_db-d-none",
+    "build_template-grid": "build_template-grid-none",
+    "run_experiment-config": "run_experiment-cfg-none",
+    "write_outputs-report": "write_outputs-report-none",
+    "write_outputs-config": "write_outputs-cfg-none",
+    "write_outputs-trace": "RunReport-trace-none",
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPE_CALLS)
+def test_wrong_type_object_raises_contract_error(call):
+    # None, or an object of another type, for one package object would otherwise end in a
+    # bare AttributeError or TypeError; the error names the type
+    check_bad_call(WRONG_TYPE_CALLS[call], ContractError,
+                   r"must be an? [A-Z]\w+, got (NoneType|object|int)$")
+
+
+# the weights argument of each function that takes one
+WEIGHTS = {"beampattern": "w", "cardinality": "w", "entropy": "w", "entropy_gradient": "p",
+           "majorizer_diag": "w_anchor", "majorizer_value": "w", "project_unit_sphere": "x"}
+
+
+@pytest.mark.parametrize("shape", ["empty", "2-D"])
+@pytest.mark.parametrize("call", WEIGHTS)
+def test_empty_or_2d_weights_raise_contract_error(call, shape):
+    check_bad_call(f"{call}-{WEIGHTS[call]}-{shape}", ContractError)

@@ -10,6 +10,8 @@ power) are tested by their owners' test files.
 
 import inspect
 import math
+import os
+import tempfile
 import warnings
 from collections.abc import Callable
 from pathlib import Path
@@ -240,12 +242,30 @@ def call_with(name, **changes):
     return REGISTRY[name][0](**valid_args(name) | changes)
 
 
-BAD_CASES = [
-    pytest.param(name, arg, value, id=f"{name}-{arg}-{case}")
+# case id -> (entry, argument, bad value), for every bad value of every argument's kind
+BAD = {
+    f"{name}-{arg}-{case}": (name, arg, value)
     for name, (_, args) in REGISTRY.items() if name not in HELD
     for arg, (kind, valid) in args.items()
     for case, value in kind.bad(valid).items()
-]
+}
+
+
+def check_bad_call(case, error=BeamsparseError, match=None):
+    """Make the bad call named case in an empty directory with all warnings as errors: it
+    must raise error, with a message that matches match, and write nothing."""
+    name, arg, value = BAD[case]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error, match=match):
+                    call_with(name, **{arg: value})
+        finally:
+            os.chdir(cwd)
+        assert not os.listdir(directory)
 
 
 def test_every_public_name_has_an_entry_whose_arguments_are_its_parameters():
@@ -264,11 +284,6 @@ def test_valid_call_succeeds(name, tmp_path, monkeypatch):
         call_with(name)
 
 
-@pytest.mark.parametrize("name,arg,value", BAD_CASES)
-def test_bad_input_raises_a_package_error(name, arg, value, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BeamsparseError):
-            call_with(name, **{arg: value})
-    assert not any(tmp_path.iterdir())
+@pytest.mark.parametrize("case", list(BAD))
+def test_bad_input_raises_a_package_error(case):
+    check_bad_call(case)
