@@ -30,7 +30,11 @@ The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
 along the diagonal, so its matrix is not Toeplitz: it is copied from its
 diagonals in Fortran order and solved in place by Cholesky, in one LAPACK
 posv call (it is positive definite only for rho > 2, because the majorizer
-diagonal is bounded below by -1 on the sphere).
+diagonal is bounded below by -1 on the sphere). Both kernels are scipy's
+compiled ones, the Levinson recursion behind ``scipy.linalg.solve_toeplitz``
+and LAPACK's zposv, loaded from their two extension modules without importing
+``scipy.linalg``, whose import pulls in numpy.f2py and numpy.testing and would
+be most of a cold ``import beamsparse``.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -74,17 +78,17 @@ mutable state.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from collections.abc import Callable
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
-
-# Levinson solve of a Toeplitz system: the kernel of scipy.linalg.solve_toeplitz, without
-# its argument checks and batching. It is private to scipy, so a test pins it to that function.
-from scipy.linalg._solve_toeplitz import levinson as _levinson
 
 from .arrays import (
     SteeringSet,
@@ -103,8 +107,37 @@ from .errors import ContractError, DegenerateInputError, DivergenceError, Numeri
 from .metrics import _db
 from .templates import DesiredPattern
 
-# Cholesky factorization and solve of a Hermitian system, without scipy.linalg's wrappers.
-_posv = scipy.linalg.get_lapack_funcs("posv", dtype=complex)
+
+def _scipy_extension(name: str) -> ModuleType:
+    """The compiled module ``name`` of scipy, loaded from its file in scipy's directory
+    without running the ``__init__`` of the subpackage that holds it.
+
+    Importing top-level scipy runs its distributor init, which sets up the load path of
+    scipy's bundled BLAS on some platforms. An extension module is initialized once per
+    process, so a later ``import scipy.linalg`` hands back the same functions.
+    """
+    import scipy
+
+    _, *subpackage, _ = name.split(".")
+    spec = PathFinder.find_spec(name, [os.path.join(p, *subpackage) for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"no module {name} in {list(scipy.__path__)}", name=name)
+    absent = name not in sys.modules
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if absent:
+        # a Cython module enters itself in sys.modules; there without its subpackage, it
+        # would keep a later import of the subpackage from binding it as an attribute
+        sys.modules.pop(name, None)
+    return module
+
+
+# The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and
+# batching, and LAPACK's Cholesky solve of a Hermitian system, get_lapack_funcs("posv",
+# dtype=complex). Tests pin both to scipy's own objects, and the private levinson to
+# solve_toeplitz bit for bit.
+_levinson = _scipy_extension("scipy.linalg._solve_toeplitz").levinson
+_posv = _scipy_extension("scipy.linalg._flapack").zposv
 
 
 @dataclass(frozen=True)

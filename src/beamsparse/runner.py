@@ -161,32 +161,43 @@ def write_outputs(
     w: np.ndarray,
     pattern: np.ndarray,
 ) -> None:
-    """Write the four run artifacts into ``cfg.output_dir``."""
+    """Write the four run artifacts into ``cfg.output_dir``.
+
+    Every column is formed and checked before the first file is written, so an input that
+    fails a check leaves the directory as it was.
+    """
     _require_type(report, RunReport, "report")
     _require_type(cfg, ExperimentConfig, "config")
     w = _as_vector(w, cfg.n_elements, "w")
     pattern = _as_powers(pattern, cfg.grid.count, "pattern")
     with np.errstate(over="ignore"):
         power = np.abs(w) ** 2
+        desired_scaled = report.final_alpha * cfg.template.values
     if not np.isfinite(power).all():
         raise ContractError("the powers |w_n|^2 of w overflow")
-    out = _ensure_dir(cfg.output_dir)
-    _write_csv(out / WEIGHTS_FILE, {
-        "n": np.arange(w.size),
-        "re": w.real,
-        "im": w.imag,
-        "mag": np.abs(w),
-        "power_db": _db(power),
-    })
-    _write_csv(out / BEAMPATTERN_FILE, {
-        "theta_deg": cfg.grid.angles_deg,
-        "power": pattern,
-        "power_db": _db(pattern / max(float(pattern.max()), _RATIO_FLOOR)),
-        "desired_scaled": report.final_alpha * cfg.template.values,
-    })
-    _write_csv(out / TRACE_FILE, vars(report.trace))
-
+    if not np.isfinite(desired_scaled).all():
+        raise ContractError("the scaled template final_alpha * d overflows")
+    tables = {
+        WEIGHTS_FILE: {
+            "n": np.arange(w.size),
+            "re": w.real,
+            "im": w.imag,
+            "mag": np.abs(w),
+            "power_db": _db(power),
+        },
+        BEAMPATTERN_FILE: {
+            "theta_deg": cfg.grid.angles_deg,
+            "power": pattern,
+            "power_db": _db(pattern / max(float(pattern.max()), _RATIO_FLOOR)),
+            "desired_scaled": desired_scaled,
+        },
+        TRACE_FILE: vars(report.trace),
+    }
     metrics = {f.name: getattr(report, f.name) for f in fields(RunReport) if f.name != "trace"}
     summary = {"schema_version": SCHEMA_VERSION, **metrics, "iterations": report.iterations,
                "final_alpha": report.final_alpha, "config": config_to_dict(cfg)}
+
+    out = _ensure_dir(cfg.output_dir)
+    for name, columns in tables.items():
+        _write_csv(out / name, columns)
     _write_text(out / SUMMARY_FILE, json.dumps(summary, indent=2, sort_keys=True) + "\n")

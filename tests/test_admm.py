@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -863,6 +865,37 @@ class TestLevinsonVBlock:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert isinstance(excinfo.value.__cause__, NumericalError)
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
+
+
+# a cold start of the command line, then scipy.linalg imported after the package
+COLD_START = """
+import sys
+import beamsparse.cli
+print(sorted(name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules))
+import scipy.linalg
+from beamsparse import admm
+print(admm._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
+      admm._levinson is scipy.linalg._solve_toeplitz.levinson)
+"""
+
+
+class TestScipyKernels:
+    def test_cold_start_imports_no_scipy_linalg_and_shares_its_kernels(self):
+        # scipy.linalg's __init__ imports numpy.f2py and was most of a cold import
+        src = str(Path(admm_mod.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[]", "True True"]
+
+    def test_kernels_are_scipys_own_objects(self):
+        assert admm_mod._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
+        assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
+
+    def test_missing_module_raises_import_error_naming_it(self):
+        with pytest.raises(ImportError, match="scipy.linalg._no_such_kernel") as excinfo:
+            admm_mod._scipy_extension("scipy.linalg._no_such_kernel")
+        assert excinfo.value.name == "scipy.linalg._no_such_kernel"
 
 
 def assert_solve_is_the_public_blocks(steering, d, params, init=None):

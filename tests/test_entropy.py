@@ -46,6 +46,12 @@ class TestEntropyValue:
         assert math.copysign(1.0, entropy(w)) == 1.0
         assert math.copysign(1.0, majorizer_value(w, w)) == 1.0
 
+    def test_one_hot_power_just_above_one_rounds_below_zero(self):
+        # p log p > 0 for a power of 1 + 4.4e-16, which a converged lam = 0 solve reaches; the
+        # range holds to rounding, since a clamp at 0 would change such runs' trace.csv bytes
+        value = entropy(np.array([np.sqrt(1 + 4.4e-16) + 0j, 0]))
+        assert -1e-15 <= value < 0
+
     def test_half_half(self):
         w = np.array([np.sqrt(0.5), np.sqrt(0.5) * 1j, 0.0, 0.0])
         assert entropy(w) == pytest.approx(0.6931471805599453, abs=1e-12)

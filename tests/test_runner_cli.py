@@ -1,6 +1,7 @@
 import json
 import os
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -227,6 +228,30 @@ class TestRunExperiment:
         with pytest.raises(ContractError, match=column):
             real(written["report"], cfg, **args)
         assert not (tmp_path / "rejected").exists()
+
+    def test_overflowing_scaled_template_is_rejected_before_writing(
+        self, fast_config_path, tmp_path, monkeypatch
+    ):
+        # final_alpha * d overflows at a last alpha of 1e307 and a mainlobe level of 100; it is
+        # formed after the weights, so it must be checked before weights.csv is written
+        written = {}
+        real = runner_mod.write_outputs
+        monkeypatch.setattr(runner_mod, "write_outputs",
+                            lambda report, cfg, w, pattern: written.update(
+                                report=report, cfg=cfg, w=w, pattern=pattern))
+        run_experiment(load_config(fast_config_path))
+        trace = written["report"].trace
+        alpha = trace.alpha.copy()
+        alpha[-1] = 1e307
+        report = replace(written["report"], trace=replace(trace, alpha=alpha))
+        out = tmp_path / "rejected"
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="final_alpha"):
+                real(report, written["cfg"].with_overrides(output_dir=str(out)),
+                     written["w"], written["pattern"])
+        assert list(out.iterdir()) == []
 
 
 class TestCli:
