@@ -27,14 +27,22 @@ linear array as a phase ramp a_k[n] = z_k^n. The v block adds
 rho/2 to lam G's diagonal, which keeps it Toeplitz, and solves it by one
 Levinson recursion on the diagonals in O(N^2) without forming the matrix.
 The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
-along the diagonal, so its matrix is not Toeplitz: it is copied from its
-diagonals in Fortran order and solved in place by Cholesky, in one LAPACK
-posv call (it is positive definite only for rho > 2, because the majorizer
-diagonal is bounded below by -1 on the sphere). Both kernels are scipy's
-compiled ones, the Levinson recursion behind ``scipy.linalg.solve_toeplitz``
-and LAPACK's zposv, loaded from their two extension modules without importing
-``scipy.linalg``, whose import pulls in numpy.f2py and numpy.testing and would
-be most of a cold ``import beamsparse``.
+along the diagonal, so its matrix is not Toeplitz (it is positive definite
+only for rho > 2, because the majorizer diagonal is bounded below by -1 on the
+sphere). Each solve allocates one workspace for both systems (``_Workspace``):
+the v block's diagonals, a buffer for lam G(v), a Fortran-ordered N x N
+matrix, a fixed strided view that reads the buffer as that matrix's transpose,
+a view of the matrix's diagonal, and lam and rho/2. Each sweep the w block
+writes lam G(v) into the buffer, copies it through the view into the matrix,
+adds the shift diag + rho/2 (formed once per w, with its majorizer diagonal)
+through the diagonal view, and factors and solves the matrix in place by
+Cholesky, in one LAPACK posv call; lam * alpha is formed once per sweep for
+both blocks. The public blocks build a workspace per call.
+
+Both kernels are scipy's compiled ones, the Levinson recursion behind
+``scipy.linalg.solve_toeplitz`` and LAPACK's zposv, loaded from their two
+extension modules without importing ``scipy.linalg``, whose import pulls in
+numpy.f2py and numpy.testing and would be most of a cold ``import beamsparse``.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -72,7 +80,7 @@ numpy's overflow warnings off and check the result, so finite inputs that overfl
 a typed error; the sweep, whose iterates are bounded, pays for no such check.
 
 A single solve is a sequential state machine; concurrent solves share no
-mutable state.
+mutable state, since no workspace outlives the call that allocated it.
 """
 
 from __future__ import annotations
@@ -266,13 +274,18 @@ def _residual_energy(square_sum, cross, alpha, dd: float):
     return np.maximum(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
-def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
-    """The Hermitian Toeplitz matrix with these diagonals, in Fortran order, which LAPACK
-    factors in place; entry n - 1 + i - j of diagonals is entry (i, j). Row i of its
-    transpose is diagonals[n-1-i : 2n-1-i], a view with strides (-itemsize, itemsize)."""
+def _toeplitz_rows(diagonals: np.ndarray) -> np.ndarray:
+    """The transpose of the Hermitian Toeplitz matrix with these diagonals, as a view of them:
+    row i is diagonals[n-1-i : 2n-1-i], with strides (-itemsize, itemsize)."""
     n = (diagonals.size + 1) // 2
     step = diagonals.itemsize
-    return np.ndarray((n, n), diagonals.dtype, diagonals, (n - 1) * step, (-step, step)).copy().T
+    return np.ndarray((n, n), diagonals.dtype, diagonals, (n - 1) * step, (-step, step))
+
+
+def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz matrix with these diagonals, in Fortran order, which LAPACK
+    factors in place; entry n - 1 + i - j of diagonals is entry (i, j)."""
+    return _toeplitz_rows(diagonals).copy().T
 
 
 def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
@@ -330,18 +343,45 @@ def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _v_block(
-    mw: _Moments, w: np.ndarray, u: np.ndarray, alpha: float, params: SolverParams
-) -> np.ndarray:
-    """update_v without its checks, from the moments of w.
+class _Workspace:
+    """The two block systems' buffers and constants, allocated once per ``solve`` (and once
+    per public block call) and overwritten by every sweep; no workspace outlives its call.
 
-    Solves (G + (rho/2) I) v = lam * alpha * T_d w + (rho/2)(w + u) by one
-    Levinson recursion on the Toeplitz diagonals of the matrix.
+    v_diagonals holds the v block's Toeplitz diagonals. w_diagonals holds lam G(v), which
+    ``rows`` reads as the transpose of its Toeplitz matrix; ``matrix`` is the w block's
+    Fortran-ordered matrix, the transpose of the C-ordered ``matrix_t`` the rows are copied
+    into, and ``diagonal`` a view of its diagonal.
     """
-    half_rho = params.rho / 2.0
-    diagonals = params.lam * mw.gram
-    diagonals[w.size - 1] += half_rho
-    rhs = params.lam * alpha * mw.td_x + half_rho * (w + u)
+
+    __slots__ = ("lam", "half_rho", "v_diagonals", "w_diagonals", "rows", "matrix_t", "matrix",
+                 "diagonal")
+
+    def __init__(self, n: int, params: SolverParams):
+        self.lam = params.lam
+        self.half_rho = params.rho / 2.0
+        self.v_diagonals = np.empty(2 * n - 1, complex)
+        self.w_diagonals = np.empty(2 * n - 1, complex)
+        self.rows = _toeplitz_rows(self.w_diagonals)
+        self.matrix_t = np.empty((n, n), complex)
+        self.matrix = self.matrix_t.T
+        self.diagonal = self.matrix_t.reshape(-1)[:: n + 1]
+
+    def shift(self, diag: np.ndarray) -> np.ndarray:
+        """What the w block adds to lam G's diagonal: the majorizer diagonal plus rho/2."""
+        return diag + self.half_rho
+
+
+def _v_block(
+    ws: _Workspace, mw: _Moments, w: np.ndarray, u: np.ndarray, lam_alpha: float
+) -> np.ndarray:
+    """update_v without its checks, from the moments of w and lam_alpha = lam * alpha.
+
+    Solves (lam G + (rho/2) I) v = lam * alpha * T_d w + (rho/2)(w + u) by one
+    Levinson recursion on the Toeplitz diagonals of the matrix, formed in ws.
+    """
+    diagonals = np.multiply(ws.lam, mw.gram, out=ws.v_diagonals)
+    diagonals[w.size - 1] += ws.half_rho
+    rhs = lam_alpha * mw.td_x + ws.half_rho * (w + u)
     # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
     # and the inputs are checked finite where they enter, so the system is Hermitian
     # positive definite by construction. Levinson's reflection coefficients could not
@@ -354,25 +394,28 @@ def _v_block(
 
 
 def _w_system(
+    ws: _Workspace,
     mv: _Moments,
     v: np.ndarray,
     u: np.ndarray,
-    alpha: float,
-    diag: np.ndarray,
-    params: SolverParams,
+    lam_alpha: float,
+    shift: np.ndarray,
 ) -> np.ndarray:
-    """solve_weight_system without its checks, from the moments of v.
+    """solve_weight_system without its checks, from the moments of v, lam_alpha = lam * alpha
+    and shift = ``ws.shift(diag)``.
 
-    Solves (G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
-    The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian
-    positive definite system is copied from its diagonals and solved in place
-    by Cholesky, in one LAPACK posv call.
+    Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
+    The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian positive
+    definite system is formed in ws: lam G's diagonals are written to its buffer and
+    copied through its fixed strided view into its Fortran-ordered matrix, the shift is
+    added through its diagonal view, and one LAPACK posv call factors the matrix in place
+    by Cholesky and solves.
     """
-    half_rho = params.rho / 2.0
-    matrix = _toeplitz_gram(params.lam * mv.gram)
-    matrix.flat[:: v.size + 1] += diag + half_rho
-    rhs = params.lam * alpha * mv.td_x + half_rho * (v - u)
-    _, solution, info = _posv(matrix, rhs, overwrite_a=True, overwrite_b=True)
+    np.multiply(ws.lam, mv.gram, out=ws.w_diagonals)
+    ws.matrix_t[...] = ws.rows
+    ws.diagonal += shift
+    rhs = lam_alpha * mv.td_x + ws.half_rho * (v - u)
+    _, solution, info = _posv(ws.matrix, rhs, overwrite_a=True, overwrite_b=True)
     if info != 0:
         raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
     return solution
@@ -409,7 +452,8 @@ def update_v(
     u = _as_vector(u, n, "u")
     with np.errstate(over="ignore", invalid="ignore"):
         mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
-        return _v_block(mw, w, u, alpha, params)
+        ws = _Workspace(n, params)
+        return _v_block(ws, mw, w, u, ws.lam * alpha)
 
 
 def solve_weight_system(
@@ -430,7 +474,8 @@ def solve_weight_system(
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
         mv = _moments(steering.moments, _template_toeplitz(steering, d), v)
-        return _require_finite_solution(_w_system(mv, v, u, alpha, diag, params))
+        ws = _Workspace(n, params)
+        return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, ws.shift(diag)))
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -517,7 +562,9 @@ def solve(
     u = _as_vector(state.u, n, "initial u")
     alpha = state.alpha
     _require_finite(alpha, "initial alpha")
+    ws = _Workspace(n, params)
     sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
+    shift = ws.shift(diag)
 
     # The steering matrix is read here only, for T_d; each iterate's moments and penalty serve
     # both blocks and the rows, as the module docstring lists.
@@ -538,15 +585,17 @@ def solve(
     for it in range(1, params.max_iters + 1):
         try:
             alpha = cross / dd
-            v = _v_block(mw, w, u, alpha, params)
+            lam_alpha = ws.lam * alpha
+            v = _v_block(ws, mw, w, u, lam_alpha)
             mv = _moments(q, td, v)
-            swept = _project_unit_sphere(_w_system(mv, v, u, alpha, diag, params))
+            swept = _project_unit_sphere(_w_system(ws, mv, v, u, lam_alpha, shift))
             wv = swept - v
             u = u + wv
             w_change = math.sqrt(_sq_norm(swept - w))
             w = swept
             mw = _moments(q, td, w)
             sparsity, diag = _penalty(_unit_powers(w))
+            shift = ws.shift(diag)
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:

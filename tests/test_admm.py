@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -960,6 +961,24 @@ def test_solve_is_the_public_blocks_from_exact_zero_weights():
     assert_solve_is_the_public_blocks(steering, d, params, init)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_is_the_public_blocks_at_the_smallest_arrays(n):
+    # the workspace's strided views over 3 and 5 lags; a tiny eta runs the whole budget
+    rng = np.random.default_rng(57 + n)
+    steering, d = random_instance(rng, n=n, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=30, seed=n)
+    assert_solve_is_the_public_blocks(steering, d, params)
+
+
+def test_solve_is_the_public_blocks_on_the_large_array():
+    # N = 256, where OpenBLAS factors the w block's matrix by its blocked Cholesky
+    cfg = load_config(CONFIGS.parent / "benchmarks" / "large_array.json")
+    cfg = cfg.with_overrides(seed=0, max_iters=5)
+    steering = build_steering_set(cfg.geometry, cfg.grid)
+    assert steering.n_elements == 256
+    assert_solve_is_the_public_blocks(steering, cfg.template, cfg.params)
+
+
 def config_problem(name, **overrides):
     cfg = load_config(CONFIGS / f"{name}.json").with_overrides(**overrides)
     return build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
@@ -1064,23 +1083,29 @@ def test_toeplitz_gram_is_a_fresh_fortran_copy_of_its_diagonals(n):
             assert matrix[i, j] == diagonals[n - 1 + i - j]
 
 
-def test_each_sweep_gathers_one_toeplitz_matrix(monkeypatch):
-    # T_d is gathered once per solve; then the w block gathers and factors its
-    # matrix, and the v block solves from the diagonals
+def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
+    # T_d is the one Toeplitz matrix a solve gathers; each sweep's w block writes its
+    # matrix into the solve's workspace and factors it in one posv call, and the v block
+    # solves from the diagonals
     rng = np.random.default_rng(53)
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
-    calls = {"count": 0}
-    real_toeplitz_gram = admm_mod._toeplitz_gram
+    calls = {"_toeplitz_gram": 0, "_posv": 0}
 
-    def counted(*args):
-        calls["count"] += 1
-        return real_toeplitz_gram(*args)
+    def counted(name):
+        real = getattr(admm_mod, name)
 
-    monkeypatch.setattr(admm_mod, "_toeplitz_gram", counted)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(admm_mod, name, counted(name))
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
-    assert calls["count"] == 1 + 12
+    assert calls == {"_toeplitz_gram": 1, "_posv": 12}
 
 
 def test_each_weight_vector_takes_one_penalty(monkeypatch):
@@ -1100,6 +1125,82 @@ def test_each_weight_vector_takes_one_penalty(monkeypatch):
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls["count"] == 1 + 12
+
+
+def assert_same_solve(got, want):
+    (w_got, alpha_got, trace_got), (w_want, alpha_want, trace_want) = got, want
+    assert np.array_equal(w_got, w_want)
+    assert alpha_got == alpha_want
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(trace_got, name), getattr(trace_want, name))
+
+
+class TestNoWorkspaceOutlivesItsCall:
+    """Each solve and each public block call allocates its own workspace, so concurrent solves
+    share no mutable state, and a block's result is not a view of a reused buffer."""
+
+    def problem(self, seed):
+        # a tiny eta runs the whole budget, so two solves make the same kernel calls
+        rng = np.random.default_rng(58)
+        steering, d = random_instance(rng, n=6, k=9)
+        return steering, d, SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=40, seed=seed)
+
+    def test_solve_inside_an_observer_equals_a_lone_solve(self):
+        # the inner solve has the outer's size but its own lam and rho
+        outer = self.problem(6)
+        steering, d, params = outer
+        inner = (steering, d, replace(params, lam=0.7, rho=9.0, seed=7))
+        lone_outer, lone_inner = solve(*outer), solve(*inner)
+        nested = []
+        assert_same_solve(solve(*outer, observer=lambda _: nested.append(solve(*inner))),
+                          lone_outer)
+        assert len(nested) == 40
+        for result in nested:
+            assert_same_solve(result, lone_inner)
+
+    def test_solves_on_two_threads_equal_lone_solves(self, monkeypatch):
+        problems = [self.problem(seed) for seed in (6, 7)]
+        lone = [solve(*problem) for problem in problems]
+        # each block's kernel call waits for the other thread's, so both threads have formed
+        # that block's system before either solves it: a shared buffer would hold only one
+        both = threading.Barrier(2, timeout=60)
+
+        def in_step(kernel):
+            def call(*args, **kwargs):
+                both.wait()
+                return kernel(*args, **kwargs)
+
+            return call
+
+        for name in ("_levinson", "_posv"):
+            monkeypatch.setattr(admm_mod, name, in_step(getattr(admm_mod, name)))
+        results = [None, None]
+
+        def run(i):
+            try:
+                results[i] = solve(*problems[i])
+            except BaseException:  # release the other thread from its wait
+                both.abort()
+                raise
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for got, want in zip(results, lone):
+            assert_same_solve(got, want)
+
+    def test_block_solutions_share_no_memory(self):
+        rng = np.random.default_rng(59)
+        steering, d, params = self.problem(0)
+        v, u, diag = unit(rng, 6), 0.1 * random_complex(rng, 6), majorizer_diag(unit(rng, 6))
+        for block in (lambda: solve_weight_system(steering, v, u, 0.8, d, diag, params),
+                      lambda: update_v(steering, v, u, 0.8, d, params)):
+            first, second = block(), block()
+            assert np.array_equal(first, second)
+            assert not np.shares_memory(first, second)
 
 
 # old id -> the registry's case id
