@@ -39,10 +39,11 @@ through the diagonal view, and factors and solves the matrix in place by
 Cholesky, in one LAPACK posv call; lam * alpha is formed once per sweep for
 both blocks. The public blocks build a workspace per call.
 
-Both kernels are scipy's compiled ones, the Levinson recursion behind
-``scipy.linalg.solve_toeplitz`` and LAPACK's zposv, loaded from their two
-extension modules without importing ``scipy.linalg``, whose import pulls in
-numpy.f2py and numpy.testing and would be most of a cold ``import beamsparse``.
+The kernels are scipy's compiled ones, the Levinson recursion behind
+``scipy.linalg.solve_toeplitz``, LAPACK's zposv and BLAS's zgemv, which takes
+every matrix-vector product, loaded from their three extension modules
+without importing ``scipy.linalg`` (``kernels``). The solver calls them
+through this module's globals, where tests can substitute them.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -59,10 +60,11 @@ once, on entry, and then computes each intermediate once per iterate, on
 private kernels that take it as an argument. Unit power of w is the
 entropy's rule, so ``solve`` rejects a non-unit initial w at entry, where it
 takes that w's entropy before forming any moment, then a start state whose row 0
-breaks the ``Trace`` rule, and checks each projected w once, where it takes its
-entropy. The moments of w_k feed the v block and row k of the trace; those
-of v_{k+1} feed the w block and row k + 1, and Re(w^H T_d v) of a row is
-the next sweep's alpha numerator. Each w's powers pass once through the
+breaks the ``Trace`` rule. Each later w is a projection onto the sphere, whose
+total power is within the entropy's tolerance by construction (a property the
+tests check), so the sweep takes its powers unchecked. The moments of w_k feed
+the v block and row k of the trace; those of v_{k+1} feed the w block and
+row k + 1, and Re(w^H T_d v) of a row is the next sweep's alpha numerator. Each w's powers pass once through the
 entropy's penalty kernel, whose one clamped log gives both the entropy of its
 trace row and the majorizer diagonal of the next w block, and one w - v serves
 the dual step, the primal residual and the Lagrangian. A row appends nine raw
@@ -86,14 +88,9 @@ mutable state, since no workspace outlives the call that allocated it.
 from __future__ import annotations
 
 import math
-import os
-import sys
 from array import array
 from dataclasses import dataclass
 from collections.abc import Callable
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
-from types import ModuleType
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -110,42 +107,11 @@ from .arrays import (
     _sq_norm,
     _with_negative_lags,
 )
-from .entropy import _penalty, _unit_powers, _weight_powers
+from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
+from .kernels import _gemv, _levinson, _posv
 from .metrics import _db
 from .templates import DesiredPattern
-
-
-def _scipy_extension(name: str) -> ModuleType:
-    """The compiled module ``name`` of scipy, loaded from its file in scipy's directory
-    without running the ``__init__`` of the subpackage that holds it.
-
-    Importing top-level scipy runs its distributor init, which sets up the load path of
-    scipy's bundled BLAS on some platforms. An extension module is initialized once per
-    process, so a later ``import scipy.linalg`` hands back the same functions.
-    """
-    import scipy
-
-    _, *subpackage, _ = name.split(".")
-    spec = PathFinder.find_spec(name, [os.path.join(p, *subpackage) for p in scipy.__path__])
-    if spec is None:
-        raise ImportError(f"no module {name} in {list(scipy.__path__)}", name=name)
-    absent = name not in sys.modules
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if absent:
-        # a Cython module enters itself in sys.modules; there without its subpackage, it
-        # would keep a later import of the subpackage from binding it as an attribute
-        sys.modules.pop(name, None)
-    return module
-
-
-# The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and
-# batching, and LAPACK's Cholesky solve of a Hermitian system, get_lapack_funcs("posv",
-# dtype=complex). Tests pin both to scipy's own objects, and the private levinson to
-# solve_toeplitz bit for bit.
-_levinson = _scipy_extension("scipy.linalg._solve_toeplitz").levinson
-_posv = _scipy_extension("scipy.linalg._flapack").zposv
 
 
 @dataclass(frozen=True)
@@ -291,7 +257,9 @@ def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
 def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
     """T_d = sum_k d_k a_k a_k^H: entry (m, n) is sum_k d_k z_k^(m-n), a Hermitian
     Toeplitz matrix whose first column is A^T d."""
-    return _toeplitz_gram(_with_negative_lags(steering.vectors.T @ d.values, steering.n_elements))
+    return _toeplitz_gram(
+        _with_negative_lags(_gemv(1.0, steering.vectors.T, d.values), steering.n_elements)
+    )
 
 
 class _Moments(NamedTuple):
@@ -317,7 +285,7 @@ def _gram_diagonals(q: np.ndarray, auto: np.ndarray) -> np.ndarray:
 def _moments(q: np.ndarray, td: np.ndarray, x: np.ndarray) -> _Moments:
     """The moments of x, from the grid moments q and T_d: O(N^2), independent of K."""
     auto = np.correlate(x, x, "full")
-    return _Moments(auto, _gram_diagonals(q, auto), td @ x)
+    return _Moments(auto, _gram_diagonals(q, auto), _gemv(1.0, td, x))
 
 
 def _pattern_dot(mx: _Moments, my: _Moments) -> float:
@@ -415,7 +383,7 @@ def _w_system(
     ws.matrix_t[...] = ws.rows
     ws.diagonal += shift
     rhs = lam_alpha * mv.td_x + ws.half_rho * (v - u)
-    _, solution, info = _posv(ws.matrix, rhs, overwrite_a=True, overwrite_b=True)
+    _, solution, info = _posv(ws.matrix, rhs, 0, 1, 1)  # lower, overwrite_a, overwrite_b
     if info != 0:
         raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
     return solution
@@ -430,7 +398,7 @@ def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
     v = _as_vector(v, n, "v")
     dd = _template_energy(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = _real_dot(w, _template_toeplitz(steering, d) @ v) / dd
+        alpha = _real_dot(w, _gemv(1.0, _template_toeplitz(steering, d), v)) / dd
     if not math.isfinite(alpha):
         raise ContractError("the template scale Re(w^H T_d v) / d^T d overflows")
     return alpha
@@ -594,7 +562,7 @@ def solve(
             w_change = math.sqrt(_sq_norm(swept - w))
             w = swept
             mw = _moments(q, td, w)
-            sparsity, diag = _penalty(_unit_powers(w))
+            sparsity, diag = _penalty(np.abs(w) ** 2)
             shift = ws.shift(diag)
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)

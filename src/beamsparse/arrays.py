@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
+from .kernels import _gemv
 
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
@@ -218,7 +219,8 @@ class SteeringSet:
         sin_theta = np.sin(np.radians(self.grid.angles_deg))
         phases = 2.0 * np.pi * self.geometry.spacing_ratio * np.outer(sin_theta, np.arange(n))
         a = np.exp(1j * phases)
-        col = np.concatenate((a.sum(axis=0), a[:, 1:].T @ a[:, n - 1]))  # q_0 ... q_(2N-2)
+        # q_0 ... q_(2N-2); f2py copies the strided a[:, 1:].T to Fortran order
+        col = np.concatenate((a.sum(axis=0), _gemv(1.0, a[:, 1:].T, a[:, n - 1])))
         object.__setattr__(self, "vectors", _readonly(a))
         object.__setattr__(self, "moments", _readonly(_with_negative_lags(col, n)))
 
@@ -246,7 +248,7 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
     _require_type(steering, SteeringSet, "steering")
     w = _as_vector(w, steering.n_elements, "w")
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN inside the product
-        pattern = np.abs(steering.vectors @ np.conj(w)) ** 2
+        pattern = np.abs(_gemv(1.0, steering.vectors.T, np.conj(w), trans=1)) ** 2
     if not np.isfinite(pattern).all():
         raise ContractError("the pattern |a_k^H w|^2 of w overflows")
     return pattern

@@ -3,7 +3,7 @@
     beamsparse run --config experiment.json [--output-dir DIR] [--seed S] [--quiet]
 
 Exit codes: 0 when the solver converged, 2 when it hit the iteration budget
-without converging, 1 on any error.
+without converging, 1 on any error, a usage error among them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,17 @@ from .errors import BeamsparseError
 from .runner import run_experiment
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1, since 2 means the iteration budget ran out.
+    Its subcommands' parsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamsparse",
         description="Joint beampattern matching and sparse antenna selection",
     )

@@ -44,21 +44,16 @@ POWER_FLOOR = 1e-12
 UNIT_NORM_TOL = 1e-12
 
 
-def _unit_powers(w: np.ndarray) -> np.ndarray:
-    """Powers |w_n|^2, rejecting a total farther than ``UNIT_NORM_TOL`` from 1 (NaN fails)."""
-    p = np.abs(w) ** 2
-    power = float(p.sum())
+def _weight_powers(w, n: int | None, name: str) -> np.ndarray:
+    """Powers |w_n|^2 of public weights, after the vector rule, rejecting a total farther than
+    ``UNIT_NORM_TOL`` from 1 (NaN fails); powers that overflow total inf with no warning."""
+    w = _as_vector(w, n, name)
+    with np.errstate(over="ignore"):
+        p = np.abs(w) ** 2
+        power = float(p.sum())
     if not abs(power - 1.0) <= UNIT_NORM_TOL:
         raise ContractError(f"weights must have unit total power, got {power!r}")
     return p
-
-
-def _weight_powers(w, n: int | None, name: str) -> np.ndarray:
-    """_unit_powers of public weights, after the vector rule; powers that overflow total inf
-    with no warning. Projected weights, of entries at most 1 in modulus, need no guard."""
-    w = _as_vector(w, n, name)
-    with np.errstate(over="ignore"):
-        return _unit_powers(w)
 
 
 def _penalty(p: np.ndarray) -> tuple[float, np.ndarray]:

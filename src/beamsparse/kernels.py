@@ -1,0 +1,54 @@
+"""scipy's compiled kernels that the package calls, loaded without importing ``scipy.linalg``.
+
+``scipy.linalg``'s ``__init__`` imports numpy.f2py and numpy.testing and would be most of a
+cold ``import beamsparse``, so each kernel's extension module is loaded from its file. Every
+matrix-vector product of the package goes through scipy's ``zgemv``, beside its ``zposv``
+and ``levinson``, so that a run calls one bundled BLAS: numpy's makes no level-2 or level-3
+call, and when BLAS threads are not pinned only scipy's thread pool runs.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from types import ModuleType
+
+
+def _scipy_extension(name: str) -> ModuleType:
+    """The compiled module ``name`` of scipy, loaded from its file in scipy's directory
+    without running the ``__init__`` of the subpackage that holds it.
+
+    Importing top-level scipy runs its distributor init, which sets up the load path of
+    scipy's bundled BLAS on some platforms. An extension module is initialized once per
+    process, so a later ``import scipy.linalg`` hands back the same functions.
+    """
+    import scipy
+
+    _, *subpackage, _ = name.split(".")
+    spec = PathFinder.find_spec(name, [os.path.join(p, *subpackage) for p in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"no module {name} in {list(scipy.__path__)}", name=name)
+    absent = name not in sys.modules
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if absent:
+        # a Cython module enters itself in sys.modules; there without its subpackage, it
+        # would keep a later import of the subpackage from binding it as an attribute
+        sys.modules.pop(name, None)
+    return module
+
+
+# The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and
+# batching; LAPACK's Cholesky solve of a Hermitian system, get_lapack_funcs("posv",
+# dtype=complex), called as _posv(a, b, lower, overwrite_a, overwrite_b); and BLAS's
+# complex matrix-vector product, get_blas_funcs("gemv", dtype=complex), called as
+# _gemv(1.0, a, x) for a x with a Fortran-ordered a, and as _gemv(1.0, a.T, x, trans=1) for
+# a C-ordered a. f2py copies any other layout to Fortran order, which leaves the product's
+# bits as they are. Tests pin all three to scipy's own objects, the private levinson to
+# solve_toeplitz bit for bit, and _gemv to numpy's matmul bit for bit at each call site
+# (but for the grid moments at N = 2, a one-row product that numpy takes as a dot).
+_levinson = _scipy_extension("scipy.linalg._solve_toeplitz").levinson
+_posv = _scipy_extension("scipy.linalg._flapack").zposv
+_gemv = _scipy_extension("scipy.linalg._fblas").zgemv

@@ -13,6 +13,8 @@ import pytest
 import scipy.linalg
 
 import beamsparse.admm as admm_mod
+import beamsparse.arrays as arrays_mod
+import beamsparse.kernels as kernels_mod
 from beamsparse import (
     AdmmState,
     AngleGrid,
@@ -872,11 +874,13 @@ class TestLevinsonVBlock:
 COLD_START = """
 import sys
 import beamsparse.cli
-print(sorted(name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules))
+from beamsparse import kernels
+product = kernels._gemv(1.0, [[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]).tolist()
+print(sorted(name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules), product)
 import scipy.linalg
-from beamsparse import admm
-print(admm._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
-      admm._levinson is scipy.linalg._solve_toeplitz.levinson)
+print(kernels._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
+      kernels._levinson is scipy.linalg._solve_toeplitz.levinson,
+      kernels._gemv is scipy.linalg.get_blas_funcs("gemv", dtype=complex))
 """
 
 
@@ -887,16 +891,41 @@ class TestScipyKernels:
         run = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == ["[]", "True True"]
+        assert run.stdout.splitlines() == ["[] [(3+0j), (7+0j)]", "True True True"]
 
     def test_kernels_are_scipys_own_objects(self):
         assert admm_mod._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
         assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
+        assert admm_mod._gemv is scipy.linalg.get_blas_funcs("gemv", dtype=complex)
+        assert arrays_mod._gemv is admm_mod._gemv
 
     def test_missing_module_raises_import_error_naming_it(self):
         with pytest.raises(ImportError, match="scipy.linalg._no_such_kernel") as excinfo:
-            admm_mod._scipy_extension("scipy.linalg._no_such_kernel")
+            kernels_mod._scipy_extension("scipy.linalg._no_such_kernel")
         assert excinfo.value.name == "scipy.linalg._no_such_kernel"
+
+    @pytest.mark.parametrize("n, k", [(2, 181), (3, 181), (30, 181), (256, 721)])
+    def test_gemv_is_numpys_matmul_bit_for_bit_at_each_call_site(self, n, k):
+        # each product the package takes through zgemv, against numpy's @ on the same arrays
+        rng = np.random.default_rng(60)
+        steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, k)))
+        values = rng.uniform(0.0, 3.0, k)
+        d = DesiredPattern(values, values > 1.0)
+        a = steering.vectors
+        x, w, v = (random_complex(rng, n) for _ in range(3))
+        td = admm_mod._template_toeplitz(steering, d)
+        assert td.flags.f_contiguous
+        assert np.array_equal(td[:, 0], a.T @ d.values)
+        assert np.array_equal(admm_mod._moments(steering.moments, td, x).td_x, td @ x)
+        assert update_alpha(steering, w, v, d) == np.vdot(w, td @ v).real / d.energy
+        with np.errstate(over="ignore"):
+            assert np.array_equal(beampattern(steering, w), np.abs(a @ np.conj(w)) ** 2)
+        moments = steering.moments[2 * n - 1 :]  # q_N ... q_(2N-2)
+        if n > 2:
+            assert np.array_equal(moments, a[:, 1:].T @ a[:, n - 1])
+        else:
+            # numpy's @ takes the one-row product as a dot, whose sum rounds differently
+            np.testing.assert_allclose(moments, a[:, 1:].T @ a[:, n - 1], rtol=0, atol=k * 1e-15)
 
 
 def assert_solve_is_the_public_blocks(steering, d, params, init=None):
@@ -1086,11 +1115,13 @@ def test_toeplitz_gram_is_a_fresh_fortran_copy_of_its_diagonals(n):
 def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     # T_d is the one Toeplitz matrix a solve gathers; each sweep's w block writes its
     # matrix into the solve's workspace and factors it in one posv call, and the v block
-    # solves from the diagonals
+    # solves from the diagonals. The matrix-vector products are T_d x for the moments of
+    # v and of w in each sweep, and in the set-up T_d's first column and T_d x for the
+    # start state's w and v
     rng = np.random.default_rng(53)
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
-    calls = {"_toeplitz_gram": 0, "_posv": 0}
+    calls = {"_toeplitz_gram": 0, "_posv": 0, "_gemv": 0}
 
     def counted(name):
         real = getattr(admm_mod, name)
@@ -1105,7 +1136,7 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
         monkeypatch.setattr(admm_mod, name, counted(name))
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
-    assert calls == {"_toeplitz_gram": 1, "_posv": 12}
+    assert calls == {"_toeplitz_gram": 1, "_posv": 12, "_gemv": 3 + 2 * 12}
 
 
 def test_each_weight_vector_takes_one_penalty(monkeypatch):

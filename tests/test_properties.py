@@ -39,6 +39,8 @@ from beamsparse import (
     project_unit_sphere,
     solve,
 )
+from beamsparse.arrays import _project_unit_sphere
+from beamsparse.entropy import UNIT_NORM_TOL
 from test_boundary import HELD, REGISTRY, STATE, call_with, valid_args
 
 finite = {"allow_nan": False, "allow_infinity": False}
@@ -122,6 +124,23 @@ def test_weights_with_zero_elements_give_a_finite_trace():
             [trace.objective[k], trace.lagrangian[k], trace.primal_residual[k], trace.alpha[k],
              trace.matching_error_db[k], trace.w_change[k]]
         ).all()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 512), st.floats(-150.0, 150.0, **finite), st.floats(0.0, 100.0, **finite),
+       st.floats(0.0, 0.9, **finite), st.integers(0, 2**32 - 1))
+def test_projection_has_unit_power_within_the_entropys_tolerance(n, log_norm, spread, zeros,
+                                                                 seed):
+    # solve checks the unit power of its initial w only; every later w is a projection,
+    # whose powers the sweep takes as they are. Entries span up to 10^spread in modulus,
+    # some are exactly zero, and the whole vector has a norm of 10^log_norm
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(0, spread, n)
+    x[rng.random(n) < zeros] = 0.0
+    x[rng.integers(n)] = 1.0
+    x *= 10.0**log_norm / np.linalg.norm(x)
+    w = _project_unit_sphere(x)
+    assert abs(float((np.abs(w) ** 2).sum()) - 1.0) <= UNIT_NORM_TOL
 
 
 REFERENCE = json.loads(

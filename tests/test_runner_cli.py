@@ -316,6 +316,29 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", "c.json", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["run"], "the following arguments are required: --config"),
+        ([], "the following arguments are required: command"),
+    ], ids=["non-integer-seed", "missing-config", "no-subcommand"])
+    def test_usage_error_exits_one(self, argv, message, capsys):
+        # 2 is the exit code of a run stopped at the iteration budget, not argparse's
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: " + message in captured.err
+        assert captured.err.startswith("usage: beamsparse")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]], ids=["top", "run"])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: beamsparse")
+
 
 def test_seed_changes_solution(fast_config_path, tmp_path):
     cfg = load_config(fast_config_path)
