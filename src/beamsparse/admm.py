@@ -40,16 +40,21 @@ Cholesky, in one LAPACK posv call; lam * alpha is formed once per sweep for
 both blocks. The public blocks build a workspace per call.
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
-``scipy.linalg.solve_toeplitz``, LAPACK's zposv and BLAS's zgemv, which takes
-every matrix-vector product, loaded from their three extension modules
-without importing ``scipy.linalg`` (``kernels``). The solver calls them
-through this module's globals, where tests can substitute them.
+``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines: zgemv
+takes every matrix-vector product, zdotc every inner product and squared
+norm, and zdscal and zaxpy form both blocks' right-hand sides
+lam * alpha * T_d x + (rho/2) s in the vector s (``_rhs``). They are loaded
+from their three extension modules without importing ``scipy.linalg``
+(``kernels``). The solver calls them through this module's globals, where
+tests can substitute them.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
 IEEE TSP 1997), so the sweep never touches the K x N steering matrix: from
-``SteeringSet.moments`` and T_d = sum_k d_k a_k a_k^H, for which ``solve``
-reads it once, it forms per iterate, in O(N^2), what ``_Moments`` lists.
+``SteeringSet.moment_matrix``, the N x (2N-1) Toeplitz matrix of the grid
+moments, and T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads it once, it
+forms per iterate, in O(N^2), what ``_Moments`` lists: G's diagonals are one
+zgemv of the moment matrix with the iterate's autocorrelation.
 Both blocks' matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d
 (d^T d being ``DesiredPattern.energy``) and every raw trace scalar come
 from these.
@@ -77,7 +82,8 @@ with ``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
 The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``)
 check their inputs and call the same kernels, so composing them, with
 ``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
-w, alpha, primal residual and weight change bit for bit. They run the kernels with
+w, alpha, primal residual and weight change bit for bit, the norms taken by the
+package's norm kernel (``arrays._sq_norm``). They run the kernels with
 numpy's overflow warnings off and check the result, so finite inputs that overflow end in
 a typed error; the sweep, whose iterates are bounded, pays for no such check.
 
@@ -109,7 +115,7 @@ from .arrays import (
 )
 from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .kernels import _gemv, _levinson, _posv
+from .kernels import _axpy, _dotc, _dscal, _gemv, _levinson, _posv
 from .metrics import _db
 from .templates import DesiredPattern
 
@@ -227,8 +233,8 @@ def _template_energy(d: DesiredPattern) -> float:
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re a^H b."""
-    return float(np.vdot(a, b).real)
+    """Re a^H b, by BLAS's zdotc."""
+    return _dotc(a, b).real
 
 
 def _residual_energy(square_sum, cross, alpha, dd: float):
@@ -263,7 +269,7 @@ def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
 
 
 class _Moments(NamedTuple):
-    """What a sweep needs of an iterate x, from the grid moments q and T_d.
+    """What a sweep needs of an iterate x, from the moment matrix and T_d.
 
     With the autocorrelation rho_l = sum_n x_n conj(x_(n+l)), the pattern is
     |a_k^H x|^2 = sum_l rho_l z_k^l, so diagonal l of the data-fit Gram matrix,
@@ -277,15 +283,22 @@ class _Moments(NamedTuple):
     td_x: np.ndarray  # T_d x = sum_k d_k (a_k^H x) a_k
 
 
-def _gram_diagonals(q: np.ndarray, auto: np.ndarray) -> np.ndarray:
-    """Gram diagonals at lam = 1 from the grid moments and auto = np.correlate(x, x, "full")."""
-    return _with_negative_lags(np.correlate(q, auto, "valid"), (auto.size + 1) // 2)
+def _gram_diagonals(t: np.ndarray, auto: np.ndarray) -> np.ndarray:
+    """Gram diagonals at lam = 1 from the moment matrix t (``SteeringSet.moment_matrix``) and
+    auto = np.correlate(x, x, "full"): lag l >= 0 is sum_j q_(l-j) auto_j, one zgemv."""
+    return _with_negative_lags(_gemv(1.0, t, auto), t.shape[0])
 
 
-def _moments(q: np.ndarray, td: np.ndarray, x: np.ndarray) -> _Moments:
-    """The moments of x, from the grid moments q and T_d: O(N^2), independent of K."""
+def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray) -> _Moments:
+    """The moments of x, from the moment matrix t and T_d: O(N^2), independent of K."""
     auto = np.correlate(x, x, "full")
-    return _Moments(auto, _gram_diagonals(q, auto), _gemv(1.0, td, x))
+    return _Moments(auto, _gram_diagonals(t, auto), _gemv(1.0, td, x))
+
+
+def _rhs(lam_alpha: float, td_x: np.ndarray, half_rho: float, s: np.ndarray) -> np.ndarray:
+    """A block's right-hand side lam_alpha * td_x + half_rho * s, by BLAS's zdscal and zaxpy,
+    written into s, which the caller forms for it."""
+    return _axpy(td_x, _dscal(half_rho, s, overwrite_x=1), a=lam_alpha)
 
 
 def _pattern_dot(mx: _Moments, my: _Moments) -> float:
@@ -299,7 +312,7 @@ def data_fit_gram(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
     A finite x whose G overflows raises ``ContractError``."""
     _require_type(steering, SteeringSet, "steering")
     x = _as_vector(x, steering.n_elements, "x")
-    diagonals = _gram_diagonals(steering.moments, np.correlate(x, x, "full"))
+    diagonals = _gram_diagonals(steering.moment_matrix, np.correlate(x, x, "full"))
     if not np.isfinite(diagonals).all():
         raise ContractError("the data-fit Gram matrix of x overflows")
     return _toeplitz_gram(diagonals)
@@ -349,7 +362,7 @@ def _v_block(
     """
     diagonals = np.multiply(ws.lam, mw.gram, out=ws.v_diagonals)
     diagonals[w.size - 1] += ws.half_rho
-    rhs = lam_alpha * mw.td_x + ws.half_rho * (w + u)
+    rhs = _rhs(lam_alpha, mw.td_x, ws.half_rho, w + u)
     # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
     # and the inputs are checked finite where they enter, so the system is Hermitian
     # positive definite by construction. Levinson's reflection coefficients could not
@@ -382,7 +395,7 @@ def _w_system(
     np.multiply(ws.lam, mv.gram, out=ws.w_diagonals)
     ws.matrix_t[...] = ws.rows
     ws.diagonal += shift
-    rhs = lam_alpha * mv.td_x + ws.half_rho * (v - u)
+    rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, v - u)
     _, solution, info = _posv(ws.matrix, rhs, 0, 1, 1)  # lower, overwrite_a, overwrite_b
     if info != 0:
         raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
@@ -419,7 +432,7 @@ def update_v(
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = _moments(steering.moments, _template_toeplitz(steering, d), w)
+        mw = _moments(steering.moment_matrix, _template_toeplitz(steering, d), w)
         ws = _Workspace(n, params)
         return _v_block(ws, mw, w, u, ws.lam * alpha)
 
@@ -441,7 +454,7 @@ def solve_weight_system(
     u = _as_vector(u, n, "u")
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
-        mv = _moments(steering.moments, _template_toeplitz(steering, d), v)
+        mv = _moments(steering.moment_matrix, _template_toeplitz(steering, d), v)
         ws = _Workspace(n, params)
         return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, ws.shift(diag)))
 
@@ -536,14 +549,14 @@ def solve(
 
     # The steering matrix is read here only, for T_d; each iterate's moments and penalty serve
     # both blocks and the rows, as the module docstring lists.
-    q = steering.moments
+    t = steering.moment_matrix
     td = _template_toeplitz(steering, d)
     raw = array("d")
     # finite start vectors can overflow where the sweep's bounded iterates cannot: row 0 is
     # formed with overflow silenced and must meet the Trace rule
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = _moments(q, td, w)
-        mv = _moments(q, td, v)
+        mw = _moments(t, td, w)
+        mv = _moments(t, td, v)
         cross = _real_dot(w, mv.td_x)
         _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
     try:
@@ -555,13 +568,13 @@ def solve(
             alpha = cross / dd
             lam_alpha = ws.lam * alpha
             v = _v_block(ws, mw, w, u, lam_alpha)
-            mv = _moments(q, td, v)
+            mv = _moments(t, td, v)
             swept = _project_unit_sphere(_w_system(ws, mv, v, u, lam_alpha, shift))
             wv = swept - v
             u = u + wv
             w_change = math.sqrt(_sq_norm(swept - w))
             w = swept
-            mw = _moments(q, td, w)
+            mw = _moments(t, td, w)
             sparsity, diag = _penalty(np.abs(w) ** 2)
             shift = ws.shift(diag)
             cross = _real_dot(w, mv.td_x)

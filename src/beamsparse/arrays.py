@@ -12,15 +12,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateInputError
-from .kernels import _gemv
+from .kernels import _dotc, _gemv
 
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
 
-#: Most entries of the largest matrix a solve allocates, max(K*N, N^2): the K x N
-#: steering vectors or an N x N block system, 480 MB of complex values.
+#: Most entries of the largest matrix a solve allocates, max(K*N, N*(2N-1)): the K x N
+#: steering vectors or the N x (2N-1) moment matrix, which holds more than an N x N block
+#: system; 480 MB of complex values.
 MAX_MATRIX_ENTRIES = 30_000_000
 
 
@@ -171,7 +173,7 @@ def _require_solve_size(geometry: ArrayGeometry, grid: AngleGrid):
     Checked before anything of that size is allocated.
     """
     n, k = int(geometry.n_elements), grid.count
-    entries = max(k * n, n * n)
+    entries = max(k * n, n * (2 * n - 1))
     if entries > MAX_MATRIX_ENTRIES:
         raise ContractError(
             f"n_elements {n} with {k} grid angles needs a matrix of {entries} entries, "
@@ -203,13 +205,20 @@ class SteeringSet:
 
     ``moments`` holds the grid's trigonometric moments q_i = sum_k z_k^i of z_k = a_k[1],
     entry N-1+i for i = -(N-1) ... 2N-2: the column sums of ``vectors`` (q_0 ... q_(N-1)), its
-    last column's products with the others (q_N ... q_(2N-2)), and q_-i = conj(q_i).
+    last column's products with all columns (q_(N-1) ... q_(2N-2), of which the first is
+    dropped), and q_-i = conj(q_i).
+
+    ``moment_matrix`` is the Fortran-ordered N x (2N-1) Toeplitz matrix T[i, j] = q_(i-j+N-1),
+    gathered once from ``moments`` by a strided copy: T times an autocorrelation over lags
+    -(N-1) ... N-1 gives the lags 0 ... N-1 of the solver's Gram diagonals in one
+    matrix-vector product.
     """
 
     geometry: ArrayGeometry
     grid: AngleGrid
     vectors: np.ndarray = field(init=False, repr=False)
     moments: np.ndarray = field(init=False, repr=False)
+    moment_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_type(self.geometry, ArrayGeometry, "geometry")
@@ -219,10 +228,14 @@ class SteeringSet:
         sin_theta = np.sin(np.radians(self.grid.angles_deg))
         phases = 2.0 * np.pi * self.geometry.spacing_ratio * np.outer(sin_theta, np.arange(n))
         a = np.exp(1j * phases)
-        # q_0 ... q_(2N-2); f2py copies the strided a[:, 1:].T to Fortran order
-        col = np.concatenate((a.sum(axis=0), _gemv(1.0, a[:, 1:].T, a[:, n - 1])))
+        # q_0 ... q_(2N-2), the products from a.T, which is Fortran-ordered as it stands
+        col = np.concatenate((a.sum(axis=0), _gemv(1.0, a.T, a[:, n - 1])[1:]))
+        moments = _with_negative_lags(col, n)
+        # row i is q_(i+N-1) down to q_(i-N+1): entry (i, j) is moments[i + 2N-2 - j]
+        matrix = np.asfortranarray(sliding_window_view(moments, 2 * n - 1)[:, ::-1])
         object.__setattr__(self, "vectors", _readonly(a))
-        object.__setattr__(self, "moments", _readonly(_with_negative_lags(col, n)))
+        object.__setattr__(self, "moments", _readonly(moments))
+        object.__setattr__(self, "moment_matrix", _readonly(matrix))
 
     @property
     def n_angles(self) -> int:
@@ -264,8 +277,9 @@ def project_unit_sphere(x: np.ndarray) -> np.ndarray:
 
 
 def _sq_norm(x: np.ndarray) -> float:
-    """||x||^2 of a complex x as numpy.linalg.norm sums it: its sqrt is norm(x) bit for bit."""
-    return x.real.dot(x.real) + x.imag.dot(x.imag)
+    """||x||^2 of a complex x, Re x^H x by BLAS's zdotc, the package's norm kernel: its sqrt
+    is within a few ulp of numpy.linalg.norm(x)."""
+    return _dotc(x, x).real
 
 
 def _project_unit_sphere(x: np.ndarray) -> np.ndarray:

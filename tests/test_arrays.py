@@ -170,6 +170,22 @@ class TestSteeringSet:
         with pytest.raises(dataclasses.FrozenInstanceError):
             steering.moments = np.zeros_like(steering.moments)
 
+    @pytest.mark.parametrize("n", [2, 3, 30, 256])
+    def test_moment_matrix_is_a_read_only_fortran_toeplitz_gather(self, n):
+        # T[i, j] = q_(i-j+N-1), that is moments[i + 2N-2 - j], which the sweep's zgemv reads
+        # as it stands
+        steering = build_steering_set(ArrayGeometry(n), AngleGrid.uniform(-90, 90, 1.0))
+        t, q = steering.moment_matrix, steering.moments
+        assert t.shape == (n, 2 * n - 1)
+        assert t.flags.f_contiguous and not t.flags.writeable
+        assert not np.shares_memory(t, q)
+        i, j = np.indices(t.shape)
+        assert np.array_equal(t, q[i + 2 * n - 2 - j])
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            steering.moment_matrix = t.copy()
+
 
 class TestBeampattern:
     def test_matched_weights_reach_array_gain(self):
