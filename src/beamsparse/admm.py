@@ -30,14 +30,15 @@ The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
 along the diagonal, so its matrix is not Toeplitz (it is positive definite
 only for rho > 2, because the majorizer diagonal is bounded below by -1 on the
 sphere). Each solve allocates one workspace for both systems (``_Workspace``):
-the v block's diagonals, a buffer for lam G(v), a Fortran-ordered N x N
-matrix, a fixed strided view that reads the buffer as that matrix's transpose,
-a view of the matrix's diagonal, and lam and rho/2. Each sweep the w block
-writes lam G(v) into the buffer, copies it through the view into the matrix,
-adds the shift diag + rho/2 (formed once per w, with its majorizer diagonal)
-through the diagonal view, and factors and solves the matrix in place by
-Cholesky, in one LAPACK posv call; lam * alpha is formed once per sweep for
-both blocks. The public blocks build a workspace per call.
+one buffer of 2N - 1 diagonals, a Fortran-ordered N x N matrix, a fixed
+strided view that reads the buffer as that matrix's transpose, a view of the
+matrix's diagonal, and lam and rho/2. Each sweep the v block writes its
+diagonals into the buffer; the w block then overwrites them with lam G(v),
+copies them through the view into the matrix, adds the shift diag + rho/2
+(formed once per w, with its majorizer diagonal) through the diagonal view,
+and factors and solves the matrix in place by Cholesky, in one LAPACK posv
+call; lam * alpha is formed once per sweep for both blocks. The public blocks
+build a workspace per call.
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
 ``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines: zgemv
@@ -83,7 +84,7 @@ The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``)
 check their inputs and call the same kernels, so composing them, with
 ``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
 w, alpha, primal residual and weight change bit for bit, the norms taken by the
-package's norm kernel (``arrays._sq_norm``). They run the kernels with
+package's inner product (``kernels._real_dot``). They run the kernels with
 numpy's overflow warnings off and check the result, so finite inputs that overflow end in
 a typed error; the sweep, whose iterates are bounded, pays for no such check.
 
@@ -110,12 +111,12 @@ from .arrays import (
     _readonly,
     _require_finite,
     _require_type,
-    _sq_norm,
+    _toeplitz_view,
     _with_negative_lags,
 )
 from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .kernels import _axpy, _dotc, _dscal, _gemv, _levinson, _posv
+from .kernels import _axpy, _dscal, _gemv, _levinson, _posv, _real_dot
 from .metrics import _db
 from .templates import DesiredPattern
 
@@ -215,14 +216,18 @@ def _require_template(steering: SteeringSet, d: DesiredPattern):
         )
 
 
-def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
-    """The template's rule, and a finite lam K N, which bounds lam times the Gram
+def _require_data_fit_bound(lam: float, k: int, n: int):
+    """A finite lam K N for K grid angles and N elements, which bounds lam times the Gram
     diagonals: |G_l| <= sum_k P_k <= K N for unit w."""
+    if not math.isfinite(float(lam) * (k * n)):
+        raise ContractError(f"lam (lambda) {lam} times K = {k} and N = {n} overflows")
+
+
+def _require_problem(steering: SteeringSet, d: DesiredPattern, params: SolverParams):
+    """The template's rule and the data-fit bound."""
     _require_template(steering, d)
     _require_type(params, SolverParams, "params")
-    k, n = steering.n_angles, steering.n_elements
-    if not math.isfinite(float(params.lam) * (k * n)):
-        raise ContractError(f"lam (lambda) {params.lam} times K = {k} and N = {n} overflows")
+    _require_data_fit_bound(params.lam, steering.n_angles, steering.n_elements)
 
 
 def _template_energy(d: DesiredPattern) -> float:
@@ -230,11 +235,6 @@ def _template_energy(d: DesiredPattern) -> float:
     if not d.energy > 0.0:
         raise DegenerateInputError("template is all zero; alpha is undefined")
     return d.energy
-
-
-def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re a^H b, by BLAS's zdotc."""
-    return _dotc(a, b).real
 
 
 def _residual_energy(square_sum, cross, alpha, dd: float):
@@ -246,18 +246,11 @@ def _residual_energy(square_sum, cross, alpha, dd: float):
     return np.maximum(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
-def _toeplitz_rows(diagonals: np.ndarray) -> np.ndarray:
-    """The transpose of the Hermitian Toeplitz matrix with these diagonals, as a view of them:
-    row i is diagonals[n-1-i : 2n-1-i], with strides (-itemsize, itemsize)."""
-    n = (diagonals.size + 1) // 2
-    step = diagonals.itemsize
-    return np.ndarray((n, n), diagonals.dtype, diagonals, (n - 1) * step, (-step, step))
-
-
 def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
-    """The Hermitian Toeplitz matrix with these diagonals, in Fortran order, which LAPACK
-    factors in place; entry n - 1 + i - j of diagonals is entry (i, j)."""
-    return _toeplitz_rows(diagonals).copy().T
+    """The Hermitian Toeplitz matrix with these diagonals, a fresh Fortran-ordered copy, which
+    LAPACK factors in place; entry n - 1 + i - j of diagonals is entry (i, j)."""
+    n = (diagonals.size + 1) // 2
+    return np.array(_toeplitz_view(diagonals, n, n), order="F")
 
 
 def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
@@ -328,21 +321,20 @@ class _Workspace:
     """The two block systems' buffers and constants, allocated once per ``solve`` (and once
     per public block call) and overwritten by every sweep; no workspace outlives its call.
 
-    v_diagonals holds the v block's Toeplitz diagonals. w_diagonals holds lam G(v), which
-    ``rows`` reads as the transpose of its Toeplitz matrix; ``matrix`` is the w block's
-    Fortran-ordered matrix, the transpose of the C-ordered ``matrix_t`` the rows are copied
-    into, and ``diagonal`` a view of its diagonal.
+    ``diagonals`` holds a block's Toeplitz diagonals: the v block's, which Levinson reads and
+    does not keep, then lam G(v), which ``rows`` reads as the transpose of its Toeplitz matrix
+    (``arrays._toeplitz_view``). ``matrix`` is the w block's Fortran-ordered matrix, the
+    transpose of the C-ordered ``matrix_t`` the rows are copied into, and ``diagonal`` a view
+    of its diagonal.
     """
 
-    __slots__ = ("lam", "half_rho", "v_diagonals", "w_diagonals", "rows", "matrix_t", "matrix",
-                 "diagonal")
+    __slots__ = ("lam", "half_rho", "diagonals", "rows", "matrix_t", "matrix", "diagonal")
 
     def __init__(self, n: int, params: SolverParams):
         self.lam = params.lam
         self.half_rho = params.rho / 2.0
-        self.v_diagonals = np.empty(2 * n - 1, complex)
-        self.w_diagonals = np.empty(2 * n - 1, complex)
-        self.rows = _toeplitz_rows(self.w_diagonals)
+        self.diagonals = np.empty(2 * n - 1, complex)
+        self.rows = _toeplitz_view(self.diagonals, n, n).T
         self.matrix_t = np.empty((n, n), complex)
         self.matrix = self.matrix_t.T
         self.diagonal = self.matrix_t.reshape(-1)[:: n + 1]
@@ -360,7 +352,7 @@ def _v_block(
     Solves (lam G + (rho/2) I) v = lam * alpha * T_d w + (rho/2)(w + u) by one
     Levinson recursion on the Toeplitz diagonals of the matrix, formed in ws.
     """
-    diagonals = np.multiply(ws.lam, mw.gram, out=ws.v_diagonals)
+    diagonals = np.multiply(ws.lam, mw.gram, out=ws.diagonals)
     diagonals[w.size - 1] += ws.half_rho
     rhs = _rhs(lam_alpha, mw.td_x, ws.half_rho, w + u)
     # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
@@ -392,7 +384,7 @@ def _w_system(
     added through its diagonal view, and one LAPACK posv call factors the matrix in place
     by Cholesky and solves.
     """
-    np.multiply(ws.lam, mv.gram, out=ws.w_diagonals)
+    np.multiply(ws.lam, mv.gram, out=ws.diagonals)
     ws.matrix_t[...] = ws.rows
     ws.diagonal += shift
     rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, v - u)
@@ -489,7 +481,7 @@ def _append_row(raw: array, mw: _Moments, mv: _Moments, w: np.ndarray, cross: fl
     if not alpha * alpha * dd > 0.0:
         raise DegenerateInputError("scaled template has no energy")
     raw.extend((_pattern_dot(mw, mw), _real_dot(w, mw.td_x), _pattern_dot(mw, mv), cross,
-                sparsity, gap_sq, _sq_norm(wv), alpha, w_change))
+                sparsity, gap_sq, _real_dot(wv, wv), alpha, w_change))
 
 
 def _derive_trace(raw: array, dd: float, params: SolverParams) -> Trace:
@@ -572,7 +564,8 @@ def solve(
             swept = _project_unit_sphere(_w_system(ws, mv, v, u, lam_alpha, shift))
             wv = swept - v
             u = u + wv
-            w_change = math.sqrt(_sq_norm(swept - w))
+            step = swept - w
+            w_change = math.sqrt(_real_dot(step, step))
             w = swept
             mw = _moments(t, td, w)
             sparsity, diag = _penalty(np.abs(w) ** 2)

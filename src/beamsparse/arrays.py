@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateInputError
-from .kernels import _dotc, _gemv
+from .kernels import _gemv, _real_dot
 
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
@@ -193,6 +192,16 @@ def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((np.conj(col[n - 1 : 0 : -1]), col))
 
 
+def _toeplitz_view(lags: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols Toeplitz matrix T[i, j] = lags[i - j + cols - 1], as a view of lags with
+    strides (itemsize, -itemsize). This is the package's one lag layout: entry n - 1 + l of a
+    ``_with_negative_lags`` sequence is lag l, so its n x n view has lag i - j at (i, j). A
+    matrix that must own its memory is copied from the view by np.array(view, order="F"), not
+    by np.asfortranarray, which hands back a view that is already Fortran-contiguous (1 x 1)."""
+    step = lags.itemsize
+    return np.ndarray((rows, cols), lags.dtype, lags, (cols - 1) * step, (step, -step))
+
+
 @dataclass(frozen=True, eq=False)
 class SteeringSet:
     """Steering vectors of an array for every angle of a grid.
@@ -203,21 +212,19 @@ class SteeringSet:
     reference. Each row is thus a geometric phase ramp a_k[n] = a_k[1]^n of
     unit modulus, the structure the solver's Toeplitz Gram build relies on.
 
-    ``moments`` holds the grid's trigonometric moments q_i = sum_k z_k^i of z_k = a_k[1],
-    entry N-1+i for i = -(N-1) ... 2N-2: the column sums of ``vectors`` (q_0 ... q_(N-1)), its
-    last column's products with all columns (q_(N-1) ... q_(2N-2), of which the first is
-    dropped), and q_-i = conj(q_i).
-
-    ``moment_matrix`` is the Fortran-ordered N x (2N-1) Toeplitz matrix T[i, j] = q_(i-j+N-1),
-    gathered once from ``moments`` by a strided copy: T times an autocorrelation over lags
-    -(N-1) ... N-1 gives the lags 0 ... N-1 of the solver's Gram diagonals in one
-    matrix-vector product.
+    ``moment_matrix`` is the Fortran-ordered N x (2N-1) Toeplitz matrix T[i, j] = q_(i-j+N-1)
+    of the grid's trigonometric moments q_i = sum_k z_k^i of z_k = a_k[1], the one place they
+    are kept: row 0 holds q_(N-1) down to q_-(N-1), row N-1 holds q_(2N-2) down to q_0. T times
+    an autocorrelation over lags -(N-1) ... N-1 gives the lags 0 ... N-1 of the solver's Gram
+    diagonals in one matrix-vector product. The moments are the column sums of ``vectors``
+    (q_0 ... q_(N-1)), its last column's products with all columns (q_(N-1) ... q_(2N-2), of
+    which the first is dropped) and q_-i = conj(q_i), and T is one strided copy of their
+    sequence (``_toeplitz_view``).
     """
 
     geometry: ArrayGeometry
     grid: AngleGrid
     vectors: np.ndarray = field(init=False, repr=False)
-    moments: np.ndarray = field(init=False, repr=False)
     moment_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -230,11 +237,10 @@ class SteeringSet:
         a = np.exp(1j * phases)
         # q_0 ... q_(2N-2), the products from a.T, which is Fortran-ordered as it stands
         col = np.concatenate((a.sum(axis=0), _gemv(1.0, a.T, a[:, n - 1])[1:]))
+        # q_-(N-1) ... q_(2N-2): entry (i, j) of the matrix is q_(i-j+N-1)
         moments = _with_negative_lags(col, n)
-        # row i is q_(i+N-1) down to q_(i-N+1): entry (i, j) is moments[i + 2N-2 - j]
-        matrix = np.asfortranarray(sliding_window_view(moments, 2 * n - 1)[:, ::-1])
+        matrix = np.array(_toeplitz_view(moments, n, 2 * n - 1), order="F")
         object.__setattr__(self, "vectors", _readonly(a))
-        object.__setattr__(self, "moments", _readonly(moments))
         object.__setattr__(self, "moment_matrix", _readonly(matrix))
 
     @property
@@ -271,20 +277,14 @@ def project_unit_sphere(x: np.ndarray) -> np.ndarray:
     """Scale a nonzero vector to unit l2 norm."""
     x = _as_vector(x, None, "x")
     with np.errstate(over="ignore"):
-        if _sq_norm(x) == math.inf:
+        if _real_dot(x, x) == math.inf:
             raise ContractError("the squared norm of x overflows")
     return _project_unit_sphere(x)
 
 
-def _sq_norm(x: np.ndarray) -> float:
-    """||x||^2 of a complex x, Re x^H x by BLAS's zdotc, the package's norm kernel: its sqrt
-    is within a few ulp of numpy.linalg.norm(x)."""
-    return _dotc(x, x).real
-
-
 def _project_unit_sphere(x: np.ndarray) -> np.ndarray:
     """project_unit_sphere without the vector rule, for vectors the solver already holds."""
-    nrm = math.sqrt(_sq_norm(x))
+    nrm = math.sqrt(_real_dot(x, x))
     if not 0.0 < nrm < math.inf:
         raise DegenerateInputError("cannot project a zero or non-finite vector onto the sphere")
     return x / nrm

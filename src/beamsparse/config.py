@@ -8,10 +8,10 @@ because ``lambda`` is reserved in Python.
 
 A config checks its values by building, and keeping, the objects that use
 them, so each rule is written once, by the type that owns it. The parser
-checks only the document's shape (an object, known keys, mainlobe objects)
-and passes every value through as given: a value that is not a number is
-rejected by the object that uses it, and the config echoes numbers as the
-document gave them.
+checks only the document's shape (an object, known keys, each given once,
+mainlobe objects) and passes every value through as given: a value that
+is not a number is rejected by the object that uses it, and the config
+echoes numbers as the document gave them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import SolverParams
+from .admm import SolverParams, _require_data_fit_bound
 from .arrays import AngleGrid, ArrayGeometry, _require_solve_size, _require_type
 from .errors import ConfigurationError, ContractError
 from .metrics import _SELECTION_THRESHOLD, _require_both_regions, _require_threshold
@@ -76,6 +76,7 @@ class ExperimentConfig:
             _require_both_regions(self.template.mainlobe_mask)
             keep(self, "params", SolverParams(
                 lam=self.lam, rho=self.rho, eta=self.eta, max_iters=self.max_iters, seed=self.seed))
+            _require_data_fit_bound(self.lam, self.grid.count, self.geometry.n_elements)
         except ContractError as exc:
             raise ConfigurationError(str(exc)) from exc
 
@@ -96,11 +97,24 @@ def _parse_lobe(index: int, raw) -> MainlobeSpec:
     return MainlobeSpec(**raw)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict, where a repeated key is an error rather than a
+    silent overwrite by its last value."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigurationError(f"config key '{key}' is repeated")
+        members[key] = value
+    return members
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate one JSON experiment document."""
     _require_type(text, str, "config text")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ConfigurationError:  # a repeated key, a ValueError the clauses below would take
+        raise
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

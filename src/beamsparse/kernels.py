@@ -54,9 +54,8 @@ def _scipy_extension(name: str) -> ModuleType:
 # - zaxpy, _axpy(x, y, a=a) = a x + y, written into y and returned;
 # - zdscal, _dscal(b, y, overwrite_x=1) = b y for a real b, written into y and returned.
 # Tests pin every kernel to scipy's own object, the private levinson to solve_toeplitz bit
-# for bit, _gemv to numpy's matmul and _dotc to numpy's vdot bit for bit at each call site
-# (but for the grid moments at N = 2, a one-row product that numpy takes as a dot), and call
-# zaxpy and zdscal with the keywords the package passes.
+# for bit, _gemv to numpy's matmul and _dotc to numpy's vdot bit for bit at each call site,
+# and call zaxpy and zdscal with the keywords the package passes.
 _levinson = _scipy_extension("scipy.linalg._solve_toeplitz").levinson
 _posv = _scipy_extension("scipy.linalg._flapack").zposv
 _fblas = _scipy_extension("scipy.linalg._fblas")
@@ -64,3 +63,9 @@ _gemv = _fblas.zgemv
 _dotc = _fblas.zdotc
 _axpy = _fblas.zaxpy
 _dscal = _fblas.zdscal
+
+
+def _real_dot(a, b) -> float:
+    """Re a^H b by zdotc, the package's one inner product and, as _real_dot(x, x), its
+    squared norm: the sqrt of that is within a few ulp of numpy.linalg.norm(x)."""
+    return _dotc(a, b).real

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from beamsparse import (
     AdmmState,
     AngleGrid,
     ArrayGeometry,
+    ConfigurationError,
     ContractError,
     DegenerateInputError,
     DesiredPattern,
@@ -39,6 +41,7 @@ from beamsparse import (
     load_config,
     majorizer_diag,
     matching_error_db,
+    parse_config,
     project_unit_sphere,
     solve,
     solve_weight_system,
@@ -698,10 +701,15 @@ class TestMomentKernels:
         # with the autocorrelation, lag by lag
         rng = np.random.default_rng(62)
         steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, 181)))
+        # q_-(N-1) ... q_(2N-2): the column sums of the steering vectors, the products of its
+        # last column with the others, and the conjugates of the negative lags
+        a = steering.vectors
+        q = arrays_mod._with_negative_lags(
+            np.concatenate((a.sum(axis=0), (a.T @ a[:, n - 1])[1:])), n)
         for _ in range(10):
             auto = np.correlate(*(2 * [unit(rng, n)]), "full")
             gram = admm_mod._gram_diagonals(steering.moment_matrix, auto)
-            want = arrays_mod._with_negative_lags(np.correlate(steering.moments, auto, "valid"), n)
+            want = arrays_mod._with_negative_lags(np.correlate(q, auto, "valid"), n)
             assert np.linalg.norm(gram - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_moment_matrix_is_gathered_once_per_steering_set(self, monkeypatch):
@@ -715,8 +723,7 @@ class TestMomentKernels:
         def gather(*args, **kwargs):
             raise AssertionError("the moment matrix was gathered again")
 
-        monkeypatch.setattr(arrays_mod, "sliding_window_view", gather)
-        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", gather)
+        monkeypatch.setattr(arrays_mod, "_toeplitz_view", gather)
         solve(steering, d, params)
         data_fit_gram(steering, state.w)
         update_v(steering, state.w, state.u, 1.0, d, params)
@@ -941,9 +948,12 @@ class TestScipyKernels:
         assert admm_mod._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
         assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
         for name in ("gemv", "dotc", "axpy", "dscal"):
-            assert getattr(admm_mod, "_" + name) is scipy.linalg.get_blas_funcs(name, dtype=complex)
+            want = scipy.linalg.get_blas_funcs(name, dtype=complex)
+            assert getattr(kernels_mod, "_" + name) is want
+        for name in ("_gemv", "_axpy", "_dscal", "_real_dot"):
+            assert getattr(admm_mod, name) is getattr(kernels_mod, name)
         assert arrays_mod._gemv is admm_mod._gemv
-        assert arrays_mod._dotc is admm_mod._dotc
+        assert arrays_mod._real_dot is admm_mod._real_dot
 
     def test_missing_module_raises_import_error_naming_it(self):
         with pytest.raises(ImportError, match="scipy.linalg._no_such_kernel") as excinfo:
@@ -962,14 +972,14 @@ class TestScipyKernels:
         td = admm_mod._template_toeplitz(steering, d)
         assert td.flags.f_contiguous
         assert np.array_equal(td[:, 0], a.T @ d.values)
-        assert np.array_equal(admm_mod._moments(steering.moments, td, x).td_x, td @ x)
+        assert np.array_equal(admm_mod._moments(steering.moment_matrix, td, x).td_x, td @ x)
         assert update_alpha(steering, w, v, d) == np.vdot(w, td @ v).real / d.energy
         with np.errstate(over="ignore"):
             assert np.array_equal(beampattern(steering, w), np.abs(a @ np.conj(w)) ** 2)
         auto = np.correlate(x, x, "full")
         t = steering.moment_matrix
         assert np.array_equal(admm_mod._gram_diagonals(t, auto)[n - 1 :], t @ auto)
-        moments = steering.moments[2 * n - 1 :]  # q_N ... q_(2N-2)
+        moments = t[n - 1, n - 2 :: -1]  # q_N ... q_(2N-2), from T[N-1, j] = q_(2N-2-j)
         assert np.array_equal(moments, (a.T @ a[:, n - 1])[1:])
 
     @pytest.mark.parametrize("n", [2, 3, 30, 256])
@@ -987,13 +997,12 @@ class TestScipyKernels:
             for a, b in pairs:
                 assert admm_mod._real_dot(a, b) == np.vdot(a, b).real
             for y in (w - v + u, w - v, w - x, x):
-                assert arrays_mod._sq_norm(y) == np.vdot(y, y).real
-                assert admm_mod._real_dot(y, y) == np.vdot(y, y).real
+                assert arrays_mod._real_dot(y, y) == np.vdot(y, y).real
 
 
 def package_norm(x):
     """||x|| by the package's norm kernel, the sqrt of zdotc's x^H x, which solve's rows take."""
-    return math.sqrt(arrays_mod._sq_norm(x))
+    return math.sqrt(kernels_mod._real_dot(x, x))
 
 
 def assert_within_ulps(got, want, ulps):
@@ -1126,6 +1135,18 @@ def test_lam_that_overflows_the_data_fit_is_rejected():
             solve(steering, d, params)
         with pytest.raises(ContractError, match="lam"):
             update_v(steering, state.w, state.u, 1.0, d, params)
+
+
+@pytest.mark.parametrize("name", ["single_mainlobe", "two_mainlobes"])
+def test_config_applies_the_data_fit_bound_at_load(name):
+    # the largest accepted lam loads; the next float fails at load, before any solve
+    steering, _, _ = config_problem(name)
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    lam = largest_accepted_lam(steering)
+    assert parse_config(json.dumps({**doc, "lambda": lam})).params.lam == lam
+    past = math.nextafter(lam, math.inf)
+    with pytest.raises(ConfigurationError, match=r"lam \(lambda\)"):
+        parse_config(json.dumps({**doc, "lambda": past}))
 
 
 @pytest.mark.parametrize("name", ["single_mainlobe", "two_mainlobes"])

@@ -103,6 +103,18 @@ def test_unknown_field_rejected():
         parse_config(MINIMAL[:-1] + ', "lambda_weight": 0.1}')
 
 
+def test_repeated_top_level_key_rejected():
+    # the last value would win without a word: lambda 5, not 0.1
+    with pytest.raises(ConfigurationError, match="config key 'lambda' is repeated"):
+        parse_config(MINIMAL[:-1] + ', "lambda": 0.1, "lambda": 5}')
+
+
+def test_repeated_lobe_key_rejected():
+    # the last value would win without a word: a lobe on [0, 28], not [22, 28]
+    with pytest.raises(ConfigurationError, match="config key 'start_deg' is repeated"):
+        parse_config('{"mainlobes": [{"start_deg": 22, "end_deg": 28, "start_deg": 0}]}')
+
+
 def test_unknown_lobe_field_rejected():
     with pytest.raises(ConfigurationError, match="mainlobes"):
         parse_config('{"mainlobes": [{"start_deg": 0, "end_deg": 5, "width": 3}]}')

@@ -303,8 +303,8 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_lambda_that_overflows_the_data_fit_exits_one(self, tmp_path, capsys):
-        # lam * K * N overflows at K = 61 angles and N = 8 elements, so the solve
-        # rejects lam on entry, before any sweep
+        # lam * K * N overflows at K = 61 angles and N = 8 elements, so the config
+        # rejects lam at load, before any steering set is built
         path = tmp_path / "huge_lambda.json"
         path.write_text(json.dumps({**FAST_DOC, "lambda": 1e306, "output_dir": str(tmp_path)}))
         assert cli_main(["run", "--config", str(path)]) == 1
