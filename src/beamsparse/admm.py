@@ -104,12 +104,10 @@ import numpy as np
 
 from .arrays import (
     SteeringSet,
-    _as_real,
     _as_vector,
-    _is_integer,
     _project_unit_sphere,
     _readonly,
-    _require_finite,
+    _require_scalar,
     _require_type,
     _toeplitz_view,
     _with_negative_lags,
@@ -138,21 +136,13 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= _as_real(self.lam) < np.inf:
-            raise ContractError(f"lam (lambda) must be finite and >= 0, got {self.lam!r}")
-        if not 2.0 < _as_real(self.rho) < np.inf:
-            raise ContractError(f"rho must exceed 2 and be finite, got {self.rho!r}")
-        _require_tolerance(self.eta)
-        if not _is_integer(self.max_iters) or self.max_iters < 0:
-            raise ContractError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ContractError(f"seed must be an integer >= 0, got {self.seed!r}")
-
-
-def _require_tolerance(eta: float):
-    """The stop tolerance on the weight change: a positive real number, possibly infinite."""
-    if not _as_real(eta) > 0:
-        raise ContractError(f"eta must be positive, got {eta!r}")
+        _require_scalar(self.lam, "lam (lambda)", "must be finite and >= 0",
+                        lambda x: 0 <= x < math.inf)
+        _require_scalar(self.rho, "rho", "must exceed 2 and be finite", lambda x: 2 < x < math.inf)
+        _require_scalar(self.eta, "eta", "must be positive", lambda x: x > 0)
+        for name in ("max_iters", "seed"):
+            _require_scalar(getattr(self, name), name, "must be an integer >= 0",
+                            lambda n: n >= 0, integer=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,10 +329,6 @@ class _Workspace:
         self.matrix = self.matrix_t.T
         self.diagonal = self.matrix_t.reshape(-1)[:: n + 1]
 
-    def shift(self, diag: np.ndarray) -> np.ndarray:
-        """What the w block adds to lam G's diagonal: the majorizer diagonal plus rho/2."""
-        return diag + self.half_rho
-
 
 def _v_block(
     ws: _Workspace, mw: _Moments, w: np.ndarray, u: np.ndarray, lam_alpha: float
@@ -375,7 +361,7 @@ def _w_system(
     shift: np.ndarray,
 ) -> np.ndarray:
     """solve_weight_system without its checks, from the moments of v, lam_alpha = lam * alpha
-    and shift = ``ws.shift(diag)``.
+    and shift = diag + rho/2, what the w block adds to lam G's diagonal.
 
     Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
     The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian positive
@@ -419,7 +405,7 @@ def update_v(
 ) -> np.ndarray:
     """Exact minimizer of the v block (matching term plus consensus penalty)."""
     _require_problem(steering, d, params)
-    _require_finite(alpha, "alpha")
+    _require_scalar(alpha, "alpha")
     n = steering.n_elements
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
@@ -440,7 +426,7 @@ def solve_weight_system(
 ) -> np.ndarray:
     """Pre-projection solution of the majorized w block, with diag = ``majorizer_diag``."""
     _require_problem(steering, d, params)
-    _require_finite(alpha, "alpha")
+    _require_scalar(alpha, "alpha")
     n = steering.n_elements
     v = _as_vector(v, n, "v")
     u = _as_vector(u, n, "u")
@@ -448,7 +434,8 @@ def solve_weight_system(
     with np.errstate(over="ignore", invalid="ignore"):
         mv = _moments(steering.moment_matrix, _template_toeplitz(steering, d), v)
         ws = _Workspace(n, params)
-        return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, ws.shift(diag)))
+        shift = diag + ws.half_rho
+        return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, shift))
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -534,10 +521,10 @@ def solve(
     w = _as_vector(state.w, n, "initial w")
     u = _as_vector(state.u, n, "initial u")
     alpha = state.alpha
-    _require_finite(alpha, "initial alpha")
+    _require_scalar(alpha, "initial alpha")
     ws = _Workspace(n, params)
     sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
-    shift = ws.shift(diag)
+    shift = diag + ws.half_rho
 
     # The steering matrix is read here only, for T_d; each iterate's moments and penalty serve
     # both blocks and the rows, as the module docstring lists.
@@ -569,7 +556,7 @@ def solve(
             w = swept
             mw = _moments(t, td, w)
             sparsity, diag = _penalty(np.abs(w) ** 2)
-            shift = ws.shift(diag)
+            shift = diag + ws.half_rho
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:
@@ -585,5 +572,5 @@ def solve(
 def converged(trace: Trace, eta: float) -> bool:
     """Whether the trace ends because the weight change dropped below eta."""
     _require_type(trace, Trace, "trace")
-    _require_tolerance(eta)
+    _require_scalar(eta, "eta", "must be positive", lambda x: x > 0)
     return trace.w_change.size >= 2 and bool(trace.w_change[-1] <= eta)

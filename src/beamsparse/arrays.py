@@ -35,14 +35,44 @@ def _is_integer(x) -> bool:
 
 
 def _as_real(x) -> float:
-    """The scalar rule of every public number: a Python or numpy int or float, not a bool, as a
-    float. Anything else, or an int too large for a float, is NaN, which fails every range check."""
+    """A Python or numpy int or float, not a bool, as a float. Anything else, or an int too
+    large for a float, is NaN, which fails every range check."""
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
         return math.nan
     try:
         return float(x)
     except OverflowError:
         return math.nan
+
+
+def _echo(x) -> str:
+    """A value as an error message shows it, in at most 60 characters: its repr when that is
+    short, an integer too long for that by its digit count, an object whose repr fails by its
+    type, and anything longer cut short. Never raises: repr raises for an int past the
+    interpreter's digit limit, and this never calls it on one."""
+    n = abs(int(x)) if _is_integer(x) else 0
+    if n >= 10**59:
+        digits = int(n.bit_length() * 0.3010299956639812)  # times log10(2): one short or exact
+        digits += n >= 10**digits
+        text = f"{'a negative' if x < 0 else 'an'} integer of {digits} digits"
+    else:
+        try:
+            text = repr(x)
+        except Exception:  # any object's __repr__ may raise
+            text = f"a {type(x).__name__} with no repr"
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _require_scalar(x, name: str, rule: str = "is non-finite or not a real number",
+                    test=math.isfinite, error: type = ContractError, integer: bool = False):
+    """The scalar rule of every public number. x is read by ``_as_real``, or if integer as a
+    Python int (NaN if it is not a Python or numpy int, or is a bool), and must pass the owner's
+    range test; else it raises the owner's error, "<name> <rule>, got <x>" with x as ``_echo``
+    shows it. Returns the value read, so an int of any size passes an integer test exactly."""
+    value = (int(x) if _is_integer(x) else math.nan) if integer else _as_real(x)
+    if not test(value):
+        raise error(f"{name} {rule}, got {_echo(x)}")
+    return value
 
 
 def _as_vector(x, n: int | None, name: str, dtype=complex) -> np.ndarray:
@@ -84,12 +114,6 @@ def _require_type(x, cls: type, name: str):
         raise ContractError(f"{name} must be {article} {cls.__name__}, got {type(x).__name__}")
 
 
-def _require_finite(x: float, name: str):
-    """The scalar rule of every public argument that the vector rule does not cover."""
-    if not math.isfinite(_as_real(x)):
-        raise ContractError(f"{name} is non-finite or not a real number, got {x!r}")
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array of isotropic elements.
@@ -107,19 +131,14 @@ class ArrayGeometry:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        # NaN for a count too large for a float, which has no steering phase
-        n = _as_real(self.n_elements) if _is_integer(self.n_elements) else math.nan
-        if not n >= 2:
-            raise ContractError(
-                f"n_elements must be an integer >= 2 that a float holds, got {self.n_elements!r}"
-            )
-        # plain floats: an overflowing phase is inf, with no numpy warning
-        spacing = _as_real(self.spacing_ratio)
-        if not (spacing > 0 and math.isfinite(2.0 * math.pi * spacing * (n - 1))):
-            raise ContractError(
-                "spacing_ratio must be > 0 with a finite steering phase "
-                f"2*pi*spacing_ratio*(n_elements - 1), got {self.spacing_ratio!r}"
-            )
+        # a count too large for a float has no steering phase
+        n = _require_scalar(self.n_elements, "n_elements",
+                            "must be an integer >= 2 that a float holds",
+                            lambda n: 2 <= _as_real(n), integer=True)
+        # plain Python numbers: an overflowing phase is inf, with no numpy warning
+        _require_scalar(self.spacing_ratio, "spacing_ratio", "must be > 0 with a finite "
+                        "steering phase 2*pi*spacing_ratio*(n_elements - 1)",
+                        lambda s: s > 0 and math.isfinite(2.0 * math.pi * s * (n - 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +162,10 @@ class AngleGrid:
     @classmethod
     def uniform(cls, start_deg: float, stop_deg: float, step_deg: float) -> "AngleGrid":
         """Regular grid from start to stop inclusive (when step divides the span)."""
-        start, stop, step = map(_as_real, (start_deg, stop_deg, step_deg))
-        if not 0 < step < np.inf:
-            raise ContractError(f"grid_step_deg must be finite and > 0, got {step_deg!r}")
+        start = _require_scalar(start_deg, "grid_start_deg")
+        stop = _require_scalar(stop_deg, "grid_stop_deg")
+        step = _require_scalar(step_deg, "grid_step_deg", "must be finite and > 0",
+                               lambda x: 0 < x < math.inf)
         if not start < stop:
             raise ContractError("grid_start_deg must be below grid_stop_deg")
         steps = float(np.floor((stop - start) / step + 1e-9))
@@ -159,7 +179,7 @@ class AngleGrid:
         _require_visible(start, last)
         if not steps < MAX_GRID_ANGLES:
             raise ContractError(
-                f"grid_step_deg {step_deg!r} gives more than {MAX_GRID_ANGLES} grid angles"
+                f"grid_step_deg {step} gives more than {MAX_GRID_ANGLES} grid angles"
             )
         angles = start + step * np.arange(int(steps) + 1)
         angles[-1] = last
@@ -175,8 +195,8 @@ def _require_solve_size(geometry: ArrayGeometry, grid: AngleGrid):
     entries = max(k * n, n * (2 * n - 1))
     if entries > MAX_MATRIX_ENTRIES:
         raise ContractError(
-            f"n_elements {n} with {k} grid angles needs a matrix of {entries} entries, "
-            f"more than the {MAX_MATRIX_ENTRIES} a solve may allocate"
+            f"n_elements {_echo(n)} with {k} grid angles needs a matrix of {_echo(entries)} "
+            f"entries, more than the {MAX_MATRIX_ENTRIES} a solve may allocate"
         )
 
 

@@ -52,7 +52,7 @@ def _weight_powers(w, n: int | None, name: str) -> np.ndarray:
         p = np.abs(w) ** 2
         power = float(p.sum())
     if not abs(power - 1.0) <= UNIT_NORM_TOL:
-        raise ContractError(f"weights must have unit total power, got {power!r}")
+        raise ContractError(f"weights must have unit total power, got {power}")
     return p
 
 

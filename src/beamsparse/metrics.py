@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arrays import _as_powers, _as_real, _as_vector, _require_finite, _require_type
+from .arrays import _as_powers, _as_vector, _require_scalar, _require_type
 from .errors import ContractError, DegenerateInputError
 from .templates import DesiredPattern
 
@@ -37,8 +37,8 @@ def _db(ratio):
 
 def _require_threshold(rel_threshold: float):
     """The selection threshold is a fraction of the strongest power, inside (0, 1)."""
-    if not 0.0 < _as_real(rel_threshold) < 1.0:
-        raise ContractError(f"cardinality_threshold must lie in (0, 1), got {rel_threshold!r}")
+    _require_scalar(rel_threshold, "cardinality_threshold", "must lie in (0, 1)",
+                    lambda x: 0 < x < 1)
 
 
 def _require_both_regions(mask: np.ndarray):
@@ -66,7 +66,7 @@ def matching_error_db(pattern: np.ndarray, alpha: float, d: DesiredPattern) -> f
     """
     _require_type(d, DesiredPattern, "template")
     pattern = _as_powers(pattern, d.count, "pattern")
-    _require_finite(alpha, "alpha")
+    _require_scalar(alpha, "alpha")
     # finite inputs can still overflow a sum of squares. The solver's trace rows skip
     # this check: there w has unit norm, so P_k <= N, and alpha * d is the projection
     # of Re r onto d, so neither sum can overflow.

@@ -34,10 +34,8 @@ import numpy as np
 from .admm import Trace, solve
 from .arrays import (
     _as_powers,
-    _as_real,
     _as_vector,
-    _is_integer,
-    _require_finite,
+    _require_scalar,
     _require_type,
     beampattern,
     build_steering_set,
@@ -70,14 +68,12 @@ class RunReport:
     trace: Trace
 
     def __post_init__(self):
-        if not _is_integer(self.cardinality) or self.cardinality < 0:
-            raise ContractError(f"cardinality must be an integer >= 0, got {self.cardinality!r}")
-        _require_finite(self.matching_error_db, "matching_error_db")
-        _require_finite(self.peak_sidelobe_db, "peak_sidelobe_db")
-        if not 0 <= _as_real(self.runtime_seconds) < np.inf:
-            raise ContractError(
-                f"runtime_seconds must be finite and >= 0, got {self.runtime_seconds!r}"
-            )
+        _require_scalar(self.cardinality, "cardinality", "must be an integer >= 0",
+                        lambda n: n >= 0, integer=True)
+        _require_scalar(self.matching_error_db, "matching_error_db")
+        _require_scalar(self.peak_sidelobe_db, "peak_sidelobe_db")
+        _require_scalar(self.runtime_seconds, "runtime_seconds", "must be finite and >= 0",
+                        lambda x: 0 <= x < np.inf)
         _require_type(self.trace, Trace, "trace")
 
     @property

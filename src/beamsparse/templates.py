@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import AngleGrid, _as_powers, _as_real, _as_vector, _readonly, _require_type
+from .arrays import AngleGrid, _as_powers, _as_vector, _readonly, _require_scalar, _require_type
 from .errors import ConfigurationError, ContractError
 
 
@@ -20,13 +20,14 @@ class MainlobeSpec:
     level: float = 1000.0
 
     def __post_init__(self):
-        if not (-90.0 <= _as_real(self.start_deg) < _as_real(self.end_deg) <= 90.0):
-            raise ConfigurationError(
-                f"mainlobe interval [{self.start_deg!r}, {self.end_deg!r}] must satisfy "
-                "-90 <= start < end <= 90"
-            )
-        if not 0 < _as_real(self.level) < np.inf:
-            raise ConfigurationError(f"mainlobe level must be finite and > 0, got {self.level!r}")
+        start = _require_scalar(self.start_deg, "mainlobe interval start_deg",
+                                "must lie in [-90, 90]", lambda x: -90 <= x <= 90,
+                                ConfigurationError)
+        _require_scalar(self.end_deg, "mainlobe interval end_deg",
+                        "must exceed start_deg and be <= 90", lambda x: start < x <= 90,
+                        ConfigurationError)
+        _require_scalar(self.level, "mainlobe level", "must be finite and > 0",
+                        lambda x: 0 < x < np.inf, ConfigurationError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +72,8 @@ def build_template(
     if not (isinstance(lobes, Sequence) and lobes
             and all(isinstance(lobe, MainlobeSpec) for lobe in lobes)):
         raise ConfigurationError("mainlobes must be a non-empty sequence of MainlobeSpec entries")
-    level = _as_real(sidelobe_level)
-    if not 0 <= level < np.inf:
-        raise ConfigurationError(f"sidelobe_level must be finite and >= 0, got {sidelobe_level!r}")
+    level = _require_scalar(sidelobe_level, "sidelobe_level", "must be finite and >= 0",
+                            lambda x: 0 <= x < np.inf, ConfigurationError)
 
     angles = grid.angles_deg
     values = np.full(grid.count, level)

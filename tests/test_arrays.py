@@ -15,7 +15,7 @@ from beamsparse import (
     parse_config,
     project_unit_sphere,
 )
-from beamsparse.arrays import MAX_GRID_ANGLES
+from beamsparse.arrays import MAX_GRID_ANGLES, _echo
 
 # scalars that are not real numbers; the scalar rule reads each as NaN
 NOT_REAL = ["0.5", None, True, 1 + 2j, [1.0], 10**400]
@@ -289,6 +289,27 @@ class TestProjection:
 def test_rejects_non_finite_grid(angles):
     with pytest.raises(ContractError):
         AngleGrid(angles)
+
+
+class NoRepr:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+def test_echo_is_at_most_60_characters_and_never_raises():
+    # short values read as their repr, as the rejection messages printed them before
+    for x in (-1, 1.5, "x", None, True, np.float64(-1.5), np.int64(-(2**63)), 10**59 - 1,
+              -(10**58)):
+        assert _echo(x) == repr(x)
+    # longer ints by their exact digit count, past the interpreter's 4300-digit repr limit too
+    for k in range(59, 400):
+        assert _echo(10**k) == f"an integer of {k + 1} digits"
+        assert _echo(-(10**k) - 1) == f"a negative integer of {k + 1} digits"
+    for k in (400, 4300, 5000, 20000):
+        assert _echo(10**k - 1) == f"an integer of {k} digits"
+    long = _echo("x" * 1000)
+    assert len(long) == 60 and long.startswith("'xxx") and long.endswith("...")
+    assert _echo(NoRepr()) == "a NoRepr with no repr"
 
 
 def test_rejects_non_finite_spacing():

@@ -60,9 +60,10 @@ from beamsparse import (
 )
 
 nan, inf = math.nan, math.inf
-# every scalar that is not a real number, rejected wherever a real scalar is due
+# every scalar that is not a real number, rejected wherever a real scalar is due; 10**5000 has
+# more digits than str() and repr() print (sys.get_int_max_str_digits(), 4300 by default)
 NON_REAL = {"str": "x", "numeric_str": "0.5", "none": None, "bool": True, "complex": 1 + 2j,
-            "array": np.ones(2), "list": [1.0], "huge_int": 10**400}
+            "array": np.ones(2), "list": [1.0], "huge_int": 10**400, "unprintable_int": 10**5000}
 
 
 class Kind(NamedTuple):
@@ -135,7 +136,9 @@ MASK = Kind(lambda m: {"none": None, "empty": m[:0], "2-D": m[None], "short": m[
                        "float": m.astype(float), "int": m.astype(int)})
 REAL = Kind(lambda x: NON_REAL | {"nan": nan, "inf": inf, "-inf": -inf}, numeric=True)
 TOLERANCE = Kind(lambda x: NON_REAL | {"nan": nan, "-inf": -inf}, numeric=True)  # +inf: 1 sweep
-COUNT = Kind(lambda x: {"none": None, "str": "1", "bool": True, "float": 2.5, "negative": -1})
+# a huge count is valid for max_iters and seed, so the unprintable one is negative
+COUNT = Kind(lambda x: {"none": None, "str": "1", "bool": True, "float": 2.5, "negative": -1,
+                        "unprintable_negative": -10**5000})
 LOBES = Kind(lambda lobes: {"none": None, "empty": (), "object": (object(),)})
 TYPED = typed()
 # a template on the steering set's grid
@@ -253,7 +256,8 @@ BAD = {
 
 def check_bad_call(case, error=BeamsparseError, match=None):
     """Make the bad call named case in an empty directory with all warnings as errors: it
-    must raise error, with a message that matches match, and write nothing."""
+    must raise error, with a message that matches match (of at most 200 characters for a
+    scalar, whatever its size), and write nothing."""
     name, arg, value = BAD[case]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
@@ -261,11 +265,13 @@ def check_bad_call(case, error=BeamsparseError, match=None):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(error, match=match):
+                with pytest.raises(error, match=match) as excinfo:
                     call_with(name, **{arg: value})
         finally:
             os.chdir(cwd)
         assert not os.listdir(directory)
+    if REGISTRY[name][1][arg][0] in (REAL, TOLERANCE, COUNT):
+        assert len(str(excinfo.value)) <= 200
 
 
 def test_every_public_name_has_an_entry_whose_arguments_are_its_parameters():
