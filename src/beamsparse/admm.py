@@ -30,11 +30,11 @@ The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
 along the diagonal, so its matrix is not Toeplitz (it is positive definite
 only for rho > 2, because the majorizer diagonal is bounded below by -1 on the
 sphere). Each solve allocates one workspace for both systems (``_Workspace``):
-one buffer of 2N - 1 diagonals, a Fortran-ordered N x N matrix, a fixed
-strided view that reads the buffer as that matrix's transpose, a view of the
-matrix's diagonal, and lam and rho/2. Each sweep the v block writes its
-diagonals into the buffer; the w block then overwrites them with lam G(v),
-copies them through the view into the matrix, adds the shift diag + rho/2
+one buffer of 2N - 1 diagonals, its lag view (a fixed strided view that reads
+the buffer as its N x N Toeplitz matrix), one Fortran-ordered N x N matrix, a
+view of that matrix's diagonal, and lam and rho/2. Each sweep the v block
+writes its diagonals into the buffer; the w block then overwrites them with
+lam G(v), copies the lag view into the matrix, adds the shift diag + rho/2
 (formed once per w, with its majorizer diagonal) through the diagonal view,
 and factors and solves the matrix in place by Cholesky, in one LAPACK posv
 call; lam * alpha is formed once per sweep for both blocks. The public blocks
@@ -87,6 +87,9 @@ w, alpha, primal residual and weight change bit for bit, the norms taken by the
 package's inner product (``kernels._real_dot``). They run the kernels with
 numpy's overflow warnings off and check the result, so finite inputs that overflow end in
 a typed error; the sweep, whose iterates are bounded, pays for no such check.
+``update_v`` and ``solve_weight_system`` check their solution finite, the sweep neither: a
+non-finite v makes the w block's system non-finite, which posv's factorization or the
+projection onto the sphere rejects, so that sweep still ends in ``DivergenceError``.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state, since no workspace outlives the call that allocated it.
@@ -107,6 +110,7 @@ from .arrays import (
     _as_vector,
     _project_unit_sphere,
     _readonly,
+    _require_count,
     _require_scalar,
     _require_type,
     _toeplitz_view,
@@ -140,9 +144,8 @@ class SolverParams:
                         lambda x: 0 <= x < math.inf)
         _require_scalar(self.rho, "rho", "must exceed 2 and be finite", lambda x: 2 < x < math.inf)
         _require_scalar(self.eta, "eta", "must be positive", lambda x: x > 0)
-        for name in ("max_iters", "seed"):
-            _require_scalar(getattr(self, name), name, "must be an integer >= 0",
-                            lambda n: n >= 0, integer=True)
+        _require_count(self.max_iters, "max_iters", 0)
+        _require_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,22 +315,20 @@ class _Workspace:
     per public block call) and overwritten by every sweep; no workspace outlives its call.
 
     ``diagonals`` holds a block's Toeplitz diagonals: the v block's, which Levinson reads and
-    does not keep, then lam G(v), which ``rows`` reads as the transpose of its Toeplitz matrix
-    (``arrays._toeplitz_view``). ``matrix`` is the w block's Fortran-ordered matrix, the
-    transpose of the C-ordered ``matrix_t`` the rows are copied into, and ``diagonal`` a view
-    of its diagonal.
+    does not keep, then lam G(v), which ``system`` reads as its Toeplitz matrix, a fixed lag
+    view (``arrays._toeplitz_view``). ``matrix`` is the w block's Fortran-ordered matrix,
+    which the view is copied into, and ``diagonal`` a view of its diagonal.
     """
 
-    __slots__ = ("lam", "half_rho", "diagonals", "rows", "matrix_t", "matrix", "diagonal")
+    __slots__ = ("lam", "half_rho", "diagonals", "system", "matrix", "diagonal")
 
     def __init__(self, n: int, params: SolverParams):
         self.lam = params.lam
         self.half_rho = params.rho / 2.0
         self.diagonals = np.empty(2 * n - 1, complex)
-        self.rows = _toeplitz_view(self.diagonals, n, n).T
-        self.matrix_t = np.empty((n, n), complex)
-        self.matrix = self.matrix_t.T
-        self.diagonal = self.matrix_t.reshape(-1)[:: n + 1]
+        self.system = _toeplitz_view(self.diagonals, n, n)
+        self.matrix = np.empty((n, n), complex, order="F")
+        self.diagonal = self.matrix.reshape(-1, order="F")[:: n + 1]
 
 
 def _v_block(
@@ -349,7 +350,7 @@ def _v_block(
         solution, _ = _levinson(diagonals, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Levinson solve failed: {exc}") from exc
-    return _require_finite_solution(solution)
+    return solution
 
 
 def _w_system(
@@ -365,13 +366,12 @@ def _w_system(
 
     Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
     The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian positive
-    definite system is formed in ws: lam G's diagonals are written to its buffer and
-    copied through its fixed strided view into its Fortran-ordered matrix, the shift is
-    added through its diagonal view, and one LAPACK posv call factors the matrix in place
-    by Cholesky and solves.
+    definite system is formed in ws: lam G's diagonals are written to its buffer, its lag
+    view is copied into its Fortran-ordered matrix, the shift is added through its diagonal
+    view, and one LAPACK posv call factors the matrix in place by Cholesky and solves.
     """
     np.multiply(ws.lam, mv.gram, out=ws.diagonals)
-    ws.matrix_t[...] = ws.rows
+    ws.matrix[...] = ws.system
     ws.diagonal += shift
     rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, v - u)
     _, solution, info = _posv(ws.matrix, rhs, 0, 1, 1)  # lower, overwrite_a, overwrite_b
@@ -412,7 +412,7 @@ def update_v(
     with np.errstate(over="ignore", invalid="ignore"):
         mw = _moments(steering.moment_matrix, _template_toeplitz(steering, d), w)
         ws = _Workspace(n, params)
-        return _v_block(ws, mw, w, u, ws.lam * alpha)
+        return _require_finite_solution(_v_block(ws, mw, w, u, ws.lam * alpha))
 
 
 def solve_weight_system(
@@ -458,9 +458,9 @@ def _append_row(raw: array, mw: _Moments, mv: _Moments, w: np.ndarray, cross: fl
                 sparsity: float, wv: np.ndarray, u: np.ndarray, alpha: float, dd: float,
                 w_change: float):
     """Append a state's raw trace scalars from what its sweep computed: the moments of w and
-    v, cross = Re w^H T_d v = Re d^T r, the entropy of w and wv = w - v. The blocks check v and
-    w finite; this checks alpha and u, and a zero template scale, which leaves the row's
-    matching error undefined."""
+    v, cross = Re w^H T_d v = Re d^T r, the entropy of w and wv = w - v. The w block's solve
+    and projection check w finite, and v through its system; this checks alpha and u, and a
+    zero template scale, which leaves the row's matching error undefined."""
     gap = wv + u
     gap_sq = _real_dot(gap, gap)
     if not math.isfinite(alpha + gap_sq):

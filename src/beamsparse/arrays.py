@@ -19,6 +19,11 @@ from .kernels import _gemv, _real_dot
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
 
+#: Bound on every integer a package type accepts (``n_elements``, ``max_iters``, ``seed``,
+#: ``RunReport.cardinality``), so every writer prints it: ``json.dumps`` refuses an int of
+#: more than 4,300 digits.
+MAX_COUNT = 2**63
+
 #: Most entries of the largest matrix a solve allocates, max(K*N, N*(2N-1)): the K x N
 #: steering vectors or the N x (2N-1) moment matrix, which holds more than an N x N block
 #: system; 480 MB of complex values.
@@ -64,15 +69,22 @@ def _echo(x) -> str:
 
 
 def _require_scalar(x, name: str, rule: str = "is non-finite or not a real number",
-                    test=math.isfinite, error: type = ContractError, integer: bool = False):
-    """The scalar rule of every public number. x is read by ``_as_real``, or if integer as a
-    Python int (NaN if it is not a Python or numpy int, or is a bool), and must pass the owner's
-    range test; else it raises the owner's error, "<name> <rule>, got <x>" with x as ``_echo``
-    shows it. Returns the value read, so an int of any size passes an integer test exactly."""
-    value = (int(x) if _is_integer(x) else math.nan) if integer else _as_real(x)
+                    test=math.isfinite, error: type = ContractError) -> float:
+    """The scalar rule of every public number. x is read by ``_as_real`` and must pass the
+    owner's range test; else it raises the owner's error, "<name> <rule>, got <x>" with x as
+    ``_echo`` shows it. Returns the value read."""
+    value = _as_real(x)
     if not test(value):
         raise error(f"{name} {rule}, got {_echo(x)}")
     return value
+
+
+def _require_count(x, name: str, least: int) -> int:
+    """The scalar rule for an integer field: a Python or numpy int, not a bool, from least up
+    to below ``MAX_COUNT``, compared exactly. Returns it as a Python int."""
+    _require_scalar(x, name, f"must be an integer >= {least} and < 2**63",
+                    lambda _: _is_integer(x) and least <= int(x) < MAX_COUNT)
+    return int(x)
 
 
 def _as_vector(x, n: int | None, name: str, dtype=complex) -> np.ndarray:
@@ -131,10 +143,7 @@ class ArrayGeometry:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
-        # a count too large for a float has no steering phase
-        n = _require_scalar(self.n_elements, "n_elements",
-                            "must be an integer >= 2 that a float holds",
-                            lambda n: 2 <= _as_real(n), integer=True)
+        n = _require_count(self.n_elements, "n_elements", 2)
         # plain Python numbers: an overflowing phase is inf, with no numpy warning
         _require_scalar(self.spacing_ratio, "spacing_ratio", "must be > 0 with a finite "
                         "steering phase 2*pi*spacing_ratio*(n_elements - 1)",

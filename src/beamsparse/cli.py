@@ -13,6 +13,7 @@ import sys
 from typing import Optional
 
 from .admm import converged
+from .arrays import _echo
 from .config import load_config
 from .errors import BeamsparseError
 from .runner import run_experiment
@@ -27,6 +28,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """``--seed`` as an int; the config checks its range. Unlike ``type=int``, a rejected
+    value is echoed by ``arrays._echo``, so a huge one gives a short usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="beamsparse",
@@ -36,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("--config", required=True, help="path to the experiment JSON")
     run.add_argument("--output-dir", default=None, help="override the config's output directory")
-    run.add_argument("--seed", type=int, default=None, help="override the config's RNG seed")
+    run.add_argument("--seed", type=_seed, default=None, help="override the config's RNG seed")
     run.add_argument("--quiet", action="store_true", help="suppress the summary printout")
     return parser
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm import SolverParams, _require_data_fit_bound
-from .arrays import AngleGrid, ArrayGeometry, _require_solve_size, _require_type
+from .arrays import AngleGrid, ArrayGeometry, _echo, _require_solve_size, _require_type
 from .errors import ConfigurationError, ContractError
 from .metrics import _SELECTION_THRESHOLD, _require_both_regions, _require_threshold
 from .templates import DesiredPattern, MainlobeSpec, build_template
@@ -90,7 +90,7 @@ def _parse_lobe(index: int, raw) -> MainlobeSpec:
         raise ConfigurationError(f"mainlobes[{index}] must be an object")
     unknown = set(raw) - _LOBE_KEYS
     if unknown:
-        raise ConfigurationError(f"mainlobes[{index}] has unknown field '{sorted(unknown)[0]}'")
+        raise ConfigurationError(f"mainlobes[{index}] has unknown field {_echo(min(unknown))}")
     for key in ("start_deg", "end_deg"):
         if key not in raw:
             raise ConfigurationError(f"mainlobes[{index}] is missing '{key}'")
@@ -103,7 +103,7 @@ def _unique_keys(pairs: list) -> dict:
     members = {}
     for key, value in pairs:
         if key in members:
-            raise ConfigurationError(f"config key '{key}' is repeated")
+            raise ConfigurationError(f"config key {_echo(key)} is repeated")
         members[key] = value
     return members
 
@@ -129,7 +129,7 @@ def parse_config(text: str) -> ExperimentConfig:
     known = {_ATTR_TO_KEY.get(f.name, f.name) for f in fields(ExperimentConfig) if f.init}
     unknown = set(doc) - known
     if unknown:
-        raise ConfigurationError(f"unknown config field '{sorted(unknown)[0]}'")
+        raise ConfigurationError(f"unknown config field {_echo(min(unknown))}")
 
     kwargs = {_KEY_TO_ATTR.get(key, key): value for key, value in doc.items()}
     lobes = kwargs.get("mainlobes", [])
@@ -168,5 +168,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"config file {str(path)!r} is not UTF-8 text: {exc}") from exc
+        raise ConfigurationError(
+            f"config file {_echo(Path(path).name)} is not UTF-8 text: {exc}"
+        ) from exc
     return parse_config(text)

@@ -35,6 +35,7 @@ from .admm import Trace, solve
 from .arrays import (
     _as_powers,
     _as_vector,
+    _require_count,
     _require_scalar,
     _require_type,
     beampattern,
@@ -68,8 +69,7 @@ class RunReport:
     trace: Trace
 
     def __post_init__(self):
-        _require_scalar(self.cardinality, "cardinality", "must be an integer >= 0",
-                        lambda n: n >= 0, integer=True)
+        _require_count(self.cardinality, "cardinality", 0)
         _require_scalar(self.matching_error_db, "matching_error_db")
         _require_scalar(self.peak_sidelobe_db, "peak_sidelobe_db")
         _require_scalar(self.runtime_seconds, "runtime_seconds", "must be finite and >= 0",

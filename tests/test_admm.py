@@ -909,6 +909,28 @@ class TestLevinsonVBlock:
         assert isinstance(excinfo.value.__cause__, NumericalError)
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_solution_ends_in_divergence_with_partial_trace(self, monkeypatch, bad):
+        # the sweep does not check v itself: its non-finite moments make the w block's system
+        # non-finite, which posv or the projection onto the sphere rejects in the same sweep
+        rng = np.random.default_rng(57)
+        steering, d = random_instance(rng)
+        calls = {"count": 0}
+        real_levinson = admm_mod._levinson
+
+        def poisoned(*args):
+            calls["count"] += 1
+            solution, reflection = real_levinson(*args)
+            if calls["count"] == 3:
+                solution = np.full_like(solution, bad)
+            return solution, reflection
+
+        monkeypatch.setattr(admm_mod, "_levinson", poisoned)
+        with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
+            solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
+        assert isinstance(excinfo.value.__cause__, (NumericalError, DegenerateInputError))
+        assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
+
 
 # a cold start of the command line, then scipy.linalg imported after the package
 COLD_START = """

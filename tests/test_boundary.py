@@ -26,6 +26,7 @@ from beamsparse import (
     AngleGrid,
     ArrayGeometry,
     BeamsparseError,
+    ConfigurationError,
     DesiredPattern,
     ExperimentConfig,
     MainlobeSpec,
@@ -136,9 +137,9 @@ MASK = Kind(lambda m: {"none": None, "empty": m[:0], "2-D": m[None], "short": m[
                        "float": m.astype(float), "int": m.astype(int)})
 REAL = Kind(lambda x: NON_REAL | {"nan": nan, "inf": inf, "-inf": -inf}, numeric=True)
 TOLERANCE = Kind(lambda x: NON_REAL | {"nan": nan, "-inf": -inf}, numeric=True)  # +inf: 1 sweep
-# a huge count is valid for max_iters and seed, so the unprintable one is negative
+# every count is below 2**63, so every writer prints it: json.dumps refuses 10**5000
 COUNT = Kind(lambda x: {"none": None, "str": "1", "bool": True, "float": 2.5, "negative": -1,
-                        "unprintable_negative": -10**5000})
+                        "unprintable_negative": -10**5000, "unprintable": 10**5000})
 LOBES = Kind(lambda lobes: {"none": None, "empty": (), "object": (object(),)})
 TYPED = typed()
 # a template on the steering set's grid
@@ -293,3 +294,12 @@ def test_valid_call_succeeds(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", list(BAD))
 def test_bad_input_raises_a_package_error(case):
     check_bad_call(case)
+
+
+def test_the_largest_counts_round_trip_through_the_config_writer():
+    cfg = CFG.with_overrides(max_iters=2**63 - 1, seed=2**63 - 1)
+    assert parse_config(serialize_config(cfg)) == cfg
+    for field in ("max_iters", "seed"):
+        with pytest.raises(ConfigurationError, match=rf"{field} must be an integer >= 0 and < "
+                                                     r"2\*\*63, got 9223372036854775808$"):
+            CFG.with_overrides(**{field: 2**63})

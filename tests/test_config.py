@@ -98,6 +98,15 @@ def test_non_utf8_file_is_a_configuration_error_naming_it(tmp_path):
         load_config(path)
 
 
+def test_non_utf8_file_in_a_long_directory_is_named_in_short(tmp_path):
+    path = tmp_path / ("d" * 200) / "utf16.json"
+    path.parent.mkdir()
+    path.write_bytes(b"\xff\xfe" + MINIMAL.encode("utf-16-le"))
+    with pytest.raises(ConfigurationError, match="^config file 'utf16.json' is not UTF-8") as excinfo:
+        load_config(path)
+    assert len(str(excinfo.value)) <= 200
+
+
 def test_unknown_field_rejected():
     with pytest.raises(ConfigurationError, match="unknown config field 'lambda_weight'"):
         parse_config(MINIMAL[:-1] + ', "lambda_weight": 0.1}')
@@ -118,6 +127,22 @@ def test_repeated_lobe_key_rejected():
 def test_unknown_lobe_field_rejected():
     with pytest.raises(ConfigurationError, match="mainlobes"):
         parse_config('{"mainlobes": [{"start_deg": 0, "end_deg": 5, "width": 3}]}')
+
+
+LONG_KEY = "k" * 10_000
+
+
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL[:-1] + f', "{LONG_KEY}": 0.1}}', "unknown config field 'kkk"),
+    (f'{{"mainlobes": [{{"start_deg": 0, "end_deg": 5, "{LONG_KEY}": 3}}]}}',
+     "mainlobes[0] has unknown field 'kkk"),
+    (f'{{"{LONG_KEY}": 1, "{LONG_KEY}": 2}}', "config key 'kkk"),
+], ids=["unknown-top-level", "unknown-lobe", "repeated"])
+def test_long_key_is_echoed_in_short(text, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value).startswith(message)
+    assert len(str(excinfo.value)) <= 200
 
 
 @pytest.mark.parametrize(

@@ -319,9 +319,12 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["run", "--config", "c.json", "--seed", "abc"],
          "argument --seed: invalid int value: 'abc'"),
+        # past int()'s 4,300-digit limit: echoed by arrays._echo, not in full
+        (["run", "--config", "c.json", "--seed", "1" + "0" * 5000],
+         "argument --seed: invalid int value: '1000"),
         (["run"], "the following arguments are required: --config"),
         ([], "the following arguments are required: command"),
-    ], ids=["non-integer-seed", "missing-config", "no-subcommand"])
+    ], ids=["non-integer-seed", "5001-digit-seed", "missing-config", "no-subcommand"])
     def test_usage_error_exits_one(self, argv, message, capsys):
         # 2 is the exit code of a run stopped at the iteration budget, not argparse's
         with pytest.raises(SystemExit) as excinfo:
@@ -331,6 +334,7 @@ class TestCli:
         assert captured.out == ""
         assert "error: " + message in captured.err
         assert captured.err.startswith("usage: beamsparse")
+        assert len(captured.err.encode()) <= 300
 
     @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]], ids=["top", "run"])
     def test_help_exits_zero(self, argv, capsys):
