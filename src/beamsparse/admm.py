@@ -30,24 +30,30 @@ The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
 along the diagonal, so its matrix is not Toeplitz (it is positive definite
 only for rho > 2, because the majorizer diagonal is bounded below by -1 on the
 sphere). Each solve allocates one workspace for both systems (``_Workspace``):
-one buffer of 2N - 1 diagonals, its lag view (a fixed strided view that reads
-the buffer as its N x N Toeplitz matrix), one Fortran-ordered N x N matrix, a
-view of that matrix's diagonal, and lam and rho/2. Each sweep the v block
-writes its diagonals into the buffer; the w block then overwrites them with
-lam G(v), copies the lag view into the matrix, adds the shift diag + rho/2
-(formed once per w, with its majorizer diagonal) through the diagonal view,
-and factors and solves the matrix in place by Cholesky, in one LAPACK posv
-call; lam * alpha is formed once per sweep for both blocks. The public blocks
-build a workspace per call.
+two lag buffers of 2N - 1 entries, into which the moments of w and of v write
+their Gram diagonals, one buffer of 2N - 1 diagonals, its lag view (a fixed
+strided view that reads the buffer as its N x N Toeplitz matrix), one
+Fortran-ordered N x N matrix, a view of that matrix's diagonal, and lam and
+rho/2. Each sweep the v block writes its diagonals into the buffer; the w block
+then overwrites them with lam G(v), copies the lag view into the matrix, adds
+the shift diag + rho/2 (formed once per w, with its majorizer diagonal) through
+the diagonal view, and factors and solves the matrix in place by Cholesky, in
+one LAPACK posv call, whose solution is then scaled onto the sphere in place;
+lam * alpha is formed once per sweep for both blocks. The public blocks build a
+workspace per call.
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
 ``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines: zgemv
-takes every matrix-vector product, zdotc every inner product and squared
-norm, and zdscal and zaxpy form both blocks' right-hand sides
-lam * alpha * T_d x + (rho/2) s in the vector s (``_rhs``). They are loaded
-from their three extension modules without importing ``scipy.linalg``
-(``kernels``). The solver calls them through this module's globals, where
-tests can substitute them.
+takes every matrix-vector product, writing the Gram diagonals into their lag
+buffer, zdotc every inner product and squared norm, zdscal and zaxpy form both
+blocks' right-hand sides lam * alpha * T_d x + (rho/2) s in the vector s
+(``_rhs``), and zdscal scales the w block's solution by 1 / ||x|| onto the
+sphere (``arrays._project_unit_sphere``), bit for bit numpy's x / ||x|| in
+every nonzero part. The sweep passes their arguments positionally, since f2py
+takes about twice as long to parse a keyword call. They are loaded from their
+three extension modules without importing ``scipy.linalg`` (``kernels``). The
+solver calls them through this module's globals, where tests can substitute
+them.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -269,22 +275,47 @@ class _Moments(NamedTuple):
     td_x: np.ndarray  # T_d x = sum_k d_k (a_k^H x) a_k
 
 
-def _gram_diagonals(t: np.ndarray, auto: np.ndarray) -> np.ndarray:
+class _Lags(NamedTuple):
+    """A buffer of a Hermitian sequence's 2N - 1 lags -(N-1) ... N-1, entry N - 1 + l holding
+    lag l, with the two views that fill its negative lags from its positive ones."""
+
+    buffer: np.ndarray
+    positive: np.ndarray  # lags N-1 down to 1
+    negative: np.ndarray  # the slots of lags -(N-1) up to -1
+
+
+def _lags(n: int) -> _Lags:
+    """A zeroed lag buffer for N elements and its views."""
+    buffer = np.zeros(2 * n - 1, complex)
+    return _Lags(buffer, buffer[: n - 1 : -1], buffer[: n - 1])
+
+
+def _gram_diagonals(t: np.ndarray, auto: np.ndarray, lags: Optional[_Lags] = None) -> np.ndarray:
     """Gram diagonals at lam = 1 from the moment matrix t (``SteeringSet.moment_matrix``) and
-    auto = np.correlate(x, x, "full"): lag l >= 0 is sum_j q_(l-j) auto_j, one zgemv."""
-    return _with_negative_lags(_gemv(1.0, t, auto), t.shape[0])
+    auto = np.correlate(x, x, "full"): lag l >= 0 is sum_j q_(l-j) auto_j, one zgemv, which
+    writes them into the lag buffer (a fresh one when None) from entry N - 1 up; the negative
+    lags are their conjugates. Returns the buffer."""
+    buffer, positive, negative = _lags(t.shape[0]) if lags is None else lags
+    # alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y
+    _gemv(1.0, t, auto, 0.0, buffer, 0, 1, negative.size, 1, 0, 1)
+    np.conjugate(positive, out=negative)
+    return buffer
 
 
-def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray) -> _Moments:
-    """The moments of x, from the moment matrix t and T_d: O(N^2), independent of K."""
+def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray,
+             lags: Optional[_Lags] = None) -> _Moments:
+    """The moments of x, from the moment matrix t and T_d: O(N^2), independent of K. The Gram
+    diagonals are written into lags (a fresh buffer when None)."""
     auto = np.correlate(x, x, "full")
-    return _Moments(auto, _gram_diagonals(t, auto), _gemv(1.0, td, x))
+    return _Moments(auto, _gram_diagonals(t, auto, lags), _gemv(1.0, td, x))
 
 
 def _rhs(lam_alpha: float, td_x: np.ndarray, half_rho: float, s: np.ndarray) -> np.ndarray:
     """A block's right-hand side lam_alpha * td_x + half_rho * s, by BLAS's zdscal and zaxpy,
     written into s, which the caller forms for it."""
-    return _axpy(td_x, _dscal(half_rho, s, overwrite_x=1), a=lam_alpha)
+    n = s.size
+    # zdscal(a, x, n, offx, incx, overwrite_x), then zaxpy(x, y, n, a)
+    return _axpy(td_x, _dscal(half_rho, s, n, 0, 1, 1), n, lam_alpha)
 
 
 def _pattern_dot(mx: _Moments, my: _Moments) -> float:
@@ -314,17 +345,24 @@ class _Workspace:
     """The two block systems' buffers and constants, allocated once per ``solve`` (and once
     per public block call) and overwritten by every sweep; no workspace outlives its call.
 
-    ``diagonals`` holds a block's Toeplitz diagonals: the v block's, which Levinson reads and
-    does not keep, then lam G(v), which ``system`` reads as its Toeplitz matrix, a fixed lag
-    view (``arrays._toeplitz_view``). ``matrix`` is the w block's Fortran-ordered matrix,
-    which the view is copied into, and ``diagonal`` a view of its diagonal.
+    ``gram_w`` and ``gram_v`` are the lag buffers (``_Lags``) that the moments of w and of v
+    write their Gram diagonals into. The next iterate's moments overwrite each only after its
+    last reader: the v block and w's trace row for w, the w block and the next trace row for
+    v. ``diagonals`` holds a block's Toeplitz diagonals:
+    the v block's, which Levinson reads and does not keep, then lam G(v), which ``system``
+    reads as its Toeplitz matrix, a fixed lag view (``arrays._toeplitz_view``). ``matrix`` is
+    the w block's Fortran-ordered matrix, which the view is copied into, and ``diagonal`` a
+    view of its diagonal.
     """
 
-    __slots__ = ("lam", "half_rho", "diagonals", "system", "matrix", "diagonal")
+    __slots__ = ("lam", "half_rho", "gram_w", "gram_v", "diagonals", "system", "matrix",
+                 "diagonal")
 
     def __init__(self, n: int, params: SolverParams):
         self.lam = params.lam
         self.half_rho = params.rho / 2.0
+        self.gram_w = _lags(n)
+        self.gram_v = _lags(n)
         self.diagonals = np.empty(2 * n - 1, complex)
         self.system = _toeplitz_view(self.diagonals, n, n)
         self.matrix = np.empty((n, n), complex, order="F")
@@ -410,8 +448,8 @@ def update_v(
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = _moments(steering.moment_matrix, _template_toeplitz(steering, d), w)
         ws = _Workspace(n, params)
+        mw = _moments(steering.moment_matrix, _template_toeplitz(steering, d), w, ws.gram_w)
         return _require_finite_solution(_v_block(ws, mw, w, u, ws.lam * alpha))
 
 
@@ -432,8 +470,8 @@ def solve_weight_system(
     u = _as_vector(u, n, "u")
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
-        mv = _moments(steering.moment_matrix, _template_toeplitz(steering, d), v)
         ws = _Workspace(n, params)
+        mv = _moments(steering.moment_matrix, _template_toeplitz(steering, d), v, ws.gram_v)
         shift = diag + ws.half_rho
         return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, shift))
 
@@ -534,8 +572,8 @@ def solve(
     # finite start vectors can overflow where the sweep's bounded iterates cannot: row 0 is
     # formed with overflow silenced and must meet the Trace rule
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = _moments(t, td, w)
-        mv = _moments(t, td, v)
+        mw = _moments(t, td, w, ws.gram_w)
+        mv = _moments(t, td, v, ws.gram_v)
         cross = _real_dot(w, mv.td_x)
         _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
     try:
@@ -547,14 +585,14 @@ def solve(
             alpha = cross / dd
             lam_alpha = ws.lam * alpha
             v = _v_block(ws, mw, w, u, lam_alpha)
-            mv = _moments(t, td, v)
+            mv = _moments(t, td, v, ws.gram_v)
             swept = _project_unit_sphere(_w_system(ws, mv, v, u, lam_alpha, shift))
             wv = swept - v
             u = u + wv
             step = swept - w
             w_change = math.sqrt(_real_dot(step, step))
             w = swept
-            mw = _moments(t, td, w)
+            mw = _moments(t, td, w, ws.gram_w)
             sparsity, diag = _penalty(np.abs(w) ** 2)
             shift = diag + ws.half_rho
             cross = _real_dot(w, mv.td_x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
-from .kernels import _gemv, _real_dot
+from .kernels import _dscal, _gemv, _real_dot
 
 #: Most angles a uniform grid may have (480 MB of steering vectors at 30 elements).
 MAX_GRID_ANGLES = 1_000_000
@@ -303,17 +303,20 @@ def beampattern(steering: SteeringSet, w: np.ndarray) -> np.ndarray:
 
 
 def project_unit_sphere(x: np.ndarray) -> np.ndarray:
-    """Scale a nonzero vector to unit l2 norm."""
+    """Scale a nonzero vector to unit l2 norm, in a new array."""
     x = _as_vector(x, None, "x")
     with np.errstate(over="ignore"):
         if _real_dot(x, x) == math.inf:
             raise ContractError("the squared norm of x overflows")
-    return _project_unit_sphere(x)
+    return _project_unit_sphere(x.copy())
 
 
 def _project_unit_sphere(x: np.ndarray) -> np.ndarray:
-    """project_unit_sphere without the vector rule, for vectors the solver already holds."""
+    """project_unit_sphere without the vector rule, for a contiguous complex vector the caller
+    owns: x is scaled in place by BLAS's zdscal with 1 / ||x|| and returned. numpy divides a
+    complex array by a real as a product with its reciprocal, so each nonzero part is that of
+    x / ||x|| bit for bit; a zero part stays zero, with the sign the BLAS kernel gives it."""
     nrm = math.sqrt(_real_dot(x, x))
     if not 0.0 < nrm < math.inf:
         raise DegenerateInputError("cannot project a zero or non-finite vector onto the sphere")
-    return x / nrm
+    return _dscal(1.0 / nrm, x, x.size, 0, 1, 1)  # a, x, n, offx, incx, overwrite_x

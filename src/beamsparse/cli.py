@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional
 
 from .admm import converged
@@ -35,6 +36,16 @@ def _seed(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+
+
+def _os_error(exc: OSError) -> str:
+    """An OSError as the error line shows it: its text and the name of its file, not the
+    whole path, each cut short by ``arrays._echo``."""
+    text = _echo(exc.strerror if exc.strerror is not None else str(exc))
+    name = exc.filename
+    if name is None:
+        return text
+    return f"{text}: {_echo(Path(name).name if isinstance(name, str) else name)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +74,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cfg = cfg.with_overrides(**overrides)
         report = run_experiment(cfg)
     except (BeamsparseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_os_error(exc) if isinstance(exc, OSError) else exc}", file=sys.stderr)
         return 1
 
     done = converged(report.trace, cfg.eta)

@@ -59,7 +59,9 @@ def _weight_powers(w, n: int | None, name: str) -> np.ndarray:
 def _penalty(p: np.ndarray) -> tuple[float, np.ndarray]:
     """The entropy of powers p and its tangent diagonal there, from one clamped log."""
     log_p = np.log(np.maximum(p, POWER_FLOOR))
-    return 0.0 - float(np.where(p >= POWER_FLOOR, p * log_p, 0.0).sum()), -1.0 - log_p
+    terms = p * log_p
+    terms *= p >= POWER_FLOOR  # below the floor, +-0: the same pairwise sum as 0 there
+    return 0.0 - float(np.add.reduce(terms)), -1.0 - log_p
 
 
 def entropy(w: np.ndarray) -> float:

@@ -940,11 +940,18 @@ from beamsparse import kernels
 import numpy as np
 product = kernels._gemv(1.0, [[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]).tolist()
 print(sorted(name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules), product)
-# the keywords the sweep passes, so that a changed f2py signature fails here by name
+# the positional arguments the sweep passes, in its order, so that a reordered f2py signature
+# fails here: zdscal(a, x, n, offx, incx, overwrite_x) and zaxpy(x, y, n, a), in place
 y = np.array([1.0, 2.0 + 1.0j])
-scaled = kernels._dscal(2.0, y, overwrite_x=1)
-summed = kernels._axpy(np.array([1.0j, 1.0]), y, a=3.0)
-print(scaled is y, summed.tolist(), kernels._dotc(y, y))
+scaled = kernels._dscal(2.0, y, 2, 0, 1, 1)
+summed = kernels._axpy(np.array([1.0j, 1.0]), y, 2, 3.0)
+print(scaled is y, summed is y, summed.tolist(), kernels._dotc(y, y))
+# zgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y): the product written
+# into a lag buffer from entry 1 on, in place, where beta = 0 does not read the NaN it held
+lags = np.full(3, np.nan, complex)
+a = np.array([[1.0, 2.0], [3.0, 4.0]], complex, order="F")
+written = kernels._gemv(1.0, a, np.array([1.0, 1.0j]), 0.0, lags, 0, 1, 1, 1, 0, 1)
+print(written is lags, lags[1:].tolist())
 import scipy.linalg
 print(kernels._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
       kernels._levinson is scipy.linalg._solve_toeplitz.levinson,
@@ -962,7 +969,8 @@ class TestScipyKernels:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == [
             "[] [(3+0j), (7+0j)]",
-            "True [(2+3j), (7+2j)] (66+0j)",
+            "True True [(2+3j), (7+2j)] (66+0j)",
+            "True [(1+2j), (3+4j)]",
             "True True True True True True",
         ]
 
@@ -1003,6 +1011,69 @@ class TestScipyKernels:
         assert np.array_equal(admm_mod._gram_diagonals(t, auto)[n - 1 :], t @ auto)
         moments = t[n - 1, n - 2 :: -1]  # q_N ... q_(2N-2), from T[N-1, j] = q_(2N-2-j)
         assert np.array_equal(moments, (a.T @ a[:, n - 1])[1:])
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n", [2, 3, 30, 256])
+    def test_gram_diagonals_over_a_non_finite_buffer_are_the_fresh_product(self, n, fill):
+        # the moments write zgemv's product with beta = 0 into a lag buffer, from entry N - 1
+        # on, without reading what it held, and mirror its conjugates below, bit for bit
+        rng = np.random.default_rng(64)
+        steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, 181)))
+        t = steering.moment_matrix
+        lags = admm_mod._lags(n)
+        for _ in range(5):
+            lags.buffer[:] = fill
+            x = random_complex(rng, n)
+            auto = np.correlate(x, x, "full")
+            gram = admm_mod._gram_diagonals(t, auto, lags)
+            assert gram is lags.buffer
+            want = arrays_mod._with_negative_lags(t @ auto, n)
+            assert gram.tobytes() == want.tobytes()
+            assert admm_mod._gram_diagonals(t, auto).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 30, 256])
+    def test_sphere_scale_is_numpys_division_bit_for_bit(self, n):
+        # the projection scales by zdscal with 1 / ||x||, the product numpy's complex-by-real
+        # division takes, so every nonzero part is x / ||x|| bit for bit, at norms near 1e-200
+        # and 1e200 too (by the kernel itself, since the package's norm squares those out of
+        # range). A zero part stays zero, but its sign is the BLAS kernel's: OpenBLAS's keeps
+        # it at N < 8 and not always beyond, and the division turns some -0 into 0
+        rng = np.random.default_rng(65)
+        for scale in (1e-200, 1e-150, 1.0, 1e150, 1e200):
+            for _ in range(40):
+                x = random_complex(rng, n) * scale
+                parts = x.view(float)
+                zeros = rng.random(2 * n) < 0.25
+                zeros[rng.integers(2 * n)] = False
+                parts[zeros] = np.copysign(0.0, parts[zeros])
+                nrm = math.hypot(*np.abs(x))
+                got = kernels_mod._dscal(1.0 / nrm, x.copy(), n, 0, 1, 1).view(float)
+                want = (x / nrm).view(float)
+                assert got[~zeros].tobytes() == want[~zeros].tobytes()
+                assert np.array_equal(got, want)
+                if 1e-150 <= scale <= 1e150:
+                    y = x.copy()
+                    projected = arrays_mod._project_unit_sphere(y)
+                    assert projected is y
+                    want = (x / package_norm(x)).view(float)
+                    assert projected.view(float)[~zeros].tobytes() == want[~zeros].tobytes()
+
+    def test_penalty_sum_is_the_where_sum_bit_for_bit(self):
+        # the entropy zeroes the terms below POWER_FLOOR in place and sums them by
+        # np.add.reduce: the pairwise sum of np.where's, with +-0 where that held 0
+        rng = np.random.default_rng(66)
+        below = [0.0, 5e-324, POWER_FLOOR / 2, np.nextafter(POWER_FLOOR, 0.0)]
+        above = [POWER_FLOOR, np.nextafter(POWER_FLOOR, 1.0), 2 * POWER_FLOOR, 0.5, 1.0]
+        for n in (1, 2, 3, 8, 9, 30, 129, 256, 1000):
+            for _ in range(20):
+                p = rng.uniform(0.0, 1.0, n) ** rng.uniform(1.0, 40.0)
+                picked = rng.random(n) < 0.3
+                p[picked] = rng.choice(below + above, picked.sum())
+                value, diag = admm_mod._penalty(p)
+                log_p = np.log(np.maximum(p, POWER_FLOOR))
+                want = 0.0 - np.where(p >= POWER_FLOOR, p * log_p, 0.0).sum()
+                assert np.float64(value).tobytes() == want.tobytes()
+                assert diag.tobytes() == (-1.0 - log_p).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 30, 256])
     def test_dotc_is_numpys_vdot_bit_for_bit_at_each_call_site(self, n):

@@ -279,6 +279,16 @@ class TestProjection:
         with pytest.raises(DegenerateInputError):
             project_unit_sphere(np.zeros(3))
 
+    def test_leaves_its_argument_as_it_was(self):
+        # the kernel scales in place, so the public call scales a copy, of a read-only array too
+        x = np.array([3.0 + 4.0j, 0.0, -12.0j])
+        kept = x.copy()
+        got = project_unit_sphere(x)
+        assert np.array_equal(x, kept)
+        assert not np.shares_memory(got, x)
+        x.setflags(write=False)
+        assert np.array_equal(project_unit_sphere(x), got)
+
 
 @pytest.mark.parametrize(
     "angles",

@@ -16,7 +16,7 @@ from beamsparse import (
     load_config,
     run_experiment,
 )
-from beamsparse.cli import main as cli_main
+from beamsparse.cli import _os_error, main as cli_main
 from beamsparse.metrics import _db
 
 ARTIFACTS = ("weights.csv", "beampattern.csv", "trace.csv", "summary.json")
@@ -289,6 +289,29 @@ class TestCli:
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing-config", "output-dir-under-a-file"])
+    def test_long_path_os_error_is_echoed_short(self, case, fast_config_path, tmp_path, capsys):
+        # an OSError shows its text and its file's name, each cut short by arrays._echo, not
+        # the path: a missing config of 480 characters, an --output-dir of 3,000 under a file
+        if case == "missing-config":
+            path = tmp_path.joinpath(*["c" * 59] * 8, "nope.json")
+            assert len(str(path)) >= 480
+            argv = ["run", "--config", str(path)]
+        else:
+            out = os.path.join(os.devnull, "o" * 2990)
+            argv = ["run", "--config", str(fast_config_path), "--output-dir", out]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 200
+        assert "Traceback" not in err
+
+    def test_os_error_text_and_file_name(self):
+        assert _os_error(OSError(2, "No such file or directory", "/a/b/c.json")) == (
+            "'No such file or directory': 'c.json'")
+        assert _os_error(OSError("x" * 1000)) == repr("x" * 1000)[:57] + "..."
+        assert _os_error(OSError(9, "Bad file descriptor", 3)) == "'Bad file descriptor': 3"
 
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "utf16.json"
