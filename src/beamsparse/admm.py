@@ -38,30 +38,46 @@ rho/2. Each sweep the v block writes its diagonals into the buffer; the w block
 then overwrites them with lam G(v), copies the lag view into the matrix, adds
 the shift diag + rho/2 (formed once per w, with its majorizer diagonal) through
 the diagonal view, and factors and solves the matrix in place by Cholesky, in
-one LAPACK posv call, whose solution is then scaled onto the sphere in place;
+one LAPACK posv call that reads only its lower triangle (OpenBLAS factors the
+lower triangle faster than the upper one), whose solution is then scaled onto
+the sphere in place;
 lam * alpha is formed once per sweep for both blocks. The public blocks build a
 workspace per call.
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
 ``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines: zgemv
-takes every matrix-vector product, writing the Gram diagonals into their lag
-buffer, zdotc every inner product and squared norm, zdscal and zaxpy form both
-blocks' right-hand sides lam * alpha * T_d x + (rho/2) s in the vector s
+takes every matrix-vector product, below the FFT crossover writing the Gram
+diagonals into their lag buffer, zdotc every inner product and squared norm,
+zdscal and zaxpy form both blocks' right-hand sides lam * alpha * T_d x + (rho/2) s in the vector s
 (``_rhs``), and zdscal scales the w block's solution by 1 / ||x|| onto the
 sphere (``arrays._project_unit_sphere``), bit for bit numpy's x / ||x|| in
 every nonzero part. The sweep passes their arguments positionally, since f2py
 takes about twice as long to parse a keyword call. They are loaded from their
 three extension modules without importing ``scipy.linalg`` (``kernels``). The
 solver calls them through this module's globals, where tests can substitute
-them.
+them. From ``_FFT_CROSSOVER`` elements on, each iterate's moments come from
+numpy's FFT instead (``_fft_moments``), which the package reaches at call time,
+so importing it loads no ``numpy.fft``.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
-IEEE TSP 1997), so the sweep never touches the K x N steering matrix: from
-``SteeringSet.moment_matrix``, the N x (2N-1) Toeplitz matrix of the grid
-moments, and T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads it once, it
-forms per iterate, in O(N^2), what ``_Moments`` lists: G's diagonals are one
-zgemv of the moment matrix with the iterate's autocorrelation.
+IEEE TSP 1997), so the sweep never touches the K x N steering matrix. Per
+iterate it forms what ``_Moments`` lists by one of two kernels, which
+``_moment_kernel`` picks once per solve (and once per public call) by N, so
+the loop holds no branch:
+
+- below ``_FFT_CROSSOVER`` (``_moments``, O(N^2)), from
+  ``SteeringSet.moment_matrix``, the N x (2N-1) Toeplitz matrix of the grid
+  moments, and T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads the
+  steering matrix once: G's diagonals are one zgemv of the moment matrix with
+  the iterate's autocorrelation (``np.correlate``) and T_d x a second zgemv;
+- from it on (``_fft_moments``, O(N log N)), from the spectra Q and T of the
+  3N - 2 grid moments and of T_d's 2N - 1 lags over one FFT length L, the
+  smallest 2^a 3^b >= 3N - 2, formed once per solve: with X = fft(x, L), the
+  autocorrelation is ifft(|X|^2), G's diagonals ifft(Q |X|^2) and T_d x
+  ifft(T X), the three inverse transforms in one batched call (Chan & Ng,
+  SIAM Review 1996). T_d's N x N matrix is not formed.
+
 Both blocks' matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d
 (d^T d being ``DesiredPattern.energy``) and every raw trace scalar come
 from these.
@@ -86,8 +102,11 @@ once the loop ends or a sweep fails, one vectorized pass derives the ``Trace``,
 one column per field, with no per-row object. That pass is the package's one
 evaluator of the objective and the augmented Lagrangian: row 0 of ``solve``
 with ``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
-The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``)
-check their inputs and call the same kernels, so composing them, with
+The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``,
+and ``data_fit_gram``) check their inputs and call the same kernels, the
+moment kernel that ``_moment_kernel`` picks at their size among them (an
+inverse transform of one row alone need not give the bits of the batched one),
+so composing them, with
 ``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
 w, alpha, primal residual and weight change bit for bit, the norms taken by the
 package's inner product (``kernels._real_dot``). They run the kernels with
@@ -252,22 +271,22 @@ def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
     return np.array(_toeplitz_view(diagonals, n, n), order="F")
 
 
-def _template_toeplitz(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
-    """T_d = sum_k d_k a_k a_k^H: entry (m, n) is sum_k d_k z_k^(m-n), a Hermitian
-    Toeplitz matrix whose first column is A^T d."""
-    return _toeplitz_gram(
-        _with_negative_lags(_gemv(1.0, steering.vectors.T, d.values), steering.n_elements)
-    )
+def _template_lags(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
+    """The lags -(N-1) ... N-1 of T_d = sum_k d_k a_k a_k^H, whose entry (m, n) is
+    sum_k d_k z_k^(m-n): a Hermitian Toeplitz matrix whose first column is A^T d."""
+    return _with_negative_lags(_gemv(1.0, steering.vectors.T, d.values), steering.n_elements)
 
 
 class _Moments(NamedTuple):
-    """What a sweep needs of an iterate x, from the moment matrix and T_d.
+    """What a sweep needs of an iterate x, from the grid moments and T_d, by either moment
+    kernel (``_moments`` or ``_fft_moments``), which agree to rounding.
 
     With the autocorrelation rho_l = sum_n x_n conj(x_(n+l)), the pattern is
     |a_k^H x|^2 = sum_l rho_l z_k^l, so diagonal l of the data-fit Gram matrix,
     sum_k |a_k^H x|^2 z_k^l, is sum_j rho_j q_(l+j) (Lebret & Boyd, IEEE TSP
     1997), and sum_k |a_k^H x|^2 |a_k^H y|^2 pairs rho of x with the Gram
-    diagonals of y. Arrays over lags run from -(N-1) to N-1.
+    diagonals of y. Arrays over lags run from -(N-1) to N-1; by either kernel the Gram
+    diagonals' negative lags are the conjugates of their positive ones.
     """
 
     auto: np.ndarray  # conj(rho) = np.correlate(x, x, "full")
@@ -310,6 +329,85 @@ def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray,
     return _Moments(auto, _gram_diagonals(t, auto, lags), _gemv(1.0, td, x))
 
 
+#: Fewest elements at which a solve and the public blocks take each iterate's moments by FFT
+#: (``_fft_moments``) instead of by zgemv (``_moments``): the smallest measured N at which the
+#: FFT's sweep was the faster in every run. Median us per sweep of a 40-sweep solve on
+#: ``large_array``'s 721-angle grid, 21 solves of each kernel alternated on one pinned core of
+#: a 2-core Xeon virtual machine, both with the lower-triangle Cholesky (zgemv / FFT):
+#: N = 64: 98 / 128; 96: 170 / 193; 128: 294 / 296; 136: 343 / 334; 144: 375 / 356;
+#: 160: 468 / 420; 192: 666 / 557; 256: 1,301 / 1,066; 512: 6,706 / 5,627. Over several such
+#: runs the zgemv / FFT ratio read 0.88-1.01 at N = 128 (8 runs), 0.96-1.03 at 136 (5) and
+#: 1.02-1.08 at 144 (4).
+_FFT_CROSSOVER = 144
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b >= n, a length numpy's FFT takes fast: at N = 256 the FFT moments
+    took 35 us at 768 = 2^8 * 3, 42 us at 1,024 and 111 us at 766 = 2 * 383, against 123 us
+    for zgemv's (one pinned core of a 2-core Xeon virtual machine)."""
+    best = 1 << (n - 1).bit_length()
+    three = 3
+    while three < best:
+        two = three
+        while two < n:
+            two *= 2
+        best = min(best, two)
+        three *= 3
+    return best
+
+
+def _circular(lags: np.ndarray, n: int, length: int) -> np.ndarray:
+    """A sequence from lag -(N-1) up (entry N - 1 + l holds lag l) laid out over one period of
+    the given length, lag l at l mod length and zeros elsewhere."""
+    out = np.zeros(length, complex)
+    out[: lags.size - n + 1] = lags[n - 1 :]
+    out[length - n + 1 :] = lags[: n - 1]
+    return out
+
+
+def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
+    """The moment kernel of one solve or public call and its two operands, chosen once by N,
+    for the template d (none for ``data_fit_gram``, which gives T_d = 0).
+
+    Below ``_FFT_CROSSOVER`` it is ``_moments``, with the moment matrix and T_d's matrix.
+    From there on it is ``_fft_moments``, with the spectra over one FFT length L >= 3N - 2 of
+    the grid moments q_-(N-1) ... q_(2N-2), read off the moment matrix's first row and
+    column, and of T_d's lags, both from one batched transform; T_d's matrix is not
+    formed."""
+    n = steering.n_elements
+    t = steering.moment_matrix
+    td_lags = np.zeros(2 * n - 1, complex) if d is None else _template_lags(steering, d)
+    if n < _FFT_CROSSOVER:
+        return _moments, t, _toeplitz_gram(td_lags)
+    length = _fft_length(3 * n - 2)
+    grid = np.concatenate((t[0, ::-1], t[1:, 0]))  # T[0, j] = q_(N-1-j), T[i, 0] = q_(N-1+i)
+    spectra = np.fft.fft([_circular(grid, n, length), _circular(td_lags, n, length)])
+    return _fft_moments, spectra[0], spectra[1]
+
+
+def _fft_moments(grid: np.ndarray, template: np.ndarray, x: np.ndarray,
+                 lags: Optional[_Lags] = None) -> _Moments:
+    """The moments of x from the spectra of the grid moments and of T_d's lags over one FFT
+    length L >= 3N - 2 (``_moment_kernel``): O(N log N). With X = fft(x, L), the circular
+    correlations ifft(|X|^2), ifft(grid * |X|^2) and ifft(template * X) hold, unaliased, the
+    autocorrelation, the Gram diagonals' lags 0 ... N-1 and T_d x; the three inverse
+    transforms are one batched call, and the Gram diagonals are written into lags (a fresh
+    buffer when None), the negative lags as the conjugates of the positive ones."""
+    n = x.size
+    length = grid.size
+    spectrum = np.fft.fft(x, length)
+    stack = np.empty((3, length), complex)
+    power = np.multiply(spectrum, spectrum.conj(), out=stack[0])
+    np.multiply(grid, power, out=stack[1])
+    np.multiply(template, spectrum, out=stack[2])
+    out = np.fft.ifft(stack)
+    buffer, positive, negative = _lags(n) if lags is None else lags
+    buffer[n - 1 :] = out[1, :n]
+    np.conjugate(positive, out=negative)
+    auto = np.concatenate((out[0, length - n + 1 :], out[0, :n]))
+    return _Moments(auto, buffer, out[2, :n])
+
+
 def _rhs(lam_alpha: float, td_x: np.ndarray, half_rho: float, s: np.ndarray) -> np.ndarray:
     """A block's right-hand side lam_alpha * td_x + half_rho * s, by BLAS's zdscal and zaxpy,
     written into s, which the caller forms for it."""
@@ -329,7 +427,9 @@ def data_fit_gram(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
     A finite x whose G overflows raises ``ContractError``."""
     _require_type(steering, SteeringSet, "steering")
     x = _as_vector(x, steering.n_elements, "x")
-    diagonals = _gram_diagonals(steering.moment_matrix, np.correlate(x, x, "full"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel, grid, template = _moment_kernel(steering)
+        diagonals = kernel(grid, template, x).gram
     if not np.isfinite(diagonals).all():
         raise ContractError("the data-fit Gram matrix of x overflows")
     return _toeplitz_gram(diagonals)
@@ -406,13 +506,14 @@ def _w_system(
     The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian positive
     definite system is formed in ws: lam G's diagonals are written to its buffer, its lag
     view is copied into its Fortran-ordered matrix, the shift is added through its diagonal
-    view, and one LAPACK posv call factors the matrix in place by Cholesky and solves.
+    view, and one LAPACK posv call factors the matrix's lower triangle in place by Cholesky
+    and solves; it reads nothing above the diagonal.
     """
     np.multiply(ws.lam, mv.gram, out=ws.diagonals)
     ws.matrix[...] = ws.system
     ws.diagonal += shift
     rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, v - u)
-    _, solution, info = _posv(ws.matrix, rhs, 0, 1, 1)  # lower, overwrite_a, overwrite_b
+    _, solution, info = _posv(ws.matrix, rhs, 1, 1, 1)  # lower, overwrite_a, overwrite_b
     if info != 0:
         raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
     return solution
@@ -427,7 +528,8 @@ def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
     v = _as_vector(v, n, "v")
     dd = _template_energy(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = _real_dot(w, _gemv(1.0, _template_toeplitz(steering, d), v)) / dd
+        kernel, grid, template = _moment_kernel(steering, d)
+        alpha = _real_dot(w, kernel(grid, template, v).td_x) / dd
     if not math.isfinite(alpha):
         raise ContractError("the template scale Re(w^H T_d v) / d^T d overflows")
     return alpha
@@ -449,7 +551,8 @@ def update_v(
     u = _as_vector(u, n, "u")
     with np.errstate(over="ignore", invalid="ignore"):
         ws = _Workspace(n, params)
-        mw = _moments(steering.moment_matrix, _template_toeplitz(steering, d), w, ws.gram_w)
+        kernel, grid, template = _moment_kernel(steering, d)
+        mw = kernel(grid, template, w, ws.gram_w)
         return _require_finite_solution(_v_block(ws, mw, w, u, ws.lam * alpha))
 
 
@@ -471,7 +574,8 @@ def solve_weight_system(
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
         ws = _Workspace(n, params)
-        mv = _moments(steering.moment_matrix, _template_toeplitz(steering, d), v, ws.gram_v)
+        kernel, grid, template = _moment_kernel(steering, d)
+        mv = kernel(grid, template, v, ws.gram_v)
         shift = diag + ws.half_rho
         return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, shift))
 
@@ -564,16 +668,16 @@ def solve(
     sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
     shift = diag + ws.half_rho
 
-    # The steering matrix is read here only, for T_d; each iterate's moments and penalty serve
-    # both blocks and the rows, as the module docstring lists.
-    t = steering.moment_matrix
-    td = _template_toeplitz(steering, d)
+    # The steering matrix is read here only, for T_d's lags, where the moment kernel is picked
+    # here once; each iterate's moments and penalty serve both blocks and the rows, as the
+    # module docstring lists.
+    kernel, grid, template = _moment_kernel(steering, d)
     raw = array("d")
     # finite start vectors can overflow where the sweep's bounded iterates cannot: row 0 is
     # formed with overflow silenced and must meet the Trace rule
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = _moments(t, td, w, ws.gram_w)
-        mv = _moments(t, td, v, ws.gram_v)
+        mw = kernel(grid, template, w, ws.gram_w)
+        mv = kernel(grid, template, v, ws.gram_v)
         cross = _real_dot(w, mv.td_x)
         _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
     try:
@@ -585,14 +689,14 @@ def solve(
             alpha = cross / dd
             lam_alpha = ws.lam * alpha
             v = _v_block(ws, mw, w, u, lam_alpha)
-            mv = _moments(t, td, v, ws.gram_v)
+            mv = kernel(grid, template, v, ws.gram_v)
             swept = _project_unit_sphere(_w_system(ws, mv, v, u, lam_alpha, shift))
             wv = swept - v
             u = u + wv
             step = swept - w
             w_change = math.sqrt(_real_dot(step, step))
             w = swept
-            mw = _moments(t, td, w, ws.gram_w)
+            mw = kernel(grid, template, w, ws.gram_w)
             sparsity, diag = _penalty(np.abs(w) ** 2)
             shift = diag + ws.half_rho
             cross = _real_dot(w, mv.td_x)

@@ -248,7 +248,9 @@ class SteeringSet:
     diagonals in one matrix-vector product. The moments are the column sums of ``vectors``
     (q_0 ... q_(N-1)), its last column's products with all columns (q_(N-1) ... q_(2N-2), of
     which the first is dropped) and q_-i = conj(q_i), and T is one strided copy of their
-    sequence (``_toeplitz_view``).
+    sequence (``_toeplitz_view``). The sweep reads the matrix only below the solver's FFT
+    crossover (``admm._FFT_CROSSOVER``); from there on a solve reads the moments once, off its
+    first row and column, and takes their spectrum.
     """
 
     geometry: ArrayGeometry

@@ -45,7 +45,8 @@ def _scipy_extension(name: str) -> ModuleType:
 
 # The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and
 # batching; LAPACK's Cholesky solve of a Hermitian system, get_lapack_funcs("posv",
-# dtype=complex), called as _posv(a, b, lower, overwrite_a, overwrite_b); and from BLAS,
+# dtype=complex), called as _posv(a, b, lower, overwrite_a, overwrite_b) with lower = 1, so
+# that it factors and reads only a's lower triangle, in place; and from BLAS,
 # get_blas_funcs(name, dtype=complex) for each name:
 # - the matrix-vector product zgemv, called as _gemv(1.0, a, x) for a x with a
 #   Fortran-ordered a, and as _gemv(1.0, a.T, x, trans=1) for a C-ordered a. f2py copies any

@@ -629,13 +629,15 @@ class TestToeplitzGram:
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.7, 3.0])
     def test_lam_times_it_is_the_w_blocks_matrix(self, lam):
         # lam scales each entry, so lam G equals the w block's Gram, which scales the
-        # moments' diagonals before it copies them, bit for bit
+        # moments' diagonals before it copies them, bit for bit, by either moment kernel: the
+        # FFT's Gram diagonals do not depend on the template, which data_fit_gram lacks
         rng = np.random.default_rng(43)
-        steering, _ = random_instance(rng, n=7, k=30)
-        x = random_complex(rng, 7)
-        gram = admm_mod._moments(steering.moment_matrix, np.eye(7), x).gram
-        expected = admm_mod._toeplitz_gram(lam * gram)
-        assert np.array_equal(lam * data_fit_gram(steering, x), expected)
+        for n in (7, CROSSOVER):
+            steering, d = random_instance(rng, n=n, k=30)
+            x = random_complex(rng, n)
+            (mx,) = moments_of(steering, d, x)
+            expected = admm_mod._toeplitz_gram(lam * mx.gram)
+            assert np.array_equal(lam * data_fit_gram(steering, x), expected)
 
 
 def test_trace_rows_match_the_public_evaluators():
@@ -661,6 +663,22 @@ def test_trace_rows_match_the_public_evaluators():
 
 MOMENT_SIZES = [2, 3, 4, 5, 6, 7, 8, 64]
 
+CROSSOVER = admm_mod._FFT_CROSSOVER
+
+#: Each moment kernel at MOMENT_SIZES and at the crossover's edge and N = 256. The zgemv cases
+#: at MOMENT_SIZES keep the ids of the sizes alone, which they had before the FFT kernel.
+KERNEL_CASES = [
+    *(pytest.param("zgemv", n, id=str(n)) for n in MOMENT_SIZES),
+    *(pytest.param("fft", n, id=f"fft-{n}") for n in MOMENT_SIZES),
+    *(pytest.param(kernel, n, id=f"{kernel}-{n}")
+      for n in (CROSSOVER - 1, CROSSOVER, 256) for kernel in ("zgemv", "fft")),
+]
+
+
+def force_kernel(monkeypatch, kernel):
+    """Make every solve and public block take the named moment kernel at any N."""
+    monkeypatch.setattr(admm_mod, "_FFT_CROSSOVER", 2**63 if kernel == "zgemv" else 0)
+
 
 def moment_instance(n):
     """A random non-uniform grid of 3n + 2 angles, a random spacing, a template with zeros,
@@ -677,15 +695,18 @@ def moment_instance(n):
 
 
 def moments_of(steering, d, *xs):
-    t, td = steering.moment_matrix, admm_mod._template_toeplitz(steering, d)
-    return [admm_mod._moments(t, td, x) for x in xs]
+    """The moments of each x by the kernel a solve on this steering set and template takes."""
+    kernel, grid, template = admm_mod._moment_kernel(steering, d)
+    return [kernel(grid, template, x) for x in xs]
 
 
 class TestMomentKernels:
-    """The sweep's moment kernels against their per-angle definitions, summed angle by angle."""
+    """The sweep's moment kernels, zgemv's and the FFT's, against their per-angle definitions,
+    summed angle by angle."""
 
-    @pytest.mark.parametrize("n", MOMENT_SIZES)
-    def test_gram_diagonals(self, n):
+    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
+    def test_gram_diagonals(self, monkeypatch, kernel, n):
+        force_kernel(monkeypatch, kernel)
         steering, d, w, _ = moment_instance(n)
         (mw,) = moments_of(steering, d, w)
         # lags -(n-1) ... n-1 of a_k[l] = z_k^l, with z_k^-l = conj(z_k^l)
@@ -730,15 +751,17 @@ class TestMomentKernels:
         solve_weight_system(steering, state.v, state.u, 1.0, d, np.zeros(6), params)
         assert steering.moment_matrix is t
 
-    @pytest.mark.parametrize("n", MOMENT_SIZES)
-    def test_template_toeplitz_product(self, n):
+    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
+    def test_template_toeplitz_product(self, monkeypatch, kernel, n):
+        force_kernel(monkeypatch, kernel)
         steering, d, _, v = moment_instance(n)
         (mv,) = moments_of(steering, d, v)
         dense = sum(dk * np.vdot(a, v) * a for dk, a in zip(d.values, steering.vectors))
         assert np.linalg.norm(mv.td_x - dense) <= 1e-12 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("n", MOMENT_SIZES)
-    def test_moment_alpha_is_update_alpha(self, n):
+    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
+    def test_moment_alpha_is_update_alpha(self, monkeypatch, kernel, n):
+        force_kernel(monkeypatch, kernel)
         # update_alpha, solve's Re(w^H T_d v) / d^T d, is the per-angle least-squares fit
         # d^T Re(r) / d^T d, to 1e-12 of the sum's scale sum_k d_k |r_k| / d^T d
         steering, d, w, v = moment_instance(n)
@@ -747,8 +770,9 @@ class TestMomentKernels:
         fit, scale = float(d.values @ r.real) / dd, float(d.values @ np.abs(r)) / dd
         assert abs(update_alpha(steering, w, v, d) - fit) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("n", MOMENT_SIZES)
-    def test_square_sums(self, n):
+    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
+    def test_square_sums(self, monkeypatch, kernel, n):
+        force_kernel(monkeypatch, kernel)
         steering, d, w, v = moment_instance(n)
         mw, mv = moments_of(steering, d, w, v)
         pattern = beampattern(steering, w)
@@ -767,10 +791,12 @@ class TestMomentKernels:
             want = matching_error_db(beampattern(steering, state.w), state.alpha, d)
             assert error_db == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_fit_is_clamped_at_zero(self):
+    def test_fit_is_clamped_at_zero(self, monkeypatch):
         # an exact match cancels to rounding, which may fall either side of 0
         assert admm_mod._residual_energy(1.0, 1.0, 1.0, 1.0 - 2.0**-52) == 0.0
-        for n in MOMENT_SIZES:
+        for case in KERNEL_CASES:
+            kernel, n = case.values
+            force_kernel(monkeypatch, kernel)
             steering, _, w, _ = moment_instance(n)
             pattern = beampattern(steering, w)
             d = DesiredPattern(pattern, pattern > 0)
@@ -974,6 +1000,19 @@ class TestScipyKernels:
             "True True True True True True",
         ]
 
+    def test_import_adds_no_numpy_fft_module(self):
+        # numpy 2 loads numpy.fft on first use and numpy 1.24 loads it itself; either way the
+        # package adds none of it at import, since the FFT moments reach np.fft at call time
+        src = str(Path(admm_mod.__file__).resolve().parents[1])
+        code = ("import sys, numpy, scipy\n"
+                "before = {m for m in sys.modules if m.startswith('numpy.fft')}\n"
+                "import beamsparse\n"
+                "print(sorted({m for m in sys.modules if m.startswith('numpy.fft')} - before))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[]"]
+
     def test_kernels_are_scipys_own_objects(self):
         assert admm_mod._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
         assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
@@ -992,25 +1031,34 @@ class TestScipyKernels:
 
     @pytest.mark.parametrize("n, k", [(2, 181), (3, 181), (30, 181), (256, 721)])
     def test_gemv_is_numpys_matmul_bit_for_bit_at_each_call_site(self, n, k):
-        # each product the package takes through zgemv, against numpy's @ on the same arrays
+        # each product the package takes through zgemv, against numpy's @ on the same arrays:
+        # T_d's first column, the beampattern and the steering set's moment product at every
+        # N, and below the crossover the moments' T_d x and Gram diagonals and update_alpha's
+        # T_d v (from the crossover on, the FFT takes those)
         rng = np.random.default_rng(60)
         steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, k)))
         values = rng.uniform(0.0, 3.0, k)
         d = DesiredPattern(values, values > 1.0)
         a = steering.vectors
         x, w, v = (random_complex(rng, n) for _ in range(3))
-        td = admm_mod._template_toeplitz(steering, d)
-        assert td.flags.f_contiguous
-        assert np.array_equal(td[:, 0], a.T @ d.values)
-        assert np.array_equal(admm_mod._moments(steering.moment_matrix, td, x).td_x, td @ x)
-        assert update_alpha(steering, w, v, d) == np.vdot(w, td @ v).real / d.energy
+        lags = admm_mod._template_lags(steering, d)
+        assert np.array_equal(lags[n - 1 :], a.T @ d.values)
         with np.errstate(over="ignore"):
             assert np.array_equal(beampattern(steering, w), np.abs(a @ np.conj(w)) ** 2)
-        auto = np.correlate(x, x, "full")
         t = steering.moment_matrix
-        assert np.array_equal(admm_mod._gram_diagonals(t, auto)[n - 1 :], t @ auto)
         moments = t[n - 1, n - 2 :: -1]  # q_N ... q_(2N-2), from T[N-1, j] = q_(2N-2-j)
         assert np.array_equal(moments, (a.T @ a[:, n - 1])[1:])
+        kernel, grid, td = admm_mod._moment_kernel(steering, d)
+        if n >= admm_mod._FFT_CROSSOVER:
+            assert kernel is admm_mod._fft_moments
+            return
+        assert kernel is admm_mod._moments and grid is t
+        assert td.flags.f_contiguous
+        assert np.array_equal(td, admm_mod._toeplitz_gram(lags))
+        assert np.array_equal(admm_mod._moments(t, td, x).td_x, td @ x)
+        assert update_alpha(steering, w, v, d) == np.vdot(w, td @ v).real / d.energy
+        auto = np.correlate(x, x, "full")
+        assert np.array_equal(admm_mod._gram_diagonals(t, auto)[n - 1 :], t @ auto)
 
     @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("n", [2, 3, 30, 256])
@@ -1317,6 +1365,21 @@ def test_toeplitz_gram_is_a_fresh_fortran_copy_of_its_diagonals(n):
             assert matrix[i, j] == diagonals[n - 1 + i - j]
 
 
+def counting(monkeypatch, owner, names, calls):
+    """Patch each named callable of owner to count its calls in calls[name]."""
+    def counted(name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name))
+
+
 def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     # T_d is the one Toeplitz matrix a solve gathers; each sweep's w block writes its
     # matrix into the solve's workspace and factors it in one posv call, and the v block
@@ -1327,21 +1390,79 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
     calls = {"_toeplitz_gram": 0, "_posv": 0, "_gemv": 0}
-
-    def counted(name):
-        real = getattr(admm_mod, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(admm_mod, name, counted(name))
+    counting(monkeypatch, admm_mod, calls, calls)
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls == {"_toeplitz_gram": 1, "_posv": 12, "_gemv": 5 + 4 * 12}
+
+
+def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
+    # one size below the crossover a solve takes its moments by zgemv, as counted above: T_d's
+    # first column and matrix, then two products for each iterate's moments, the start state's
+    # w and v and two a sweep. At the crossover the only zgemv is T_d's first column, T_d's
+    # matrix is not formed, and each iterate's moments take one batched inverse FFT
+    sweeps = 3
+    for n, want in ((CROSSOVER - 1, (1, 5 + 4 * sweeps, 0)), (CROSSOVER, (0, 1, 2 + 2 * sweeps))):
+        rng = np.random.default_rng(n)
+        steering, d = random_instance(rng, n=n, k=9)
+        params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps, seed=5)
+        calls = {"_toeplitz_gram": 0, "_gemv": 0, "ifft": 0}
+        with monkeypatch.context() as patch:
+            counting(patch, admm_mod, ("_toeplitz_gram", "_gemv"), calls)
+            counting(patch, np.fft, ("ifft",), calls)
+            _, _, trace = solve(steering, d, params)
+        assert trace.iter.size == sweeps + 1
+        assert tuple(calls.values()) == want, n
+
+
+def test_each_moment_kernel_reaches_the_same_solution_at_the_crossover(monkeypatch):
+    # the FFT moments agree with zgemv's to rounding, so forcing zgemv at the crossover keeps
+    # the sweep count and the selected elements, and moves w by rounding only; single_mainlobe
+    # at N = CROSSOVER and lam = 0.01 converges in about 100 sweeps
+    doc = json.loads((CONFIGS / "single_mainlobe.json").read_text())
+    cfg = parse_config(json.dumps({**doc, "n_elements": CROSSOVER, "lambda": 0.01}))
+    steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
+    w_fft, _, trace_fft = solve(steering, d, params)
+    monkeypatch.setattr(admm_mod, "_FFT_CROSSOVER", CROSSOVER + 1)
+    w_gemv, _, trace_gemv = solve(steering, d, params)
+    assert trace_fft.iter.size == trace_gemv.iter.size < params.max_iters + 1
+    threshold = cfg.cardinality_threshold
+    assert cardinality(w_fft, threshold) == cardinality(w_gemv, threshold)
+    assert np.abs(w_fft - w_gemv).max() <= 1e-12
+
+
+def assert_same_bytes(got, want):
+    """Two solves' w, alpha and every trace column, byte for byte."""
+    (w_got, alpha_got, trace_got), (w_want, alpha_want, trace_want) = got, want
+    assert w_got.tobytes() == w_want.tobytes()
+    assert np.float64(alpha_got).tobytes() == np.float64(alpha_want).tobytes()
+    for name in TRACE_FIELDS:
+        assert getattr(trace_got, name).tobytes() == getattr(trace_want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [6, 30, 256])
+def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
+    # posv factors the lower triangle (lower = 1), so NaN in the strict upper triangle of the
+    # matrix it is handed changes no bit of the solve; at N = 256 OpenBLAS factors by blocks
+    if n == 6:
+        steering, d = random_instance(np.random.default_rng(55), n=6, k=9)
+        params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=30, seed=3)
+    elif n == 30:
+        steering, d, params = config_problem("single_mainlobe", max_iters=40)
+    else:
+        cfg = load_config(CONFIGS.parent / "benchmarks" / "large_array.json")
+        cfg = cfg.with_overrides(max_iters=5)
+        steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
+    assert steering.n_elements == n
+    lone = solve(steering, d, params)
+    posv = admm_mod._posv
+
+    def upper_poisoned(a, *args):
+        a[np.triu_indices(a.shape[0], 1)] = np.nan
+        return posv(a, *args)
+
+    monkeypatch.setattr(admm_mod, "_posv", upper_poisoned)
+    assert_same_bytes(solve(steering, d, params), lone)
 
 
 def test_each_weight_vector_takes_one_penalty(monkeypatch):
@@ -1375,27 +1496,39 @@ class TestNoWorkspaceOutlivesItsCall:
     """Each solve and each public block call allocates its own workspace, so concurrent solves
     share no mutable state, and a block's result is not a view of a reused buffer."""
 
-    def problem(self, seed):
-        # a tiny eta runs the whole budget, so two solves make the same kernel calls
+    def problem(self, seed, n=6, sweeps=40):
+        # a tiny eta runs the whole budget, so two solves make the same kernel calls; at
+        # N = CROSSOVER each solve and block call takes its moments by FFT from its own spectra
         rng = np.random.default_rng(58)
-        steering, d = random_instance(rng, n=6, k=9)
-        return steering, d, SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=40, seed=seed)
+        steering, d = random_instance(rng, n=n, k=9)
+        return steering, d, SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps,
+                                         seed=seed)
 
     def test_solve_inside_an_observer_equals_a_lone_solve(self):
+        self.check_nested(self.problem(6))
+
+    def test_solve_inside_an_observer_equals_a_lone_solve_at_the_crossover(self):
+        self.check_nested(self.problem(6, n=CROSSOVER, sweeps=8))
+
+    def check_nested(self, outer):
         # the inner solve has the outer's size but its own lam and rho
-        outer = self.problem(6)
         steering, d, params = outer
         inner = (steering, d, replace(params, lam=0.7, rho=9.0, seed=7))
         lone_outer, lone_inner = solve(*outer), solve(*inner)
         nested = []
         assert_same_solve(solve(*outer, observer=lambda _: nested.append(solve(*inner))),
                           lone_outer)
-        assert len(nested) == 40
+        assert len(nested) == params.max_iters
         for result in nested:
             assert_same_solve(result, lone_inner)
 
     def test_solves_on_two_threads_equal_lone_solves(self, monkeypatch):
-        problems = [self.problem(seed) for seed in (6, 7)]
+        self.check_threads(monkeypatch, [self.problem(seed) for seed in (6, 7)])
+
+    def test_solves_on_two_threads_equal_lone_solves_at_the_crossover(self, monkeypatch):
+        self.check_threads(monkeypatch, [self.problem(seed, CROSSOVER, 8) for seed in (6, 7)])
+
+    def check_threads(self, monkeypatch, problems):
         lone = [solve(*problem) for problem in problems]
         # each block's kernel call waits for the other thread's, so both threads have formed
         # that block's system before either solves it: a shared buffer would hold only one
