@@ -23,98 +23,66 @@ iteration budget runs out. Both blocks solve a Hermitian positive definite
 system whose data-fit matrix is lam * G, with G = sum_k |a_k^H x|^2 a_k a_k^H
 (``data_fit_gram``), and lam is set only in ``SolverParams``. G is Hermitian
 Toeplitz, since ``SteeringSet`` derives every steering vector from a uniform
-linear array as a phase ramp a_k[n] = z_k^n. The v block adds
-rho/2 to lam G's diagonal, which keeps it Toeplitz, and solves it by one
-Levinson recursion on the diagonals in O(N^2) without forming the matrix.
-The w block adds rho/2 plus the entropy majorizer's diagonal, which varies
-along the diagonal, so its matrix is not Toeplitz (it is positive definite
-only for rho > 2, because the majorizer diagonal is bounded below by -1 on the
-sphere). Each solve allocates one workspace for both systems (``_Workspace``):
-two lag buffers of 2N - 1 entries, into which the moments of w and of v write
-their Gram diagonals, one buffer of 2N - 1 diagonals, its lag view (a fixed
-strided view that reads the buffer as its N x N Toeplitz matrix), one
-Fortran-ordered N x N matrix, a view of that matrix's diagonal, and lam and
-rho/2. Each sweep the v block writes its diagonals into the buffer; the w block
-then overwrites them with lam G(v), copies the lag view into the matrix, adds
-the shift diag + rho/2 (formed once per w, with its majorizer diagonal) through
-the diagonal view, and factors and solves the matrix in place by Cholesky, in
-one LAPACK posv call that reads only its lower triangle (OpenBLAS factors the
-lower triangle faster than the upper one), whose solution is then scaled onto
-the sphere in place;
-lam * alpha is formed once per sweep for both blocks. The public blocks build a
-workspace per call.
+linear array as a phase ramp a_k[n] = z_k^n. The v block adds rho/2 to lam G's
+diagonal, which keeps it Toeplitz, and solves it by one Levinson recursion on
+the diagonals in O(N^2) without forming the matrix. The w block adds rho/2 plus
+the entropy majorizer's diagonal, which varies along the diagonal, so its
+matrix is not Toeplitz; it is positive definite only for rho > 2, because the
+majorizer diagonal is bounded below by -1 on the sphere, and LAPACK's posv
+factors it by Cholesky on its lower triangle, which OpenBLAS does faster than
+the upper one. Each solve allocates one workspace for both systems
+(``_Workspace``).
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
-``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines: zgemv
-takes every matrix-vector product, below the FFT crossover writing the Gram
-diagonals into their lag buffer, zdotc every inner product and squared norm,
-zdscal and zaxpy form both blocks' right-hand sides lam * alpha * T_d x + (rho/2) s in the vector s
-(``_rhs``), and zdscal scales the w block's solution by 1 / ||x|| onto the
-sphere (``arrays._project_unit_sphere``), bit for bit numpy's x / ||x|| in
-every nonzero part. The sweep passes their arguments positionally, since f2py
-takes about twice as long to parse a keyword call. They are loaded from their
-three extension modules without importing ``scipy.linalg`` (``kernels``). The
-solver calls them through this module's globals, where tests can substitute
-them. From ``_FFT_CROSSOVER`` elements on, each iterate's moments come from
-numpy's FFT instead (``_fft_moments``), which the package reaches at call time,
-so importing it loads no ``numpy.fft``.
+``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines (zgemv,
+zdotc, zdscal, zaxpy), loaded without importing ``scipy.linalg``
+(``kernels``), and numpy's FFT, which the package reaches at call time, so
+importing it loads no ``numpy.fft``. The sweep passes their arguments
+positionally, since f2py takes about twice as long to parse a keyword call, and
+calls them through this module's globals, where tests can substitute them.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
-IEEE TSP 1997), so the sweep never touches the K x N steering matrix. Per
-iterate it forms what ``_Moments`` lists by one of two kernels, which
+IEEE TSP 1997), so the sweep never touches the K x N steering matrix: it reads
+the grid through ``SteeringSet.moments`` and the template through the lags of
+T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads the steering matrix once.
+Per iterate it forms what ``_Moments`` lists, by one of two kernels that
 ``_moment_kernel`` picks once per solve (and once per public call) by N, so
-the loop holds no branch:
+the loop holds no branch. ``_moment_kernel`` is the one place that turns the
+moments and T_d's lags into a kernel's operands: below ``_FFT_CROSSOVER``
+``_moments`` (O(N^2), two zgemv products) reads the N x (2N-1) Toeplitz matrix
+of the moments and T_d's N x N matrix, gathered there; from it on
+``_fft_moments`` (O(N log N); Chan & Ng, SIAM Review 1996) reads their spectra.
+Both blocks' matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d and
+every raw trace scalar come from these.
 
-- below ``_FFT_CROSSOVER`` (``_moments``, O(N^2)), from
-  ``SteeringSet.moment_matrix``, the N x (2N-1) Toeplitz matrix of the grid
-  moments, and T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads the
-  steering matrix once: G's diagonals are one zgemv of the moment matrix with
-  the iterate's autocorrelation (``np.correlate``) and T_d x a second zgemv;
-- from it on (``_fft_moments``, O(N log N)), from the spectra Q and T of the
-  3N - 2 grid moments and of T_d's 2N - 1 lags over one FFT length L, the
-  smallest 2^a 3^b >= 3N - 2, formed once per solve: with X = fft(x, L), the
-  autocorrelation is ifft(|X|^2), G's diagonals ifft(Q |X|^2) and T_d x
-  ifft(T X), the three inverse transforms in one batched call (Chan & Ng,
-  SIAM Review 1996). T_d's N x N matrix is not formed.
+``solve`` checks its inputs once, on entry, and then computes each intermediate
+once per iterate, on private kernels that take it as an argument. Unit power of
+w is the entropy's rule, so ``solve`` rejects a non-unit initial w at entry,
+then a start state whose row 0 breaks the ``Trace`` rule; each later w is a
+projection onto the sphere, within the entropy's tolerance by construction, so
+the sweep takes its powers unchecked. The moments of w_k feed the v block and
+row k of the trace; those of v_{k+1} feed the w block and row k + 1. Each w's
+powers pass once through the entropy's penalty kernel, whose one clamped log
+gives both the entropy of its trace row and the majorizer diagonal of the next
+w block. Once the loop ends or a sweep fails, one vectorized pass derives the
+``Trace`` from the rows' raw scalars (``_derive_trace``); it is the package's
+one evaluator of the objective and the augmented Lagrangian, so ``solve`` with
+``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
 
-Both blocks' matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d
-(d^T d being ``DesiredPattern.energy``) and every raw trace scalar come
-from these.
-
-Weights, like v and u, are plain 1-D complex arrays, and the majorizer is
-its real diagonal (``entropy.majorizer_diag``). ``solve`` checks its inputs
-once, on entry, and then computes each intermediate once per iterate, on
-private kernels that take it as an argument. Unit power of w is the
-entropy's rule, so ``solve`` rejects a non-unit initial w at entry, where it
-takes that w's entropy before forming any moment, then a start state whose row 0
-breaks the ``Trace`` rule. Each later w is a projection onto the sphere, whose
-total power is within the entropy's tolerance by construction (a property the
-tests check), so the sweep takes its powers unchecked. The moments of w_k feed
-the v block and row k of the trace; those of v_{k+1} feed the w block and
-row k + 1, and Re(w^H T_d v) of a row is the next sweep's alpha numerator. Each w's powers pass once through the
-entropy's penalty kernel, whose one clamped log gives both the entropy of its
-trace row and the majorizer diagonal of the next w block, and one w - v serves
-the dual step, the primal residual and the Lagrangian. A row appends nine raw
-scalars (sum_k P_k^2, d^T P, sum_k |r_k|^2, Re d^T r, the entropy,
-||w - v + u||^2, ||w - v||^2, alpha, the weight change) to one growing buffer;
-once the loop ends or a sweep fails, one vectorized pass derives the ``Trace``,
-one column per field, with no per-row object. That pass is the package's one
-evaluator of the objective and the augmented Lagrangian: row 0 of ``solve``
-with ``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
 The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``,
 and ``data_fit_gram``) check their inputs and call the same kernels, the
 moment kernel that ``_moment_kernel`` picks at their size among them (an
 inverse transform of one row alone need not give the bits of the batched one),
-so composing them, with
-``project_unit_sphere`` and the dual step u + (w - v), reproduces ``solve``'s
-w, alpha, primal residual and weight change bit for bit, the norms taken by the
-package's inner product (``kernels._real_dot``). They run the kernels with
-numpy's overflow warnings off and check the result, so finite inputs that overflow end in
-a typed error; the sweep, whose iterates are bounded, pays for no such check.
-``update_v`` and ``solve_weight_system`` check their solution finite, the sweep neither: a
-non-finite v makes the w block's system non-finite, which posv's factorization or the
-projection onto the sphere rejects, so that sweep still ends in ``DivergenceError``.
+so composing them, with ``project_unit_sphere`` and the dual step u + (w - v),
+reproduces ``solve``'s w, alpha, primal residual and weight change bit for bit,
+the norms taken by the package's inner product (``kernels._real_dot``). They
+run the kernels with numpy's overflow warnings off and check the result, so
+finite inputs that overflow end in a typed error; the sweep, whose iterates are
+bounded, pays for no such check. ``update_v`` and ``solve_weight_system`` check
+their solution finite and the sweep does not: a non-finite v makes the w block's
+system non-finite, which posv's factorization or the projection onto the sphere
+rejects, so that sweep still ends in ``DivergenceError``.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state, since no workspace outlives the call that allocated it.
@@ -264,11 +232,17 @@ def _residual_energy(square_sum, cross, alpha, dd: float):
     return np.maximum(square_sum - 2.0 * alpha * cross + alpha * alpha * dd, 0.0)
 
 
+def _toeplitz_copy(lags: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols Toeplitz matrix of a lag sequence (``arrays._toeplitz_view``) as a fresh
+    Fortran-ordered copy, which LAPACK factors in place and zgemv reads as it stands."""
+    return np.array(_toeplitz_view(lags, rows, cols), order="F")
+
+
 def _toeplitz_gram(diagonals: np.ndarray) -> np.ndarray:
-    """The Hermitian Toeplitz matrix with these diagonals, a fresh Fortran-ordered copy, which
-    LAPACK factors in place; entry n - 1 + i - j of diagonals is entry (i, j)."""
+    """The Hermitian Toeplitz matrix with these diagonals (``_toeplitz_copy``); entry
+    n - 1 + i - j of diagonals is entry (i, j)."""
     n = (diagonals.size + 1) // 2
-    return np.array(_toeplitz_view(diagonals, n, n), order="F")
+    return _toeplitz_copy(diagonals, n, n)
 
 
 def _template_lags(steering: SteeringSet, d: DesiredPattern) -> np.ndarray:
@@ -310,7 +284,8 @@ def _lags(n: int) -> _Lags:
 
 
 def _gram_diagonals(t: np.ndarray, auto: np.ndarray, lags: Optional[_Lags] = None) -> np.ndarray:
-    """Gram diagonals at lam = 1 from the moment matrix t (``SteeringSet.moment_matrix``) and
+    """Gram diagonals at lam = 1 from the moment matrix t, the N x (2N-1) Toeplitz matrix
+    t[i, j] = q_(i-j+N-1) of the grid moments (``_moment_kernel``), and
     auto = np.correlate(x, x, "full"): lag l >= 0 is sum_j q_(l-j) auto_j, one zgemv, which
     writes them into the lag buffer (a fresh one when None) from entry N - 1 up; the negative
     lags are their conjugates. Returns the buffer."""
@@ -369,19 +344,18 @@ def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
     """The moment kernel of one solve or public call and its two operands, chosen once by N,
     for the template d (none for ``data_fit_gram``, which gives T_d = 0).
 
-    Below ``_FFT_CROSSOVER`` it is ``_moments``, with the moment matrix and T_d's matrix.
-    From there on it is ``_fft_moments``, with the spectra over one FFT length L >= 3N - 2 of
-    the grid moments q_-(N-1) ... q_(2N-2), read off the moment matrix's first row and
-    column, and of T_d's lags, both from one batched transform; T_d's matrix is not
-    formed."""
+    Both come from the grid moments q_-(N-1) ... q_(2N-2) (``SteeringSet.moments``) and T_d's
+    lags. Below ``_FFT_CROSSOVER`` it is ``_moments``, with the N x (2N-1) moment matrix
+    T[i, j] = q_(i-j+N-1) and T_d's N x N matrix, each gathered here (``_toeplitz_copy``).
+    From there on it is ``_fft_moments``, with the spectra of the moments and of T_d's lags
+    over one FFT length L >= 3N - 2, both from one batched transform; no matrix is formed."""
     n = steering.n_elements
-    t = steering.moment_matrix
+    q = steering.moments
     td_lags = np.zeros(2 * n - 1, complex) if d is None else _template_lags(steering, d)
     if n < _FFT_CROSSOVER:
-        return _moments, t, _toeplitz_gram(td_lags)
+        return _moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags)
     length = _fft_length(3 * n - 2)
-    grid = np.concatenate((t[0, ::-1], t[1:, 0]))  # T[0, j] = q_(N-1-j), T[i, 0] = q_(N-1+i)
-    spectra = np.fft.fft([_circular(grid, n, length), _circular(td_lags, n, length)])
+    spectra = np.fft.fft([_circular(q, n, length), _circular(td_lags, n, length)])
     return _fft_moments, spectra[0], spectra[1]
 
 

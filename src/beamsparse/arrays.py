@@ -24,9 +24,9 @@ MAX_GRID_ANGLES = 1_000_000
 #: more than 4,300 digits.
 MAX_COUNT = 2**63
 
-#: Most entries of the largest matrix a solve allocates, max(K*N, N*(2N-1)): the K x N
-#: steering vectors or the N x (2N-1) moment matrix, which holds more than an N x N block
-#: system; 480 MB of complex values.
+#: Most entries of the largest matrix a solve allocates, max(K*N, N*N): the K x N steering
+#: vectors or the w block's N x N system, 480 MB of complex values. (The solver's one wider
+#: matrix, the N x (2N-1) moment operand of its small-N kernel, holds at most 40,755 entries.)
 MAX_MATRIX_ENTRIES = 30_000_000
 
 
@@ -196,16 +196,14 @@ class AngleGrid:
 
 
 def _require_solve_size(geometry: ArrayGeometry, grid: AngleGrid):
-    """Reject an array and grid whose largest solve matrix exceeds ``MAX_MATRIX_ENTRIES``.
-
-    Checked before anything of that size is allocated.
-    """
+    """Reject an array and grid whose largest solve matrix, max(K*N, N*N), exceeds
+    ``MAX_MATRIX_ENTRIES``. Checked before anything of that size is allocated."""
     n, k = int(geometry.n_elements), grid.count
-    entries = max(k * n, n * (2 * n - 1))
+    entries = max(k * n, n * n)
     if entries > MAX_MATRIX_ENTRIES:
         raise ContractError(
             f"n_elements {_echo(n)} with {k} grid angles needs a matrix of {_echo(entries)} "
-            f"entries, more than the {MAX_MATRIX_ENTRIES} a solve may allocate"
+            f"entries (max(K*N, N*N)), more than the {MAX_MATRIX_ENTRIES} a solve may allocate"
         )
 
 
@@ -224,7 +222,8 @@ def _with_negative_lags(col: np.ndarray, n: int) -> np.ndarray:
 def _toeplitz_view(lags: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The rows x cols Toeplitz matrix T[i, j] = lags[i - j + cols - 1], as a view of lags with
     strides (itemsize, -itemsize). This is the package's one lag layout: entry n - 1 + l of a
-    ``_with_negative_lags`` sequence is lag l, so its n x n view has lag i - j at (i, j). A
+    ``_with_negative_lags`` sequence is lag l, so its n x n view has lag i - j at (i, j), and
+    the n x (2n - 1) view of the grid moments (``SteeringSet.moments``) has q_(i-j+n-1). A
     matrix that must own its memory is copied from the view by np.array(view, order="F"), not
     by np.asfortranarray, which hands back a view that is already Fortran-contiguous (1 x 1)."""
     step = lags.itemsize
@@ -241,22 +240,19 @@ class SteeringSet:
     reference. Each row is thus a geometric phase ramp a_k[n] = a_k[1]^n of
     unit modulus, the structure the solver's Toeplitz Gram build relies on.
 
-    ``moment_matrix`` is the Fortran-ordered N x (2N-1) Toeplitz matrix T[i, j] = q_(i-j+N-1)
-    of the grid's trigonometric moments q_i = sum_k z_k^i of z_k = a_k[1], the one place they
-    are kept: row 0 holds q_(N-1) down to q_-(N-1), row N-1 holds q_(2N-2) down to q_0. T times
-    an autocorrelation over lags -(N-1) ... N-1 gives the lags 0 ... N-1 of the solver's Gram
-    diagonals in one matrix-vector product. The moments are the column sums of ``vectors``
-    (q_0 ... q_(N-1)), its last column's products with all columns (q_(N-1) ... q_(2N-2), of
-    which the first is dropped) and q_-i = conj(q_i), and T is one strided copy of their
-    sequence (``_toeplitz_view``). The sweep reads the matrix only below the solver's FFT
-    crossover (``admm._FFT_CROSSOVER``); from there on a solve reads the moments once, off its
-    first row and column, and takes their spectrum.
+    ``moments`` holds the grid's trigonometric moments q_i = sum_k z_k^i of z_k = a_k[1] for
+    i = -(N-1) ... 2N-2, entry N - 1 + i holding q_i (the ``_with_negative_lags`` layout): the
+    column sums of ``vectors`` (q_0 ... q_(N-1)), its last column's products with all columns
+    (q_(N-1) ... q_(2N-2), of which the first is dropped) and q_-i = conj(q_i). Each data-fit
+    Gram diagonal of an iterate is a sum of these moments (``admm._Moments``), so the solver's
+    sweep needs no more of the grid than them and the template's T_d; each of its moment
+    kernels derives its own operand from them.
     """
 
     geometry: ArrayGeometry
     grid: AngleGrid
     vectors: np.ndarray = field(init=False, repr=False)
-    moment_matrix: np.ndarray = field(init=False, repr=False)
+    moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_type(self.geometry, ArrayGeometry, "geometry")
@@ -268,11 +264,8 @@ class SteeringSet:
         a = np.exp(1j * phases)
         # q_0 ... q_(2N-2), the products from a.T, which is Fortran-ordered as it stands
         col = np.concatenate((a.sum(axis=0), _gemv(1.0, a.T, a[:, n - 1])[1:]))
-        # q_-(N-1) ... q_(2N-2): entry (i, j) of the matrix is q_(i-j+N-1)
-        moments = _with_negative_lags(col, n)
-        matrix = np.array(_toeplitz_view(moments, n, 2 * n - 1), order="F")
         object.__setattr__(self, "vectors", _readonly(a))
-        object.__setattr__(self, "moment_matrix", _readonly(matrix))
+        object.__setattr__(self, "moments", _readonly(_with_negative_lags(col, n)))
 
     @property
     def n_angles(self) -> int:

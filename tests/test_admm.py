@@ -694,6 +694,16 @@ def moment_instance(n):
     return steering, DesiredPattern(values, values > 0), unit(rng, n), random_complex(rng, n)
 
 
+def zgemv_operand(steering):
+    """The N x (2N-1) moment matrix that ``_moment_kernel`` gathers below the crossover, at any
+    N."""
+    with pytest.MonkeyPatch.context() as patch:
+        force_kernel(patch, "zgemv")
+        kernel, t, _ = admm_mod._moment_kernel(steering)
+    assert kernel is admm_mod._moments
+    return t
+
+
 def moments_of(steering, d, *xs):
     """The moments of each x by the kernel a solve on this steering set and template takes."""
     kernel, grid, template = admm_mod._moment_kernel(steering, d)
@@ -717,6 +727,18 @@ class TestMomentKernels:
         assert np.linalg.norm(mw.gram - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("n", [2, 3, 30, 256])
+    def test_zgemv_operand_is_a_fortran_toeplitz_gather_of_the_moments(self, n):
+        # T[i, j] = q_(i-j+N-1), entry i - j + 2N-2 of the steering set's moments, in memory of
+        # its own and Fortran-ordered, so the sweep's zgemv reads it as it stands
+        steering = build_steering_set(ArrayGeometry(n), AngleGrid.uniform(-90, 90, 1.0))
+        t = zgemv_operand(steering)
+        assert t.shape == (n, 2 * n - 1)
+        assert t.flags.f_contiguous and t.flags.owndata
+        assert not np.shares_memory(t, steering.moments)
+        i, j = np.indices(t.shape)
+        assert np.array_equal(t, steering.moments[i - j + 2 * n - 2])
+
+    @pytest.mark.parametrize("n", [2, 3, 30, 256])
     def test_gram_diagonals_are_the_correlation_of_the_moments(self, n):
         # one zgemv against the moment matrix, against numpy's correlation of the moment vector
         # with the autocorrelation, lag by lag
@@ -729,27 +751,38 @@ class TestMomentKernels:
             np.concatenate((a.sum(axis=0), (a.T @ a[:, n - 1])[1:])), n)
         for _ in range(10):
             auto = np.correlate(*(2 * [unit(rng, n)]), "full")
-            gram = admm_mod._gram_diagonals(steering.moment_matrix, auto)
+            gram = admm_mod._gram_diagonals(zgemv_operand(steering), auto)
             want = arrays_mod._with_negative_lags(np.correlate(q, auto, "valid"), n)
             assert np.linalg.norm(gram - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_moment_matrix_is_gathered_once_per_steering_set(self, monkeypatch):
-        # the set-up gathers T; the blocks and the sweep read the same read-only matrix
+    @pytest.mark.parametrize("n", [6, CROSSOVER])
+    def test_moment_operand_is_gathered_once_per_call_below_the_crossover(self, monkeypatch, n):
+        # below the crossover each solve and each public call gathers the N x (2N-1) matrix of
+        # the steering set's moments once, and from the crossover on nothing gathers it
         rng = np.random.default_rng(63)
-        steering, d = random_instance(rng, n=6, k=9)
-        t = steering.moment_matrix
+        steering, d = random_instance(rng, n=n, k=9)
         params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
         state = admm_mod.initial_state(steering, params)
+        gathers = []
+        real_copy = admm_mod._toeplitz_copy
 
-        def gather(*args, **kwargs):
-            raise AssertionError("the moment matrix was gathered again")
+        def copy(lags, rows, cols):
+            if lags is steering.moments:
+                gathers.append((rows, cols))
+            return real_copy(lags, rows, cols)
 
-        monkeypatch.setattr(arrays_mod, "_toeplitz_view", gather)
-        solve(steering, d, params)
-        data_fit_gram(steering, state.w)
-        update_v(steering, state.w, state.u, 1.0, d, params)
-        solve_weight_system(steering, state.v, state.u, 1.0, d, np.zeros(6), params)
-        assert steering.moment_matrix is t
+        monkeypatch.setattr(admm_mod, "_toeplitz_copy", copy)
+        calls = (
+            lambda: solve(steering, d, params),
+            lambda: data_fit_gram(steering, state.w),
+            lambda: update_alpha(steering, state.w, state.v, d),
+            lambda: update_v(steering, state.w, state.u, 1.0, d, params),
+            lambda: solve_weight_system(steering, state.v, state.u, 1.0, d, np.zeros(n), params),
+        )
+        for call in calls:
+            gathers.clear()
+            call()
+            assert gathers == ([(n, 2 * n - 1)] if n < CROSSOVER else [])
 
     @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
     def test_template_toeplitz_product(self, monkeypatch, kernel, n):
@@ -909,7 +942,7 @@ class TestLevinsonVBlock:
         steering, _ = random_instance(rng, n=9, k=40)
         x = unit(rng, 9)
         auto = np.correlate(x, x, "full")
-        diagonals = 0.3 * admm_mod._gram_diagonals(steering.moment_matrix, auto)
+        diagonals = 0.3 * admm_mod._gram_diagonals(zgemv_operand(steering), auto)
         diagonals[8] += 2.5
         col = diagonals[8:]
         assert np.linalg.eigvalsh(scipy.linalg.toeplitz(col)).min() > 0
@@ -1045,14 +1078,13 @@ class TestScipyKernels:
         assert np.array_equal(lags[n - 1 :], a.T @ d.values)
         with np.errstate(over="ignore"):
             assert np.array_equal(beampattern(steering, w), np.abs(a @ np.conj(w)) ** 2)
-        t = steering.moment_matrix
-        moments = t[n - 1, n - 2 :: -1]  # q_N ... q_(2N-2), from T[N-1, j] = q_(2N-2-j)
-        assert np.array_equal(moments, (a.T @ a[:, n - 1])[1:])
-        kernel, grid, td = admm_mod._moment_kernel(steering, d)
+        # q_N ... q_(2N-2), entries 2N-1 ... 3N-3 of the moments
+        assert np.array_equal(steering.moments[2 * n - 1 :], (a.T @ a[:, n - 1])[1:])
+        kernel, t, td = admm_mod._moment_kernel(steering, d)
         if n >= admm_mod._FFT_CROSSOVER:
             assert kernel is admm_mod._fft_moments
             return
-        assert kernel is admm_mod._moments and grid is t
+        assert kernel is admm_mod._moments
         assert td.flags.f_contiguous
         assert np.array_equal(td, admm_mod._toeplitz_gram(lags))
         assert np.array_equal(admm_mod._moments(t, td, x).td_x, td @ x)
@@ -1067,7 +1099,7 @@ class TestScipyKernels:
         # on, without reading what it held, and mirror its conjugates below, bit for bit
         rng = np.random.default_rng(64)
         steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, 181)))
-        t = steering.moment_matrix
+        t = zgemv_operand(steering)
         lags = admm_mod._lags(n)
         for _ in range(5):
             lags.buffer[:] = fill
@@ -1130,10 +1162,11 @@ class TestScipyKernels:
         # squared norms of the dual gap, the residual, the weight change and the projection
         rng = np.random.default_rng(61)
         steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, 181)))
+        t = zgemv_operand(steering)
         for _ in range(20):
             w, v, x = unit(rng, n), unit(rng, n), random_complex(rng, n)
             u = 0.1 * random_complex(rng, n)
-            mw, mv = (admm_mod._moments(steering.moment_matrix, np.eye(n), y) for y in (w, v))
+            mw, mv = (admm_mod._moments(t, np.eye(n), y) for y in (w, v))
             pairs = [(mw.auto, mv.gram), (mw.auto, mw.gram), (w, mv.td_x)]
             for a, b in pairs:
                 assert admm_mod._real_dot(a, b) == np.vdot(a, b).real
@@ -1399,16 +1432,18 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
 def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
     # one size below the crossover a solve takes its moments by zgemv, as counted above: T_d's
     # first column and matrix, then two products for each iterate's moments, the start state's
-    # w and v and two a sweep. At the crossover the only zgemv is T_d's first column, T_d's
-    # matrix is not formed, and each iterate's moments take one batched inverse FFT
+    # w and v and two a sweep; it gathers two Toeplitz matrices, T_d's and the moments'. At the
+    # crossover the only zgemv is T_d's first column, no matrix is gathered, and each
+    # iterate's moments take one batched inverse FFT
     sweeps = 3
-    for n, want in ((CROSSOVER - 1, (1, 5 + 4 * sweeps, 0)), (CROSSOVER, (0, 1, 2 + 2 * sweeps))):
+    for n, want in ((CROSSOVER - 1, (1, 2, 5 + 4 * sweeps, 0)),
+                    (CROSSOVER, (0, 0, 1, 2 + 2 * sweeps))):
         rng = np.random.default_rng(n)
         steering, d = random_instance(rng, n=n, k=9)
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps, seed=5)
-        calls = {"_toeplitz_gram": 0, "_gemv": 0, "ifft": 0}
+        calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "ifft": 0}
         with monkeypatch.context() as patch:
-            counting(patch, admm_mod, ("_toeplitz_gram", "_gemv"), calls)
+            counting(patch, admm_mod, ("_toeplitz_gram", "_toeplitz_copy", "_gemv"), calls)
             counting(patch, np.fft, ("ifft",), calls)
             _, _, trace = solve(steering, d, params)
         assert trace.iter.size == sweeps + 1

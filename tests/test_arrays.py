@@ -149,50 +149,37 @@ class TestSteeringSet:
             assert not steering.vectors.flags.writeable
 
     def test_moments_are_the_per_angle_power_sums(self):
-        # T[i, j] = q_(i-j+N-1) with q_i = sum_k z_k^i for i = -(N-1) ... 2N-2 and
-        # z_k = exp(j 2 pi spacing sin(theta_k)), on a non-uniform grid at a spacing other
-        # than half a wavelength
+        # q_i = sum_k z_k^i for i = -(N-1) ... 2N-2, z_k = exp(j 2 pi spacing sin(theta_k)),
+        # on a non-uniform grid at a spacing other than half a wavelength
         rng = np.random.default_rng(13)
         for n in (2, 3, 7, 30):
             spacing = 0.83
             angles = np.unique(rng.uniform(-90, 90, 4 * n + 3))
             steering = SteeringSet(ArrayGeometry(n, spacing), AngleGrid(angles))
             z = np.exp(2j * np.pi * spacing * np.sin(np.radians(angles)))
-            i, j = np.indices((n, 2 * n - 1))
-            expected = np.sum(z[:, None, None] ** (i - j + n - 1), axis=0)
-            assert steering.moment_matrix.shape == (n, 2 * n - 1)
-            np.testing.assert_allclose(steering.moment_matrix, expected, rtol=0,
-                                       atol=1e-12 * z.size)
+            lags = np.arange(-(n - 1), 2 * n - 1)
+            expected = np.array([np.sum(z**i) for i in lags])
+            assert steering.moments.shape == (3 * n - 2,)
+            np.testing.assert_allclose(steering.moments, expected, rtol=0, atol=1e-12 * z.size)
 
     def test_moments_are_read_only(self):
         steering = build_steering_set(ArrayGeometry(4), AngleGrid.uniform(-90, 90, 10.0))
-        z = steering.vectors[:, 1]
-        i, j = np.indices((4, 7))
-        t = steering.moment_matrix
-        np.testing.assert_allclose(t, np.sum(z[:, None, None] ** (i - j + 3), axis=0),
-                                   rtol=0, atol=1e-12 * z.size)
-        assert not t.flags.writeable
+        assert not steering.moments.flags.writeable
         with pytest.raises(ValueError):
-            t[0, 0] = 0.0
+            steering.moments[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            steering.moment_matrix = np.zeros_like(t)
+            steering.moments = np.zeros_like(steering.moments)
 
-    @pytest.mark.parametrize("n", [2, 3, 30, 256])
-    def test_moment_matrix_is_a_read_only_fortran_toeplitz_gather(self, n):
-        # T[i, j] = q_(i-j+N-1), which the sweep's zgemv reads as it stands: row 0 reversed is
-        # q_-(N-1) ... q_(N-1) and row N-1 reversed is q_0 ... q_(2N-2), so every entry is
-        # entry i + 2N-2 - j of q_-(N-1) ... q_(2N-2), read from those two rows
-        steering = build_steering_set(ArrayGeometry(n), AngleGrid.uniform(-90, 90, 1.0))
-        t = steering.moment_matrix
-        assert t.shape == (n, 2 * n - 1)
-        assert t.flags.f_contiguous and t.flags.owndata and not t.flags.writeable
-        q = np.concatenate((t[0, ::-1], t[n - 1, n - 2 :: -1]))
-        i, j = np.indices(t.shape)
-        assert np.array_equal(t, q[i + 2 * n - 2 - j])
-        with pytest.raises(ValueError):
-            t[0, 0] = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            steering.moment_matrix = t.copy()
+    @pytest.mark.parametrize("n", [30, 256, 512])
+    def test_keeps_only_the_vectors_and_the_moments(self, n):
+        # K N steering vectors and 3N - 2 moments, each in memory of its own: no array of
+        # either moment kernel's operand outlives the build
+        grid = AngleGrid.uniform(-90, 90, 1.0)
+        steering = build_steering_set(ArrayGeometry(n), grid)
+        arrays = [x for x in vars(steering).values() if isinstance(x, np.ndarray)]
+        assert all(x.base is None and x.dtype == complex for x in arrays)
+        assert sum(x.size for x in arrays) == grid.count * n + 3 * n - 2
+        assert sum(x.nbytes for x in arrays) == 16 * (grid.count * n + 3 * n - 2)
 
 
 class TestBeampattern:

@@ -361,20 +361,19 @@ def test_oversize_array_is_a_configuration_error():
 @pytest.mark.parametrize(
     "n_elements, grid, accepted",
     [
-        (3873, {}, True),  # N (2N - 1) = 29,996,385 on the 181-angle grid
-        (3874, {}, False),  # N (2N - 1) = 30,011,878
+        (5477, {}, True),  # N^2 = 29,997,529 on the 181-angle grid
+        (5478, {}, False),  # N^2 = 30,008,484
         (250, {"grid_start_deg": -60.0, "grid_stop_deg": 59.999, "grid_step_deg": 0.001}, True),
         (251, {"grid_start_deg": -60.0, "grid_stop_deg": 59.999, "grid_step_deg": 0.001}, False),
     ],
 )
 def test_solve_size_budget_boundary(n_elements, grid, accepted):
-    # the N x (2N - 1) moment matrix bounds the 181-angle grid; the K x N side uses 120,000
-    # angles, so 250 elements meet the budget exactly
+    # the N x N w-block matrix bounds the 181-angle grid; the K x N side uses 120,000 angles,
+    # so 250 elements meet the budget exactly
     doc = json.loads(MINIMAL) | grid | {"n_elements": n_elements}
     if accepted:
         cfg = parse_config(json.dumps(doc))
-        moment_matrix = n_elements * (2 * n_elements - 1)
-        assert max(cfg.grid.count * n_elements, moment_matrix) <= MAX_MATRIX_ENTRIES
+        assert max(cfg.grid.count * n_elements, n_elements**2) <= MAX_MATRIX_ENTRIES
     else:
         with pytest.raises(ConfigurationError, match=f"n_elements {n_elements} "):
             parse_config(json.dumps(doc))
