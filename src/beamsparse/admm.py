@@ -11,22 +11,25 @@ quartic coupling in w is split with an auxiliary copy v of w (constraint
 w = v, scaled dual u), and each sweep performs, in order:
 
 1. closed-form least-squares refresh of the template scale alpha;
-2. an exact solve of the v block (unconstrained complex least squares);
-3. the diagonal entropy majorizer at the current weights, which came with
-   their entropy when they were formed;
-4. an exact solve of the majorized w block followed by projection back
-   onto the unit sphere;
-5. dual ascent on u.
+2. the data block (``_data_block``): an exact solve for v, unconstrained
+   complex least squares with w as its partner and w + u as its target;
+3. the moments of v;
+4. the w block (``_w_block``): an exact solve of the w block, majorized by
+   the diagonal entropy majorizer at the current weights (which came with
+   their entropy when they were formed), projected back onto the unit sphere;
+5. dual ascent on u;
+6. the moments and the entropy's penalty of the new weights, and their
+   trace row.
 
 The sweep repeats until the weight change drops below ``eta`` or the
 iteration budget runs out. Both blocks solve a Hermitian positive definite
 system whose data-fit matrix is lam * G, with G = sum_k |a_k^H x|^2 a_k a_k^H
 (``data_fit_gram``), and lam is set only in ``SolverParams``. G is Hermitian
 Toeplitz, since ``SteeringSet`` derives every steering vector from a uniform
-linear array as a phase ramp a_k[n] = z_k^n. The v block adds rho/2 to lam G's
-diagonal, which keeps it Toeplitz, and solves it by one Levinson recursion on
-the diagonals in O(N^2) without forming the matrix. The w block adds rho/2 plus
-the entropy majorizer's diagonal, which varies along the diagonal, so its
+linear array as a phase ramp a_k[n] = z_k^n. The data block adds rho/2 to lam
+G's diagonal, which keeps it Toeplitz, and solves it by one Levinson recursion
+on the diagonals in O(N^2) without forming the matrix. The w block adds rho/2
+plus the entropy majorizer's diagonal, which varies along the diagonal, so its
 matrix is not Toeplitz; it is positive definite only for rho > 2, because the
 majorizer diagonal is bounded below by -1 on the sphere, and LAPACK's posv
 factors it by Cholesky on its lower triangle, which OpenBLAS does faster than
@@ -61,8 +64,8 @@ once per iterate, on private kernels that take it as an argument. Unit power of
 w is the entropy's rule, so ``solve`` rejects a non-unit initial w at entry,
 then a start state whose row 0 breaks the ``Trace`` rule; each later w is a
 projection onto the sphere, within the entropy's tolerance by construction, so
-the sweep takes its powers unchecked. The moments of w_k feed the v block and
-row k of the trace; those of v_{k+1} feed the w block and row k + 1. Each w's
+the sweep takes its powers unchecked. The moments of w_k feed the data block
+and row k of the trace; those of v_{k+1} feed the w block and row k + 1. Each w's
 powers pass once through the entropy's penalty kernel, whose one clamped log
 gives both the entropy of its trace row and the majorizer diagonal of the next
 w block. Once the loop ends or a sweep fails, one vectorized pass derives the
@@ -421,12 +424,12 @@ class _Workspace:
 
     ``gram_w`` and ``gram_v`` are the lag buffers (``_Lags``) that the moments of w and of v
     write their Gram diagonals into. The next iterate's moments overwrite each only after its
-    last reader: the v block and w's trace row for w, the w block and the next trace row for
-    v. ``diagonals`` holds a block's Toeplitz diagonals:
-    the v block's, which Levinson reads and does not keep, then lam G(v), which ``system``
+    last reader: the data block and w's trace row for w, the w block and the next trace row
+    for v. ``diagonals`` holds a block's Toeplitz diagonals: the data block's
+    (``_data_block``), which Levinson reads and does not keep, then lam G(v), which ``system``
     reads as its Toeplitz matrix, a fixed lag view (``arrays._toeplitz_view``). ``matrix`` is
-    the w block's Fortran-ordered matrix, which the view is copied into, and ``diagonal`` a
-    view of its diagonal.
+    the w block's (``_w_system``) Fortran-ordered matrix, which the view is copied into, and
+    ``diagonal`` a view of its diagonal.
     """
 
     __slots__ = ("lam", "half_rho", "gram_w", "gram_v", "diagonals", "system", "matrix",
@@ -443,17 +446,18 @@ class _Workspace:
         self.diagonal = self.matrix.reshape(-1, order="F")[:: n + 1]
 
 
-def _v_block(
-    ws: _Workspace, mw: _Moments, w: np.ndarray, u: np.ndarray, lam_alpha: float
-) -> np.ndarray:
-    """update_v without its checks, from the moments of w and lam_alpha = lam * alpha.
+def _data_block(ws: _Workspace, partner: _Moments, target: np.ndarray,
+                lam_alpha: float) -> np.ndarray:
+    """update_v without its checks, from the moments of its partner iterate, the target the
+    caller forms and lam_alpha = lam * alpha.
 
-    Solves (lam G + (rho/2) I) v = lam * alpha * T_d w + (rho/2)(w + u) by one
-    Levinson recursion on the Toeplitz diagonals of the matrix, formed in ws.
+    Solves (lam G(partner) + (rho/2) I) y = lam * alpha * T_d partner + (rho/2) target by
+    one Levinson recursion on the Toeplitz diagonals of the matrix, formed in ws; the
+    right-hand side overwrites target. For v, the partner is w and the target w + u.
     """
-    diagonals = np.multiply(ws.lam, mw.gram, out=ws.diagonals)
-    diagonals[w.size - 1] += ws.half_rho
-    rhs = _rhs(lam_alpha, mw.td_x, ws.half_rho, w + u)
+    diagonals = np.multiply(ws.lam, partner.gram, out=ws.diagonals)
+    diagonals[target.size - 1] += ws.half_rho
+    rhs = _rhs(lam_alpha, partner.td_x, ws.half_rho, target)
     # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
     # and the inputs are checked finite where they enter, so the system is Hermitian
     # positive definite by construction. Levinson's reflection coefficients could not
@@ -465,32 +469,34 @@ def _v_block(
     return solution
 
 
-def _w_system(
-    ws: _Workspace,
-    mv: _Moments,
-    v: np.ndarray,
-    u: np.ndarray,
-    lam_alpha: float,
-    shift: np.ndarray,
-) -> np.ndarray:
-    """solve_weight_system without its checks, from the moments of v, lam_alpha = lam * alpha
-    and shift = diag + rho/2, what the w block adds to lam G's diagonal.
+def _w_system(ws: _Workspace, mv: _Moments, target: np.ndarray, lam_alpha: float,
+              shift: np.ndarray) -> np.ndarray:
+    """solve_weight_system without its checks, from the moments of v, the target v - u the
+    caller forms, lam_alpha = lam * alpha and shift = diag + rho/2, what the w block adds to
+    lam G's diagonal.
 
-    Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2)(v - u).
+    Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2) target.
     The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian positive
     definite system is formed in ws: lam G's diagonals are written to its buffer, its lag
     view is copied into its Fortran-ordered matrix, the shift is added through its diagonal
     view, and one LAPACK posv call factors the matrix's lower triangle in place by Cholesky
-    and solves; it reads nothing above the diagonal.
+    and solves; it reads nothing above the diagonal. The right-hand side overwrites target.
     """
     np.multiply(ws.lam, mv.gram, out=ws.diagonals)
     ws.matrix[...] = ws.system
     ws.diagonal += shift
-    rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, v - u)
+    rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, target)
     _, solution, info = _posv(ws.matrix, rhs, 1, 1, 1)  # lower, overwrite_a, overwrite_b
     if info != 0:
         raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
     return solution
+
+
+def _w_block(ws: _Workspace, mv: _Moments, target: np.ndarray, lam_alpha: float,
+             shift: np.ndarray) -> np.ndarray:
+    """The next w: the w block's solution (``_w_system``) projected onto the unit sphere,
+    which rejects a non-finite solution."""
+    return _project_unit_sphere(_w_system(ws, mv, target, lam_alpha, shift))
 
 
 def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
@@ -517,7 +523,7 @@ def update_v(
     d: DesiredPattern,
     params: SolverParams,
 ) -> np.ndarray:
-    """Exact minimizer of the v block (matching term plus consensus penalty)."""
+    """Exact minimizer of the data block for v (matching term plus consensus penalty)."""
     _require_problem(steering, d, params)
     _require_scalar(alpha, "alpha")
     n = steering.n_elements
@@ -527,7 +533,7 @@ def update_v(
         ws = _Workspace(n, params)
         kernel, grid, template = _moment_kernel(steering, d)
         mw = kernel(grid, template, w, ws.gram_w)
-        return _require_finite_solution(_v_block(ws, mw, w, u, ws.lam * alpha))
+        return _require_finite_solution(_data_block(ws, mw, w + u, ws.lam * alpha))
 
 
 def solve_weight_system(
@@ -551,7 +557,7 @@ def solve_weight_system(
         kernel, grid, template = _moment_kernel(steering, d)
         mv = kernel(grid, template, v, ws.gram_v)
         shift = diag + ws.half_rho
-        return _require_finite_solution(_w_system(ws, mv, v, u, ws.lam * alpha, shift))
+        return _require_finite_solution(_w_system(ws, mv, v - u, ws.lam * alpha, shift))
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -662,9 +668,9 @@ def solve(
         try:
             alpha = cross / dd
             lam_alpha = ws.lam * alpha
-            v = _v_block(ws, mw, w, u, lam_alpha)
+            v = _data_block(ws, mw, w + u, lam_alpha)
             mv = kernel(grid, template, v, ws.gram_v)
-            swept = _project_unit_sphere(_w_system(ws, mv, v, u, lam_alpha, shift))
+            swept = _w_block(ws, mv, v - u, lam_alpha, shift)
             wv = swept - v
             u = u + wv
             step = swept - w

@@ -261,7 +261,10 @@ class SteeringSet:
         n = self.geometry.n_elements
         sin_theta = np.sin(np.radians(self.grid.angles_deg))
         phases = 2.0 * np.pi * self.geometry.spacing_ratio * np.outer(sin_theta, np.arange(n))
-        a = np.exp(1j * phases)
+        # exp(i phase) as cos + i sin, written into a's parts: no K x N temporary 1j * phases
+        a = np.empty(phases.shape, complex)
+        np.cos(phases, out=a.real)
+        np.sin(phases, out=a.imag)
         # q_0 ... q_(2N-2), the products from a.T, which is Fortran-ordered as it stands
         col = np.concatenate((a.sum(axis=0), _gemv(1.0, a.T, a[:, n - 1])[1:]))
         object.__setattr__(self, "vectors", _readonly(a))

@@ -521,17 +521,17 @@ class TestSolve:
         params = SolverParams(lam=0.2, rho=5.0, max_iters=10)
 
         calls = {"count": 0}
-        real_v_block = admm_mod._v_block
+        real_data_block = admm_mod._data_block
 
         def poisoned(*args, **kwargs):
             calls["count"] += 1
-            out = real_v_block(*args, **kwargs)
+            out = real_data_block(*args, **kwargs)
             if calls["count"] == 3:
                 out = out.copy()
                 out[0] = np.nan
             return out
 
-        monkeypatch.setattr(admm_mod, "_v_block", poisoned)
+        monkeypatch.setattr(admm_mod, "_data_block", poisoned)
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, params)
         # rows: initial state plus the two clean iterations
@@ -884,17 +884,20 @@ class TestFactorizationFailure:
             solve_weight_system(steering, np.full(5, 1e300), u, 1.0, d, np.zeros(5), params)
 
     def test_non_finite_weight_solution_ends_in_divergence(self, monkeypatch):
-        # solve checks the w block's solution once, where it projects it onto the sphere
+        # solve checks the w block's solution once, where _w_block projects it onto the
+        # sphere: posv reports success (info = 0) with a NaN solution on sweep 3
         steering, d, _, _, _ = self.system()
         calls = {"count": 0}
-        real_w_system = admm_mod._w_system
+        real_posv = admm_mod._posv
 
         def poisoned(*args):
             calls["count"] += 1
-            solution = real_w_system(*args)
-            return np.full_like(solution, np.nan) if calls["count"] == 3 else solution
+            a, solution, info = real_posv(*args)
+            if calls["count"] == 3:
+                solution = np.full_like(solution, np.nan)
+            return a, solution, info
 
-        monkeypatch.setattr(admm_mod, "_w_system", poisoned)
+        monkeypatch.setattr(admm_mod, "_posv", poisoned)
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
@@ -918,7 +921,8 @@ class TestFactorizationFailure:
 
 
 class TestLevinsonVBlock:
-    """The v block solves its Toeplitz system by Levinson recursion, not by a dense factorization."""
+    """The data block solves its Toeplitz system by Levinson recursion, not by a dense
+    factorization."""
 
     @pytest.mark.parametrize("n,step", [(30, 1.0), (256, 0.25)])
     def test_matches_a_dense_solve(self, n, step):
@@ -1299,7 +1303,7 @@ def largest_accepted_lam(steering):
 
 
 def test_lam_that_overflows_the_data_fit_is_rejected():
-    # at lam = 1e306, lam * G overflows in the v block on single_mainlobe (N = 30, K = 181)
+    # at lam = 1e306, lam * G overflows in the data block on single_mainlobe (N = 30, K = 181)
     steering, d, params = config_problem("single_mainlobe", max_iters=5)
     past = math.nextafter(largest_accepted_lam(steering), math.inf)
     state = admm_mod.initial_state(steering, params)
@@ -1415,7 +1419,7 @@ def counting(monkeypatch, owner, names, calls):
 
 def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     # T_d is the one Toeplitz matrix a solve gathers; each sweep's w block writes its
-    # matrix into the solve's workspace and factors it in one posv call, and the v block
+    # matrix into the solve's workspace and factors it in one posv call, and the data block
     # solves from the diagonals. The matrix-vector products are the moments' two, T_d x and
     # the moment matrix times x's autocorrelation, for v and for w in each sweep, and in the
     # set-up T_d's first column and the moments' two for the start state's w and v
@@ -1427,6 +1431,47 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls == {"_toeplitz_gram": 1, "_posv": 12, "_gemv": 5 + 4 * 12}
+
+
+def seam_calls(call):
+    """call()'s result and the calls of _data_block, _w_block and _w_system made while it
+    runs, counted by (callee, caller) through a profile hook, so that no block is replaced."""
+    codes = {admm_mod._data_block.__code__, admm_mod._w_block.__code__,
+             admm_mod._w_system.__code__}
+    calls = {}
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            pair = (frame.f_code.co_name, frame.f_back.f_code.co_name)
+            calls[pair] = calls.get(pair, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_each_sweep_calls_each_block_once():
+    # the sweep's seam: a solve of k sweeps calls the data block and the w block k times
+    # each and forms the w system only inside the w block; update_v calls the data block
+    # once and solve_weight_system the w system once
+    rng = np.random.default_rng(53)
+    steering, d = random_instance(rng, n=6, k=9)
+    params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=12, seed=5)
+    (_, _, trace), calls = seam_calls(lambda: solve(steering, d, params))
+    assert trace.iter.size == 13
+    assert calls == {("_data_block", "solve"): 12, ("_w_block", "solve"): 12,
+                     ("_w_system", "_w_block"): 12}
+    state = admm_mod.initial_state(steering, params)
+    _, calls = seam_calls(lambda: update_v(steering, state.w, state.u, 1.0, d, params))
+    assert calls == {("_data_block", "update_v"): 1}
+    diag = majorizer_diag(state.w)
+    _, calls = seam_calls(
+        lambda: solve_weight_system(steering, state.v, state.u, 1.0, d, diag, params))
+    assert calls == {("_w_system", "solve_weight_system"): 1}
 
 
 def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):

@@ -148,6 +148,20 @@ class TestSteeringSet:
             np.testing.assert_allclose(steering.vectors, expected, rtol=0, atol=1e-10)
             assert not steering.vectors.flags.writeable
 
+    @pytest.mark.parametrize("n, step, spacing", [(30, 1.0, 0.5), (256, 0.25, 0.5),
+                                                  (30, 1.0, 9.8e305)])
+    def test_vectors_equal_the_complex_exponential_of_the_phases(self, n, step, spacing):
+        # the build writes each phase's cosine and sine into the real and imaginary parts;
+        # they equal np.exp(1j * phase) in value on the reference grids and at phases up to
+        # 1.8e308. Only a zero's sign differs: at a negative angle column 0's phase is -0,
+        # whose sine is -0, where np.exp gives +0
+        grid = AngleGrid.uniform(-90, 90, step)
+        steering = build_steering_set(ArrayGeometry(n, spacing), grid)
+        sin_theta = np.sin(np.radians(grid.angles_deg))
+        phases = 2.0 * np.pi * spacing * np.outer(sin_theta, np.arange(n))
+        assert steering.vectors.shape == (grid.count, n)
+        assert np.array_equal(steering.vectors, np.exp(1j * phases))
+
     def test_moments_are_the_per_angle_power_sums(self):
         # q_i = sum_k z_k^i for i = -(N-1) ... 2N-2, z_k = exp(j 2 pi spacing sin(theta_k)),
         # on a non-uniform grid at a spacing other than half a wavelength
