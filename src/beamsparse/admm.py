@@ -14,9 +14,10 @@ w = v, scaled dual u), and each sweep performs, in order:
 2. the data block (``_data_block``): an exact solve for v, unconstrained
    complex least squares with w as its partner and w + u as its target;
 3. the moments of v;
-4. the w block (``_w_block``): an exact solve of the w block, majorized by
-   the diagonal entropy majorizer at the current weights (which came with
-   their entropy when they were formed), projected back onto the unit sphere;
+4. the w block (``_w_block``): a solve of the w block, majorized by the
+   diagonal entropy majorizer at the current weights (which came with their
+   entropy when they were formed), exact or to a relative residual of
+   ``_CG_TOLERANCE``, projected back onto the unit sphere;
 5. dual ascent on u;
 6. the moments and the entropy's penalty of the new weights, and their
    trace row.
@@ -31,18 +32,22 @@ G's diagonal, which keeps it Toeplitz, and solves it by one Levinson recursion
 on the diagonals in O(N^2) without forming the matrix. The w block adds rho/2
 plus the entropy majorizer's diagonal, which varies along the diagonal, so its
 matrix is not Toeplitz; it is positive definite only for rho > 2, because the
-majorizer diagonal is bounded below by -1 on the sphere, and LAPACK's posv
-factors it by Cholesky on its lower triangle, which OpenBLAS does faster than
-the upper one. Each solve allocates one workspace for both systems
-(``_Workspace``).
+majorizer diagonal is bounded below by -1 on the sphere. Its solver is picked
+by N, once per solve and once per public call, in the workspace that each
+allocates for both systems (``_Workspace``), so the loop holds no branch: below
+``_CG_CROSSOVER`` LAPACK's posv factors the N x N matrix by Cholesky on its
+lower triangle, which OpenBLAS does faster than the upper one (``_Cholesky``);
+from it on conjugate gradients with T. Chan's circulant preconditioner solve it
+by FFT products with lam G, in O(N log N) an iteration and without the matrix
+(``_ConjugateGradients``).
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
-``scipy.linalg.solve_toeplitz``, LAPACK's zposv and four BLAS routines (zgemv,
-zdotc, zdscal, zaxpy), loaded without importing ``scipy.linalg``
-(``kernels``), and numpy's FFT, which the package reaches at call time, so
-importing it loads no ``numpy.fft``. The sweep passes their arguments
-positionally, since f2py takes about twice as long to parse a keyword call, and
-calls them through this module's globals, where tests can substitute them.
+``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv,
+zdotc, zdscal, zaxpy) and pocketfft's complex FFT (c2c), loaded without
+importing ``scipy.linalg`` or ``scipy.fft`` (``kernels``), so the package
+reaches no ``numpy.fft``. The sweep passes their arguments positionally, since
+f2py takes about twice as long to parse a keyword call, and calls them through
+this module's globals, where tests can substitute them.
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -84,8 +89,8 @@ run the kernels with numpy's overflow warnings off and check the result, so
 finite inputs that overflow end in a typed error; the sweep, whose iterates are
 bounded, pays for no such check. ``update_v`` and ``solve_weight_system`` check
 their solution finite and the sweep does not: a non-finite v makes the w block's
-system non-finite, which posv's factorization or the projection onto the sphere
-rejects, so that sweep still ends in ``DivergenceError``.
+system non-finite, which its solver or the projection onto the sphere rejects,
+so that sweep still ends in ``DivergenceError``.
 
 A single solve is a sequential state machine; concurrent solves share no
 mutable state, since no workspace outlives the call that allocated it.
@@ -114,7 +119,7 @@ from .arrays import (
 )
 from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .kernels import _axpy, _dscal, _gemv, _levinson, _posv, _real_dot
+from .kernels import _LAST, _axpy, _c2c, _dscal, _gemv, _levinson, _posv, _real_dot
 from .metrics import _db
 from .templates import DesiredPattern
 
@@ -320,7 +325,7 @@ _FFT_CROSSOVER = 144
 
 
 def _fft_length(n: int) -> int:
-    """The smallest 2^a 3^b >= n, a length numpy's FFT takes fast: at N = 256 the FFT moments
+    """The smallest 2^a 3^b >= n, a length pocketfft takes fast: at N = 256 the FFT moments
     took 35 us at 768 = 2^8 * 3, 42 us at 1,024 and 111 us at 766 = 2 * 383, against 123 us
     for zgemv's (one pinned core of a 2-core Xeon virtual machine)."""
     best = 1 << (n - 1).bit_length()
@@ -358,7 +363,8 @@ def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
     if n < _FFT_CROSSOVER:
         return _moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags)
     length = _fft_length(3 * n - 2)
-    spectra = np.fft.fft([_circular(q, n, length), _circular(td_lags, n, length)])
+    spectra = np.array([_circular(q, n, length), _circular(td_lags, n, length)])
+    _c2c(spectra, _LAST, True, 0, spectra, 1)
     return _fft_moments, spectra[0], spectra[1]
 
 
@@ -372,12 +378,14 @@ def _fft_moments(grid: np.ndarray, template: np.ndarray, x: np.ndarray,
     buffer when None), the negative lags as the conjugates of the positive ones."""
     n = x.size
     length = grid.size
-    spectrum = np.fft.fft(x, length)
-    stack = np.empty((3, length), complex)
-    power = np.multiply(spectrum, spectrum.conj(), out=stack[0])
-    np.multiply(grid, power, out=stack[1])
-    np.multiply(template, spectrum, out=stack[2])
-    out = np.fft.ifft(stack)
+    spectrum = np.zeros(length, complex)
+    spectrum[:n] = x
+    _c2c(spectrum, _LAST, True, 0, spectrum, 1)
+    out = np.empty((3, length), complex)
+    power = np.multiply(spectrum, spectrum.conj(), out=out[0])
+    np.multiply(grid, power, out=out[1])
+    np.multiply(template, spectrum, out=out[2])
+    _c2c(out, _LAST, False, 2, out, 1)
     buffer, positive, negative = _lags(n) if lags is None else lags
     buffer[n - 1 :] = out[1, :n]
     np.conjugate(positive, out=negative)
@@ -418,6 +426,157 @@ def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
     return solution
 
 
+#: Fewest elements at which a solve and ``solve_weight_system`` take the w block by
+#: preconditioned conjugate gradients (``_ConjugateGradients``) instead of by Cholesky
+#: (``_Cholesky``): the smallest measured N from which the conjugate gradients' sweep was the
+#: faster by a median of 15% or more in each run. Median us per sweep of a 40-sweep solve on
+#: ``large_array``'s 721-angle grid, 21 solves of each solver alternated on one pinned core of
+#: a 2-core Xeon virtual machine, both with the FFT moments (Cholesky / CG, Cholesky / CG
+#: ratio, solves the CG won): N = 160: 432 / 513, 0.84, 0 of 21; 192: 630 / 625, 1.01, 15;
+#: 208: 747 / 735, 1.02, 18; 224: 850 / 727, 1.17, 21; 240: 966 / 752, 1.31, 20;
+#: 256: 1,178 / 794, 1.48, 21; 320: 1,904 / 1,113, 1.71, 21; 512: 6,145 / 1,905, 3.20, 21. A
+#: second run read ratios of 1.06 at N = 176, 1.01 at 192, 1.08 at 208, 1.16 at 224 and 1.25
+#: at 240. The ratio does not rise smoothly below 224, since the iteration count varies with
+#: the problem.
+_CG_CROSSOVER = 224
+
+#: The conjugate gradients' stop, ||b - A x|| <= _CG_TOLERANCE ||b|| for the w block's system
+#: A x = b. Over the 120 w-block systems of ``large_array`` seeds 0-2 (40 sweeps each; one
+#: pinned core of a 2-core Xeon virtual machine), by tolerance: median and largest iteration
+#: count, largest relative distance from zposv's solution, and the largest |w - w_zposv| of
+#: the 40-sweep solves: 1e-12: 18, 24, 2.5e-11, 8.0e-11; 1e-13: 19, 26, 2.2e-12, 6.2e-12;
+#: 1e-14: 20.5, 27, 3.9e-13, 1.7e-13. At 1e-13 seeds 3-4 (the negative-alpha branch) took at
+#: most 15 iterations, and N = 512 on a 1,801-angle grid at most 15.
+_CG_TOLERANCE = 1e-13
+
+
+class _Cholesky:
+    """The w block's solver below ``_CG_CROSSOVER``: lam G's diagonals are written to its
+    buffer, whose Toeplitz lag view (``arrays._toeplitz_view``) is copied into its
+    Fortran-ordered N x N matrix, the shift is added through a view of the matrix's diagonal,
+    and one LAPACK posv call factors the matrix's lower triangle in place by Cholesky and
+    solves; it reads nothing above the diagonal."""
+
+    __slots__ = ("diagonals", "system", "matrix", "diagonal")
+
+    def __init__(self, n: int):
+        self.diagonals = np.empty(2 * n - 1, complex)
+        self.system = _toeplitz_view(self.diagonals, n, n)
+        self.matrix = np.empty((n, n), complex, order="F")
+        self.diagonal = self.matrix.reshape(-1, order="F")[:: n + 1]
+
+    def solve(self, lam: float, gram: np.ndarray, rhs: np.ndarray,
+              shift: np.ndarray) -> np.ndarray:
+        np.multiply(lam, gram, out=self.diagonals)
+        self.matrix[...] = self.system
+        self.diagonal += shift
+        _, solution, info = _posv(self.matrix, rhs, 1, 1, 1)  # lower, overwrite_a, overwrite_b
+        if info != 0:
+            raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
+        return solution
+
+
+class _ConjugateGradients:
+    """The w block's solver from ``_CG_CROSSOVER`` on: conjugate gradients from x = 0 on
+    (lam G + diag(shift)) x = b, preconditioned by T. Chan's circulant of the matrix (Chan &
+    Ng, SIAM Review 1996), in O(N log N) an iteration with no N x N matrix.
+
+    Each product with lam G is one forward and one inverse transform of length
+    L = ``_fft_length``(2N - 1) >= 2N - 1, against the spectrum of lam G's lags laid out over
+    one period (lag l at l mod L), which is circulant and holds lam G unaliased in its leading
+    N x N block. The preconditioner is the circulant whose first column is
+    c_j = ((N - j) t_j + j t_(j-N)) / N, j = 0 ... N - 1, of lam G's lags t, plus mean(shift)
+    I: its eigenvalues, c's length-N spectrum plus mean(shift), are real and at least
+    mean(shift), since T. Chan's circulant of a positive semidefinite Toeplitz matrix is
+    positive semidefinite; it is applied by one length-N transform pair. The iteration stops at
+    the relative residual ``_CG_TOLERANCE`` and raises ``NumericalError`` after N iterations
+    short of it, on a non-finite residual, and where the preconditioner has an eigenvalue
+    <= 0 or a direction a curvature <= 0, so the matrix is not positive definite. The
+    residual iterates on b / ||b||, so that no inner product underflows on a small b.
+    """
+
+    __slots__ = ("lags", "nonnegative", "negative", "lag_spectrum", "down", "up", "chan",
+                 "chan_tail", "inverse", "padded", "padded_head", "product", "product_head",
+                 "spectrum", "r", "p", "z", "q")
+
+    def __init__(self, n: int):
+        length = _fft_length(2 * n - 1)
+        self.lags = np.zeros(length, complex)
+        self.nonnegative = self.lags[:n]  # lags 0 ... N-1
+        self.negative = self.lags[length - n + 1 :]  # lags -(N-1) ... -1
+        self.lag_spectrum = np.empty(length, complex)
+        j = np.arange(n)
+        self.down = (n - j) / n
+        self.up = j[1:] / n
+        self.chan = np.empty(n, complex)
+        self.chan_tail = self.chan[1:]
+        self.inverse = np.empty(n)
+        self.padded = np.zeros(length, complex)
+        self.padded_head = self.padded[:n]
+        self.product = np.empty(length, complex)
+        self.product_head = self.product[:n]
+        self.spectrum = np.empty(n, complex)
+        self.r, self.p, self.z, self.q = (np.empty(n, complex) for _ in range(4))
+
+    def solve(self, lam: float, gram: np.ndarray, rhs: np.ndarray,
+              shift: np.ndarray) -> np.ndarray:
+        n = rhs.size
+        np.multiply(lam, gram[n - 1 :], out=self.nonnegative)
+        np.multiply(lam, gram[: n - 1], out=self.negative)
+        _c2c(self.lags, _LAST, True, 0, self.lag_spectrum, 1)
+        chan = np.multiply(self.down, self.nonnegative, out=self.chan)
+        self.chan_tail += self.up * self.negative
+        eigenvalues = _c2c(chan, _LAST, True, 0, chan, 1).real + shift.mean()
+        if not eigenvalues.min() > 0.0:
+            raise NumericalError("matrix is not positive definite: its circulant preconditioner "
+                                 "has an eigenvalue <= 0")
+        inverse = np.divide(1.0, eigenvalues, out=self.inverse)
+        rr = _real_dot(rhs, rhs)
+        if not rr < math.inf:
+            raise NumericalError("conjugate gradients met a non-finite residual")
+        scale = math.sqrt(rr)
+        x = rhs  # the solution overwrites b, which r takes over as b / ||b||
+        if scale == 0.0:  # ||b||^2 is 0, or underflows
+            x.fill(0.0)
+            return x
+        r = np.multiply(rhs, 1.0 / scale, out=self.r)
+        x.fill(0.0)
+        stop = _CG_TOLERANCE * _CG_TOLERANCE
+        p, z, q = self.p, self.z, self.q
+        p.fill(0.0)
+        rz = math.inf  # so that the first direction is the preconditioned residual
+        spectrum, padded, product = self.spectrum, self.padded, self.product
+        padded_head, product_head, lag_spectrum = (self.padded_head, self.product_head,
+                                                   self.lag_spectrum)
+        for _ in range(n):
+            # z = M^-1 r, then p = z + (r^H z / previous r^H z) p, written into z's buffer
+            _c2c(r, _LAST, True, 0, spectrum, 1)
+            np.multiply(spectrum, inverse, out=spectrum)
+            _c2c(spectrum, _LAST, False, 2, z, 1)
+            rz, previous = _real_dot(r, z), rz
+            p, z = _axpy(p, z, n, rz / previous), p
+            # q = A p: lam G p by the circulant embedding, plus shift * p
+            padded_head[...] = p
+            _c2c(padded, _LAST, True, 0, product, 1)
+            np.multiply(product, lag_spectrum, out=product)
+            _c2c(product, _LAST, False, 2, product, 1)
+            np.add(np.multiply(shift, p, out=q), product_head, out=q)
+            curvature = _real_dot(p, q)
+            if not curvature > 0.0:
+                raise NumericalError("matrix is not positive definite: conjugate gradients met "
+                                     "a direction of curvature <= 0")
+            step = rz / curvature
+            _axpy(p, x, n, step)
+            _axpy(q, r, n, -step)
+            rr = _real_dot(r, r)
+            if rr <= stop:
+                return _dscal(scale, x, n, 0, 1, 1)
+            if not rr < math.inf:
+                raise NumericalError("conjugate gradients met a non-finite residual")
+        raise NumericalError(f"conjugate gradients did not reach the relative residual "
+                             f"{_CG_TOLERANCE} in {n} iterations")
+
+
 class _Workspace:
     """The two block systems' buffers and constants, allocated once per ``solve`` (and once
     per public block call) and overwritten by every sweep; no workspace outlives its call.
@@ -425,15 +584,13 @@ class _Workspace:
     ``gram_w`` and ``gram_v`` are the lag buffers (``_Lags``) that the moments of w and of v
     write their Gram diagonals into. The next iterate's moments overwrite each only after its
     last reader: the data block and w's trace row for w, the w block and the next trace row
-    for v. ``diagonals`` holds a block's Toeplitz diagonals: the data block's
-    (``_data_block``), which Levinson reads and does not keep, then lam G(v), which ``system``
-    reads as its Toeplitz matrix, a fixed lag view (``arrays._toeplitz_view``). ``matrix`` is
-    the w block's (``_w_system``) Fortran-ordered matrix, which the view is copied into, and
-    ``diagonal`` a view of its diagonal.
+    for v. ``diagonals`` holds the data block's Toeplitz diagonals (``_data_block``), which
+    Levinson reads and does not keep. ``solve_w`` is the w block's solver, picked here by N:
+    ``_Cholesky``'s below ``_CG_CROSSOVER``, which holds the N x N matrix, and
+    ``_ConjugateGradients``' from it on, which holds vectors of length N and L alone.
     """
 
-    __slots__ = ("lam", "half_rho", "gram_w", "gram_v", "diagonals", "system", "matrix",
-                 "diagonal")
+    __slots__ = ("lam", "half_rho", "gram_w", "gram_v", "diagonals", "solve_w")
 
     def __init__(self, n: int, params: SolverParams):
         self.lam = params.lam
@@ -441,9 +598,7 @@ class _Workspace:
         self.gram_w = _lags(n)
         self.gram_v = _lags(n)
         self.diagonals = np.empty(2 * n - 1, complex)
-        self.system = _toeplitz_view(self.diagonals, n, n)
-        self.matrix = np.empty((n, n), complex, order="F")
-        self.diagonal = self.matrix.reshape(-1, order="F")[:: n + 1]
+        self.solve_w = (_Cholesky if n < _CG_CROSSOVER else _ConjugateGradients)(n).solve
 
 
 def _data_block(ws: _Workspace, partner: _Moments, target: np.ndarray,
@@ -475,21 +630,13 @@ def _w_system(ws: _Workspace, mv: _Moments, target: np.ndarray, lam_alpha: float
     caller forms, lam_alpha = lam * alpha and shift = diag + rho/2, what the w block adds to
     lam G's diagonal.
 
-    Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2) target.
-    The majorizer diagonal makes the matrix non-Toeplitz, so the Hermitian positive
-    definite system is formed in ws: lam G's diagonals are written to its buffer, its lag
-    view is copied into its Fortran-ordered matrix, the shift is added through its diagonal
-    view, and one LAPACK posv call factors the matrix's lower triangle in place by Cholesky
-    and solves; it reads nothing above the diagonal. The right-hand side overwrites target.
+    Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2) target, a
+    Hermitian positive definite system whose majorizer diagonal makes it non-Toeplitz, by
+    the workspace's solver (``_Cholesky`` or ``_ConjugateGradients``, picked by N). The
+    right-hand side overwrites target.
     """
-    np.multiply(ws.lam, mv.gram, out=ws.diagonals)
-    ws.matrix[...] = ws.system
-    ws.diagonal += shift
     rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, target)
-    _, solution, info = _posv(ws.matrix, rhs, 1, 1, 1)  # lower, overwrite_a, overwrite_b
-    if info != 0:
-        raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
-    return solution
+    return ws.solve_w(ws.lam, mv.gram, rhs, shift)
 
 
 def _w_block(ws: _Workspace, mv: _Moments, target: np.ndarray, lam_alpha: float,

@@ -24,9 +24,11 @@ MAX_GRID_ANGLES = 1_000_000
 #: more than 4,300 digits.
 MAX_COUNT = 2**63
 
-#: Most entries of the largest matrix a solve allocates, max(K*N, N*N): the K x N steering
-#: vectors or the w block's N x N system, 480 MB of complex values. (The solver's one wider
-#: matrix, the N x (2N-1) moment operand of its small-N kernel, holds at most 40,755 entries.)
+#: The size budget of a solve, max(K*N, N*N) entries, 480 MB of complex values: K*N counts
+#: the K x N steering vectors, the largest matrix a solve holds, and N*N caps the array at
+#: 5,477 elements. The solver's other matrices are smaller: the w block's N x N one exists
+#: only below ``admm._CG_CROSSOVER`` elements, and the N x (2N-1) moment operand of the
+#: small-N moment kernel holds at most 40,755 entries.
 MAX_MATRIX_ENTRIES = 30_000_000
 
 
@@ -196,14 +198,14 @@ class AngleGrid:
 
 
 def _require_solve_size(geometry: ArrayGeometry, grid: AngleGrid):
-    """Reject an array and grid whose largest solve matrix, max(K*N, N*N), exceeds
-    ``MAX_MATRIX_ENTRIES``. Checked before anything of that size is allocated."""
+    """Reject an array and grid whose size, max(K*N, N*N), exceeds the budget
+    ``MAX_MATRIX_ENTRIES``. Checked before the K x N steering vectors are allocated."""
     n, k = int(geometry.n_elements), grid.count
     entries = max(k * n, n * n)
     if entries > MAX_MATRIX_ENTRIES:
         raise ContractError(
-            f"n_elements {_echo(n)} with {k} grid angles needs a matrix of {_echo(entries)} "
-            f"entries (max(K*N, N*N)), more than the {MAX_MATRIX_ENTRIES} a solve may allocate"
+            f"n_elements {_echo(n)} with {k} grid angles has a size of {_echo(entries)} "
+            f"entries (max(K*N, N*N)), more than the solve size budget of {MAX_MATRIX_ENTRIES}"
         )
 
 

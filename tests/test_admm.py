@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 import beamsparse.admm as admm_mod
@@ -680,6 +681,14 @@ def force_kernel(monkeypatch, kernel):
     monkeypatch.setattr(admm_mod, "_FFT_CROSSOVER", 2**63 if kernel == "zgemv" else 0)
 
 
+W_CROSSOVER = admm_mod._CG_CROSSOVER
+
+
+def force_w_solver(monkeypatch, solver):
+    """Make every solve and public block solve the w block by the named solver at any N."""
+    monkeypatch.setattr(admm_mod, "_CG_CROSSOVER", 2**63 if solver == "cholesky" else 0)
+
+
 def moment_instance(n):
     """A random non-uniform grid of 3n + 2 angles, a random spacing, a template with zeros,
     and unit w and random v (criterion 5's draw, at more sizes)."""
@@ -1039,20 +1048,28 @@ class TestScipyKernels:
 
     def test_import_adds_no_numpy_fft_module(self):
         # numpy 2 loads numpy.fft on first use and numpy 1.24 loads it itself; either way the
-        # package adds none of it at import, since the FFT moments reach np.fft at call time
+        # package adds none of it, at import or in a solve at N = 256, whose moments and w
+        # block take every FFT from pocketfft's c2c
         src = str(Path(admm_mod.__file__).resolve().parents[1])
         code = ("import sys, numpy, scipy\n"
-                "before = {m for m in sys.modules if m.startswith('numpy.fft')}\n"
-                "import beamsparse\n"
-                "print(sorted({m for m in sys.modules if m.startswith('numpy.fft')} - before))")
+                "fft = lambda: {m for m in sys.modules if m.startswith('numpy.fft')}\n"
+                "before = fft()\n"
+                "import beamsparse as b\n"
+                "print(sorted(fft() - before))\n"
+                "grid = b.AngleGrid.uniform(-90, 90, 0.25)\n"
+                "steering = b.build_steering_set(b.ArrayGeometry(256), grid)\n"
+                "d = b.build_template(grid, [b.MainlobeSpec(22, 28)])\n"
+                "b.solve(steering, d, b.SolverParams(max_iters=3))\n"
+                "print(sorted(fft() - before))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == ["[]"]
+        assert run.stdout.splitlines() == ["[]", "[]"]
 
     def test_kernels_are_scipys_own_objects(self):
         assert admm_mod._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
         assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
+        assert admm_mod._c2c is scipy.fft._pocketfft.pypocketfft.c2c
         for name in ("gemv", "dotc", "axpy", "dscal"):
             want = scipy.linalg.get_blas_funcs(name, dtype=complex)
             assert getattr(kernels_mod, "_" + name) is want
@@ -1060,6 +1077,18 @@ class TestScipyKernels:
             assert getattr(admm_mod, name) is getattr(kernels_mod, name)
         assert arrays_mod._gemv is admm_mod._gemv
         assert arrays_mod._real_dot is admm_mod._real_dot
+
+    @pytest.mark.parametrize("shape", [(223,), (512,), (768,), (3, 768), (2, 486)])
+    def test_c2c_is_scipys_fft_bit_for_bit_in_place(self, shape):
+        # _c2c(a, _LAST, forward, inorm, out, 1), as the package calls it with out = a: along
+        # the last axis, forward unscaled and backward scaled by 1 / L, written into a and
+        # returned, with the bits of scipy.fft's fft and ifft, which call the same kernel
+        rng = np.random.default_rng(66)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for forward, inorm, want in ((True, 0, scipy.fft.fft(a)), (False, 2, scipy.fft.ifft(a))):
+            out = a.copy()
+            assert kernels_mod._c2c(out, kernels_mod._LAST, forward, inorm, out, 1) is out
+            assert out.tobytes() == want.tobytes()
 
     def test_missing_module_raises_import_error_naming_it(self):
         with pytest.raises(ImportError, match="scipy.linalg._no_such_kernel") as excinfo:
@@ -1433,6 +1462,19 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     assert calls == {"_toeplitz_gram": 1, "_posv": 12, "_gemv": 5 + 4 * 12}
 
 
+def test_a_large_solve_gathers_no_matrix_and_factors_none(monkeypatch):
+    # at N = 256 the moments come by FFT and the w block by conjugate gradients: no Toeplitz
+    # matrix is gathered and posv is never called; the only zgemv is T_d's first column
+    rng = np.random.default_rng(53)
+    steering, d = random_instance(rng, n=256, k=40)
+    params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=12, seed=5)
+    calls = {"_toeplitz_copy": 0, "_posv": 0, "_gemv": 0}
+    counting(monkeypatch, admm_mod, calls, calls)
+    _, _, trace = solve(steering, d, params)
+    assert trace.iter.size == 13
+    assert calls == {"_toeplitz_copy": 0, "_posv": 0, "_gemv": 1}
+
+
 def seam_calls(call):
     """call()'s result and the calls of _data_block, _w_block and _w_system made while it
     runs, counted by (callee, caller) through a profile hook, so that no block is replaced."""
@@ -1479,17 +1521,24 @@ def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
     # first column and matrix, then two products for each iterate's moments, the start state's
     # w and v and two a sweep; it gathers two Toeplitz matrices, T_d's and the moments'. At the
     # crossover the only zgemv is T_d's first column, no matrix is gathered, and each
-    # iterate's moments take one batched inverse FFT
+    # iterate's moments take one batched inverse FFT, an inverse c2c call (the w block below
+    # the conjugate gradients' crossover makes none)
     sweeps = 3
     for n, want in ((CROSSOVER - 1, (1, 2, 5 + 4 * sweeps, 0)),
                     (CROSSOVER, (0, 0, 1, 2 + 2 * sweeps))):
         rng = np.random.default_rng(n)
         steering, d = random_instance(rng, n=n, k=9)
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps, seed=5)
-        calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "ifft": 0}
+        calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "inverse _c2c": 0}
+        c2c = admm_mod._c2c
+
+        def counted_c2c(a, axes, forward, *args):
+            calls["inverse _c2c"] += not forward
+            return c2c(a, axes, forward, *args)
+
         with monkeypatch.context() as patch:
             counting(patch, admm_mod, ("_toeplitz_gram", "_toeplitz_copy", "_gemv"), calls)
-            counting(patch, np.fft, ("ifft",), calls)
+            patch.setattr(admm_mod, "_c2c", counted_c2c)
             _, _, trace = solve(steering, d, params)
         assert trace.iter.size == sweeps + 1
         assert tuple(calls.values()) == want, n
@@ -1511,6 +1560,126 @@ def test_each_moment_kernel_reaches_the_same_solution_at_the_crossover(monkeypat
     assert np.abs(w_fft - w_gemv).max() <= 1e-12
 
 
+def test_each_w_solver_reaches_the_same_solution_at_the_crossover(monkeypatch):
+    # the conjugate gradients stop at a relative residual of 1e-13, so forcing the Cholesky
+    # solver at their crossover keeps the sweep count and the selected elements, and moves w by
+    # far less than 1e-10; single_mainlobe at N = W_CROSSOVER and lam = 0.01 converges in
+    # about 140 sweeps
+    doc = json.loads((CONFIGS / "single_mainlobe.json").read_text())
+    cfg = parse_config(json.dumps({**doc, "n_elements": W_CROSSOVER, "lambda": 0.01}))
+    steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
+    w_cg, _, trace_cg = solve(steering, d, params)
+    force_w_solver(monkeypatch, "cholesky")
+    w_cholesky, _, trace_cholesky = solve(steering, d, params)
+    assert trace_cg.iter.size == trace_cholesky.iter.size < params.max_iters + 1
+    threshold = cfg.cardinality_threshold
+    assert cardinality(w_cg, threshold) == cardinality(w_cholesky, threshold)
+    assert np.abs(w_cg - w_cholesky).max() <= 1e-10
+
+
+class TestConjugateGradientWBlock:
+    """The w block's conjugate gradients, from ``_CG_CROSSOVER`` elements on."""
+
+    @pytest.mark.parametrize("n", [W_CROSSOVER - 1, W_CROSSOVER, 256, 512])
+    def test_matches_a_dense_solve_and_is_first_order_optimal(self, monkeypatch, n):
+        # below the crossover the conjugate gradients are forced; no case calls posv. The
+        # dense system is formed from data_fit_gram and T_d's per-angle sum, on the 721-angle
+        # grid of large_array
+        if n < W_CROSSOVER:
+            force_w_solver(monkeypatch, "cg")
+        monkeypatch.setattr(admm_mod, "_posv", None)
+        rng = np.random.default_rng(80 + n)
+        grid = AngleGrid.uniform(-90, 90, 0.25)
+        steering = build_steering_set(ArrayGeometry(n), grid)
+        d = build_template(grid, [MainlobeSpec(22, 28, 1000.0)])
+        params = SolverParams(lam=0.1, rho=30.0)
+        v, u, alpha = unit(rng, n), 0.1 * random_complex(rng, n), 0.03
+        diag = majorizer_diag(unit(rng, n))
+        w_hat = solve_weight_system(steering, v, u, alpha, d, diag, params)
+        gram = params.lam * data_fit_gram(steering, v)
+        c = steering.vectors.conj() @ v
+        rhs_match = params.lam * alpha * ((d.values * c) @ steering.vectors)
+        rhs = rhs_match + (params.rho / 2) * (v - u)
+        matrix = gram + np.diag(diag + params.rho / 2)
+        dense = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(w_hat - dense) <= 1e-10 * np.linalg.norm(dense)
+        # criterion 5's first-order residual of the w block
+        residual = gram @ w_hat + diag * w_hat - rhs_match + (params.rho / 2) * (w_hat - (v - u))
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_zero_right_hand_side_gives_zero(self):
+        # v = u and alpha = 0 make b = 0, whose solution is 0 by either solver; the conjugate
+        # gradients return it before they scale b by 1 / ||b||
+        rng = np.random.default_rng(82)
+        steering, d = random_instance(rng, n=W_CROSSOVER, k=40)
+        v = unit(rng, W_CROSSOVER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w_hat = solve_weight_system(steering, v, v, 0.0, d, majorizer_diag(v),
+                                        SolverParams(lam=0.2, rho=5.0))
+        assert np.array_equal(w_hat, np.zeros(W_CROSSOVER))
+
+    def problem(self):
+        rng = np.random.default_rng(81)
+        steering, d = random_instance(rng, n=W_CROSSOVER, k=40)
+        return steering, d, SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=10)
+
+    def assert_ends_sweep_3(self, steering, d, params, match, observer=None):
+        # no numpy warning and no bare exception: the sweep's NumericalError becomes a
+        # DivergenceError with the rows of sweeps 0-2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
+                solve(steering, d, params, observer=observer)
+        assert isinstance(excinfo.value.__cause__, NumericalError)
+        assert match in str(excinfo.value.__cause__)
+        assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
+
+    def test_no_convergence_within_n_iterations_ends_in_divergence(self, monkeypatch):
+        # from sweep 3 on the tolerance is 0, which no residual meets in the N iterations
+        steering, d, params = self.problem()
+        states = []
+
+        def observer(state):
+            states.append(state)
+            if len(states) == 2:
+                monkeypatch.setattr(admm_mod, "_CG_TOLERANCE", 0.0)
+
+        self.assert_ends_sweep_3(steering, d, params, f"in {W_CROSSOVER} iterations", observer)
+
+    def test_nan_right_hand_side_ends_in_divergence(self, monkeypatch):
+        # the blocks' right-hand sides alternate, data block first: call 6 is sweep 3's w block
+        steering, d, params = self.problem()
+        calls = {"count": 0}
+        real_rhs = admm_mod._rhs
+
+        def poisoned(*args):
+            calls["count"] += 1
+            rhs = real_rhs(*args)
+            if calls["count"] == 6:
+                rhs[W_CROSSOVER // 2] = np.nan
+            return rhs
+
+        monkeypatch.setattr(admm_mod, "_rhs", poisoned)
+        self.assert_ends_sweep_3(steering, d, params, "non-finite residual")
+
+    def test_a_solve_holds_no_n_by_n_matrix(self):
+        # at N = 512 the Cholesky solver's matrix alone would be N^2 * 16 bytes = 4 MiB
+        n = 512
+        grid = AngleGrid.uniform(-90, 90, 1.0)
+        steering = build_steering_set(ArrayGeometry(n), grid)
+        d = build_template(grid, [MainlobeSpec(22, 28)])
+        params = SolverParams(max_iters=3)
+        tracemalloc.start()
+        try:
+            _, _, trace = solve(steering, d, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iter.size == 4
+        assert peak < n * n * 16
+
+
 def assert_same_bytes(got, want):
     """Two solves' w, alpha and every trace column, byte for byte."""
     (w_got, alpha_got, trace_got), (w_want, alpha_want, trace_want) = got, want
@@ -1523,7 +1692,9 @@ def assert_same_bytes(got, want):
 @pytest.mark.parametrize("n", [6, 30, 256])
 def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
     # posv factors the lower triangle (lower = 1), so NaN in the strict upper triangle of the
-    # matrix it is handed changes no bit of the solve; at N = 256 OpenBLAS factors by blocks
+    # matrix it is handed changes no bit of the solve; at N = 256, where the Cholesky solver is
+    # forced past the conjugate gradients' crossover, OpenBLAS factors by blocks
+    force_w_solver(monkeypatch, "cholesky")
     if n == 6:
         steering, d = random_instance(np.random.default_rng(55), n=6, k=9)
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=30, seed=3)
@@ -1536,13 +1707,16 @@ def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
     assert steering.n_elements == n
     lone = solve(steering, d, params)
     posv = admm_mod._posv
+    calls = []
 
     def upper_poisoned(a, *args):
+        calls.append(a.shape)
         a[np.triu_indices(a.shape[0], 1)] = np.nan
         return posv(a, *args)
 
     monkeypatch.setattr(admm_mod, "_posv", upper_poisoned)
     assert_same_bytes(solve(steering, d, params), lone)
+    assert calls == [(n, n)] * params.max_iters
 
 
 def test_each_weight_vector_takes_one_penalty(monkeypatch):

@@ -368,7 +368,7 @@ def test_oversize_array_is_a_configuration_error():
     ],
 )
 def test_solve_size_budget_boundary(n_elements, grid, accepted):
-    # the N x N w-block matrix bounds the 181-angle grid; the K x N side uses 120,000 angles,
+    # N * N bounds the 181-angle grid; the K x N side uses 120,000 angles,
     # so 250 elements meet the budget exactly
     doc = json.loads(MINIMAL) | grid | {"n_elements": n_elements}
     if accepted:
