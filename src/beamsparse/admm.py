@@ -33,13 +33,13 @@ on the diagonals in O(N^2) without forming the matrix. The w block adds rho/2
 plus the entropy majorizer's diagonal, which varies along the diagonal, so its
 matrix is not Toeplitz; it is positive definite only for rho > 2, because the
 majorizer diagonal is bounded below by -1 on the sphere. Its solver is picked
-by N, once per solve and once per public call, in the workspace that each
-allocates for both systems (``_Workspace``), so the loop holds no branch: below
-``_CG_CROSSOVER`` LAPACK's posv factors the N x N matrix by Cholesky on its
-lower triangle, which OpenBLAS does faster than the upper one (``_Cholesky``);
-from it on conjugate gradients with T. Chan's circulant preconditioner solve it
-by FFT products with lam G, in O(N log N) an iteration and without the matrix
-(``_ConjugateGradients``).
+by N (``_w_solver``), once per solve and once per ``solve_weight_system`` call,
+and held in the workspace that each allocates (``_Workspace``), so the loop
+holds no branch: below ``_CG_CROSSOVER`` LAPACK's posv factors the N x N matrix
+by Cholesky on its lower triangle, which OpenBLAS does faster than the upper
+one (``_Cholesky``); from it on conjugate gradients with T. Chan's circulant
+preconditioner solve it by FFT products with lam G, in O(N log N) an iteration
+and without the matrix (``_ConjugateGradients``).
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
 ``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv,
@@ -47,7 +47,13 @@ zdotc, zdscal, zaxpy) and pocketfft's complex FFT (c2c), loaded without
 importing ``scipy.linalg`` or ``scipy.fft`` (``kernels``), so the package
 reaches no ``numpy.fft``. The sweep passes their arguments positionally, since
 f2py takes about twice as long to parse a keyword call, and calls them through
-this module's globals, where tests can substitute them.
+this module's globals, where tests can substitute them. Levinson's and BLAS's
+modules are loaded at import. ``_posv`` and ``_c2c`` are None until the first
+selection of a path that calls them binds them (``kernels._bind``), so a process
+loads LAPACK's module only if it solves a w block below ``_CG_CROSSOVER`` elements
+(``_Cholesky``), and pocketfft's only if it takes moments from ``_FFT_CROSSOVER``
+elements on (``_moment_kernel``) or a w block from ``_CG_CROSSOVER`` on
+(``_ConjugateGradients``).
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
@@ -92,8 +98,10 @@ their solution finite and the sweep does not: a non-finite v makes the w block's
 system non-finite, which its solver or the projection onto the sphere rejects,
 so that sweep still ends in ``DivergenceError``.
 
-A single solve is a sequential state machine; concurrent solves share no
-mutable state, since no workspace outlives the call that allocated it.
+A single solve is a sequential state machine. Concurrent solves share one
+write-once binding per kernel, ``_posv`` and ``_c2c``, made under the loader's
+lock by whichever selects its path first, and nothing else mutable, since no
+workspace outlives the call that allocated it.
 """
 
 from __future__ import annotations
@@ -119,9 +127,14 @@ from .arrays import (
 )
 from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .kernels import _LAST, _axpy, _c2c, _dscal, _gemv, _levinson, _posv, _real_dot
+from .kernels import _LAST, _axpy, _bind, _dscal, _gemv, _levinson, _real_dot
 from .metrics import _db
 from .templates import DesiredPattern
+
+# LAPACK's zposv and pocketfft's c2c (``kernels``), each None until the first selection of a
+# path that calls it binds it here (``kernels._bind``)
+_posv = None
+_c2c = None
 
 
 @dataclass(frozen=True)
@@ -362,6 +375,7 @@ def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
     td_lags = np.zeros(2 * n - 1, complex) if d is None else _template_lags(steering, d)
     if n < _FFT_CROSSOVER:
         return _moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags)
+    _bind(globals(), "_c2c")
     length = _fft_length(3 * n - 2)
     spectra = np.array([_circular(q, n, length), _circular(td_lags, n, length)])
     _c2c(spectra, _LAST, True, 0, spectra, 1)
@@ -460,6 +474,7 @@ class _Cholesky:
     __slots__ = ("diagonals", "system", "matrix", "diagonal")
 
     def __init__(self, n: int):
+        _bind(globals(), "_posv")
         self.diagonals = np.empty(2 * n - 1, complex)
         self.system = _toeplitz_view(self.diagonals, n, n)
         self.matrix = np.empty((n, n), complex, order="F")
@@ -500,6 +515,7 @@ class _ConjugateGradients:
                  "spectrum", "r", "p", "z", "q")
 
     def __init__(self, n: int):
+        _bind(globals(), "_c2c")
         length = _fft_length(2 * n - 1)
         self.lags = np.zeros(length, complex)
         self.nonnegative = self.lags[:n]  # lags 0 ... N-1
@@ -526,7 +542,8 @@ class _ConjugateGradients:
         _c2c(self.lags, _LAST, True, 0, self.lag_spectrum, 1)
         chan = np.multiply(self.down, self.nonnegative, out=self.chan)
         self.chan_tail += self.up * self.negative
-        eigenvalues = _c2c(chan, _LAST, True, 0, chan, 1).real + shift.mean()
+        # shift.mean()'s reduction and division, without numpy's Python-level _mean
+        eigenvalues = _c2c(chan, _LAST, True, 0, chan, 1).real + float(np.add.reduce(shift)) / n
         if not eigenvalues.min() > 0.0:
             raise NumericalError("matrix is not positive definite: its circulant preconditioner "
                                  "has an eigenvalue <= 0")
@@ -577,28 +594,35 @@ class _ConjugateGradients:
                              f"{_CG_TOLERANCE} in {n} iterations")
 
 
+def _w_solver(n: int) -> Callable:
+    """The w block's solve for N elements, picked by N: ``_Cholesky``'s below
+    ``_CG_CROSSOVER``, which holds the N x N matrix, and ``_ConjugateGradients``' from it on,
+    which holds vectors of length N and L alone."""
+    return (_Cholesky if n < _CG_CROSSOVER else _ConjugateGradients)(n).solve
+
+
 class _Workspace:
-    """The two block systems' buffers and constants, allocated once per ``solve`` (and once
-    per public block call) and overwritten by every sweep; no workspace outlives its call.
+    """The block systems' buffers and constants, allocated once per ``solve`` (and once per
+    public block call) and overwritten by every sweep; no workspace outlives its call.
 
     ``gram_w`` and ``gram_v`` are the lag buffers (``_Lags``) that the moments of w and of v
     write their Gram diagonals into. The next iterate's moments overwrite each only after its
     last reader: the data block and w's trace row for w, the w block and the next trace row
     for v. ``diagonals`` holds the data block's Toeplitz diagonals (``_data_block``), which
-    Levinson reads and does not keep. ``solve_w`` is the w block's solver, picked here by N:
-    ``_Cholesky``'s below ``_CG_CROSSOVER``, which holds the N x N matrix, and
-    ``_ConjugateGradients``' from it on, which holds vectors of length N and L alone.
+    Levinson reads and does not keep. ``solve_w`` is the w block's solver (``_w_solver``),
+    which ``solve`` and ``solve_weight_system`` hand in; ``update_v``, which solves the data
+    block alone, builds none.
     """
 
     __slots__ = ("lam", "half_rho", "gram_w", "gram_v", "diagonals", "solve_w")
 
-    def __init__(self, n: int, params: SolverParams):
+    def __init__(self, n: int, params: SolverParams, solve_w: Optional[Callable] = None):
         self.lam = params.lam
         self.half_rho = params.rho / 2.0
         self.gram_w = _lags(n)
         self.gram_v = _lags(n)
         self.diagonals = np.empty(2 * n - 1, complex)
-        self.solve_w = (_Cholesky if n < _CG_CROSSOVER else _ConjugateGradients)(n).solve
+        self.solve_w = solve_w
 
 
 def _data_block(ws: _Workspace, partner: _Moments, target: np.ndarray,
@@ -700,7 +724,7 @@ def solve_weight_system(
     u = _as_vector(u, n, "u")
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = _Workspace(n, params)
+        ws = _Workspace(n, params, _w_solver(n))
         kernel, grid, template = _moment_kernel(steering, d)
         mv = kernel(grid, template, v, ws.gram_v)
         shift = diag + ws.half_rho
@@ -791,7 +815,7 @@ def solve(
     u = _as_vector(state.u, n, "initial u")
     alpha = state.alpha
     _require_scalar(alpha, "initial alpha")
-    ws = _Workspace(n, params)
+    ws = _Workspace(n, params, _w_solver(n))
     sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
     shift = diag + ws.half_rho
 

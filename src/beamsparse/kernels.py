@@ -9,12 +9,23 @@ numpy's makes no BLAS call in the sweep, and when BLAS threads are not pinned on
 thread pool runs. f2py's wrappers cost a fraction of a microsecond a call, against about
 0.4 to 1.4 for the numpy calls they replace on the sweep's vectors of length N and 2N - 1.
 Every FFT goes through scipy's compiled pocketfft, ``c2c``, so the package reaches no
-``numpy.fft``."""
+``numpy.fft``.
+
+Each module is loaded where the first path that calls it is selected, once per process:
+``scipy.linalg._solve_toeplitz`` (levinson, the data block) and ``scipy.linalg._fblas`` (the
+BLAS routines) at import, since every solve calls them; ``scipy.linalg._flapack`` (zposv) by
+the first w block below ``admm._CG_CROSSOVER`` elements, the only caller of zposv; and
+``scipy.fft._pocketfft.pypocketfft`` (c2c) by the first moments from ``admm._FFT_CROSSOVER``
+elements on or w block from ``admm._CG_CROSSOVER`` on (``_bind``). A process then maps only
+the kernels its sizes run: at N = 256 no LAPACK module (about 1.0 MiB of resident memory in a
+fresh interpreter on a 2-core Xeon virtual machine) and below N = 144 no pocketfft (about
+0.5 MiB)."""
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from types import ModuleType
@@ -44,11 +55,44 @@ def _scipy_extension(name: str) -> ModuleType:
     return module
 
 
+#: The loader's state: each scipy module ``_load`` has loaded in this process, by name, and
+#: the lock that makes a first load, and a first binding (``_bind``), happen once.
+_loaded: dict[str, ModuleType] = {}
+_lock = threading.RLock()
+
+
+def _load(name: str) -> ModuleType:
+    """scipy's compiled module ``name`` (``_scipy_extension``), loaded on the first call that
+    names it and recorded in ``_loaded``."""
+    with _lock:
+        if name not in _loaded:
+            _loaded[name] = _scipy_extension(name)
+        return _loaded[name]
+
+
+#: The kernels that only some sizes call, each bound by ``_bind`` from its module's function.
+_ON_SELECTION = {
+    "_posv": ("scipy.linalg._flapack", "zposv"),
+    "_c2c": ("scipy.fft._pocketfft.pypocketfft", "c2c"),
+}
+
+
+def _bind(namespace: dict, name: str) -> None:
+    """Bind the kernel ``name`` of ``_ON_SELECTION`` in a module's globals where it is still
+    None, loading its module on the first binding in the process.
+
+    The caller binds where it selects the path that calls the kernel, once per solve or public
+    call, so the sweep calls the global with no lookup or wrapper of its own. Under the lock a
+    binding is written once, and a global already bound, to the kernel or to a test's
+    substitute, is left as it is."""
+    with _lock:
+        if namespace[name] is None:
+            module, function = _ON_SELECTION[name]
+            namespace[name] = getattr(_load(module), function)
+
+
 # The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and
-# batching; LAPACK's Cholesky solve of a Hermitian system, get_lapack_funcs("posv",
-# dtype=complex), called as _posv(a, b, lower, overwrite_a, overwrite_b) with lower = 1, so
-# that it factors and reads only a's lower triangle, in place; and from BLAS,
-# get_blas_funcs(name, dtype=complex) for each name:
+# batching; and from BLAS, get_blas_funcs(name, dtype=complex) for each name:
 # - the matrix-vector product zgemv, called as _gemv(1.0, a, x) for a x with a
 #   Fortran-ordered a, and as _gemv(1.0, a.T, x, trans=1) for a C-ordered a. f2py copies any
 #   other layout to Fortran order, which leaves the product's bits as they are. The sweep
@@ -62,25 +106,26 @@ def _scipy_extension(name: str) -> ModuleType:
 # f2py parses keywords on every call: at N = 30 on a 2-core Xeon virtual machine a keyword
 # call of zdscal took 0.46 us and a positional one 0.22 us, so the sweep passes its
 # arguments in order, up to the last one it sets.
-# From pocketfft, scipy.fft's complex transform c2c(a, axes, forward, inorm, out, nthreads),
-# called as _c2c(a, _LAST, forward, inorm, out, 1): along a's last axis, forward (True) or
-# backward (False), scaled by 1 (inorm = 0) or by 1 / L for a length L (inorm = 2, an
-# inverse), written into out, which may be a itself, on one thread. It gives numpy.fft's fft
-# and ifft of numpy 2 bit for bit, since both wrap the same C++ pocketfft, at about half the
-# cost a call: at L = 768 on a 2-core Xeon virtual machine, 5.0 against 10.1 us for one
+# Bound on selection (_ON_SELECTION): LAPACK's Cholesky solve of a Hermitian system,
+# get_lapack_funcs("posv", dtype=complex), called as _posv(a, b, lower, overwrite_a,
+# overwrite_b) with lower = 1, so that it factors and reads only a's lower triangle, in
+# place; and pocketfft's complex transform, scipy.fft's c2c(a, axes, forward, inorm, out,
+# nthreads), called as _c2c(a, _LAST, forward, inorm, out, 1): along a's last axis, forward
+# (True) or backward (False), scaled by 1 (inorm = 0) or by 1 / L for a length L (inorm = 2,
+# an inverse), written into out, which may be a itself, on one thread. It gives numpy.fft's
+# fft and ifft of numpy 2 bit for bit, since both wrap the same C++ pocketfft, at about half
+# the cost a call: at L = 768 on a 2-core Xeon virtual machine, 5.0 against 10.1 us for one
 # forward transform.
 # Tests pin every kernel to scipy's own object, the private levinson to solve_toeplitz bit
 # for bit, _c2c to scipy.fft's fft and ifft bit for bit, _gemv to numpy's matmul and _dotc
 # to numpy's vdot bit for bit at each call site, and call zgemv, zaxpy, zdscal and c2c with
 # the positional arguments the package passes.
-_levinson = _scipy_extension("scipy.linalg._solve_toeplitz").levinson
-_posv = _scipy_extension("scipy.linalg._flapack").zposv
-_fblas = _scipy_extension("scipy.linalg._fblas")
+_levinson = _load("scipy.linalg._solve_toeplitz").levinson
+_fblas = _load("scipy.linalg._fblas")
 _gemv = _fblas.zgemv
 _dotc = _fblas.zdotc
 _axpy = _fblas.zaxpy
 _dscal = _fblas.zdscal
-_c2c = _scipy_extension("scipy.fft._pocketfft.pypocketfft").c2c
 _LAST = (-1,)
 
 

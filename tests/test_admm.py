@@ -689,6 +689,14 @@ def force_w_solver(monkeypatch, solver):
     monkeypatch.setattr(admm_mod, "_CG_CROSSOVER", 2**63 if solver == "cholesky" else 0)
 
 
+def bound(name):
+    """admm's kernel global name, "_posv" or "_c2c", bound as the first selection of a path
+    that calls it binds it (``kernels._bind``), so that a test can wrap the kernel itself in
+    any order of the tests."""
+    kernels_mod._bind(vars(admm_mod), name)
+    return getattr(admm_mod, name)
+
+
 def moment_instance(n):
     """A random non-uniform grid of 3n + 2 angles, a random spacing, a template with zeros,
     and unit w and random v (criterion 5's draw, at more sizes)."""
@@ -897,7 +905,7 @@ class TestFactorizationFailure:
         # sphere: posv reports success (info = 0) with a NaN solution on sweep 3
         steering, d, _, _, _ = self.system()
         calls = {"count": 0}
-        real_posv = admm_mod._posv
+        real_posv = bound("_posv")
 
         def poisoned(*args):
             calls["count"] += 1
@@ -1024,11 +1032,116 @@ lags = np.full(3, np.nan, complex)
 a = np.array([[1.0, 2.0], [3.0, 4.0]], complex, order="F")
 written = kernels._gemv(1.0, a, np.array([1.0, 1.0j]), 0.0, lags, 0, 1, 1, 1, 0, 1)
 print(written is lags, lags[1:].tolist())
+# zposv, bound as the first w block below the conjugate gradients' crossover binds it,
+# loaded by path before scipy.linalg is imported
+from beamsparse import admm
+kernels._bind(vars(admm), "_posv")
 import scipy.linalg
-print(kernels._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
+print(admm._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
       kernels._levinson is scipy.linalg._solve_toeplitz.levinson,
       *(getattr(kernels, "_" + name) is scipy.linalg.get_blas_funcs(name, dtype=complex)
         for name in ("gemv", "dotc", "axpy", "dscal")))
+"""
+
+
+# the loader's record of the scipy modules a fresh process has loaded, after the import and
+# after each step: a public block or solve at a size, or the run of a reference config
+LOADED_BY_PATH = """
+import numpy as np
+import beamsparse as b
+from beamsparse import kernels
+
+
+def problem(n):
+    grid = b.AngleGrid.uniform(-90, 90, 1.0)
+    steering = b.build_steering_set(b.ArrayGeometry(n), grid)
+    x = np.full(n, n ** -0.5, complex)
+    return steering, b.build_template(grid, [b.MainlobeSpec(22, 28)]), x
+
+
+def update_v(n):
+    steering, d, x = problem(n)
+    b.update_v(steering, x, 0.1 * x, 0.5, d, b.SolverParams())
+
+
+def update_alpha(n):
+    steering, d, x = problem(n)
+    b.update_alpha(steering, x, x, d)
+
+
+def data_fit_gram(n):
+    steering, _, x = problem(n)
+    b.data_fit_gram(steering, x)
+
+
+def solve_weight_system(n):
+    steering, d, x = problem(n)
+    b.solve_weight_system(steering, x, 0.1 * x, 0.5, d, np.zeros(n), b.SolverParams())
+
+
+def solve(n):
+    steering, d, _ = problem(n)
+    b.solve(steering, d, b.SolverParams(max_iters=3))
+
+
+def run(name):
+    cfg = b.load_config({configs!r} + "/" + name + ".json")
+    b.run_experiment(cfg.with_overrides(output_dir={out!r}))
+
+
+def loaded():
+    print(sorted(name.rsplit(".", 1)[1] for name in kernels._loaded))
+
+
+loaded()
+for step in {steps!r}:
+    eval(step)
+    loaded()
+"""
+
+# two threads' first solves in a fresh process, whose loader sleeps in each load so that the
+# other thread reaches the binding meanwhile: whether a thread is left running and the loads
+# made, then whether the two w are bit-identical and both threads saw scipy's own zposv
+TWO_FIRST_SOLVES = """
+import threading
+import time
+import beamsparse as b
+from beamsparse import admm, kernels
+
+load = kernels._scipy_extension
+loads = []
+
+
+def slow_load(name):
+    loads.append(name)
+    time.sleep(0.2)
+    return load(name)
+
+
+kernels._scipy_extension = slow_load
+grid = b.AngleGrid.uniform(-90, 90, 1.0)
+steering = b.build_steering_set(b.ArrayGeometry(30), grid)
+d = b.build_template(grid, [b.MainlobeSpec(22, 28)])
+params = b.SolverParams(max_iters=20)
+start = threading.Barrier(2, timeout=60)
+results = [None, None]
+
+
+def first_solve(i):
+    start.wait()
+    w, _, _ = b.solve(steering, d, params)
+    results[i] = w.tobytes(), admm._posv
+
+
+threads = [threading.Thread(target=first_solve, args=(i,)) for i in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+print([thread.is_alive() for thread in threads], loads)
+(w0, posv0), (w1, posv1) = results
+import scipy.linalg
+print(w0 == w1, posv0 is posv1, posv0 is scipy.linalg.get_lapack_funcs("posv", dtype=complex))
 """
 
 
@@ -1066,10 +1179,42 @@ class TestScipyKernels:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["[]", "[]"]
 
+    @pytest.mark.parametrize("steps, want", [
+        pytest.param(
+            ["update_v(30)", "update_alpha(30)", "data_fit_gram(30)", "run('single_mainlobe')"],
+            [[], [], [], [], ["_flapack"]], id="small"),
+        pytest.param(["solve(256)"], [[], ["pypocketfft"]], id="large"),
+        pytest.param(["solve_weight_system(256)", "solve_weight_system(30)"],
+                     [[], ["pypocketfft"], ["_flapack", "pypocketfft"]], id="w-block"),
+    ])
+    def test_each_path_loads_only_the_kernels_it_calls(self, tmp_path, steps, want):
+        # a fresh process maps Levinson's and BLAS's modules at import, LAPACK's only where a w
+        # block below the conjugate gradients' crossover runs, pocketfft's only where the FFT
+        # moments or the conjugate gradients run: the loader's own record after the import and
+        # after each step
+        src = str(Path(admm_mod.__file__).resolve().parents[1])
+        code = LOADED_BY_PATH.format(configs=str(CONFIGS), out=str(tmp_path), steps=steps)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        always = ["_fblas", "_solve_toeplitz"]
+        assert run.stdout.splitlines() == [str(sorted(always + names)) for names in want]
+
+    def test_first_solves_on_two_threads_load_and_bind_zposv_once(self):
+        # in a fresh process two threads make their first N = 30 solves at once; the loader
+        # sleeps in its first load, so both reach the binding while LAPACK's module loads,
+        # which the lock then loads once, and both solves see that one zposv
+        src = str(Path(admm_mod.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", TWO_FIRST_SOLVES], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=240)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["[False, False] ['scipy.linalg._flapack']",
+                                           "True True True"]
+
     def test_kernels_are_scipys_own_objects(self):
-        assert admm_mod._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
+        assert bound("_posv") is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
         assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
-        assert admm_mod._c2c is scipy.fft._pocketfft.pypocketfft.c2c
+        assert bound("_c2c") is scipy.fft._pocketfft.pypocketfft.c2c
         for name in ("gemv", "dotc", "axpy", "dscal"):
             want = scipy.linalg.get_blas_funcs(name, dtype=complex)
             assert getattr(kernels_mod, "_" + name) is want
@@ -1087,7 +1232,7 @@ class TestScipyKernels:
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for forward, inorm, want in ((True, 0, scipy.fft.fft(a)), (False, 2, scipy.fft.ifft(a))):
             out = a.copy()
-            assert kernels_mod._c2c(out, kernels_mod._LAST, forward, inorm, out, 1) is out
+            assert bound("_c2c")(out, kernels_mod._LAST, forward, inorm, out, 1) is out
             assert out.tobytes() == want.tobytes()
 
     def test_missing_module_raises_import_error_naming_it(self):
@@ -1456,6 +1601,7 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
     calls = {"_toeplitz_gram": 0, "_posv": 0, "_gemv": 0}
+    bound("_posv")
     counting(monkeypatch, admm_mod, calls, calls)
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
@@ -1469,6 +1615,7 @@ def test_a_large_solve_gathers_no_matrix_and_factors_none(monkeypatch):
     steering, d = random_instance(rng, n=256, k=40)
     params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=12, seed=5)
     calls = {"_toeplitz_copy": 0, "_posv": 0, "_gemv": 0}
+    bound("_posv")
     counting(monkeypatch, admm_mod, calls, calls)
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
@@ -1530,7 +1677,7 @@ def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
         steering, d = random_instance(rng, n=n, k=9)
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps, seed=5)
         calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "inverse _c2c": 0}
-        c2c = admm_mod._c2c
+        c2c = bound("_c2c")
 
         def counted_c2c(a, axes, forward, *args):
             calls["inverse _c2c"] += not forward
@@ -1577,6 +1724,11 @@ def test_each_w_solver_reaches_the_same_solution_at_the_crossover(monkeypatch):
     assert np.abs(w_cg - w_cholesky).max() <= 1e-10
 
 
+def no_posv(*args):
+    """A zposv that fails the test that calls it; None would leave it to be bound."""
+    raise AssertionError("zposv was called")
+
+
 class TestConjugateGradientWBlock:
     """The w block's conjugate gradients, from ``_CG_CROSSOVER`` elements on."""
 
@@ -1587,7 +1739,7 @@ class TestConjugateGradientWBlock:
         # grid of large_array
         if n < W_CROSSOVER:
             force_w_solver(monkeypatch, "cg")
-        monkeypatch.setattr(admm_mod, "_posv", None)
+        monkeypatch.setattr(admm_mod, "_posv", no_posv)
         rng = np.random.default_rng(80 + n)
         grid = AngleGrid.uniform(-90, 90, 0.25)
         steering = build_steering_set(ArrayGeometry(n), grid)
@@ -1706,7 +1858,7 @@ def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
         steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
     assert steering.n_elements == n
     lone = solve(steering, d, params)
-    posv = admm_mod._posv
+    posv = bound("_posv")
     calls = []
 
     def upper_poisoned(a, *args):
