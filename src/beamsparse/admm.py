@@ -144,7 +144,10 @@ class SolverParams:
     lam weighs the matching term against the entropy term; rho is the
     consensus penalty and must exceed 2 so the w-block system stays positive
     definite; eta is the stop tolerance on the weight change (the only value
-    that may be infinite); seed drives the random initialization.
+    that may be infinite); seed drives the random initialization: numpy's
+    ``default_rng(seed).standard_normal`` stream, bit for bit, from the
+    package's own port of it (``normals``), so a seed gives the same start
+    under every numpy version.
     """
 
     lam: float = 0.1
@@ -732,18 +735,22 @@ def solve_weight_system(
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
-    """Random start: v and w drawn i.i.d. complex Gaussian then unit-normalized."""
+    """Random start: v and w drawn i.i.d. complex Gaussian then unit-normalized.
+
+    The 4N standard normals are numpy's ``default_rng(params.seed).standard_normal`` bit for
+    bit, drawn by the package's own port of it (``normals._standard_normals``): the real parts
+    of v, its imaginary parts, then w's. So the start no longer depends on the numpy
+    installed, and a solve imports none of numpy's random package."""
     _require_type(steering, SteeringSet, "steering")
     _require_type(params, SolverParams, "params")
-    rng = np.random.default_rng(params.seed)
+    # loaded by the first draw, not by import beamsparse: where no bytecode is cached its
+    # compile takes about 2 ms
+    from .normals import _standard_normals
+
     n = steering.n_elements
-
-    def draw() -> np.ndarray:
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return _project_unit_sphere(z)
-
-    v0 = draw()
-    w0 = draw()
+    z = _standard_normals(params.seed, 4 * n)
+    v0 = _project_unit_sphere(z[:n] + 1j * z[n:2 * n])
+    w0 = _project_unit_sphere(z[2 * n:3 * n] + 1j * z[3 * n:])
     return AdmmState(alpha=1.0, v=v0, w=w0, u=np.zeros(n, complex))
 
 

@@ -19,7 +19,9 @@ the first w block below ``admm._CG_CROSSOVER`` elements, the only caller of zpos
 elements on or w block from ``admm._CG_CROSSOVER`` on (``_bind``). A process then maps only
 the kernels its sizes run: at N = 256 no LAPACK module (about 1.0 MiB of resident memory in a
 fresh interpreter on a 2-core Xeon virtual machine) and below N = 144 no pocketfft (about
-0.5 MiB)."""
+0.5 MiB). No path imports numpy's random package, which numpy 2 loads only on first use, or
+the OpenSSL it maps: the solve's seeded start comes from the package's own generator
+(``normals``), where numpy's cost about 5.9 MiB."""
 
 from __future__ import annotations
 

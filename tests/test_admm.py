@@ -1045,9 +1045,16 @@ print(admm._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
 
 
 # the loader's record of the scipy modules a fresh process has loaded, after the import and
-# after each step: a public block or solve at a size, or the run of a reference config
+# after each step (a public block or solve at a size, or the run of a reference config),
+# beside the modules of numpy's random package and of OpenSSL's hashes that the package's
+# import and steps added to sys.modules: numpy 1 imports numpy.random with numpy itself,
+# numpy 2 on first use
 LOADED_BY_PATH = """
+import sys
 import numpy as np
+
+RANDOM = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+before = set(sys.modules)
 import beamsparse as b
 from beamsparse import kernels
 
@@ -1090,7 +1097,8 @@ def run(name):
 
 
 def loaded():
-    print(sorted(name.rsplit(".", 1)[1] for name in kernels._loaded))
+    print(sorted(name.rsplit(".", 1)[1] for name in kernels._loaded),
+          sorted(name for name in RANDOM if name in sys.modules and name not in before))
 
 
 loaded()
@@ -1191,14 +1199,15 @@ class TestScipyKernels:
         # a fresh process maps Levinson's and BLAS's modules at import, LAPACK's only where a w
         # block below the conjugate gradients' crossover runs, pocketfft's only where the FFT
         # moments or the conjugate gradients run: the loader's own record after the import and
-        # after each step
+        # after each step. No step imports numpy's random package, whose secrets imports
+        # hashlib and maps OpenSSL: the solve's start is drawn by the package's own generator
         src = str(Path(admm_mod.__file__).resolve().parents[1])
         code = LOADED_BY_PATH.format(configs=str(CONFIGS), out=str(tmp_path), steps=steps)
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert run.returncode == 0, run.stderr
         always = ["_fblas", "_solve_toeplitz"]
-        assert run.stdout.splitlines() == [str(sorted(always + names)) for names in want]
+        assert run.stdout.splitlines() == [f"{sorted(always + names)} []" for names in want]
 
     def test_first_solves_on_two_threads_load_and_bind_zposv_once(self):
         # in a fresh process two threads make their first N = 30 solves at once; the loader
