@@ -32,14 +32,18 @@ G's diagonal, which keeps it Toeplitz, and solves it by one Levinson recursion
 on the diagonals in O(N^2) without forming the matrix. The w block adds rho/2
 plus the entropy majorizer's diagonal, which varies along the diagonal, so its
 matrix is not Toeplitz; it is positive definite only for rho > 2, because the
-majorizer diagonal is bounded below by -1 on the sphere. Its solver is picked
-by N (``_w_solver``), once per solve and once per ``solve_weight_system`` call,
-and held in the workspace that each allocates (``_Workspace``), so the loop
-holds no branch: below ``_CG_CROSSOVER`` LAPACK's posv factors the N x N matrix
-by Cholesky on its lower triangle, which OpenBLAS does faster than the upper
-one (``_Cholesky``); from it on conjugate gradients with T. Chan's circulant
-preconditioner solve it by FFT products with lam G, in O(N log N) an iteration
-and without the matrix (``_ConjugateGradients``).
+majorizer diagonal is bounded below by -1 on the sphere. One size constant,
+``_SPECTRAL_CROSSOVER``, picks the sweep's path once per solve and once per
+public call, so the loop holds no branch. Below it the dense path takes zgemv
+moments (``_moments``) and factors the w block's N x N matrix by LAPACK's posv
+on its lower triangle, which OpenBLAS does faster than the upper one
+(``_Cholesky``). From it on the spectral path takes FFT moments
+(``_fft_moments``) and solves the w block by conjugate gradients with T. Chan's
+circulant preconditioner, by FFT products with lam G in O(N log N) an iteration
+and without the matrix (``_ConjugateGradients``); a system they leave short of
+their tolerance after N iterations, where lam ||G|| dwarfs rho/2, goes to a
+``_Cholesky`` built on first need. Each solve and ``solve_weight_system`` call
+holds its w solver (``_w_solver``) in the workspace it allocates (``_Workspace``).
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
 ``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv,
@@ -50,20 +54,18 @@ f2py takes about twice as long to parse a keyword call, and calls them through
 this module's globals, where tests can substitute them. Levinson's and BLAS's
 modules are loaded at import. ``_posv`` and ``_c2c`` are None until the first
 selection of a path that calls them binds them (``kernels._bind``), so a process
-loads LAPACK's module only if it solves a w block below ``_CG_CROSSOVER`` elements
-(``_Cholesky``), and pocketfft's only if it takes moments from ``_FFT_CROSSOVER``
-elements on (``_moment_kernel``) or a w block from ``_CG_CROSSOVER`` on
-(``_ConjugateGradients``).
+loads LAPACK's module only if it takes the dense path or its conjugate gradients hand
+a system to Cholesky (``_Cholesky``), and pocketfft's only if it takes the spectral path
+(``_moment_kernel``, ``_ConjugateGradients``).
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
 moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
 IEEE TSP 1997), so the sweep never touches the K x N steering matrix: it reads
 the grid through ``SteeringSet.moments`` and the template through the lags of
 T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads the steering matrix once.
-Per iterate it forms what ``_Moments`` lists, by one of two kernels that
-``_moment_kernel`` picks once per solve (and once per public call) by N, so
-the loop holds no branch. ``_moment_kernel`` is the one place that turns the
-moments and T_d's lags into a kernel's operands: below ``_FFT_CROSSOVER``
+Per iterate it forms what ``_Moments`` lists, by the kernel of its path, which
+``_moment_kernel`` picks. ``_moment_kernel`` is the one place that turns the
+moments and T_d's lags into a kernel's operands: below ``_SPECTRAL_CROSSOVER``
 ``_moments`` (O(N^2), two zgemv products) reads the N x (2N-1) Toeplitz matrix
 of the moments and T_d's N x N matrix, gathered there; from it on
 ``_fft_moments`` (O(N log N); Chan & Ng, SIAM Review 1996) reads their spectra.
@@ -328,16 +330,15 @@ def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray,
     return _Moments(auto, _gram_diagonals(t, auto, lags), _gemv(1.0, td, x))
 
 
-#: Fewest elements at which a solve and the public blocks take each iterate's moments by FFT
-#: (``_fft_moments``) instead of by zgemv (``_moments``): the smallest measured N at which the
-#: FFT's sweep was the faster in every run. Median us per sweep of a 40-sweep solve on
-#: ``large_array``'s 721-angle grid, 21 solves of each kernel alternated on one pinned core of
-#: a 2-core Xeon virtual machine, both with the lower-triangle Cholesky (zgemv / FFT):
-#: N = 64: 98 / 128; 96: 170 / 193; 128: 294 / 296; 136: 343 / 334; 144: 375 / 356;
-#: 160: 468 / 420; 192: 666 / 557; 256: 1,301 / 1,066; 512: 6,706 / 5,627. Over several such
-#: runs the zgemv / FFT ratio read 0.88-1.01 at N = 128 (8 runs), 0.96-1.03 at 136 (5) and
-#: 1.02-1.08 at 144 (4).
-_FFT_CROSSOVER = 144
+#: Fewest elements at which a solve and the public blocks take the spectral path (FFT moments,
+#: the w block by conjugate gradients) instead of the dense one (zgemv moments, Cholesky): the
+#: smallest measured N at which the spectral sweep won 13 or more of 15 runs on each grid.
+#: Median us per sweep of 40-sweep solves of seeds 0-2, dense / spectral, 15 runs alternated on
+#: one pinned core of a 2-core Xeon virtual machine, on the 181- and 721-angle grids: N = 112:
+#: 338 / 420, 321 / 377; 128: 415 / 425, 396 / 448; 136: 494 / 516, 487 / 466; 144: 565 / 523,
+#: 554 / 494; 160: 641 / 524, 706 / 578; 192: 1,020 / 609, 991 / 663; 256: 1,878 / 772,
+#: 1,844 / 903.
+_SPECTRAL_CROSSOVER = 144
 
 
 def _fft_length(n: int) -> int:
@@ -369,14 +370,14 @@ def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
     for the template d (none for ``data_fit_gram``, which gives T_d = 0).
 
     Both come from the grid moments q_-(N-1) ... q_(2N-2) (``SteeringSet.moments``) and T_d's
-    lags. Below ``_FFT_CROSSOVER`` it is ``_moments``, with the N x (2N-1) moment matrix
+    lags. Below ``_SPECTRAL_CROSSOVER`` it is ``_moments``, with the N x (2N-1) moment matrix
     T[i, j] = q_(i-j+N-1) and T_d's N x N matrix, each gathered here (``_toeplitz_copy``).
     From there on it is ``_fft_moments``, with the spectra of the moments and of T_d's lags
     over one FFT length L >= 3N - 2, both from one batched transform; no matrix is formed."""
     n = steering.n_elements
     q = steering.moments
     td_lags = np.zeros(2 * n - 1, complex) if d is None else _template_lags(steering, d)
-    if n < _FFT_CROSSOVER:
+    if n < _SPECTRAL_CROSSOVER:
         return _moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags)
     _bind(globals(), "_c2c")
     length = _fft_length(3 * n - 2)
@@ -443,20 +444,6 @@ def _require_finite_solution(solution: np.ndarray) -> np.ndarray:
     return solution
 
 
-#: Fewest elements at which a solve and ``solve_weight_system`` take the w block by
-#: preconditioned conjugate gradients (``_ConjugateGradients``) instead of by Cholesky
-#: (``_Cholesky``): the smallest measured N from which the conjugate gradients' sweep was the
-#: faster by a median of 15% or more in each run. Median us per sweep of a 40-sweep solve on
-#: ``large_array``'s 721-angle grid, 21 solves of each solver alternated on one pinned core of
-#: a 2-core Xeon virtual machine, both with the FFT moments (Cholesky / CG, Cholesky / CG
-#: ratio, solves the CG won): N = 160: 432 / 513, 0.84, 0 of 21; 192: 630 / 625, 1.01, 15;
-#: 208: 747 / 735, 1.02, 18; 224: 850 / 727, 1.17, 21; 240: 966 / 752, 1.31, 20;
-#: 256: 1,178 / 794, 1.48, 21; 320: 1,904 / 1,113, 1.71, 21; 512: 6,145 / 1,905, 3.20, 21. A
-#: second run read ratios of 1.06 at N = 176, 1.01 at 192, 1.08 at 208, 1.16 at 224 and 1.25
-#: at 240. The ratio does not rise smoothly below 224, since the iteration count varies with
-#: the problem.
-_CG_CROSSOVER = 224
-
 #: The conjugate gradients' stop, ||b - A x|| <= _CG_TOLERANCE ||b|| for the w block's system
 #: A x = b. Over the 120 w-block systems of ``large_array`` seeds 0-2 (40 sweeps each; one
 #: pinned core of a 2-core Xeon virtual machine), by tolerance: median and largest iteration
@@ -468,11 +455,11 @@ _CG_TOLERANCE = 1e-13
 
 
 class _Cholesky:
-    """The w block's solver below ``_CG_CROSSOVER``: lam G's diagonals are written to its
-    buffer, whose Toeplitz lag view (``arrays._toeplitz_view``) is copied into its
-    Fortran-ordered N x N matrix, the shift is added through a view of the matrix's diagonal,
-    and one LAPACK posv call factors the matrix's lower triangle in place by Cholesky and
-    solves; it reads nothing above the diagonal."""
+    """The w block's solver on the dense path, and the conjugate gradients' fallback: lam G's
+    diagonals are written to its buffer, whose Toeplitz lag view (``arrays._toeplitz_view``) is
+    copied into its Fortran-ordered N x N matrix, the shift is added through a view of the
+    matrix's diagonal, and one LAPACK posv call factors the matrix's lower triangle in place by
+    Cholesky and solves; it reads nothing above the diagonal."""
 
     __slots__ = ("diagonals", "system", "matrix", "diagonal")
 
@@ -495,7 +482,7 @@ class _Cholesky:
 
 
 class _ConjugateGradients:
-    """The w block's solver from ``_CG_CROSSOVER`` on: conjugate gradients from x = 0 on
+    """The w block's solver on the spectral path: conjugate gradients from x = 0 on
     (lam G + diag(shift)) x = b, preconditioned by T. Chan's circulant of the matrix (Chan &
     Ng, SIAM Review 1996), in O(N log N) an iteration with no N x N matrix.
 
@@ -507,15 +494,17 @@ class _ConjugateGradients:
     I: its eigenvalues, c's length-N spectrum plus mean(shift), are real and at least
     mean(shift), since T. Chan's circulant of a positive semidefinite Toeplitz matrix is
     positive semidefinite; it is applied by one length-N transform pair. The iteration stops at
-    the relative residual ``_CG_TOLERANCE`` and raises ``NumericalError`` after N iterations
-    short of it, on a non-finite residual, and where the preconditioner has an eigenvalue
-    <= 0 or a direction a curvature <= 0, so the matrix is not positive definite. The
-    residual iterates on b / ||b||, so that no inner product underflows on a small b.
+    the relative residual ``_CG_TOLERANCE``; a system still short of it after N iterations is
+    solved again from a copy of b, with the dense path's bits, by a ``_Cholesky`` built on the
+    first such system. It raises ``NumericalError`` on a non-finite residual, and where the
+    preconditioner has an eigenvalue <= 0 or a direction a curvature <= 0, so the matrix is not
+    positive definite. The residual iterates on b / ||b||, so that no inner product underflows
+    on a small b.
     """
 
     __slots__ = ("lags", "nonnegative", "negative", "lag_spectrum", "down", "up", "chan",
                  "chan_tail", "inverse", "padded", "padded_head", "product", "product_head",
-                 "spectrum", "r", "p", "z", "q")
+                 "spectrum", "r", "p", "z", "q", "b", "cholesky")
 
     def __init__(self, n: int):
         _bind(globals(), "_c2c")
@@ -535,7 +524,8 @@ class _ConjugateGradients:
         self.product = np.empty(length, complex)
         self.product_head = self.product[:n]
         self.spectrum = np.empty(n, complex)
-        self.r, self.p, self.z, self.q = (np.empty(n, complex) for _ in range(4))
+        self.r, self.p, self.z, self.q, self.b = (np.empty(n, complex) for _ in range(5))
+        self.cholesky = None
 
     def solve(self, lam: float, gram: np.ndarray, rhs: np.ndarray,
               shift: np.ndarray) -> np.ndarray:
@@ -560,6 +550,7 @@ class _ConjugateGradients:
             x.fill(0.0)
             return x
         r = np.multiply(rhs, 1.0 / scale, out=self.r)
+        np.copyto(self.b, rhs)
         x.fill(0.0)
         stop = _CG_TOLERANCE * _CG_TOLERANCE
         p, z, q = self.p, self.z, self.q
@@ -593,15 +584,17 @@ class _ConjugateGradients:
                 return _dscal(scale, x, n, 0, 1, 1)
             if not rr < math.inf:
                 raise NumericalError("conjugate gradients met a non-finite residual")
-        raise NumericalError(f"conjugate gradients did not reach the relative residual "
-                             f"{_CG_TOLERANCE} in {n} iterations")
+        if self.cholesky is None:
+            self.cholesky = _Cholesky(n)
+        np.copyto(x, self.b)
+        return self.cholesky.solve(lam, gram, x, shift)
 
 
 def _w_solver(n: int) -> Callable:
     """The w block's solve for N elements, picked by N: ``_Cholesky``'s below
-    ``_CG_CROSSOVER``, which holds the N x N matrix, and ``_ConjugateGradients``' from it on,
-    which holds vectors of length N and L alone."""
-    return (_Cholesky if n < _CG_CROSSOVER else _ConjugateGradients)(n).solve
+    ``_SPECTRAL_CROSSOVER``, which holds the N x N matrix, and ``_ConjugateGradients``' from it
+    on, which holds vectors of length N and L alone until a system falls back to Cholesky."""
+    return (_Cholesky if n < _SPECTRAL_CROSSOVER else _ConjugateGradients)(n).solve
 
 
 class _Workspace:

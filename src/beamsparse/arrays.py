@@ -27,8 +27,9 @@ MAX_COUNT = 2**63
 #: The size budget of a solve, max(K*N, N*N) entries, 480 MB of complex values: K*N counts
 #: the K x N steering vectors, the largest matrix a solve holds, and N*N caps the array at
 #: 5,477 elements. The solver's other matrices are smaller: the w block's N x N one exists
-#: only below ``admm._CG_CROSSOVER`` elements, and the N x (2N-1) moment operand of the
-#: small-N moment kernel holds at most 40,755 entries.
+#: below ``admm._SPECTRAL_CROSSOVER`` elements, and from there on only where the conjugate
+#: gradients fall back to Cholesky; the N x (2N-1) moment operand of the small-N moment kernel
+#: holds at most 40,755 entries.
 MAX_MATRIX_ENTRIES = 30_000_000
 
 

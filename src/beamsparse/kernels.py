@@ -14,14 +14,15 @@ Every FFT goes through scipy's compiled pocketfft, ``c2c``, so the package reach
 Each module is loaded where the first path that calls it is selected, once per process:
 ``scipy.linalg._solve_toeplitz`` (levinson, the data block) and ``scipy.linalg._fblas`` (the
 BLAS routines) at import, since every solve calls them; ``scipy.linalg._flapack`` (zposv) by
-the first w block below ``admm._CG_CROSSOVER`` elements, the only caller of zposv; and
-``scipy.fft._pocketfft.pypocketfft`` (c2c) by the first moments from ``admm._FFT_CROSSOVER``
-elements on or w block from ``admm._CG_CROSSOVER`` on (``_bind``). A process then maps only
-the kernels its sizes run: at N = 256 no LAPACK module (about 1.0 MiB of resident memory in a
-fresh interpreter on a 2-core Xeon virtual machine) and below N = 144 no pocketfft (about
-0.5 MiB). No path imports numpy's random package, which numpy 2 loads only on first use, or
-the OpenSSL it maps: the solve's seeded start comes from the package's own generator
-(``normals``), where numpy's cost about 5.9 MiB."""
+the first w block below ``admm._SPECTRAL_CROSSOVER`` elements, or the first system that the
+conjugate gradients hand to Cholesky from it on; and ``scipy.fft._pocketfft.pypocketfft``
+(c2c) by the first solve or public block from ``admm._SPECTRAL_CROSSOVER`` elements on, whose
+moments and conjugate gradients call it (``_bind``). A process then maps only the kernels its
+sizes run: from N = 144 on no LAPACK module unless a system falls back (about 1.0 MiB of
+resident memory in a fresh interpreter on a 2-core Xeon virtual machine) and below N = 144
+no pocketfft (about 0.5 MiB). No path imports numpy's random package, which numpy 2 loads
+only on first use, or the OpenSSL it maps: the solve's seeded start comes from the package's
+own generator (``normals``), where numpy's cost about 5.9 MiB."""
 
 from __future__ import annotations
 

@@ -664,29 +664,24 @@ def test_trace_rows_match_the_public_evaluators():
 
 MOMENT_SIZES = [2, 3, 4, 5, 6, 7, 8, 64]
 
-CROSSOVER = admm_mod._FFT_CROSSOVER
+CROSSOVER = admm_mod._SPECTRAL_CROSSOVER
 
-#: Each moment kernel at MOMENT_SIZES and at the crossover's edge and N = 256. The zgemv cases
-#: at MOMENT_SIZES keep the ids of the sizes alone, which they had before the FFT kernel.
+#: Each path's moment kernel at MOMENT_SIZES and at the crossover's edge and N = 256, with the
+#: ids of the kernels: the dense path's zgemv cases at MOMENT_SIZES keep the ids of the sizes
+#: alone, which they had before the FFT kernel.
 KERNEL_CASES = [
-    *(pytest.param("zgemv", n, id=str(n)) for n in MOMENT_SIZES),
-    *(pytest.param("fft", n, id=f"fft-{n}") for n in MOMENT_SIZES),
-    *(pytest.param(kernel, n, id=f"{kernel}-{n}")
-      for n in (CROSSOVER - 1, CROSSOVER, 256) for kernel in ("zgemv", "fft")),
+    *(pytest.param("dense", n, id=str(n)) for n in MOMENT_SIZES),
+    *(pytest.param("spectral", n, id=f"fft-{n}") for n in MOMENT_SIZES),
+    *(pytest.param(path, n, id=f"{kernel}-{n}")
+      for n in (CROSSOVER - 1, CROSSOVER, 256)
+      for path, kernel in (("dense", "zgemv"), ("spectral", "fft"))),
 ]
 
 
-def force_kernel(monkeypatch, kernel):
-    """Make every solve and public block take the named moment kernel at any N."""
-    monkeypatch.setattr(admm_mod, "_FFT_CROSSOVER", 2**63 if kernel == "zgemv" else 0)
-
-
-W_CROSSOVER = admm_mod._CG_CROSSOVER
-
-
-def force_w_solver(monkeypatch, solver):
-    """Make every solve and public block solve the w block by the named solver at any N."""
-    monkeypatch.setattr(admm_mod, "_CG_CROSSOVER", 2**63 if solver == "cholesky" else 0)
+def force_path(monkeypatch, path):
+    """Make every solve and public block take the named path, "dense" (zgemv moments and the
+    Cholesky w block) or "spectral" (FFT moments and the conjugate gradients), at any N."""
+    monkeypatch.setattr(admm_mod, "_SPECTRAL_CROSSOVER", 2**63 if path == "dense" else 0)
 
 
 def bound(name):
@@ -715,7 +710,7 @@ def zgemv_operand(steering):
     """The N x (2N-1) moment matrix that ``_moment_kernel`` gathers below the crossover, at any
     N."""
     with pytest.MonkeyPatch.context() as patch:
-        force_kernel(patch, "zgemv")
+        force_path(patch, "dense")
         kernel, t, _ = admm_mod._moment_kernel(steering)
     assert kernel is admm_mod._moments
     return t
@@ -731,9 +726,9 @@ class TestMomentKernels:
     """The sweep's moment kernels, zgemv's and the FFT's, against their per-angle definitions,
     summed angle by angle."""
 
-    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
-    def test_gram_diagonals(self, monkeypatch, kernel, n):
-        force_kernel(monkeypatch, kernel)
+    @pytest.mark.parametrize("path, n", KERNEL_CASES)
+    def test_gram_diagonals(self, monkeypatch, path, n):
+        force_path(monkeypatch, path)
         steering, d, w, _ = moment_instance(n)
         (mw,) = moments_of(steering, d, w)
         # lags -(n-1) ... n-1 of a_k[l] = z_k^l, with z_k^-l = conj(z_k^l)
@@ -801,17 +796,17 @@ class TestMomentKernels:
             call()
             assert gathers == ([(n, 2 * n - 1)] if n < CROSSOVER else [])
 
-    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
-    def test_template_toeplitz_product(self, monkeypatch, kernel, n):
-        force_kernel(monkeypatch, kernel)
+    @pytest.mark.parametrize("path, n", KERNEL_CASES)
+    def test_template_toeplitz_product(self, monkeypatch, path, n):
+        force_path(monkeypatch, path)
         steering, d, _, v = moment_instance(n)
         (mv,) = moments_of(steering, d, v)
         dense = sum(dk * np.vdot(a, v) * a for dk, a in zip(d.values, steering.vectors))
         assert np.linalg.norm(mv.td_x - dense) <= 1e-12 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
-    def test_moment_alpha_is_update_alpha(self, monkeypatch, kernel, n):
-        force_kernel(monkeypatch, kernel)
+    @pytest.mark.parametrize("path, n", KERNEL_CASES)
+    def test_moment_alpha_is_update_alpha(self, monkeypatch, path, n):
+        force_path(monkeypatch, path)
         # update_alpha, solve's Re(w^H T_d v) / d^T d, is the per-angle least-squares fit
         # d^T Re(r) / d^T d, to 1e-12 of the sum's scale sum_k d_k |r_k| / d^T d
         steering, d, w, v = moment_instance(n)
@@ -820,9 +815,9 @@ class TestMomentKernels:
         fit, scale = float(d.values @ r.real) / dd, float(d.values @ np.abs(r)) / dd
         assert abs(update_alpha(steering, w, v, d) - fit) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("kernel, n", KERNEL_CASES)
-    def test_square_sums(self, monkeypatch, kernel, n):
-        force_kernel(monkeypatch, kernel)
+    @pytest.mark.parametrize("path, n", KERNEL_CASES)
+    def test_square_sums(self, monkeypatch, path, n):
+        force_path(monkeypatch, path)
         steering, d, w, v = moment_instance(n)
         mw, mv = moments_of(steering, d, w, v)
         pattern = beampattern(steering, w)
@@ -845,8 +840,8 @@ class TestMomentKernels:
         # an exact match cancels to rounding, which may fall either side of 0
         assert admm_mod._residual_energy(1.0, 1.0, 1.0, 1.0 - 2.0**-52) == 0.0
         for case in KERNEL_CASES:
-            kernel, n = case.values
-            force_kernel(monkeypatch, kernel)
+            path, n = case.values
+            force_path(monkeypatch, path)
             steering, _, w, _ = moment_instance(n)
             pattern = beampattern(steering, w)
             d = DesiredPattern(pattern, pattern > 0)
@@ -1086,9 +1081,9 @@ def solve_weight_system(n):
     b.solve_weight_system(steering, x, 0.1 * x, 0.5, d, np.zeros(n), b.SolverParams())
 
 
-def solve(n):
+def solve(n, lam=0.1):
     steering, d, _ = problem(n)
-    b.solve(steering, d, b.SolverParams(max_iters=3))
+    b.solve(steering, d, b.SolverParams(lam=lam, max_iters=3))
 
 
 def run(name):
@@ -1192,15 +1187,18 @@ class TestScipyKernels:
             ["update_v(30)", "update_alpha(30)", "data_fit_gram(30)", "run('single_mainlobe')"],
             [[], [], [], [], ["_flapack"]], id="small"),
         pytest.param(["solve(256)"], [[], ["pypocketfft"]], id="large"),
+        # at lam = 1e6 the first sweep's w system is one the conjugate gradients hand to Cholesky
+        pytest.param(["solve(160)", "solve(160, lam=1e6)"],
+                     [[], ["pypocketfft"], ["_flapack", "pypocketfft"]], id="spectral"),
         pytest.param(["solve_weight_system(256)", "solve_weight_system(30)"],
                      [[], ["pypocketfft"], ["_flapack", "pypocketfft"]], id="w-block"),
     ])
     def test_each_path_loads_only_the_kernels_it_calls(self, tmp_path, steps, want):
         # a fresh process maps Levinson's and BLAS's modules at import, LAPACK's only where a w
-        # block below the conjugate gradients' crossover runs, pocketfft's only where the FFT
-        # moments or the conjugate gradients run: the loader's own record after the import and
-        # after each step. No step imports numpy's random package, whose secrets imports
-        # hashlib and maps OpenSSL: the solve's start is drawn by the package's own generator
+        # block takes the dense path or falls back to it, pocketfft's only where the spectral
+        # path runs: the loader's own record after the import and after each step. No step
+        # imports numpy's random package, whose secrets imports hashlib and maps OpenSSL: the
+        # solve's start is drawn by the package's own generator
         src = str(Path(admm_mod.__file__).resolve().parents[1])
         code = LOADED_BY_PATH.format(configs=str(CONFIGS), out=str(tmp_path), steps=steps)
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1268,7 +1266,7 @@ class TestScipyKernels:
         # q_N ... q_(2N-2), entries 2N-1 ... 3N-3 of the moments
         assert np.array_equal(steering.moments[2 * n - 1 :], (a.T @ a[:, n - 1])[1:])
         kernel, t, td = admm_mod._moment_kernel(steering, d)
-        if n >= admm_mod._FFT_CROSSOVER:
+        if n >= CROSSOVER:
             assert kernel is admm_mod._fft_moments
             return
         assert kernel is admm_mod._moments
@@ -1673,64 +1671,108 @@ def test_each_sweep_calls_each_block_once():
 
 
 def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
-    # one size below the crossover a solve takes its moments by zgemv, as counted above: T_d's
-    # first column and matrix, then two products for each iterate's moments, the start state's
-    # w and v and two a sweep; it gathers two Toeplitz matrices, T_d's and the moments'. At the
-    # crossover the only zgemv is T_d's first column, no matrix is gathered, and each
-    # iterate's moments take one batched inverse FFT, an inverse c2c call (the w block below
-    # the conjugate gradients' crossover makes none)
+    # one size below the crossover a solve takes the dense path: its moments by zgemv, as
+    # counted above (T_d's first column and matrix, then two products for each iterate's
+    # moments, the start state's w and v and two a sweep), two gathered Toeplitz matrices, T_d's
+    # and the moments', one posv a sweep and no FFT. At the crossover it takes the spectral
+    # path: the only zgemv is T_d's first column, no matrix is gathered, no posv runs, and each
+    # iterate's moments take one batched inverse c2c call, beside the conjugate gradients' own
     sweeps = 3
-    for n, want in ((CROSSOVER - 1, (1, 2, 5 + 4 * sweeps, 0)),
-                    (CROSSOVER, (0, 0, 1, 2 + 2 * sweeps))):
+    for n, want in ((CROSSOVER - 1, (1, 2, 5 + 4 * sweeps, sweeps, 0)),
+                    (CROSSOVER, (0, 0, 1, 0, 2 + 2 * sweeps))):
         rng = np.random.default_rng(n)
         steering, d = random_instance(rng, n=n, k=9)
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps, seed=5)
-        calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "inverse _c2c": 0}
+        calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "_posv": 0,
+                 "batched inverse _c2c": 0, "_c2c": 0}
         c2c = bound("_c2c")
+        bound("_posv")
 
         def counted_c2c(a, axes, forward, *args):
-            calls["inverse _c2c"] += not forward
+            calls["_c2c"] += 1
+            calls["batched inverse _c2c"] += not forward and a.ndim == 2
             return c2c(a, axes, forward, *args)
 
         with monkeypatch.context() as patch:
-            counting(patch, admm_mod, ("_toeplitz_gram", "_toeplitz_copy", "_gemv"), calls)
+            counting(patch, admm_mod, ("_toeplitz_gram", "_toeplitz_copy", "_gemv", "_posv"),
+                     calls)
             patch.setattr(admm_mod, "_c2c", counted_c2c)
             _, _, trace = solve(steering, d, params)
         assert trace.iter.size == sweeps + 1
-        assert tuple(calls.values()) == want, n
+        *counts, total = calls.values()
+        assert tuple(counts) == want, n
+        assert total > 0 if n == CROSSOVER else total == 0
 
 
-def test_each_moment_kernel_reaches_the_same_solution_at_the_crossover(monkeypatch):
-    # the FFT moments agree with zgemv's to rounding, so forcing zgemv at the crossover keeps
-    # the sweep count and the selected elements, and moves w by rounding only; single_mainlobe
-    # at N = CROSSOVER and lam = 0.01 converges in about 100 sweeps
+def test_each_path_reaches_the_same_solution_at_the_crossover(monkeypatch):
+    # the FFT moments agree with zgemv's to rounding and the conjugate gradients stop at a
+    # relative residual of 1e-13, so forcing the dense path at the crossover keeps the sweep
+    # count and the selected elements, and moves w by far less than 1e-10; single_mainlobe at
+    # N = CROSSOVER and lam = 0.01 converges in about 170 sweeps
     doc = json.loads((CONFIGS / "single_mainlobe.json").read_text())
     cfg = parse_config(json.dumps({**doc, "n_elements": CROSSOVER, "lambda": 0.01}))
     steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
-    w_fft, _, trace_fft = solve(steering, d, params)
-    monkeypatch.setattr(admm_mod, "_FFT_CROSSOVER", CROSSOVER + 1)
-    w_gemv, _, trace_gemv = solve(steering, d, params)
-    assert trace_fft.iter.size == trace_gemv.iter.size < params.max_iters + 1
+    w_spectral, _, trace_spectral = solve(steering, d, params)
+    force_path(monkeypatch, "dense")
+    w_dense, _, trace_dense = solve(steering, d, params)
+    assert trace_spectral.iter.size == trace_dense.iter.size < params.max_iters + 1
     threshold = cfg.cardinality_threshold
-    assert cardinality(w_fft, threshold) == cardinality(w_gemv, threshold)
-    assert np.abs(w_fft - w_gemv).max() <= 1e-12
+    assert cardinality(w_spectral, threshold) == cardinality(w_dense, threshold)
+    assert np.abs(w_spectral - w_dense).max() <= 1e-10
 
 
-def test_each_w_solver_reaches_the_same_solution_at_the_crossover(monkeypatch):
-    # the conjugate gradients stop at a relative residual of 1e-13, so forcing the Cholesky
-    # solver at their crossover keeps the sweep count and the selected elements, and moves w by
-    # far less than 1e-10; single_mainlobe at N = W_CROSSOVER and lam = 0.01 converges in
-    # about 140 sweeps
-    doc = json.loads((CONFIGS / "single_mainlobe.json").read_text())
-    cfg = parse_config(json.dumps({**doc, "n_elements": W_CROSSOVER, "lambda": 0.01}))
+class CountedCholesky(admm_mod._Cholesky):
+    """The Cholesky solver, counting the solvers built in ``built``."""
+
+    __slots__ = ()
+    built = []
+
+    def __init__(self, n):
+        self.built.append(n)
+        super().__init__(n)
+
+
+#: Solves whose w systems the conjugate gradients cannot all bring to their tolerance within N
+#: iterations, since lam ||G|| dwarfs rho/2: large_array at lam = 1e6, which stopped at sweep 8
+#: without the Cholesky fallback, and two_mainlobes on its 1-degree grid at lam = 1e3 and
+#: N = 224, which stopped at sweep 4, and at N = CROSSOVER, the first size on the spectral
+#: path, at sweep 5 with the conjugate gradients forced. Each runs its 40 sweeps from seed 0.
+ILL_CONDITIONED = {
+    "large_array-lam-1e6": ("benchmarks/large_array.json", {"lam": 1e6}),
+    "two_mainlobes-224-lam-1e3": ("configs/two_mainlobes.json",
+                                  {"n_elements": 224, "lam": 1e3, "max_iters": 40}),
+    f"two_mainlobes-{CROSSOVER}-lam-1e3": ("configs/two_mainlobes.json",
+                                           {"n_elements": CROSSOVER, "lam": 1e3,
+                                            "max_iters": 40}),
+}
+
+
+@pytest.mark.parametrize("case", ILL_CONDITIONED)
+def test_the_spectral_path_completes_what_the_dense_path_completes(monkeypatch, case):
+    # the spectral path takes every w system the conjugate gradients leave short of their
+    # tolerance to one Cholesky solver, built on the first such system, and runs the 40 sweeps
+    # that the dense path runs. The trajectory is ill-conditioned, so rounding-level differences
+    # grow: it ends within 1% of N selected elements and 0.1 dB of the dense path's
+    path, overrides = ILL_CONDITIONED[case]
+    cfg = load_config(CONFIGS.parent / path).with_overrides(**overrides)
     steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
-    w_cg, _, trace_cg = solve(steering, d, params)
-    force_w_solver(monkeypatch, "cholesky")
-    w_cholesky, _, trace_cholesky = solve(steering, d, params)
-    assert trace_cg.iter.size == trace_cholesky.iter.size < params.max_iters + 1
+    n = steering.n_elements
+    assert params.max_iters == 40 and params.seed == 0
+    assert isinstance(admm_mod._w_solver(n).__self__, admm_mod._ConjugateGradients)
+    monkeypatch.setattr(admm_mod, "_Cholesky", CountedCholesky)
+    monkeypatch.setattr(CountedCholesky, "built", [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_spectral, _, trace_spectral = solve(steering, d, params)
+    assert CountedCholesky.built == [n]
+    force_path(monkeypatch, "dense")
+    w_dense, _, trace_dense = solve(steering, d, params)
+    assert trace_spectral.iter.size == trace_dense.iter.size == params.max_iters + 1
     threshold = cfg.cardinality_threshold
-    assert cardinality(w_cg, threshold) == cardinality(w_cholesky, threshold)
-    assert np.abs(w_cg - w_cholesky).max() <= 1e-10
+    selected = cardinality(w_spectral, threshold), cardinality(w_dense, threshold)
+    assert abs(selected[0] - selected[1]) <= 0.01 * n, selected
+    errors = trace_spectral.matching_error_db[-1], trace_dense.matching_error_db[-1]
+    assert abs(errors[0] - errors[1]) <= 0.1, errors
 
 
 def no_posv(*args):
@@ -1739,15 +1781,13 @@ def no_posv(*args):
 
 
 class TestConjugateGradientWBlock:
-    """The w block's conjugate gradients, from ``_CG_CROSSOVER`` elements on."""
+    """The w block's conjugate gradients, on the spectral path."""
 
-    @pytest.mark.parametrize("n", [W_CROSSOVER - 1, W_CROSSOVER, 256, 512])
+    @pytest.mark.parametrize("n", [223, 224, 256, 512])
     def test_matches_a_dense_solve_and_is_first_order_optimal(self, monkeypatch, n):
-        # below the crossover the conjugate gradients are forced; no case calls posv. The
-        # dense system is formed from data_fit_gram and T_d's per-angle sum, on the 721-angle
-        # grid of large_array
-        if n < W_CROSSOVER:
-            force_w_solver(monkeypatch, "cg")
+        # the conjugate gradients converge on each of these systems, so no case falls back to
+        # posv. The dense system is formed from data_fit_gram and T_d's per-angle sum, on the
+        # 721-angle grid of large_array
         monkeypatch.setattr(admm_mod, "_posv", no_posv)
         rng = np.random.default_rng(80 + n)
         grid = AngleGrid.uniform(-90, 90, 0.25)
@@ -1772,17 +1812,17 @@ class TestConjugateGradientWBlock:
         # v = u and alpha = 0 make b = 0, whose solution is 0 by either solver; the conjugate
         # gradients return it before they scale b by 1 / ||b||
         rng = np.random.default_rng(82)
-        steering, d = random_instance(rng, n=W_CROSSOVER, k=40)
-        v = unit(rng, W_CROSSOVER)
+        steering, d = random_instance(rng, n=CROSSOVER, k=40)
+        v = unit(rng, CROSSOVER)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w_hat = solve_weight_system(steering, v, v, 0.0, d, majorizer_diag(v),
                                         SolverParams(lam=0.2, rho=5.0))
-        assert np.array_equal(w_hat, np.zeros(W_CROSSOVER))
+        assert np.array_equal(w_hat, np.zeros(CROSSOVER))
 
     def problem(self):
         rng = np.random.default_rng(81)
-        steering, d = random_instance(rng, n=W_CROSSOVER, k=40)
+        steering, d = random_instance(rng, n=CROSSOVER, k=40)
         return steering, d, SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=10)
 
     def assert_ends_sweep_3(self, steering, d, params, match, observer=None):
@@ -1796,17 +1836,40 @@ class TestConjugateGradientWBlock:
         assert match in str(excinfo.value.__cause__)
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
 
-    def test_no_convergence_within_n_iterations_ends_in_divergence(self, monkeypatch):
-        # from sweep 3 on the tolerance is 0, which no residual meets in the N iterations
+    def test_no_convergence_within_n_iterations_falls_back_to_cholesky(self, monkeypatch):
+        # from sweep 3 on the tolerance is 0, which no residual meets in the N iterations: each
+        # of those systems is then solved by the one Cholesky solver built on the first of
+        # them, with the bits of the dense path's solve of the same system, and the solve runs
+        # its whole budget without a numpy warning
         steering, d, params = self.problem()
-        states = []
+        n = steering.n_elements
+        states, systems = [], []
+        real_solve = admm_mod._ConjugateGradients.solve
+
+        def recorded(self, lam, gram, rhs, shift):
+            system = (lam, gram.copy(), rhs.copy(), shift.copy())
+            solution = real_solve(self, lam, gram, rhs, shift)
+            systems.append((system, solution.copy()))  # the sweep projects it in place
+            return solution
 
         def observer(state):
             states.append(state)
             if len(states) == 2:
                 monkeypatch.setattr(admm_mod, "_CG_TOLERANCE", 0.0)
 
-        self.assert_ends_sweep_3(steering, d, params, f"in {W_CROSSOVER} iterations", observer)
+        monkeypatch.setattr(admm_mod._ConjugateGradients, "solve", recorded)
+        monkeypatch.setattr(admm_mod, "_Cholesky", CountedCholesky)
+        monkeypatch.setattr(CountedCholesky, "built", [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, trace = solve(steering, d, params, observer=observer)
+        assert trace.iter.size == params.max_iters + 1
+        assert len(systems) == params.max_iters
+        assert CountedCholesky.built == [n]
+        for system, solution in systems[2:]:
+            lam, gram, rhs, shift = system
+            dense = admm_mod._Cholesky(n).solve(lam, gram, rhs, shift)
+            assert solution.tobytes() == dense.tobytes()
 
     def test_nan_right_hand_side_ends_in_divergence(self, monkeypatch):
         # the blocks' right-hand sides alternate, data block first: call 6 is sweep 3's w block
@@ -1818,7 +1881,7 @@ class TestConjugateGradientWBlock:
             calls["count"] += 1
             rhs = real_rhs(*args)
             if calls["count"] == 6:
-                rhs[W_CROSSOVER // 2] = np.nan
+                rhs[CROSSOVER // 2] = np.nan
             return rhs
 
         monkeypatch.setattr(admm_mod, "_rhs", poisoned)
@@ -1853,9 +1916,9 @@ def assert_same_bytes(got, want):
 @pytest.mark.parametrize("n", [6, 30, 256])
 def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
     # posv factors the lower triangle (lower = 1), so NaN in the strict upper triangle of the
-    # matrix it is handed changes no bit of the solve; at N = 256, where the Cholesky solver is
-    # forced past the conjugate gradients' crossover, OpenBLAS factors by blocks
-    force_w_solver(monkeypatch, "cholesky")
+    # matrix it is handed changes no bit of the solve; at N = 256, where the dense path is
+    # forced past the crossover, OpenBLAS factors by blocks
+    force_path(monkeypatch, "dense")
     if n == 6:
         steering, d = random_instance(np.random.default_rng(55), n=6, k=9)
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=30, seed=3)
