@@ -1721,6 +1721,41 @@ def test_each_path_reaches_the_same_solution_at_the_crossover(monkeypatch):
     assert np.abs(w_spectral - w_dense).max() <= 1e-10
 
 
+def crossover_instance():
+    """single_mainlobe at N = CROSSOVER and lam = 0.01, with its cardinality threshold."""
+    doc = json.loads((CONFIGS / "single_mainlobe.json").read_text())
+    cfg = parse_config(json.dumps({**doc, "n_elements": CROSSOVER, "lambda": 0.01}))
+    steering = build_steering_set(cfg.geometry, cfg.grid)
+    return steering, cfg.template, cfg.params, cfg.cardinality_threshold
+
+
+def test_each_moment_kernel_reaches_the_same_solution_at_the_crossover(monkeypatch):
+    # the FFT moments agree with zgemv's to rounding, so with the w block held to Cholesky
+    # forcing zgemv at the crossover keeps the sweep count and the selected elements, and moves
+    # w by rounding only
+    steering, d, params, threshold = crossover_instance()
+    monkeypatch.setattr(admm_mod, "_w_solver", lambda n: admm_mod._Cholesky(n).solve)
+    w_fft, _, trace_fft = solve(steering, d, params)
+    force_path(monkeypatch, "dense")
+    w_gemv, _, trace_gemv = solve(steering, d, params)
+    assert trace_fft.iter.size == trace_gemv.iter.size < params.max_iters + 1
+    assert cardinality(w_fft, threshold) == cardinality(w_gemv, threshold)
+    assert np.abs(w_fft - w_gemv).max() <= 1e-12
+
+
+def test_each_w_solver_reaches_the_same_solution_at_the_crossover(monkeypatch):
+    # the conjugate gradients stop at a relative residual of 1e-13, so with the FFT moments of
+    # the crossover kept, forcing the Cholesky solver keeps the sweep count and the selected
+    # elements, and moves w by far less than 1e-10
+    steering, d, params, threshold = crossover_instance()
+    w_cg, _, trace_cg = solve(steering, d, params)
+    monkeypatch.setattr(admm_mod, "_w_solver", lambda n: admm_mod._Cholesky(n).solve)
+    w_cholesky, _, trace_cholesky = solve(steering, d, params)
+    assert trace_cg.iter.size == trace_cholesky.iter.size < params.max_iters + 1
+    assert cardinality(w_cg, threshold) == cardinality(w_cholesky, threshold)
+    assert np.abs(w_cg - w_cholesky).max() <= 1e-10
+
+
 class CountedCholesky(admm_mod._Cholesky):
     """The Cholesky solver, counting the solvers built in ``built``."""
 
