@@ -38,24 +38,26 @@ public call, so the loop holds no branch. Below it the dense path takes zgemv
 moments (``_moments``) and factors the w block's N x N matrix by LAPACK's posv
 on its lower triangle, which OpenBLAS does faster than the upper one
 (``_Cholesky``). From it on the spectral path takes FFT moments
-(``_fft_moments``) and solves the w block by conjugate gradients with T. Chan's
-circulant preconditioner, by FFT products with lam G in O(N log N) an iteration
-and without the matrix (``_ConjugateGradients``); a system they leave short of
-their tolerance after N iterations, where lam ||G|| dwarfs rho/2, goes to a
-``_Cholesky`` built on first need. Each solve and ``solve_weight_system`` call
+(``_fft_moments``) and solves the w block by conjugate gradients with a circulant
+preconditioner in T. Chan's sense, by FFT products with lam G in O(N log N) an
+iteration and without the matrix (``_ConjugateGradients``); a system they leave
+short of their tolerance after N iterations, where lam ||G|| dwarfs rho/2, goes
+to a ``_Cholesky`` built on first need. Each solve and ``solve_weight_system`` call
 holds its w solver (``_w_solver``) in the workspace it allocates (``_Workspace``).
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
-``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv,
-zdotc, zdscal, zaxpy) and pocketfft's complex FFT (c2c), loaded without
-importing ``scipy.linalg`` or ``scipy.fft`` (``kernels``), so the package
-reaches no ``numpy.fft``. The sweep passes their arguments positionally, since
-f2py takes about twice as long to parse a keyword call, and calls them through
-this module's globals, where tests can substitute them. Levinson's and BLAS's
-modules are loaded at import. ``_posv`` and ``_c2c`` are None until the first
-selection of a path that calls them binds them (``kernels._bind``), so a process
-loads LAPACK's module only if it takes the dense path or its conjugate gradients hand
-a system to Cholesky (``_Cholesky``), and pocketfft's only if it takes the spectral path
+``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv, zdotc,
+zdscal, zaxpy) and pocketfft's complex FFT (c2c), loaded without importing
+``scipy.linalg`` or ``scipy.fft`` (``kernels``), so the package reaches no
+``numpy.fft``; every transform, of 3N - 2 points or more for the moments, 2N - 1 for
+lam G's products and N for the preconditioner, takes pocketfft's good size for its
+points (``kernels._good_size``). The sweep passes their arguments positionally, since
+f2py takes about twice as long to parse a keyword call, and calls them through this
+module's globals, where tests can substitute them. Levinson's and BLAS's modules are
+loaded at import. ``_posv`` and ``_c2c`` are None until the first selection of a path
+that calls them binds them (``kernels._bind``), so a process loads LAPACK's module
+only if it takes the dense path or its conjugate gradients hand a system to Cholesky
+(``_Cholesky``), and pocketfft's only if it takes the spectral path
 (``_moment_kernel``, ``_ConjugateGradients``).
 
 Every sum over the K grid angles that a sweep needs is a trigonometric
@@ -129,7 +131,7 @@ from .arrays import (
 )
 from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .kernels import _LAST, _axpy, _bind, _dscal, _gemv, _levinson, _real_dot
+from .kernels import _LAST, _axpy, _bind, _dscal, _gemv, _good_size, _levinson, _real_dot
 from .metrics import _db
 from .templates import DesiredPattern
 
@@ -341,21 +343,6 @@ def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray,
 _SPECTRAL_CROSSOVER = 144
 
 
-def _fft_length(n: int) -> int:
-    """The smallest 2^a 3^b >= n, a length pocketfft takes fast: at N = 256 the FFT moments
-    took 35 us at 768 = 2^8 * 3, 42 us at 1,024 and 111 us at 766 = 2 * 383, against 123 us
-    for zgemv's (one pinned core of a 2-core Xeon virtual machine)."""
-    best = 1 << (n - 1).bit_length()
-    three = 3
-    while three < best:
-        two = three
-        while two < n:
-            two *= 2
-        best = min(best, two)
-        three *= 3
-    return best
-
-
 def _circular(lags: np.ndarray, n: int, length: int) -> np.ndarray:
     """A sequence from lag -(N-1) up (entry N - 1 + l holds lag l) laid out over one period of
     the given length, lag l at l mod length and zeros elsewhere."""
@@ -373,14 +360,14 @@ def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
     lags. Below ``_SPECTRAL_CROSSOVER`` it is ``_moments``, with the N x (2N-1) moment matrix
     T[i, j] = q_(i-j+N-1) and T_d's N x N matrix, each gathered here (``_toeplitz_copy``).
     From there on it is ``_fft_moments``, with the spectra of the moments and of T_d's lags
-    over one FFT length L >= 3N - 2, both from one batched transform; no matrix is formed."""
+    over L = ``kernels._good_size``(3N - 2) points, from one batched transform; no matrix."""
     n = steering.n_elements
     q = steering.moments
     td_lags = np.zeros(2 * n - 1, complex) if d is None else _template_lags(steering, d)
     if n < _SPECTRAL_CROSSOVER:
         return _moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags)
     _bind(globals(), "_c2c")
-    length = _fft_length(3 * n - 2)
+    length = _good_size(3 * n - 2)
     spectra = np.array([_circular(q, n, length), _circular(td_lags, n, length)])
     _c2c(spectra, _LAST, True, 0, spectra, 1)
     return _fft_moments, spectra[0], spectra[1]
@@ -483,48 +470,52 @@ class _Cholesky:
 
 class _ConjugateGradients:
     """The w block's solver on the spectral path: conjugate gradients from x = 0 on
-    (lam G + diag(shift)) x = b, preconditioned by T. Chan's circulant of the matrix (Chan &
-    Ng, SIAM Review 1996), in O(N log N) an iteration with no N x N matrix.
+    (lam G + diag(shift)) x = b, preconditioned by a circulant in T. Chan's sense (Chan & Ng,
+    SIAM Review 1996), in O(N log N) an iteration with no N x N matrix.
 
-    Each product with lam G is one forward and one inverse transform of length
-    L = ``_fft_length``(2N - 1) >= 2N - 1, against the spectrum of lam G's lags laid out over
-    one period (lag l at l mod L), which is circulant and holds lam G unaliased in its leading
-    N x N block. The preconditioner is the circulant whose first column is
-    c_j = ((N - j) t_j + j t_(j-N)) / N, j = 0 ... N - 1, of lam G's lags t, plus mean(shift)
-    I: its eigenvalues, c's length-N spectrum plus mean(shift), are real and at least
-    mean(shift), since T. Chan's circulant of a positive semidefinite Toeplitz matrix is
-    positive semidefinite; it is applied by one length-N transform pair. The iteration stops at
-    the relative residual ``_CG_TOLERANCE``; a system still short of it after N iterations is
-    solved again from a copy of b, with the dense path's bits, by a ``_Cholesky`` built on the
-    first such system. It raises ``NumericalError`` on a non-finite residual, and where the
-    preconditioner has an eigenvalue <= 0 or a direction a curvature <= 0, so the matrix is not
-    positive definite. The residual iterates on b / ||b||, so that no inner product underflows
-    on a small b.
+    Its transforms take ``kernels._good_size``'s lengths. A product with lam G is one forward
+    and one inverse transform of length L >= 2N - 1, against the spectrum of lam G's lags laid
+    out over one period (lag l at l mod L): circulant, it holds lam G unaliased in its leading
+    N x N block. The preconditioner C is the circulant on M >= N points whose first column
+    sums lam G's lags t_l, l = -(N-1) ... N-1, at l mod M, under Fejer's weights (N - |l|) / N
+    (T. Chan's circulant at M = N), plus mean(shift) I. Its spectrum samples the Fejer mean
+    e^H (lam G) e / N, e_n = exp(2 pi i n k / M), >= 0 as lam G is positive semidefinite, so
+    C, and the leading N x N block of C^-1 that one transform pair applies to r zero-padded
+    to M, are Hermitian positive definite. The iteration stops at the relative residual
+    ``_CG_TOLERANCE``; a system still short of it after N iterations is solved again from a
+    copy of b, with the dense path's bits, by a ``_Cholesky`` built on the first such system.
+    It raises ``NumericalError`` on a non-finite residual, and where C has an eigenvalue <= 0
+    or a direction a curvature <= 0, so the matrix is not positive definite. The residual
+    iterates on b / ||b||, so that no inner product underflows on a small b.
     """
 
     __slots__ = ("lags", "nonnegative", "negative", "lag_spectrum", "down", "up", "chan",
-                 "chan_tail", "inverse", "padded", "padded_head", "product", "product_head",
-                 "spectrum", "r", "p", "z", "q", "b", "cholesky")
+                 "chan_head", "chan_rest", "chan_tail", "inverse", "padded", "padded_head",
+                 "product", "product_head", "spectrum", "r_points", "p_points", "z_points", "r",
+                 "p", "z", "q", "b", "cholesky")
 
     def __init__(self, n: int):
         _bind(globals(), "_c2c")
-        length = _fft_length(2 * n - 1)
+        length = _good_size(2 * n - 1)
+        points = _good_size(n)
         self.lags = np.zeros(length, complex)
         self.nonnegative = self.lags[:n]  # lags 0 ... N-1
         self.negative = self.lags[length - n + 1 :]  # lags -(N-1) ... -1
         self.lag_spectrum = np.empty(length, complex)
         j = np.arange(n)
-        self.down = (n - j) / n
-        self.up = j[1:] / n
-        self.chan = np.empty(n, complex)
-        self.chan_tail = self.chan[1:]
-        self.inverse = np.empty(n)
+        self.down = (n - j) / n  # Fejer's weights of lags 0 ... N-1
+        self.up = j[1:] / n  # and of lags -(N-1) ... -1
+        self.chan = chan = np.empty(points, complex)  # lags -(N-1) ... -1 in its tail
+        self.chan_head, self.chan_rest, self.chan_tail = chan[:n], chan[n:], chan[points - n + 1 :]
+        self.inverse = np.empty(points)
         self.padded = np.zeros(length, complex)
         self.padded_head = self.padded[:n]
         self.product = np.empty(length, complex)
         self.product_head = self.product[:n]
-        self.spectrum = np.empty(n, complex)
-        self.r, self.p, self.z, self.q, self.b = (np.empty(n, complex) for _ in range(5))
+        self.spectrum = np.empty(points, complex)
+        self.r_points, self.p_points, self.z_points = (np.zeros(points, complex) for _ in range(3))
+        self.r, self.p, self.z = self.r_points[:n], self.p_points[:n], self.z_points[:n]
+        self.q, self.b = np.empty(n, complex), np.empty(n, complex)
         self.cholesky = None
 
     def solve(self, lam: float, gram: np.ndarray, rhs: np.ndarray,
@@ -533,8 +524,10 @@ class _ConjugateGradients:
         np.multiply(lam, gram[n - 1 :], out=self.nonnegative)
         np.multiply(lam, gram[: n - 1], out=self.negative)
         _c2c(self.lags, _LAST, True, 0, self.lag_spectrum, 1)
-        chan = np.multiply(self.down, self.nonnegative, out=self.chan)
+        np.multiply(self.down, self.nonnegative, out=self.chan_head)
+        self.chan_rest.fill(0.0)
         self.chan_tail += self.up * self.negative
+        chan = self.chan
         # shift.mean()'s reduction and division, without numpy's Python-level _mean
         eigenvalues = _c2c(chan, _LAST, True, 0, chan, 1).real + float(np.add.reduce(shift)) / n
         if not eigenvalues.min() > 0.0:
@@ -559,13 +552,15 @@ class _ConjugateGradients:
         spectrum, padded, product = self.spectrum, self.padded, self.product
         padded_head, product_head, lag_spectrum = (self.padded_head, self.product_head,
                                                    self.lag_spectrum)
+        r_points, p_points, z_points = self.r_points, self.p_points, self.z_points
         for _ in range(n):
-            # z = M^-1 r, then p = z + (r^H z / previous r^H z) p, written into z's buffer
-            _c2c(r, _LAST, True, 0, spectrum, 1)
+            # z = C^-1 r cut to N, then p = z + (r^H z / previous r^H z) p, into z's buffer
+            _c2c(r_points, _LAST, True, 0, spectrum, 1)
             np.multiply(spectrum, inverse, out=spectrum)
-            _c2c(spectrum, _LAST, False, 2, z, 1)
+            _c2c(spectrum, _LAST, False, 2, z_points, 1)
             rz, previous = _real_dot(r, z), rz
             p, z = _axpy(p, z, n, rz / previous), p
+            p_points, z_points = z_points, p_points
             # q = A p: lam G p by the circulant embedding, plus shift * p
             padded_head[...] = p
             _c2c(padded, _LAST, True, 0, product, 1)

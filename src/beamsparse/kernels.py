@@ -8,8 +8,8 @@ squared norm, scaled vector sum and projection scale of the sweep through its ``
 numpy's makes no BLAS call in the sweep, and when BLAS threads are not pinned only scipy's
 thread pool runs. f2py's wrappers cost a fraction of a microsecond a call, against about
 0.4 to 1.4 for the numpy calls they replace on the sweep's vectors of length N and 2N - 1.
-Every FFT goes through scipy's compiled pocketfft, ``c2c``, so the package reaches no
-``numpy.fft``.
+Every FFT goes through scipy's compiled pocketfft, ``c2c``, at pocketfft's good size
+(``_good_size``), so the package reaches no ``numpy.fft``.
 
 Each module is loaded where the first path that calls it is selected, once per process:
 ``scipy.linalg._solve_toeplitz`` (levinson, the data block) and ``scipy.linalg._fblas`` (the
@@ -92,6 +92,11 @@ def _bind(namespace: dict, name: str) -> None:
         if namespace[name] is None:
             module, function = _ON_SELECTION[name]
             namespace[name] = getattr(_load(module), function)
+
+
+def _good_size(n: int) -> int:
+    """pocketfft's good_size, the smallest 2^a 3^b 5^c 7^d 11^e >= n: every transform's length."""
+    return _load(_ON_SELECTION["_c2c"][0]).good_size(n, False)
 
 
 # The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and

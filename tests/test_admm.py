@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -1704,6 +1705,43 @@ def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
         assert total > 0 if n == CROSSOVER else total == 0
 
 
+def smallest_11_smooth(n):
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, by trial division."""
+    for m in itertools.count(n):
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+
+
+@pytest.mark.parametrize("n", [256, 331])
+def test_every_transform_takes_pocketfft_s_good_size(monkeypatch, n):
+    # the moments (>= 3N - 2 points), the products with lam G (>= 2N - 1) and the conjugate
+    # gradients' preconditioner (>= N) each transform at the smallest 11-smooth length, and so
+    # at N = 331, a prime, never at 331 points; N = 256 keeps 256, 512 and 768
+    grid = AngleGrid.uniform(-90, 90, 0.25)
+    steering = build_steering_set(ArrayGeometry(n), grid)
+    d = build_template(grid, [MainlobeSpec(22, 28, 1000.0)])
+    c2c = bound("_c2c")
+    lengths = set()
+
+    def recorded(a, *args):
+        lengths.add(a.shape[-1])
+        return c2c(a, *args)
+
+    monkeypatch.setattr(admm_mod, "_c2c", recorded)
+    _, _, trace = solve(steering, d, SolverParams(max_iters=3))
+    assert trace.iter.size == 4
+    assert lengths == {smallest_11_smooth(points) for points in (n, 2 * n - 1, 3 * n - 2)}
+    assert all(scipy.fft.next_fast_len(length) == length for length in lengths)
+    if n == 256:
+        assert lengths == {256, 512, 768}
+    else:
+        assert n not in lengths
+
+
 def test_each_path_reaches_the_same_solution_at_the_crossover(monkeypatch):
     # the FFT moments agree with zgemv's to rounding and the conjugate gradients stop at a
     # relative residual of 1e-13, so forcing the dense path at the crossover keeps the sweep
@@ -1818,11 +1856,12 @@ def no_posv(*args):
 class TestConjugateGradientWBlock:
     """The w block's conjugate gradients, on the spectral path."""
 
-    @pytest.mark.parametrize("n", [223, 224, 256, 512])
+    @pytest.mark.parametrize("n", [223, 224, 256, 331, 509, 512])
     def test_matches_a_dense_solve_and_is_first_order_optimal(self, monkeypatch, n):
         # the conjugate gradients converge on each of these systems, so no case falls back to
-        # posv. The dense system is formed from data_fit_gram and T_d's per-angle sum, on the
-        # 721-angle grid of large_array
+        # posv; at N = 331 and 509 the preconditioner's circulant has more points than N. The
+        # dense system is formed from data_fit_gram and T_d's per-angle sum, on the 721-angle
+        # grid of large_array
         monkeypatch.setattr(admm_mod, "_posv", no_posv)
         rng = np.random.default_rng(80 + n)
         grid = AngleGrid.uniform(-90, 90, 0.25)
@@ -1842,6 +1881,39 @@ class TestConjugateGradientWBlock:
         # criterion 5's first-order residual of the w block
         residual = gram @ w_hat + diag * w_hat - rhs_match + (params.rho / 2) * (w_hat - (v - u))
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("step", [1.0, 0.25])
+    @pytest.mark.parametrize("n", [223, 256, 331, 509])
+    def test_the_preconditioner_samples_the_fejer_mean_of_the_symbol(self, n, step):
+        # before mean(shift), the eigenvalues of the preconditioner's circulant on
+        # M = good size(N) points are e^H (lam G) e / N at e_n = exp(2 pi i n k / M), the
+        # Fejer mean of lam G's symbol, which is >= 0 to rounding since lam G is positive
+        # semidefinite. The solver leaves them in its buffer, transformed in place, where the
+        # second of two systems must not read the first's. At N = 256 = M the circulant is
+        # T. Chan's, with the weights and the bits it had when it took N points alone
+        rng = np.random.default_rng(90 + n)
+        steering = build_steering_set(ArrayGeometry(n), AngleGrid.uniform(-90, 90, step))
+        lam, v = 0.1, unit(rng, n)
+        first, mv = moments_of(steering, None, unit(rng, n), v)
+        solver = admm_mod._ConjugateGradients(n)
+        shift = majorizer_diag(unit(rng, n)) + 15.0
+        for moments in (first, mv):
+            solver.solve(lam, moments.gram, random_complex(rng, n), shift)
+        points = smallest_11_smooth(n)
+        eigenvalues = solver.chan
+        assert eigenvalues.size == points
+        phases = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(points)) / points)
+        gram = lam * data_fit_gram(steering, v)
+        fejer = np.sum(phases.conj() * (gram @ phases), axis=0) / n
+        scale = np.abs(fejer).max()
+        assert np.abs(eigenvalues - fejer).max() <= 1e-12 * scale
+        assert eigenvalues.real.min() >= -1e-12 * scale
+        if n == 256:
+            j = np.arange(n)
+            t = lam * mv.gram
+            chan = (n - j) / n * t[n - 1 :]
+            chan[1:] += j[1:] / n * t[: n - 1]
+            assert eigenvalues.tobytes() == scipy.fft.fft(chan).tobytes()
 
     def test_zero_right_hand_side_gives_zero(self):
         # v = u and alpha = 0 make b = 0, whose solution is 0 by either solver; the conjugate
