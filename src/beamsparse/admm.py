@@ -43,7 +43,7 @@ preconditioner in T. Chan's sense, by FFT products with lam G in O(N log N) an
 iteration and without the matrix (``_ConjugateGradients``); a system they leave
 short of their tolerance after N iterations, where lam ||G|| dwarfs rho/2, goes
 to a ``_Cholesky`` built on first need. Each solve and ``solve_weight_system`` call
-holds its w solver (``_w_solver``) in the workspace it allocates (``_Workspace``).
+builds its own w solver (``_w_solver``).
 
 The kernels are scipy's compiled ones, the Levinson recursion behind
 ``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv, zdotc,
@@ -104,8 +104,8 @@ so that sweep still ends in ``DivergenceError``.
 
 A single solve is a sequential state machine. Concurrent solves share one
 write-once binding per kernel, ``_posv`` and ``_c2c``, made under the loader's
-lock by whichever selects its path first, and nothing else mutable, since no
-workspace outlives the call that allocated it.
+lock by whichever selects its path first, and nothing else mutable: each call builds its
+own w solver, and every moment and block system is a fresh array.
 """
 
 from __future__ import annotations
@@ -296,40 +296,24 @@ class _Moments(NamedTuple):
     td_x: np.ndarray  # T_d x = sum_k d_k (a_k^H x) a_k
 
 
-class _Lags(NamedTuple):
-    """A buffer of a Hermitian sequence's 2N - 1 lags -(N-1) ... N-1, entry N - 1 + l holding
-    lag l, with the two views that fill its negative lags from its positive ones."""
-
-    buffer: np.ndarray
-    positive: np.ndarray  # lags N-1 down to 1
-    negative: np.ndarray  # the slots of lags -(N-1) up to -1
-
-
-def _lags(n: int) -> _Lags:
-    """A zeroed lag buffer for N elements and its views."""
-    buffer = np.zeros(2 * n - 1, complex)
-    return _Lags(buffer, buffer[: n - 1 : -1], buffer[: n - 1])
-
-
-def _gram_diagonals(t: np.ndarray, auto: np.ndarray, lags: Optional[_Lags] = None) -> np.ndarray:
+def _gram_diagonals(t: np.ndarray, auto: np.ndarray) -> np.ndarray:
     """Gram diagonals at lam = 1 from the moment matrix t, the N x (2N-1) Toeplitz matrix
     t[i, j] = q_(i-j+N-1) of the grid moments (``_moment_kernel``), and
     auto = np.correlate(x, x, "full"): lag l >= 0 is sum_j q_(l-j) auto_j, one zgemv, which
-    writes them into the lag buffer (a fresh one when None) from entry N - 1 up; the negative
-    lags are their conjugates. Returns the buffer."""
-    buffer, positive, negative = _lags(t.shape[0]) if lags is None else lags
+    writes them with beta = 0 into a fresh buffer from entry N - 1 up; the negative lags are
+    their conjugates."""
+    n = t.shape[0]
+    diagonals = np.empty(2 * n - 1, complex)
     # alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y
-    _gemv(1.0, t, auto, 0.0, buffer, 0, 1, negative.size, 1, 0, 1)
-    np.conjugate(positive, out=negative)
-    return buffer
+    _gemv(1.0, t, auto, 0.0, diagonals, 0, 1, n - 1, 1, 0, 1)
+    np.conjugate(diagonals[: n - 1 : -1], out=diagonals[: n - 1])
+    return diagonals
 
 
-def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray,
-             lags: Optional[_Lags] = None) -> _Moments:
-    """The moments of x, from the moment matrix t and T_d: O(N^2), independent of K. The Gram
-    diagonals are written into lags (a fresh buffer when None)."""
+def _moments(t: np.ndarray, td: np.ndarray, x: np.ndarray) -> _Moments:
+    """The moments of x, from the moment matrix t and T_d: O(N^2), independent of K."""
     auto = np.correlate(x, x, "full")
-    return _Moments(auto, _gram_diagonals(t, auto, lags), _gemv(1.0, td, x))
+    return _Moments(auto, _gram_diagonals(t, auto), _gemv(1.0, td, x))
 
 
 #: Fewest elements at which a solve and the public blocks take the spectral path (FFT moments,
@@ -373,14 +357,13 @@ def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
     return _fft_moments, spectra[0], spectra[1]
 
 
-def _fft_moments(grid: np.ndarray, template: np.ndarray, x: np.ndarray,
-                 lags: Optional[_Lags] = None) -> _Moments:
+def _fft_moments(grid: np.ndarray, template: np.ndarray, x: np.ndarray) -> _Moments:
     """The moments of x from the spectra of the grid moments and of T_d's lags over one FFT
     length L >= 3N - 2 (``_moment_kernel``): O(N log N). With X = fft(x, L), the circular
     correlations ifft(|X|^2), ifft(grid * |X|^2) and ifft(template * X) hold, unaliased, the
     autocorrelation, the Gram diagonals' lags 0 ... N-1 and T_d x; the three inverse
-    transforms are one batched call, and the Gram diagonals are written into lags (a fresh
-    buffer when None), the negative lags as the conjugates of the positive ones."""
+    transforms are one batched call, and the Gram diagonals are written into a fresh buffer,
+    the negative lags as the conjugates of the positive ones."""
     n = x.size
     length = grid.size
     spectrum = np.zeros(length, complex)
@@ -391,11 +374,11 @@ def _fft_moments(grid: np.ndarray, template: np.ndarray, x: np.ndarray,
     np.multiply(grid, power, out=out[1])
     np.multiply(template, spectrum, out=out[2])
     _c2c(out, _LAST, False, 2, out, 1)
-    buffer, positive, negative = _lags(n) if lags is None else lags
-    buffer[n - 1 :] = out[1, :n]
-    np.conjugate(positive, out=negative)
+    diagonals = np.empty(2 * n - 1, complex)
+    diagonals[n - 1 :] = out[1, :n]
+    np.conjugate(diagonals[: n - 1 : -1], out=diagonals[: n - 1])
     auto = np.concatenate((out[0, length - n + 1 :], out[0, :n]))
-    return _Moments(auto, buffer, out[2, :n])
+    return _Moments(auto, diagonals, out[2, :n])
 
 
 def _rhs(lam_alpha: float, td_x: np.ndarray, half_rho: float, s: np.ndarray) -> np.ndarray:
@@ -592,42 +575,18 @@ def _w_solver(n: int) -> Callable:
     return (_Cholesky if n < _SPECTRAL_CROSSOVER else _ConjugateGradients)(n).solve
 
 
-class _Workspace:
-    """The block systems' buffers and constants, allocated once per ``solve`` (and once per
-    public block call) and overwritten by every sweep; no workspace outlives its call.
-
-    ``gram_w`` and ``gram_v`` are the lag buffers (``_Lags``) that the moments of w and of v
-    write their Gram diagonals into. The next iterate's moments overwrite each only after its
-    last reader: the data block and w's trace row for w, the w block and the next trace row
-    for v. ``diagonals`` holds the data block's Toeplitz diagonals (``_data_block``), which
-    Levinson reads and does not keep. ``solve_w`` is the w block's solver (``_w_solver``),
-    which ``solve`` and ``solve_weight_system`` hand in; ``update_v``, which solves the data
-    block alone, builds none.
-    """
-
-    __slots__ = ("lam", "half_rho", "gram_w", "gram_v", "diagonals", "solve_w")
-
-    def __init__(self, n: int, params: SolverParams, solve_w: Optional[Callable] = None):
-        self.lam = params.lam
-        self.half_rho = params.rho / 2.0
-        self.gram_w = _lags(n)
-        self.gram_v = _lags(n)
-        self.diagonals = np.empty(2 * n - 1, complex)
-        self.solve_w = solve_w
-
-
-def _data_block(ws: _Workspace, partner: _Moments, target: np.ndarray,
+def _data_block(lam: float, half_rho: float, partner: _Moments, target: np.ndarray,
                 lam_alpha: float) -> np.ndarray:
-    """update_v without its checks, from the moments of its partner iterate, the target the
-    caller forms and lam_alpha = lam * alpha.
+    """update_v without its checks, from lam, half_rho = rho/2, the moments of its partner
+    iterate, the target the caller forms and lam_alpha = lam * alpha.
 
     Solves (lam G(partner) + (rho/2) I) y = lam * alpha * T_d partner + (rho/2) target by
-    one Levinson recursion on the Toeplitz diagonals of the matrix, formed in ws; the
-    right-hand side overwrites target. For v, the partner is w and the target w + u.
+    one Levinson recursion on the Toeplitz diagonals of the matrix; the right-hand side
+    overwrites target. For v, the partner is w and the target w + u.
     """
-    diagonals = np.multiply(ws.lam, partner.gram, out=ws.diagonals)
-    diagonals[target.size - 1] += ws.half_rho
-    rhs = _rhs(lam_alpha, partner.td_x, ws.half_rho, target)
+    diagonals = np.multiply(lam, partner.gram)
+    diagonals[target.size - 1] += half_rho
+    rhs = _rhs(lam_alpha, partner.td_x, half_rho, target)
     # No positive definiteness check: G is positive semidefinite, rho > 2 (SolverParams)
     # and the inputs are checked finite where they enter, so the system is Hermitian
     # positive definite by construction. Levinson's reflection coefficients could not
@@ -639,26 +598,26 @@ def _data_block(ws: _Workspace, partner: _Moments, target: np.ndarray,
     return solution
 
 
-def _w_system(ws: _Workspace, mv: _Moments, target: np.ndarray, lam_alpha: float,
-              shift: np.ndarray) -> np.ndarray:
-    """solve_weight_system without its checks, from the moments of v, the target v - u the
-    caller forms, lam_alpha = lam * alpha and shift = diag + rho/2, what the w block adds to
-    lam G's diagonal.
+def _w_system(solve_w: Callable, lam: float, half_rho: float, mv: _Moments, target: np.ndarray,
+              lam_alpha: float, shift: np.ndarray) -> np.ndarray:
+    """solve_weight_system without its checks, from the w solver (``_w_solver``), lam,
+    half_rho = rho/2, the moments of v, the target v - u the caller forms,
+    lam_alpha = lam * alpha and shift = diag + rho/2, what the w block adds to lam G's
+    diagonal.
 
     Solves (lam G + diag(diag) + (rho/2) I) w = lam * alpha * T_d v + (rho/2) target, a
     Hermitian positive definite system whose majorizer diagonal makes it non-Toeplitz, by
-    the workspace's solver (``_Cholesky`` or ``_ConjugateGradients``, picked by N). The
-    right-hand side overwrites target.
+    solve_w (``_Cholesky`` or ``_ConjugateGradients``, picked by N). The right-hand side
+    overwrites target.
     """
-    rhs = _rhs(lam_alpha, mv.td_x, ws.half_rho, target)
-    return ws.solve_w(ws.lam, mv.gram, rhs, shift)
+    return solve_w(lam, mv.gram, _rhs(lam_alpha, mv.td_x, half_rho, target), shift)
 
 
-def _w_block(ws: _Workspace, mv: _Moments, target: np.ndarray, lam_alpha: float,
-             shift: np.ndarray) -> np.ndarray:
+def _w_block(solve_w: Callable, lam: float, half_rho: float, mv: _Moments, target: np.ndarray,
+             lam_alpha: float, shift: np.ndarray) -> np.ndarray:
     """The next w: the w block's solution (``_w_system``) projected onto the unit sphere,
     which rejects a non-finite solution."""
-    return _project_unit_sphere(_w_system(ws, mv, target, lam_alpha, shift))
+    return _project_unit_sphere(_w_system(solve_w, lam, half_rho, mv, target, lam_alpha, shift))
 
 
 def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
@@ -692,10 +651,10 @@ def update_v(
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = _Workspace(n, params)
         kernel, grid, template = _moment_kernel(steering, d)
-        mw = kernel(grid, template, w, ws.gram_w)
-        return _require_finite_solution(_data_block(ws, mw, w + u, ws.lam * alpha))
+        mw = kernel(grid, template, w)
+        return _require_finite_solution(_data_block(params.lam, params.rho / 2.0, mw, w + u,
+                                                    params.lam * alpha))
 
 
 def solve_weight_system(
@@ -715,11 +674,11 @@ def solve_weight_system(
     u = _as_vector(u, n, "u")
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = _Workspace(n, params, _w_solver(n))
+        half_rho = params.rho / 2.0
         kernel, grid, template = _moment_kernel(steering, d)
-        mv = kernel(grid, template, v, ws.gram_v)
-        shift = diag + ws.half_rho
-        return _require_finite_solution(_w_system(ws, mv, v - u, ws.lam * alpha, shift))
+        mv = kernel(grid, template, v)
+        return _require_finite_solution(_w_system(_w_solver(n), params.lam, half_rho, mv, v - u,
+                                                  params.lam * alpha, diag + half_rho))
 
 
 def initial_state(steering: SteeringSet, params: SolverParams) -> AdmmState:
@@ -810,9 +769,11 @@ def solve(
     u = _as_vector(state.u, n, "initial u")
     alpha = state.alpha
     _require_scalar(alpha, "initial alpha")
-    ws = _Workspace(n, params, _w_solver(n))
+    lam = params.lam
+    half_rho = params.rho / 2.0
+    solve_w = _w_solver(n)
     sparsity, diag = _penalty(_weight_powers(w, n, "initial w"))
-    shift = diag + ws.half_rho
+    shift = diag + half_rho
 
     # The steering matrix is read here only, for T_d's lags, where the moment kernel is picked
     # here once; each iterate's moments and penalty serve both blocks and the rows, as the
@@ -822,8 +783,8 @@ def solve(
     # finite start vectors can overflow where the sweep's bounded iterates cannot: row 0 is
     # formed with overflow silenced and must meet the Trace rule
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = kernel(grid, template, w, ws.gram_w)
-        mv = kernel(grid, template, v, ws.gram_v)
+        mw = kernel(grid, template, w)
+        mv = kernel(grid, template, v)
         cross = _real_dot(w, mv.td_x)
         _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
     try:
@@ -833,18 +794,18 @@ def solve(
     for it in range(1, params.max_iters + 1):
         try:
             alpha = cross / dd
-            lam_alpha = ws.lam * alpha
-            v = _data_block(ws, mw, w + u, lam_alpha)
-            mv = kernel(grid, template, v, ws.gram_v)
-            swept = _w_block(ws, mv, v - u, lam_alpha, shift)
+            lam_alpha = lam * alpha
+            v = _data_block(lam, half_rho, mw, w + u, lam_alpha)
+            mv = kernel(grid, template, v)
+            swept = _w_block(solve_w, lam, half_rho, mv, v - u, lam_alpha, shift)
             wv = swept - v
             u = u + wv
             step = swept - w
             w_change = math.sqrt(_real_dot(step, step))
             w = swept
-            mw = kernel(grid, template, w, ws.gram_w)
+            mw = kernel(grid, template, w)
             sparsity, diag = _penalty(np.abs(w) ** 2)
-            shift = diag + ws.half_rho
+            shift = diag + half_rho
             cross = _real_dot(w, mv.td_x)
             _append_row(raw, mw, mv, w, cross, sparsity, wv, u, alpha, dd, w_change)
         except (NumericalError, DegenerateInputError) as exc:

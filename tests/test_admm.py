@@ -1281,20 +1281,24 @@ class TestScipyKernels:
     @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("n", [2, 3, 30, 256])
     def test_gram_diagonals_over_a_non_finite_buffer_are_the_fresh_product(self, n, fill):
-        # the moments write zgemv's product with beta = 0 into a lag buffer, from entry N - 1
-        # on, without reading what it held, and mirror its conjugates below, bit for bit
+        # the moments take an uninitialized buffer: zgemv, with the package's eleven positional
+        # arguments and beta = 0, writes lags 0 ... N-1 from entry N - 1 on without reading
+        # what the buffer held and leaves the entries before it, and the Gram diagonals are
+        # that product with its conjugates mirrored below, bit for bit
         rng = np.random.default_rng(64)
         steering = build_steering_set(ArrayGeometry(n), AngleGrid(np.linspace(-90.0, 90.0, 181)))
         t = zgemv_operand(steering)
-        lags = admm_mod._lags(n)
         for _ in range(5):
-            lags.buffer[:] = fill
             x = random_complex(rng, n)
             auto = np.correlate(x, x, "full")
-            gram = admm_mod._gram_diagonals(t, auto, lags)
-            assert gram is lags.buffer
-            want = arrays_mod._with_negative_lags(t @ auto, n)
-            assert gram.tobytes() == want.tobytes()
+            product = t @ auto
+            y = np.full(2 * n - 1, fill, complex)
+            # alpha, a, x, beta, y, offx, incx, offy, incy, trans, overwrite_y
+            written = kernels_mod._gemv(1.0, t, auto, 0.0, y, 0, 1, n - 1, 1, 0, 1)
+            assert written is y
+            assert y[n - 1 :].tobytes() == product.tobytes()
+            assert y[: n - 1].tobytes() == np.full(n - 1, fill, complex).tobytes()
+            want = arrays_mod._with_negative_lags(product, n)
             assert admm_mod._gram_diagonals(t, auto).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 30, 256])
@@ -1437,7 +1441,7 @@ def test_solve_is_the_public_blocks_from_exact_zero_weights():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_solve_is_the_public_blocks_at_the_smallest_arrays(n):
-    # the workspace's strided views over 3 and 5 lags; a tiny eta runs the whole budget
+    # the strided lag views over 3 and 5 lags; a tiny eta runs the whole budget
     rng = np.random.default_rng(57 + n)
     steering, d = random_instance(rng, n=n, k=9)
     params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=30, seed=n)
@@ -1601,7 +1605,7 @@ def counting(monkeypatch, owner, names, calls):
 
 def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     # T_d is the one Toeplitz matrix a solve gathers; each sweep's w block writes its
-    # matrix into the solve's workspace and factors it in one posv call, and the data block
+    # matrix into its solver's buffer and factors it in one posv call, and the data block
     # solves from the diagonals. The matrix-vector products are the moments' two, T_d x and
     # the moment matrix times x's autocorrelation, for v and for w in each sweep, and in the
     # set-up T_d's first column and the moments' two for the start state's w and v
@@ -2078,8 +2082,9 @@ def assert_same_solve(got, want):
 
 
 class TestNoWorkspaceOutlivesItsCall:
-    """Each solve and each public block call allocates its own workspace, so concurrent solves
-    share no mutable state, and a block's result is not a view of a reused buffer."""
+    """Each solve and each public block call builds its own w solver and forms every moment and
+    block system in a fresh array, so concurrent solves share no mutable state, and a block's
+    result is not a view of a reused buffer."""
 
     def problem(self, seed, n=6, sweeps=40):
         # a tiny eta runs the whole budget, so two solves make the same kernel calls; at
