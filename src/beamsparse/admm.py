@@ -10,102 +10,39 @@ the desired template and f is the Shannon-entropy sparsity measure. The
 quartic coupling in w is split with an auxiliary copy v of w (constraint
 w = v, scaled dual u), and each sweep performs, in order:
 
-1. closed-form least-squares refresh of the template scale alpha;
-2. the data block (``_data_block``): an exact solve for v, unconstrained
-   complex least squares with w as its partner and w + u as its target;
+1. the closed-form least-squares template scale alpha = Re(w^H T_d v) / d^T d;
+2. the data block (``_data_block``), an exact least-squares solve for v given w and w + u;
 3. the moments of v;
-4. the w block (``_w_block``): a solve of the w block, majorized by the
-   diagonal entropy majorizer at the current weights (which came with their
-   entropy when they were formed), exact or to a relative residual of
-   ``_CG_TOLERANCE``, projected back onto the unit sphere;
-5. dual ascent on u;
-6. the moments and the entropy's penalty of the new weights, and their
-   trace row.
+4. the w block (``_w_block``): the entropy majorized by its tangent diagonal at the
+   current w, the majorized system solved (``_w_solver``) and projected onto the sphere;
+5. the scaled dual step u + (w - v);
+6. the new weights' moments, entropy penalty and trace row,
 
-The sweep repeats until the weight change drops below ``eta`` or the
-iteration budget runs out. Both blocks solve a Hermitian positive definite
-system whose data-fit matrix is lam * G, with G = sum_k |a_k^H x|^2 a_k a_k^H
-(``data_fit_gram``), and lam is set only in ``SolverParams``. G is Hermitian
-Toeplitz, since ``SteeringSet`` derives every steering vector from a uniform
-linear array as a phase ramp a_k[n] = z_k^n. The data block adds rho/2 to lam
-G's diagonal, which keeps it Toeplitz, and solves it by one Levinson recursion
-on the diagonals in O(N^2) without forming the matrix. The w block adds rho/2
-plus the entropy majorizer's diagonal, which varies along the diagonal, so its
-matrix is not Toeplitz; it is positive definite only for rho > 2, because the
-majorizer diagonal is bounded below by -1 on the sphere. One size constant,
-``_SPECTRAL_CROSSOVER``, picks the sweep's path once per solve and once per
-public call, so the loop holds no branch. Below it the dense path takes zgemv
-moments (``_moments``) and factors the w block's N x N matrix by LAPACK's posv
-on its lower triangle, which OpenBLAS does faster than the upper one
-(``_Cholesky``). From it on the spectral path takes FFT moments
-(``_fft_moments``) and solves the w block by conjugate gradients with a circulant
-preconditioner in T. Chan's sense, by FFT products with lam G in O(N log N) an
-iteration and without the matrix (``_ConjugateGradients``); a system they leave
-short of their tolerance after N iterations, where lam ||G|| dwarfs rho/2, goes
-to a ``_Cholesky`` built on first need. Each solve and ``solve_weight_system`` call
-builds its own w solver (``_w_solver``).
+until the weight change drops below ``eta`` or the budget runs out. Both blocks
+solve a Hermitian positive definite system in lam G, G = sum_k |a_k^H x|^2 a_k a_k^H
+(``data_fit_gram``); the w block's is positive definite as rho > 2 and the majorizer
+diagonal is at least -1 on the sphere. Each step's mechanism is stated where it is done:
+``_moment_kernel``, ``_SPECTRAL_CROSSOVER``, ``_data_block``, ``_Cholesky``,
+``_ConjugateGradients`` and ``kernels``.
 
-The kernels are scipy's compiled ones, the Levinson recursion behind
-``scipy.linalg.solve_toeplitz``, LAPACK's zposv, four BLAS routines (zgemv, zdotc,
-zdscal, zaxpy) and pocketfft's complex FFT (c2c), loaded without importing
-``scipy.linalg`` or ``scipy.fft`` (``kernels``), so the package reaches no
-``numpy.fft``; every transform, of 3N - 2 points or more for the moments, 2N - 1 for
-lam G's products and N for the preconditioner, takes pocketfft's good size for its
-points (``kernels._good_size``). The sweep passes their arguments positionally, since
-f2py takes about twice as long to parse a keyword call, and calls them through this
-module's globals, where tests can substitute them. Levinson's and BLAS's modules are
-loaded at import. ``_posv`` and ``_c2c`` are None until the first selection of a path
-that calls them binds them (``kernels._bind``), so a process loads LAPACK's module
-only if it takes the dense path or its conjugate gradients hand a system to Cholesky
-(``_Cholesky``), and pocketfft's only if it takes the spectral path
-(``_moment_kernel``, ``_ConjugateGradients``).
+The sweep keeps these invariants:
 
-Every sum over the K grid angles that a sweep needs is a trigonometric
-moment of the grid (the autocorrelation form of |A^H x|^2; Lebret & Boyd,
-IEEE TSP 1997), so the sweep never touches the K x N steering matrix: it reads
-the grid through ``SteeringSet.moments`` and the template through the lags of
-T_d = sum_k d_k a_k a_k^H, for which ``solve`` reads the steering matrix once.
-Per iterate it forms what ``_Moments`` lists, by the kernel of its path, which
-``_moment_kernel`` picks. ``_moment_kernel`` is the one place that turns the
-moments and T_d's lags into a kernel's operands: below ``_SPECTRAL_CROSSOVER``
-``_moments`` (O(N^2), two zgemv products) reads the N x (2N-1) Toeplitz matrix
-of the moments and T_d's N x N matrix, gathered there; from it on
-``_fft_moments`` (O(N log N); Chan & Ng, SIAM Review 1996) reads their spectra.
-Both blocks' matrices and right-hand sides, alpha = Re(w^H T_d v) / d^T d and
-every raw trace scalar come from these.
-
-``solve`` checks its inputs once, on entry, and then computes each intermediate
-once per iterate, on private kernels that take it as an argument. Unit power of
-w is the entropy's rule, so ``solve`` rejects a non-unit initial w at entry,
-then a start state whose row 0 breaks the ``Trace`` rule; each later w is a
-projection onto the sphere, within the entropy's tolerance by construction, so
-the sweep takes its powers unchecked. The moments of w_k feed the data block
-and row k of the trace; those of v_{k+1} feed the w block and row k + 1. Each w's
-powers pass once through the entropy's penalty kernel, whose one clamped log
-gives both the entropy of its trace row and the majorizer diagonal of the next
-w block. Once the loop ends or a sweep fails, one vectorized pass derives the
-``Trace`` from the rows' raw scalars (``_derive_trace``); it is the package's
-one evaluator of the objective and the augmented Lagrangian, so ``solve`` with
-``max_iters=0`` and ``init`` evaluates them at any state with alpha != 0.
-
-The public blocks (``update_alpha``, ``update_v``, ``solve_weight_system``,
-and ``data_fit_gram``) check their inputs and call the same kernels, the
-moment kernel that ``_moment_kernel`` picks at their size among them (an
-inverse transform of one row alone need not give the bits of the batched one),
-so composing them, with ``project_unit_sphere`` and the dual step u + (w - v),
-reproduces ``solve``'s w, alpha, primal residual and weight change bit for bit,
-the norms taken by the package's inner product (``kernels._real_dot``). They
-run the kernels with numpy's overflow warnings off and check the result, so
-finite inputs that overflow end in a typed error; the sweep, whose iterates are
-bounded, pays for no such check. ``update_v`` and ``solve_weight_system`` check
-their solution finite and the sweep does not: a non-finite v makes the w block's
-system non-finite, which its solver or the projection onto the sphere rejects,
-so that sweep still ends in ``DivergenceError``.
-
-A single solve is a sequential state machine. Concurrent solves share one
-write-once binding per kernel, ``_posv`` and ``_c2c``, made under the loader's
-lock by whichever selects its path first, and nothing else mutable: each call builds its
-own w solver, and every moment and block system is a fresh array.
+- Composing the public blocks (``update_alpha``, ``update_v``, ``majorizer_diag``,
+  ``solve_weight_system``) with ``project_unit_sphere`` and the dual step reproduces
+  ``solve``'s w, alpha, primal residual and weight change bit for bit: they call the
+  same kernels, the moment kernel of their size among them.
+- Each iterate's moments and penalty are formed once. The moments of w_k serve the data
+  block and row k of the trace, those of v_{k+1} the w block and row k + 1; one clamped
+  log of w's powers gives both its entropy and the next majorizer diagonal.
+- Inputs are checked at entry only: ``solve`` checks its start state, its unit power and
+  its row 0 once. Each later w is a projection onto the sphere, and a non-finite v makes
+  the w block's system non-finite, which its solver or the projection rejects. The public
+  blocks also check their results, so finite inputs that overflow end in a typed error.
+- ``_derive_trace``, one vectorized pass once the loop ends, is the package's one
+  evaluator of the objective and the augmented Lagrangian: ``solve`` with ``init`` and
+  ``max_iters=0`` evaluates them at any state with alpha != 0.
+- Concurrent solves share nothing mutable but the write-once kernel bindings
+  (``kernels._bind``): each call builds its own w solver.
 """
 
 from __future__ import annotations
@@ -429,7 +366,8 @@ class _Cholesky:
     diagonals are written to its buffer, whose Toeplitz lag view (``arrays._toeplitz_view``) is
     copied into its Fortran-ordered N x N matrix, the shift is added through a view of the
     matrix's diagonal, and one LAPACK posv call factors the matrix's lower triangle in place by
-    Cholesky and solves; it reads nothing above the diagonal."""
+    Cholesky, which OpenBLAS does faster than the upper one, and solves; it reads nothing above
+    the diagonal."""
 
     __slots__ = ("diagonals", "system", "matrix", "diagonal")
 

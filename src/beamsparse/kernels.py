@@ -7,7 +7,7 @@ squared norm, scaled vector sum and projection scale of the sweep through its ``
 ``zdscal`` and ``zaxpy``, beside its ``zposv`` and ``levinson``, so that a run calls one bundled BLAS:
 numpy's makes no BLAS call in the sweep. Unpinned, scipy's pool still threads T_d's first column,
 the grid moments and the beampattern at N = 30, the moments' zgemv from N = 46 and zposv from
-N = 64, and runs take longer than pinned ones (README, Performance). f2py's wrappers cost a
+N = 64, and runs take longer than pinned ones (README, "Command line"). f2py's wrappers cost a
 fraction of a microsecond a call, against about 0.4 to 1.4 for the numpy calls they replace on
 the sweep's vectors of length N and 2N - 1.
 Every FFT goes through scipy's compiled pocketfft, ``c2c``, at pocketfft's good size

@@ -2,7 +2,7 @@
 
 Two conventions here are deliberate reconstructions (the counting rule for
 selected elements and the normalization of the matching error are design
-choices of this tool, documented in the README):
+choices of this tool, documented in the README under "Metric conventions"):
 
 * an element counts as selected when its power exceeds ``rel_threshold``
   times the strongest element's power (default threshold 1e-3, i.e. within

@@ -6,7 +6,7 @@ target selection-cardinality windows for the two reference experiments; with
 the shipped default trade-off settings the solver reproduces the expected
 pattern shapes and convergence behaviour but selects more elements than the
 windows allow, so those two tests currently fail and are kept failing on
-purpose (see the README section on reproduction status).
+purpose (see the "Reproduction status" section of README.md).
 """
 
 import time
