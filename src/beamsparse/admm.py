@@ -41,8 +41,8 @@ The sweep keeps these invariants:
 - ``_derive_trace``, one vectorized pass once the loop ends, is the package's one
   evaluator of the objective and the augmented Lagrangian: ``solve`` with ``init`` and
   ``max_iters=0`` evaluates them at any state with alpha != 0.
-- Concurrent solves share nothing mutable but the write-once kernel bindings
-  (``kernels._bind``): each call builds its own w solver.
+- Concurrent solves share nothing mutable but the kernel loader's record (``kernels._loaded``):
+  each call builds its own moment kernel and w solver, which fetch their kernels once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from collections.abc import Callable
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,14 +69,10 @@ from .arrays import (
 )
 from .entropy import _penalty, _weight_powers
 from .errors import ContractError, DegenerateInputError, DivergenceError, NumericalError
-from .kernels import _LAST, _axpy, _bind, _dscal, _gemv, _good_size, _levinson, _real_dot
+from .kernels import (_LAST, _axpy, _dscal, _gemv, _good_size, _levinson, _load_c2c, _load_zposv,
+                      _real_dot)
 from .metrics import _db
 from .templates import DesiredPattern
-
-# LAPACK's zposv and pocketfft's c2c (``kernels``), each None until the first selection of a
-# path that calls it binds it here (``kernels._bind``)
-_posv = None
-_c2c = None
 
 
 @dataclass(frozen=True)
@@ -145,15 +142,25 @@ class Trace:
             raise ContractError(f"trace columns must share one length >= 1, got sizes {sizes}")
         if not np.array_equal(self.iter, np.arange(self.iter.size)):
             raise ContractError("trace column iter must count the rows from 0")
-        for name in ("primal_residual", "alpha", "matching_error_db", "w_change"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ContractError(f"trace column {name} must be finite")
-        for name in ("primal_residual", "w_change"):
-            if not (getattr(self, name) >= 0.0).all():
-                raise ContractError(f"trace column {name} must be >= 0")
-        for name in ("objective", "lagrangian"):
-            if not (getattr(self, name) > -np.inf).all():  # NaN fails too
-                raise ContractError(f"trace column {name} must not hold NaN or -inf")
+        _, says = _broken_row(vars(self))
+        if says is not None:
+            raise ContractError(says)
+
+
+#: The Trace rule on values: each test of an entry (NaN fails it), its columns and its text.
+_VALUE_RULES = (
+    (np.isfinite, ("primal_residual", "alpha", "matching_error_db", "w_change"), "must be finite"),
+    (lambda c: c >= 0.0, ("primal_residual", "w_change"), "must be >= 0"),
+    (lambda c: c > -np.inf, ("objective", "lagrangian"), "must not hold NaN or -inf"),
+)
+
+
+def _broken_row(columns: dict) -> tuple[int, Optional[str]]:
+    """The first row that breaks the Trace rule and its text, or the row count and None."""
+    breaks = [(int(np.argmin(holds)), f"trace column {name} {says}")
+              for test, names, says in _VALUE_RULES for name in names
+              if not (holds := test(columns[name])).all()]
+    return min(breaks, key=lambda pair: pair[0], default=(columns["iter"].size, None))
 
 
 def _require_template(steering: SteeringSet, d: DesiredPattern):
@@ -274,43 +281,43 @@ def _circular(lags: np.ndarray, n: int, length: int) -> np.ndarray:
 
 
 def _moment_kernel(steering: SteeringSet, d: Optional[DesiredPattern] = None):
-    """The moment kernel of one solve or public call and its two operands, chosen once by N,
-    for the template d (none for ``data_fit_gram``, which gives T_d = 0).
+    """The moments of one solve or public call, x -> _Moments, chosen once by N, for the
+    template d (none for ``data_fit_gram``, which gives T_d = 0).
 
-    Both come from the grid moments q_-(N-1) ... q_(2N-2) (``SteeringSet.moments``) and T_d's
-    lags. Below ``_SPECTRAL_CROSSOVER`` it is ``_moments``, with the N x (2N-1) moment matrix
-    T[i, j] = q_(i-j+N-1) and T_d's N x N matrix, each gathered here (``_toeplitz_copy``).
-    From there on it is ``_fft_moments``, with the spectra of the moments and of T_d's lags
-    over L = ``kernels._good_size``(3N - 2) points, from one batched transform; no matrix."""
+    Below ``_SPECTRAL_CROSSOVER`` they are ``_moments``, with the N x (2N-1) moment matrix
+    T[i, j] = q_(i-j+N-1) of the grid moments q_-(N-1) ... q_(2N-2) (``SteeringSet.moments``)
+    and T_d's N x N matrix, each gathered here (``_toeplitz_copy``). From there on they are
+    ``_fft_moments``, with pocketfft's c2c and the spectra of q and of T_d's lags over
+    L = ``kernels._good_size``(3N - 2) points, from one batched transform; no matrix."""
     n = steering.n_elements
     q = steering.moments
     td_lags = np.zeros(2 * n - 1, complex) if d is None else _template_lags(steering, d)
     if n < _SPECTRAL_CROSSOVER:
-        return _moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags)
-    _bind(globals(), "_c2c")
+        return partial(_moments, _toeplitz_copy(q, n, 2 * n - 1), _toeplitz_gram(td_lags))
+    c2c = _load_c2c()
     length = _good_size(3 * n - 2)
     spectra = np.array([_circular(q, n, length), _circular(td_lags, n, length)])
-    _c2c(spectra, _LAST, True, 0, spectra, 1)
-    return _fft_moments, spectra[0], spectra[1]
+    c2c(spectra, _LAST, True, 0, spectra, 1)
+    return partial(_fft_moments, c2c, spectra[0], spectra[1])
 
 
-def _fft_moments(grid: np.ndarray, template: np.ndarray, x: np.ndarray) -> _Moments:
-    """The moments of x from the spectra of the grid moments and of T_d's lags over one FFT
-    length L >= 3N - 2 (``_moment_kernel``): O(N log N). With X = fft(x, L), the circular
-    correlations ifft(|X|^2), ifft(grid * |X|^2) and ifft(template * X) hold, unaliased, the
-    autocorrelation, the Gram diagonals' lags 0 ... N-1 and T_d x; the three inverse
-    transforms are one batched call, and the Gram diagonals are written into a fresh buffer,
-    the negative lags as the conjugates of the positive ones."""
+def _fft_moments(c2c, grid: np.ndarray, template: np.ndarray, x: np.ndarray) -> _Moments:
+    """The moments of x by pocketfft's c2c from the spectra of the grid moments and of T_d's
+    lags over one FFT length L >= 3N - 2 (``_moment_kernel``): O(N log N). With
+    X = fft(x, L), the circular correlations ifft(|X|^2), ifft(grid * |X|^2) and
+    ifft(template * X) hold, unaliased, the autocorrelation, the Gram diagonals' lags 0 ... N-1
+    and T_d x; the three inverse transforms are one batched call, and the Gram diagonals are
+    written into a fresh buffer, the negative lags as the conjugates of the positive ones."""
     n = x.size
     length = grid.size
     spectrum = np.zeros(length, complex)
     spectrum[:n] = x
-    _c2c(spectrum, _LAST, True, 0, spectrum, 1)
+    c2c(spectrum, _LAST, True, 0, spectrum, 1)
     out = np.empty((3, length), complex)
     power = np.multiply(spectrum, spectrum.conj(), out=out[0])
     np.multiply(grid, power, out=out[1])
     np.multiply(template, spectrum, out=out[2])
-    _c2c(out, _LAST, False, 2, out, 1)
+    c2c(out, _LAST, False, 2, out, 1)
     diagonals = np.empty(2 * n - 1, complex)
     diagonals[n - 1 :] = out[1, :n]
     np.conjugate(diagonals[: n - 1 : -1], out=diagonals[: n - 1])
@@ -338,8 +345,7 @@ def data_fit_gram(steering: SteeringSet, x: np.ndarray) -> np.ndarray:
     _require_type(steering, SteeringSet, "steering")
     x = _as_vector(x, steering.n_elements, "x")
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel, grid, template = _moment_kernel(steering)
-        diagonals = kernel(grid, template, x).gram
+        diagonals = _moment_kernel(steering)(x).gram
     if not np.isfinite(diagonals).all():
         raise ContractError("the data-fit Gram matrix of x overflows")
     return _toeplitz_gram(diagonals)
@@ -369,10 +375,10 @@ class _Cholesky:
     Cholesky, which OpenBLAS does faster than the upper one, and solves; it reads nothing above
     the diagonal."""
 
-    __slots__ = ("diagonals", "system", "matrix", "diagonal")
+    __slots__ = ("posv", "diagonals", "system", "matrix", "diagonal")
 
     def __init__(self, n: int):
-        _bind(globals(), "_posv")
+        self.posv = _load_zposv()
         self.diagonals = np.empty(2 * n - 1, complex)
         self.system = _toeplitz_view(self.diagonals, n, n)
         self.matrix = np.empty((n, n), complex, order="F")
@@ -383,7 +389,7 @@ class _Cholesky:
         np.multiply(lam, gram, out=self.diagonals)
         self.matrix[...] = self.system
         self.diagonal += shift
-        _, solution, info = _posv(self.matrix, rhs, 1, 1, 1)  # lower, overwrite_a, overwrite_b
+        _, solution, info = self.posv(self.matrix, rhs, 1, 1, 1)  # lower, overwrite_a, overwrite_b
         if info != 0:
             raise NumericalError(f"matrix is not positive definite: leading minor {info} fails")
         return solution
@@ -410,13 +416,13 @@ class _ConjugateGradients:
     iterates on b / ||b||, so that no inner product underflows on a small b.
     """
 
-    __slots__ = ("lags", "nonnegative", "negative", "lag_spectrum", "down", "up", "chan",
+    __slots__ = ("c2c", "lags", "nonnegative", "negative", "lag_spectrum", "down", "up", "chan",
                  "chan_head", "chan_rest", "chan_tail", "inverse", "padded", "padded_head",
                  "product", "product_head", "spectrum", "r_points", "p_points", "z_points", "r",
                  "p", "z", "q", "b", "cholesky")
 
     def __init__(self, n: int):
-        _bind(globals(), "_c2c")
+        self.c2c = _load_c2c()
         length = _good_size(2 * n - 1)
         points = _good_size(n)
         self.lags = np.zeros(length, complex)
@@ -442,15 +448,16 @@ class _ConjugateGradients:
     def solve(self, lam: float, gram: np.ndarray, rhs: np.ndarray,
               shift: np.ndarray) -> np.ndarray:
         n = rhs.size
+        c2c = self.c2c
         np.multiply(lam, gram[n - 1 :], out=self.nonnegative)
         np.multiply(lam, gram[: n - 1], out=self.negative)
-        _c2c(self.lags, _LAST, True, 0, self.lag_spectrum, 1)
+        c2c(self.lags, _LAST, True, 0, self.lag_spectrum, 1)
         np.multiply(self.down, self.nonnegative, out=self.chan_head)
         self.chan_rest.fill(0.0)
         self.chan_tail += self.up * self.negative
         chan = self.chan
         # shift.mean()'s reduction and division, without numpy's Python-level _mean
-        eigenvalues = _c2c(chan, _LAST, True, 0, chan, 1).real + float(np.add.reduce(shift)) / n
+        eigenvalues = c2c(chan, _LAST, True, 0, chan, 1).real + float(np.add.reduce(shift)) / n
         if not eigenvalues.min() > 0.0:
             raise NumericalError("matrix is not positive definite: its circulant preconditioner "
                                  "has an eigenvalue <= 0")
@@ -476,17 +483,17 @@ class _ConjugateGradients:
         r_points, p_points, z_points = self.r_points, self.p_points, self.z_points
         for _ in range(n):
             # z = C^-1 r cut to N, then p = z + (r^H z / previous r^H z) p, into z's buffer
-            _c2c(r_points, _LAST, True, 0, spectrum, 1)
+            c2c(r_points, _LAST, True, 0, spectrum, 1)
             np.multiply(spectrum, inverse, out=spectrum)
-            _c2c(spectrum, _LAST, False, 2, z_points, 1)
+            c2c(spectrum, _LAST, False, 2, z_points, 1)
             rz, previous = _real_dot(r, z), rz
             p, z = _axpy(p, z, n, rz / previous), p
             p_points, z_points = z_points, p_points
             # q = A p: lam G p by the circulant embedding, plus shift * p
             padded_head[...] = p
-            _c2c(padded, _LAST, True, 0, product, 1)
+            c2c(padded, _LAST, True, 0, product, 1)
             np.multiply(product, lag_spectrum, out=product)
-            _c2c(product, _LAST, False, 2, product, 1)
+            c2c(product, _LAST, False, 2, product, 1)
             np.add(np.multiply(shift, p, out=q), product_head, out=q)
             curvature = _real_dot(p, q)
             if not curvature > 0.0:
@@ -567,8 +574,7 @@ def update_alpha(steering: SteeringSet, w, v, d: DesiredPattern) -> float:
     v = _as_vector(v, n, "v")
     dd = _template_energy(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel, grid, template = _moment_kernel(steering, d)
-        alpha = _real_dot(w, kernel(grid, template, v).td_x) / dd
+        alpha = _real_dot(w, _moment_kernel(steering, d)(v).td_x) / dd
     if not math.isfinite(alpha):
         raise ContractError("the template scale Re(w^H T_d v) / d^T d overflows")
     return alpha
@@ -589,8 +595,7 @@ def update_v(
     w = _as_vector(w, n, "w")
     u = _as_vector(u, n, "u")
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel, grid, template = _moment_kernel(steering, d)
-        mw = kernel(grid, template, w)
+        mw = _moment_kernel(steering, d)(w)
         return _require_finite_solution(_data_block(params.lam, params.rho / 2.0, mw, w + u,
                                                     params.lam * alpha))
 
@@ -613,8 +618,7 @@ def solve_weight_system(
     diag = _as_vector(diag, n, "majorizer diagonal", float)
     with np.errstate(over="ignore", invalid="ignore"):
         half_rho = params.rho / 2.0
-        kernel, grid, template = _moment_kernel(steering, d)
-        mv = kernel(grid, template, v)
+        mv = _moment_kernel(steering, d)(v)
         return _require_finite_solution(_w_system(_w_solver(n), params.lam, half_rho, mv, v - u,
                                                   params.lam * alpha, diag + half_rho))
 
@@ -661,7 +665,8 @@ def _derive_trace(raw: array, dd: float, params: SolverParams) -> Trace:
     pass, silent on overflow, through the objective lam * sum_k (P_k - alpha d_k)^2 + f(w),
     the scaled-dual augmented Lagrangian lam * sum_k |r_k - alpha d_k|^2 + f(w)
     + (rho/2) ||w - v + u||^2 and ``matching_error_db``'s formula, to which it agrees to
-    rounding."""
+    rounding. A row after row 0 that breaks the Trace rule, unchecked by the sweep (alpha can
+    decay until the matching error overflows), raises ``DivergenceError`` with the rows before."""
     scalars = np.frombuffer(raw).reshape(-1, 9).T
     square_sum, pattern_td, sample_sq, cross, sparsity, gap_sq, wv_sq, alpha, w_change = scalars
     with np.errstate(over="ignore", invalid="ignore"):
@@ -670,7 +675,15 @@ def _derive_trace(raw: array, dd: float, params: SolverParams) -> Trace:
         lagrangian = params.lam * phi + sparsity + (params.rho / 2.0) * gap_sq
         columns = (params.lam * fit + sparsity, lagrangian, np.sqrt(wv_sq), alpha,
                    _db(fit / (alpha * alpha * dd)), w_change)
-    return Trace(*map(_readonly, (np.arange(alpha.size), *columns)))
+    columns = tuple(map(_readonly, (np.arange(alpha.size), *columns)))
+    try:
+        return Trace(*columns)
+    except ContractError:
+        row, says = _broken_row(dict(zip(Trace.__dataclass_fields__, columns)))
+        if row == 0:
+            raise
+    raise DivergenceError(f"solver diverged at iteration {row}: {says}",
+                          Trace(*(column[:row] for column in columns)))
 
 
 def solve(
@@ -691,7 +704,8 @@ def solve(
     ------
     DivergenceError
         If a sweep fails: a block solve fails, an iterate turns non-finite,
-        or the template scale drops to zero so the trace row is undefined.
+        the template scale drops to zero so the trace row is undefined, or the
+        row breaks the ``Trace`` rule (found after the observer saw later states).
         The exception carries the trace of the sweeps done before.
     """
     _require_problem(steering, d, params)
@@ -716,13 +730,13 @@ def solve(
     # The steering matrix is read here only, for T_d's lags, where the moment kernel is picked
     # here once; each iterate's moments and penalty serve both blocks and the rows, as the
     # module docstring lists.
-    kernel, grid, template = _moment_kernel(steering, d)
+    moments = _moment_kernel(steering, d)
     raw = array("d")
     # finite start vectors can overflow where the sweep's bounded iterates cannot: row 0 is
     # formed with overflow silenced and must meet the Trace rule
     with np.errstate(over="ignore", invalid="ignore"):
-        mw = kernel(grid, template, w)
-        mv = kernel(grid, template, v)
+        mw = moments(w)
+        mv = moments(v)
         cross = _real_dot(w, mv.td_x)
         _append_row(raw, mw, mv, w, cross, sparsity, w - v, u, alpha, dd, 0.0)
     try:
@@ -734,14 +748,14 @@ def solve(
             alpha = cross / dd
             lam_alpha = lam * alpha
             v = _data_block(lam, half_rho, mw, w + u, lam_alpha)
-            mv = kernel(grid, template, v)
+            mv = moments(v)
             swept = _w_block(solve_w, lam, half_rho, mv, v - u, lam_alpha, shift)
             wv = swept - v
             u = u + wv
             step = swept - w
             w_change = math.sqrt(_real_dot(step, step))
             w = swept
-            mw = kernel(grid, template, w)
+            mw = moments(w)
             sparsity, diag = _penalty(np.abs(w) ** 2)
             shift = diag + half_rho
             cross = _real_dot(w, mv.td_x)

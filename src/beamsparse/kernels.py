@@ -4,27 +4,25 @@
 cold ``import beamsparse``, so each kernel's extension module is loaded from its file. Every
 matrix-vector product of the package goes through scipy's ``zgemv`` and every inner product,
 squared norm, scaled vector sum and projection scale of the sweep through its ``zdotc``,
-``zdscal`` and ``zaxpy``, beside its ``zposv`` and ``levinson``, so that a run calls one bundled BLAS:
-numpy's makes no BLAS call in the sweep. Unpinned, scipy's pool still threads T_d's first column,
-the grid moments and the beampattern at N = 30, the moments' zgemv from N = 46 and zposv from
-N = 64, and runs take longer than pinned ones (README, "Command line"). f2py's wrappers cost a
-fraction of a microsecond a call, against about 0.4 to 1.4 for the numpy calls they replace on
+``zdscal`` and ``zaxpy``, beside its ``zposv`` and ``levinson``, so that a run calls one bundled
+BLAS: numpy's makes no BLAS call in the sweep. Unpinned, scipy's pool still threads T_d's first
+column, the grid moments and the beampattern at N = 30, the moments' zgemv from N = 46 and zposv
+from N = 64, and runs take longer than pinned ones (README, "Command line"). f2py's wrappers cost
+a fraction of a microsecond a call, against about 0.4 to 1.4 for the numpy calls they replace on
 the sweep's vectors of length N and 2N - 1.
 Every FFT goes through scipy's compiled pocketfft, ``c2c``, at pocketfft's good size
 (``_good_size``), so the package reaches no ``numpy.fft``.
 
-Each module is loaded where the first path that calls it is selected, once per process:
-``scipy.linalg._solve_toeplitz`` (levinson, the data block) and ``scipy.linalg._fblas`` (the
-BLAS routines) at import, since every solve calls them; ``scipy.linalg._flapack`` (zposv) by
-the first w block below ``admm._SPECTRAL_CROSSOVER`` elements, or the first system that the
-conjugate gradients hand to Cholesky from it on; and ``scipy.fft._pocketfft.pypocketfft``
-(c2c) by the first solve or public block from ``admm._SPECTRAL_CROSSOVER`` elements on, whose
-moments and conjugate gradients call it (``_bind``). A process then maps only the kernels its
-sizes run: from N = 144 on no LAPACK module unless a system falls back (about 1.0 MiB of
-resident memory in a fresh interpreter on a 2-core Xeon virtual machine) and below N = 144
-no pocketfft (about 0.5 MiB). No path imports numpy's random package, which numpy 2 loads
-only on first use, or the OpenSSL it maps: the solve's seeded start comes from the package's
-own generator (``normals``), where numpy's cost about 5.9 MiB."""
+Levinson's ``scipy.linalg._solve_toeplitz`` and BLAS's ``scipy.linalg._fblas`` load at import,
+since every solve calls them. LAPACK's ``scipy.linalg._flapack`` and
+``scipy.fft._pocketfft.pypocketfft`` load on the first call of their accessors, once per
+process: ``_load_zposv`` where a Cholesky solver of the w block is built, and ``_load_c2c`` or
+``_good_size`` on the spectral path, from ``admm._SPECTRAL_CROSSOVER`` elements on. So from
+N = 144 on a process maps no LAPACK module unless a system falls back to Cholesky (about 1.0 MiB
+of resident memory in a fresh interpreter on a 2-core Xeon virtual machine), and below N = 144
+no pocketfft (about 0.5 MiB). No path imports numpy's random package, which numpy 2 loads only
+on first use, or the OpenSSL it maps: the solve's seeded start comes from the package's own
+generator (``normals``), where numpy's cost about 5.9 MiB."""
 
 from __future__ import annotations
 
@@ -61,9 +59,11 @@ def _scipy_extension(name: str) -> ModuleType:
 
 
 #: The loader's state: each scipy module ``_load`` has loaded in this process, by name, and
-#: the lock that makes a first load, and a first binding (``_bind``), happen once.
+#: the lock that makes a first load happen once.
 _loaded: dict[str, ModuleType] = {}
-_lock = threading.RLock()
+_lock = threading.Lock()
+
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 
 
 def _load(name: str) -> ModuleType:
@@ -75,30 +75,27 @@ def _load(name: str) -> ModuleType:
         return _loaded[name]
 
 
-#: The kernels that only some sizes call, each bound by ``_bind`` from its module's function.
-_ON_SELECTION = {
-    "_posv": ("scipy.linalg._flapack", "zposv"),
-    "_c2c": ("scipy.fft._pocketfft.pypocketfft", "c2c"),
-}
+def _load_zposv():
+    """LAPACK's Cholesky solve of a Hermitian system, get_lapack_funcs("posv", dtype=complex),
+    called as posv(a, b, lower, overwrite_a, overwrite_b) with lower = 1, so that it factors and
+    reads only a's lower triangle, in place; its module loads on the first call."""
+    return _load("scipy.linalg._flapack").zposv
 
 
-def _bind(namespace: dict, name: str) -> None:
-    """Bind the kernel ``name`` of ``_ON_SELECTION`` in a module's globals where it is still
-    None, loading its module on the first binding in the process.
-
-    The caller binds where it selects the path that calls the kernel, once per solve or public
-    call, so the sweep calls the global with no lookup or wrapper of its own. Under the lock a
-    binding is written once, and a global already bound, to the kernel or to a test's
-    substitute, is left as it is."""
-    with _lock:
-        if namespace[name] is None:
-            module, function = _ON_SELECTION[name]
-            namespace[name] = getattr(_load(module), function)
+def _load_c2c():
+    """pocketfft's complex transform, scipy.fft's c2c(a, axes, forward, inorm, out, nthreads),
+    called as c2c(a, _LAST, forward, inorm, out, 1): along a's last axis, forward (True) or
+    backward (False), scaled by 1 (inorm = 0) or by 1 / L for a length L (inorm = 2, an
+    inverse), written into out, which may be a itself, on one thread; its module loads on the
+    first call. It gives numpy.fft's fft and ifft of numpy 2 bit for bit, since both wrap the
+    same C++ pocketfft, at about half the cost a call: at L = 768 on a 2-core Xeon virtual
+    machine, 5.0 against 10.1 us for one forward transform."""
+    return _load(_POCKETFFT).c2c
 
 
 def _good_size(n: int) -> int:
     """pocketfft's good_size, the smallest 2^a 3^b 5^c 7^d 11^e >= n: every transform's length."""
-    return _load(_ON_SELECTION["_c2c"][0]).good_size(n, False)
+    return _load(_POCKETFFT).good_size(n, False)
 
 
 # The Levinson solve behind scipy.linalg.solve_toeplitz, without its argument checks and
@@ -116,20 +113,8 @@ def _good_size(n: int) -> int:
 # f2py parses keywords on every call: at N = 30 on a 2-core Xeon virtual machine a keyword
 # call of zdscal took 0.46 us and a positional one 0.22 us, so the sweep passes its
 # arguments in order, up to the last one it sets.
-# Bound on selection (_ON_SELECTION): LAPACK's Cholesky solve of a Hermitian system,
-# get_lapack_funcs("posv", dtype=complex), called as _posv(a, b, lower, overwrite_a,
-# overwrite_b) with lower = 1, so that it factors and reads only a's lower triangle, in
-# place; and pocketfft's complex transform, scipy.fft's c2c(a, axes, forward, inorm, out,
-# nthreads), called as _c2c(a, _LAST, forward, inorm, out, 1): along a's last axis, forward
-# (True) or backward (False), scaled by 1 (inorm = 0) or by 1 / L for a length L (inorm = 2,
-# an inverse), written into out, which may be a itself, on one thread. It gives numpy.fft's
-# fft and ifft of numpy 2 bit for bit, since both wrap the same C++ pocketfft, at about half
-# the cost a call: at L = 768 on a 2-core Xeon virtual machine, 5.0 against 10.1 us for one
-# forward transform.
-# Tests pin every kernel to scipy's own object, the private levinson to solve_toeplitz bit
-# for bit, _c2c to scipy.fft's fft and ifft bit for bit, _gemv to numpy's matmul and _dotc
-# to numpy's vdot bit for bit at each call site, and call zgemv, zaxpy, zdscal and c2c with
-# the positional arguments the package passes.
+# Tests pin each kernel to scipy's own object and, bit for bit, to its scipy or numpy
+# counterpart, and call zgemv, zaxpy, zdscal and c2c with the package's positional arguments.
 _levinson = _load("scipy.linalg._solve_toeplitz").levinson
 _fblas = _load("scipy.linalg._fblas")
 _gemv = _fblas.zgemv

@@ -685,14 +685,6 @@ def force_path(monkeypatch, path):
     monkeypatch.setattr(admm_mod, "_SPECTRAL_CROSSOVER", 2**63 if path == "dense" else 0)
 
 
-def bound(name):
-    """admm's kernel global name, "_posv" or "_c2c", bound as the first selection of a path
-    that calls it binds it (``kernels._bind``), so that a test can wrap the kernel itself in
-    any order of the tests."""
-    kernels_mod._bind(vars(admm_mod), name)
-    return getattr(admm_mod, name)
-
-
 def moment_instance(n):
     """A random non-uniform grid of 3n + 2 angles, a random spacing, a template with zeros,
     and unit w and random v (criterion 5's draw, at more sizes)."""
@@ -712,15 +704,16 @@ def zgemv_operand(steering):
     N."""
     with pytest.MonkeyPatch.context() as patch:
         force_path(patch, "dense")
-        kernel, t, _ = admm_mod._moment_kernel(steering)
-    assert kernel is admm_mod._moments
+        moments = admm_mod._moment_kernel(steering)
+    assert moments.func is admm_mod._moments
+    t, _ = moments.args
     return t
 
 
 def moments_of(steering, d, *xs):
     """The moments of each x by the kernel a solve on this steering set and template takes."""
-    kernel, grid, template = admm_mod._moment_kernel(steering, d)
-    return [kernel(grid, template, x) for x in xs]
+    moments = admm_mod._moment_kernel(steering, d)
+    return [moments(x) for x in xs]
 
 
 class TestMomentKernels:
@@ -901,7 +894,7 @@ class TestFactorizationFailure:
         # sphere: posv reports success (info = 0) with a NaN solution on sweep 3
         steering, d, _, _, _ = self.system()
         calls = {"count": 0}
-        real_posv = bound("_posv")
+        real_posv = kernels_mod._load_zposv()
 
         def poisoned(*args):
             calls["count"] += 1
@@ -910,7 +903,7 @@ class TestFactorizationFailure:
                 solution = np.full_like(solution, np.nan)
             return a, solution, info
 
-        monkeypatch.setattr(admm_mod, "_posv", poisoned)
+        monkeypatch.setattr(admm_mod, "_load_zposv", lambda: poisoned)
         with pytest.raises(DivergenceError, match="iteration 3") as excinfo:
             solve(steering, d, SolverParams(lam=0.2, rho=5.0, max_iters=10))
         assert excinfo.value.trace.iter.tolist() == [0, 1, 2]
@@ -1028,12 +1021,11 @@ lags = np.full(3, np.nan, complex)
 a = np.array([[1.0, 2.0], [3.0, 4.0]], complex, order="F")
 written = kernels._gemv(1.0, a, np.array([1.0, 1.0j]), 0.0, lags, 0, 1, 1, 1, 0, 1)
 print(written is lags, lags[1:].tolist())
-# zposv, bound as the first w block below the conjugate gradients' crossover binds it,
-# loaded by path before scipy.linalg is imported
-from beamsparse import admm
-kernels._bind(vars(admm), "_posv")
+# zposv, loaded by path by its accessor, as the first w block below the conjugate gradients'
+# crossover loads it, before scipy.linalg is imported
+posv = kernels._load_zposv()
 import scipy.linalg
-print(admm._posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
+print(posv is scipy.linalg.get_lapack_funcs("posv", dtype=complex),
       kernels._levinson is scipy.linalg._solve_toeplitz.levinson,
       *(getattr(kernels, "_" + name) is scipy.linalg.get_blas_funcs(name, dtype=complex)
         for name in ("gemv", "dotc", "axpy", "dscal")))
@@ -1104,8 +1096,9 @@ for step in {steps!r}:
 """
 
 # two threads' first solves in a fresh process, whose loader sleeps in each load so that the
-# other thread reaches the binding meanwhile: whether a thread is left running and the loads
-# made, then whether the two w are bit-identical and both threads saw scipy's own zposv
+# other thread reaches the loader meanwhile: whether a thread is left running and the loads
+# made, then whether the two w are bit-identical and both threads' Cholesky solvers held
+# scipy's own zposv
 TWO_FIRST_SOLVES = """
 import threading
 import time
@@ -1123,6 +1116,18 @@ def slow_load(name):
 
 
 kernels._scipy_extension = slow_load
+built = {}
+
+
+class Cholesky(admm._Cholesky):
+    __slots__ = ()
+
+    def __init__(self, n):
+        super().__init__(n)
+        built[threading.get_ident()] = self.posv
+
+
+admm._Cholesky = Cholesky
 grid = b.AngleGrid.uniform(-90, 90, 1.0)
 steering = b.build_steering_set(b.ArrayGeometry(30), grid)
 d = b.build_template(grid, [b.MainlobeSpec(22, 28)])
@@ -1134,7 +1139,7 @@ results = [None, None]
 def first_solve(i):
     start.wait()
     w, _, _ = b.solve(steering, d, params)
-    results[i] = w.tobytes(), admm._posv
+    results[i] = w.tobytes(), built[threading.get_ident()]
 
 
 threads = [threading.Thread(target=first_solve, args=(i,)) for i in range(2)]
@@ -1146,6 +1151,27 @@ print([thread.is_alive() for thread in threads], loads)
 (w0, posv0), (w1, posv1) = results
 import scipy.linalg
 print(w0 == w1, posv0 is posv1, posv0 is scipy.linalg.get_lapack_funcs("posv", dtype=complex))
+"""
+
+# a fresh process's globals of admm, arrays and kernels after the import, against those after
+# a 3-sweep solve at N = 30 (the dense path) and one at N = 256 (the spectral path): the names
+# added, removed or bound to another object, then the scipy modules the loader has recorded
+NO_GLOBAL_WRITTEN = """
+import beamsparse as b
+from beamsparse import admm, arrays, kernels
+
+modules = (admm, arrays, kernels)
+before = [dict(vars(module)) for module in modules]
+for n in (30, 256):
+    grid = b.AngleGrid.uniform(-90, 90, 1.0)
+    steering = b.build_steering_set(b.ArrayGeometry(n), grid)
+    d = b.build_template(grid, [b.MainlobeSpec(22, 28)])
+    b.solve(steering, d, b.SolverParams(max_iters=3))
+missing = object()
+print(sorted(f"{module.__name__}.{name}" for module, old in zip(modules, before)
+             for name in old.keys() | vars(module).keys()
+             if old.get(name, missing) is not vars(module).get(name, missing)),
+      sorted(name.rsplit(".", 1)[1] for name in kernels._loaded))
 """
 
 
@@ -1210,8 +1236,8 @@ class TestScipyKernels:
 
     def test_first_solves_on_two_threads_load_and_bind_zposv_once(self):
         # in a fresh process two threads make their first N = 30 solves at once; the loader
-        # sleeps in its first load, so both reach the binding while LAPACK's module loads,
-        # which the lock then loads once, and both solves see that one zposv
+        # sleeps in its first load, so both reach it while LAPACK's module loads, which the
+        # lock then loads once, and both solves' Cholesky solvers hold that one zposv
         src = str(Path(admm_mod.__file__).resolve().parents[1])
         run = subprocess.run([sys.executable, "-c", TWO_FIRST_SOLVES], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=240)
@@ -1219,10 +1245,22 @@ class TestScipyKernels:
         assert run.stdout.splitlines() == ["[False, False] ['scipy.linalg._flapack']",
                                            "True True True"]
 
+    def test_no_solve_rewrites_a_module_global(self):
+        # each path fetches its kernels where it is built, so a solve on either path leaves
+        # every module global as the import bound it, but for what the loader records
+        src = str(Path(admm_mod.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-c", NO_GLOBAL_WRITTEN], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "[] ['_fblas', '_flapack', '_solve_toeplitz', 'pypocketfft']"]
+
     def test_kernels_are_scipys_own_objects(self):
-        assert bound("_posv") is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
+        assert kernels_mod._load_zposv() is scipy.linalg.get_lapack_funcs("posv", dtype=complex)
         assert admm_mod._levinson is scipy.linalg._solve_toeplitz.levinson
-        assert bound("_c2c") is scipy.fft._pocketfft.pypocketfft.c2c
+        assert kernels_mod._load_c2c() is scipy.fft._pocketfft.pypocketfft.c2c
+        for name in ("_load_zposv", "_load_c2c"):
+            assert getattr(admm_mod, name) is getattr(kernels_mod, name)
         for name in ("gemv", "dotc", "axpy", "dscal"):
             want = scipy.linalg.get_blas_funcs(name, dtype=complex)
             assert getattr(kernels_mod, "_" + name) is want
@@ -1233,14 +1271,15 @@ class TestScipyKernels:
 
     @pytest.mark.parametrize("shape", [(223,), (512,), (768,), (3, 768), (2, 486)])
     def test_c2c_is_scipys_fft_bit_for_bit_in_place(self, shape):
-        # _c2c(a, _LAST, forward, inorm, out, 1), as the package calls it with out = a: along
+        # c2c(a, _LAST, forward, inorm, out, 1), as the package calls it with out = a: along
         # the last axis, forward unscaled and backward scaled by 1 / L, written into a and
         # returned, with the bits of scipy.fft's fft and ifft, which call the same kernel
         rng = np.random.default_rng(66)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for forward, inorm, want in ((True, 0, scipy.fft.fft(a)), (False, 2, scipy.fft.ifft(a))):
             out = a.copy()
-            assert bound("_c2c")(out, kernels_mod._LAST, forward, inorm, out, 1) is out
+            c2c = kernels_mod._load_c2c()
+            assert c2c(out, kernels_mod._LAST, forward, inorm, out, 1) is out
             assert out.tobytes() == want.tobytes()
 
     def test_missing_module_raises_import_error_naming_it(self):
@@ -1266,11 +1305,12 @@ class TestScipyKernels:
             assert np.array_equal(beampattern(steering, w), np.abs(a @ np.conj(w)) ** 2)
         # q_N ... q_(2N-2), entries 2N-1 ... 3N-3 of the moments
         assert np.array_equal(steering.moments[2 * n - 1 :], (a.T @ a[:, n - 1])[1:])
-        kernel, t, td = admm_mod._moment_kernel(steering, d)
+        moments = admm_mod._moment_kernel(steering, d)
         if n >= CROSSOVER:
-            assert kernel is admm_mod._fft_moments
+            assert moments.func is admm_mod._fft_moments
             return
-        assert kernel is admm_mod._moments
+        assert moments.func is admm_mod._moments
+        t, td = moments.args
         assert td.flags.f_contiguous
         assert np.array_equal(td, admm_mod._toeplitz_gram(lags))
         assert np.array_equal(admm_mod._moments(t, td, x).td_x, td @ x)
@@ -1588,19 +1628,25 @@ def test_toeplitz_gram_is_a_fresh_fortran_copy_of_its_diagonals(n):
             assert matrix[i, j] == diagonals[n - 1 + i - j]
 
 
+def counted(real, name, calls):
+    """real, counting its calls in calls[name]."""
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return call
+
+
 def counting(monkeypatch, owner, names, calls):
     """Patch each named callable of owner to count its calls in calls[name]."""
-    def counted(name):
-        real = getattr(owner, name)
-
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return call
-
     for name in names:
-        monkeypatch.setattr(owner, name, counted(name))
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name), name, calls))
+
+
+def counting_zposv(monkeypatch, calls):
+    """Patch admm's zposv accessor to hand out zposv counting its calls in calls["_posv"]."""
+    posv = counted(kernels_mod._load_zposv(), "_posv", calls)
+    monkeypatch.setattr(admm_mod, "_load_zposv", lambda: posv)
 
 
 def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
@@ -1613,8 +1659,8 @@ def test_each_solve_gathers_t_d_once_and_each_sweep_factors_once(monkeypatch):
     steering, d = random_instance(rng, n=6, k=9)
     params = SolverParams(lam=0.2, rho=5.0, max_iters=12, seed=5)
     calls = {"_toeplitz_gram": 0, "_posv": 0, "_gemv": 0}
-    bound("_posv")
-    counting(monkeypatch, admm_mod, calls, calls)
+    counting(monkeypatch, admm_mod, ("_toeplitz_gram", "_gemv"), calls)
+    counting_zposv(monkeypatch, calls)
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls == {"_toeplitz_gram": 1, "_posv": 12, "_gemv": 5 + 4 * 12}
@@ -1627,8 +1673,8 @@ def test_a_large_solve_gathers_no_matrix_and_factors_none(monkeypatch):
     steering, d = random_instance(rng, n=256, k=40)
     params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=12, seed=5)
     calls = {"_toeplitz_copy": 0, "_posv": 0, "_gemv": 0}
-    bound("_posv")
-    counting(monkeypatch, admm_mod, calls, calls)
+    counting(monkeypatch, admm_mod, ("_toeplitz_copy", "_gemv"), calls)
+    counting_zposv(monkeypatch, calls)
     _, _, trace = solve(steering, d, params)
     assert trace.iter.size == 13
     assert calls == {"_toeplitz_copy": 0, "_posv": 0, "_gemv": 1}
@@ -1690,8 +1736,7 @@ def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
         params = SolverParams(lam=0.2, rho=5.0, eta=1e-300, max_iters=sweeps, seed=5)
         calls = {"_toeplitz_gram": 0, "_toeplitz_copy": 0, "_gemv": 0, "_posv": 0,
                  "batched inverse _c2c": 0, "_c2c": 0}
-        c2c = bound("_c2c")
-        bound("_posv")
+        c2c = kernels_mod._load_c2c()
 
         def counted_c2c(a, axes, forward, *args):
             calls["_c2c"] += 1
@@ -1699,9 +1744,9 @@ def test_the_moment_kernel_changes_at_the_crossover(monkeypatch):
             return c2c(a, axes, forward, *args)
 
         with monkeypatch.context() as patch:
-            counting(patch, admm_mod, ("_toeplitz_gram", "_toeplitz_copy", "_gemv", "_posv"),
-                     calls)
-            patch.setattr(admm_mod, "_c2c", counted_c2c)
+            counting(patch, admm_mod, ("_toeplitz_gram", "_toeplitz_copy", "_gemv"), calls)
+            counting_zposv(patch, calls)
+            patch.setattr(admm_mod, "_load_c2c", lambda: counted_c2c)
             _, _, trace = solve(steering, d, params)
         assert trace.iter.size == sweeps + 1
         *counts, total = calls.values()
@@ -1728,14 +1773,14 @@ def test_every_transform_takes_pocketfft_s_good_size(monkeypatch, n):
     grid = AngleGrid.uniform(-90, 90, 0.25)
     steering = build_steering_set(ArrayGeometry(n), grid)
     d = build_template(grid, [MainlobeSpec(22, 28, 1000.0)])
-    c2c = bound("_c2c")
+    c2c = kernels_mod._load_c2c()
     lengths = set()
 
     def recorded(a, *args):
         lengths.add(a.shape[-1])
         return c2c(a, *args)
 
-    monkeypatch.setattr(admm_mod, "_c2c", recorded)
+    monkeypatch.setattr(admm_mod, "_load_c2c", lambda: recorded)
     _, _, trace = solve(steering, d, SolverParams(max_iters=3))
     assert trace.iter.size == 4
     assert lengths == {smallest_11_smooth(points) for points in (n, 2 * n - 1, 3 * n - 2)}
@@ -1853,7 +1898,7 @@ def test_the_spectral_path_completes_what_the_dense_path_completes(monkeypatch, 
 
 
 def no_posv(*args):
-    """A zposv that fails the test that calls it; None would leave it to be bound."""
+    """A zposv that fails the test that calls it."""
     raise AssertionError("zposv was called")
 
 
@@ -1866,7 +1911,7 @@ class TestConjugateGradientWBlock:
         # posv; at N = 331 and 509 the preconditioner's circulant has more points than N. The
         # dense system is formed from data_fit_gram and T_d's per-angle sum, on the 721-angle
         # grid of large_array
-        monkeypatch.setattr(admm_mod, "_posv", no_posv)
+        monkeypatch.setattr(admm_mod, "_load_zposv", lambda: no_posv)
         rng = np.random.default_rng(80 + n)
         grid = AngleGrid.uniform(-90, 90, 0.25)
         steering = build_steering_set(ArrayGeometry(n), grid)
@@ -2041,7 +2086,7 @@ def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
         steering, d, params = build_steering_set(cfg.geometry, cfg.grid), cfg.template, cfg.params
     assert steering.n_elements == n
     lone = solve(steering, d, params)
-    posv = bound("_posv")
+    posv = kernels_mod._load_zposv()
     calls = []
 
     def upper_poisoned(a, *args):
@@ -2049,7 +2094,7 @@ def test_the_w_block_reads_only_its_lower_triangle(monkeypatch, n):
         a[np.triu_indices(a.shape[0], 1)] = np.nan
         return posv(a, *args)
 
-    monkeypatch.setattr(admm_mod, "_posv", upper_poisoned)
+    monkeypatch.setattr(admm_mod, "_load_zposv", lambda: upper_poisoned)
     assert_same_bytes(solve(steering, d, params), lone)
     assert calls == [(n, n)] * params.max_iters
 
@@ -2131,8 +2176,9 @@ class TestNoWorkspaceOutlivesItsCall:
 
             return call
 
-        for name in ("_levinson", "_posv"):
-            monkeypatch.setattr(admm_mod, name, in_step(getattr(admm_mod, name)))
+        monkeypatch.setattr(admm_mod, "_levinson", in_step(admm_mod._levinson))
+        posv = in_step(kernels_mod._load_zposv())
+        monkeypatch.setattr(admm_mod, "_load_zposv", lambda: posv)
         results = [None, None]
 
         def run(i):

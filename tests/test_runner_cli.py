@@ -2,6 +2,7 @@ import json
 import os
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from beamsparse import (
 from beamsparse.cli import _os_error, main as cli_main
 from beamsparse.metrics import _db
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ARTIFACTS = ("weights.csv", "beampattern.csv", "trace.csv", "summary.json")
 
 FAST_DOC = {
@@ -332,6 +334,23 @@ class TestCli:
         path.write_text(json.dumps({**FAST_DOC, "lambda": 1e306, "output_dir": str(tmp_path)}))
         assert cli_main(["run", "--config", str(path)]) == 1
         assert "lam (lambda)" in capsys.readouterr().err
+
+    def test_a_decayed_template_scale_ends_in_divergence_with_its_trace(self, tmp_path, capsys):
+        # two_mainlobes at lambda = 1e200 and seed 1 takes the negative-alpha branch, where
+        # alpha decays to about -5e-157 until row 4,235's matching error overflows. The solve
+        # ends at that row in DivergenceError, so the run writes the rows before it, each of
+        # which meets the Trace rule, and exits 1 with one error line
+        doc = json.loads((CONFIGS / "two_mainlobes.json").read_text())
+        path = tmp_path / "huge_lambda.json"
+        path.write_text(json.dumps({**doc, "lambda": 1e200, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", "--config", str(path), "--seed", "1", "--quiet"]) == 1
+        assert capsys.readouterr().err == ("error: solver diverged at iteration 4235: trace "
+                                           "column matching_error_db must be finite\n")
+        assert os.listdir(tmp_path / "out") == ["trace.csv"]
+        header, rows = read_csv(tmp_path / "out" / "trace.csv")
+        trace = Trace(**{name: np.array([float(row[i]) for row in rows])
+                         for i, name in enumerate(header)})
+        assert trace.iter.size == 4235
 
     def test_invalid_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
